@@ -19,7 +19,7 @@ from mcdmg import (
     parse_graph,
     random_scm,
 )
-from mcdmg.oracle import evaluate_all, scm_from_cpts
+from mcdmg.oracle import check, scm_from_cpts
 
 fig2b = parse_graph(fixture_text("fig2b"))
 madmg = next(iter(enumerate_compatible(fig2b, budget=Budget(2, 9))))
@@ -32,15 +32,8 @@ print("total mass:      ", joint.total(), manifest.total())
 # The recovery formula reproduces the true joint cell by cell.
 formula = check_joint(fig2b).formula
 grounding = Grounding.from_scm(scm, abstract=fig2b)
-atoms, cells = evaluate_all(formula, manifest, grounding)
-worst = 0.0
-for env_vals, got in cells.items():
-    assign = {}
-    for a, vals in zip(atoms, env_vals):
-        for var, value in zip(grounding.members(a.ref), vals):
-            assign[var] = value
-    worst = max(worst, abs(got - joint.prob(assign)))
-print("max |formula - truth| =", worst)
+atoms, errors = check(formula, scm, grounding)
+print("max |formula - truth| =", max(errors.values()), "over", len(errors), "cells")
 
 # Listwise deletion is exact under MCAR and biased under self-masking.
 mask = parse_graph(

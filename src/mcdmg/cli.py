@@ -19,20 +19,14 @@ from typing import Optional
 
 import numpy as np
 
-from . import fixtures
+from . import fixtures, oracle
 from .abstraction import Budget, enumerate_compatible, is_compatible, merge_indicators
 from .docalc import Derivation, NotDerived, recover_effect, replay, residual_masked_symbols
-from .errors import BudgetTooSmall, McdmgError, ParseError, ValidationError
+from .errors import BudgetTooSmall, McdmgError
 from .expressions import latex, render
 from .gfiles import emit_dot, emit_graph, emit_json, parse_graph
 from .graphs import validate
-from .oracle import (
-    Grounding,
-    evaluate_all,
-    exact_tables,
-    interventional_table,
-    random_scm,
-)
+from .oracle import Grounding, exact_tables, random_scm
 from .recovery import check_joint
 from .separation import MutilationSpec, active_path, mutilate
 
@@ -45,17 +39,33 @@ def _dump(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _read_graph(path: str):
+def _read_graph(path: str, validate: bool = True):
     if path in fixtures.NAMES:
         text = fixtures.fixture_text(path)
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return parse_graph(text)
+    return parse_graph(text, validate=validate)
 
 
 def _split(arg: Optional[str]):
     return set(x for x in (arg or "").split(",") if x)
+
+
+def _query(text: str):
+    """``joint`` -> None; ``effect:<CX>:<CY>`` -> (CX, CY)."""
+    if text == "joint":
+        return None
+    parts = text.split(":")
+    if len(parts) == 3 and parts[0] == "effect" and parts[1] and parts[2]:
+        return parts[1], parts[2]
+    raise argparse.ArgumentTypeError(f"expected 'joint' or 'effect:<CX>:<CY>', got {text!r}")
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def default_seed(args_seed: Optional[int]) -> int:
@@ -81,12 +91,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.file in fixtures.NAMES:
-        text = fixtures.fixture_text(args.file)
-    else:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    g = parse_graph(text, validate=False)
+    g = _read_graph(args.file, validate=False)
     violations = validate(g)
     _dump(
         {
@@ -221,25 +226,21 @@ def cmd_replay(args) -> int:
 def cmd_oracle(args) -> int:
     abstract = _read_graph(args.file)
     seed = default_seed(args.seed)
-    tol = args.tol
+    effect = args.query
 
-    if args.query == "joint":
+    if effect is None:
         verdict = check_joint(abstract)
         if not verdict.recoverable:
             _dump({"error": "joint not recoverable on this graph"})
             return 1
         expr = verdict.formula
-        outcome_of_truth = None
-    elif args.query.startswith("effect:"):
-        _, treat, outc = args.query.split(":")
+    else:
+        treat, outc = effect
         result = recover_effect(abstract, {treat}, {outc})
         if isinstance(result, NotDerived):
             _dump({"error": "effect not derived on this graph"})
             return 1
         expr = result.result
-        outcome_of_truth = (treat, outc)
-    else:
-        raise ValueError("query must be 'joint' or 'effect:<CX>:<CY>'")
 
     graphs = list(
         itertools.islice(
@@ -249,60 +250,26 @@ def cmd_oracle(args) -> int:
     )
     failures = []
     max_err = 0.0
-    scms = 0
     for gi, madmg in enumerate(graphs):
         for s in range(args.seeds):
             scm = random_scm(madmg, seed=seed + s)
-            scms += 1
-            joint, manifest = exact_tables(scm)
             grounding = Grounding.from_scm(scm, abstract=abstract)
-            atoms, table = evaluate_all(expr, manifest, grounding)
-            for env_vals, got in sorted(table.items()):
-                want = _truth(
-                    scm, grounding, atoms, env_vals, joint, outcome_of_truth
-                )
-                err = abs(got - want)
+            _, errors = oracle.check(expr, scm, grounding, effect)
+            for env_vals, err in sorted(errors.items()):
                 max_err = max(max_err, err)
-                if err > tol:
+                if err > args.tol:
                     failures.append(
                         {"graph": gi, "seed": seed + s, "cell": [list(v) for v in env_vals], "error": err}
                     )
     _dump(
         {
             "graphs_tested": len(graphs),
-            "scms_tested": scms,
+            "scms_tested": len(graphs) * args.seeds,
             "max_abs_error": max_err,
             "failures": failures[:50],
         }
     )
     return 0 if not failures else 1
-
-
-def _truth(scm, grounding, atoms, env_vals, joint, effect):
-    if effect is None:
-        assign = {}
-        for a, vals in zip(atoms, env_vals):
-            for var, x in zip(grounding.members(a.ref), vals):
-                assign[var] = x
-        return joint.prob(assign)
-    treat, outc = effect
-    env = dict(zip(atoms, env_vals))
-    do_vals = None
-    out_vals = None
-    rest = {}
-    for a, vals in env.items():
-        if a.ref == treat:
-            do_vals = vals
-        elif a.ref == outc:
-            out_vals = vals
-        else:
-            rest[a] = vals
-    do = dict(zip(grounding.members(treat), do_vals))
-    table = interventional_table(scm, do, grounding.clustering)
-    assign = dict(zip(grounding.members(outc), out_vals))
-    for a, vals in rest.items():
-        assign.update(zip(grounding.members(a.ref), vals))
-    return table.prob(assign)
 
 
 def cmd_simulate(args) -> int:
@@ -408,11 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--max-vars", type=int, default=2)
     sp.add_argument("--max-edges", type=int, default=12)
-    sp.add_argument("--graphs", type=int, default=20)
-    sp.add_argument("--seeds", type=int, default=100)
+    sp.add_argument("--graphs", type=_positive_int, default=20)
+    sp.add_argument("--seeds", type=_positive_int, default=100)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--tol", type=float, default=1e-9)
-    sp.add_argument("--query", default="joint")
+    sp.add_argument("--query", type=_query, default="joint",
+                    help="'joint' or 'effect:<CX>:<CY>'")
 
     sp = add("simulate", cmd_simulate, "sample a dataset with NA cells from a seeded SCM",
              "mcdmg simulate fig1a --rows 20 --seed 1")
@@ -429,10 +397,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ValidationError, FileNotFoundError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except McdmgError as exc:
+    except (McdmgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -52,8 +52,6 @@ from .expressions import (
 from .graphs import Kind, MixedGraph
 from .separation import MutilationSpec, d_separated, descendants, mutilate
 
-RULES = ("R1", "R2", "R3", "ProxyEq1", "TotalProb", "ChainRule", "Marginalize")
-
 
 @dataclass(frozen=True)
 class RuleCertificate:
@@ -186,7 +184,6 @@ class Derivation:
             "steps": [s.to_json() for s in self.steps],
             "result": expr_to_json(self.result),
             "result_text": render(self.result),
-            "residual_partially_observed": [],
         }
 
     @staticmethod
@@ -377,26 +374,6 @@ def _sum_moves(e: Expr):
     return moves
 
 
-def _replace_sum(e: Expr, old: Sum, new: Expr) -> Expr:
-    done = [False]
-
-    def go(x: Expr) -> Expr:
-        if done[0]:
-            return x
-        if x == old:
-            done[0] = True
-            return new
-        if isinstance(x, Sum):
-            return Sum(x.bound, go(x.body))
-        if isinstance(x, Product):
-            return Product(tuple(go(f) for f in x.factors))
-        if isinstance(x, Quotient):
-            return Quotient(go(x.num), go(x.den))
-        return x
-
-    return go(e)
-
-
 def recover_effect(
     g: MixedGraph,
     treatment: Iterable[str],
@@ -459,7 +436,7 @@ def _expand(g: MixedGraph, expr: Expr):
             )
             out.append((nxt, step))
     for old, new in _sum_moves(expr):
-        nxt = canonical(_replace_sum(expr, old, new))
+        nxt = canonical(replace_term(expr, old, new))
         step = Step("Marginalize", (), canonical(expr), nxt, None)
         out.append((nxt, step))
     return out

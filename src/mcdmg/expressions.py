@@ -222,25 +222,24 @@ def rewrite_terms(e: Expr, fn) -> Expr:
     return Quotient(rewrite_terms(e.num, fn), rewrite_terms(e.den, fn))
 
 
-def replace_term(e: Expr, old: Term, new: Expr) -> Expr:
-    """Substitute one occurrence of ``old`` (the first, in traversal order)."""
+def replace_term(e: Expr, old: Expr, new: Expr) -> Expr:
+    """Substitute one occurrence of the node ``old`` (the first, in traversal
+    order): a term, or any subtree such as a sum."""
     done = [False]
 
     def go(x: Expr) -> Expr:
         if done[0]:
             return x
-        if isinstance(x, Term):
-            if x == old:
-                done[0] = True
-                return new
-            return x
-        if isinstance(x, One):
-            return x
+        if x == old:
+            done[0] = True
+            return new
         if isinstance(x, Sum):
             return Sum(x.bound, go(x.body))
         if isinstance(x, Product):
             return Product(tuple(go(f) for f in x.factors))
-        return Quotient(go(x.num), go(x.den))
+        if isinstance(x, Quotient):
+            return Quotient(go(x.num), go(x.den))
+        return x
 
     out = go(e)
     if not done[0]:

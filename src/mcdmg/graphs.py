@@ -280,9 +280,6 @@ class MixedGraph:
     def neighbors(self, vid: str) -> frozenset:
         return self.parents(vid) | self.children(vid) | self.spouses(vid)
 
-    def adjacent(self, a: str, b: str) -> bool:
-        return b in self.neighbors(a)
-
     def district(self, vid: str) -> frozenset:
         """Connected component of ``vid`` under bidirected edges."""
         self.vertex(vid)

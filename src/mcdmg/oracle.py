@@ -37,7 +37,6 @@ from .expressions import (
 from .graphs import Clustering, GraphClass, Kind, MixedGraph
 
 MAX_STATES = 1 << 20
-NA = -1  # rendered value for masked proxies; stored as the extra last level
 
 
 @dataclass(frozen=True)
@@ -585,6 +584,43 @@ def evaluate_all(expr: Expr, table_or_scm, grounding: Grounding, *, intervention
 
     rec(0, {})
     return atoms, out
+
+
+def check(
+    expr: Expr,
+    scm: DiscreteSCM,
+    grounding: Grounding,
+    effect: Optional[Tuple[str, str]] = None,
+):
+    """Compare a do-free formula with the SCM's truth, cell by cell.
+
+    The formula is evaluated on the manifest over the domain of its free
+    symbols. With ``effect=None`` the truth is the joint over the formula's
+    clusters; with ``effect=(treatment, outcome)`` it is the distribution of
+    the other clusters under do(treatment). A treatment or outcome the
+    formula does not mention is appended to the atoms as a value symbol, so
+    every one of its values is checked.
+
+    Returns (atoms, {value-tuple-assignment: absolute error}).
+    """
+    joint, manifest = exact_tables(scm)
+    atoms, cells = evaluate_all(expr, manifest, grounding)
+    treatment = effect[0] if effect else None
+    for ref in effect or ():
+        if all(a.ref != ref for a in atoms):
+            atoms += (Atom(VAL, ref),)
+            cells = {
+                vals + (v,): got for vals, got in cells.items() for v in grounding.domain(ref)
+            }
+    errors = {}
+    for vals, got in cells.items():
+        do: Dict[str, int] = {}
+        assign: Dict[str, int] = {}
+        for a, v in zip(atoms, vals):
+            (do if a.ref == treatment else assign).update(zip(grounding.members(a.ref), v))
+        table = interventional_table(scm, do, grounding.clustering) if do else joint
+        errors[vals] = abs(got - table.prob(assign))
+    return atoms, errors
 
 
 # ---------------------------------------------------------------------------

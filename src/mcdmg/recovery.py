@@ -18,8 +18,6 @@ from .expressions import Expr, Product, Quotient, apply_proxy, canonical, rzero,
 from .graphs import Clustering, GraphClass, Kind, MixedGraph, Vertex, require_valid
 from .separation import Walk
 
-_MB_MODES = ("district", "local", "cluster")
-
 
 @dataclass(frozen=True)
 class MarkovBlanket:
@@ -96,44 +94,30 @@ def _check_side_conditions(g: MixedGraph) -> None:
 # ---------------------------------------------------------------------------
 
 
-def markov_blanket(g: MixedGraph, r: str, mode: str = "district") -> MarkovBlanket:
+def markov_blanket(g: MixedGraph, r: str) -> MarkovBlanket:
     """Markov blanket used in the denominator factor of the recovery formula.
 
-    Modes
-    -----
-    district (default)
-        Around the indicator: parents, non-proxy children with their parents,
-        the bidirected district and the district's parents. Exact on every
-        compatible variable-level model (enforced by the oracle tests).
-    local
-        Around the indicator but without the district's parents.
-    cluster
-        Around the owning cluster instead of the indicator.
+    Around the indicator: parents, non-proxy children with their parents,
+    the bidirected district and the district's parents. Exact on every
+    compatible variable-level model (enforced by the oracle tests).
     """
-    if mode not in _MB_MODES:
-        raise ValueError(f"mode must be one of {_MB_MODES}")
     _require_missingness_cluster_graph(g)
     if g.kind(r) is not Kind.INDICATOR:
         raise UnknownVertex(f"{r!r} is not an indicator")
 
-    center = g.owner_cluster(r) if mode == "cluster" else r
     proxies = set(g.proxies)
 
     members: set = set()
-    members |= g.parents(center)
-    kids = {c for c in g.children(center) if c not in proxies}
+    members |= g.parents(r)
+    kids = {c for c in g.children(r) if c not in proxies}
     members |= kids
     for k in kids:
         members |= g.parents(k)
-    district = g.district(center)
-    if mode == "local":
-        members |= g.spouses(center)
-    else:
-        members |= district
-        for d in district:
-            members |= g.parents(d)
+    district = g.district(r)
+    members |= district
+    for d in district:
+        members |= g.parents(d)
     members -= proxies
-    members.discard(center)
     members.discard(r)
 
     missing = set(g.partially_observed)
@@ -205,7 +189,7 @@ def _collider_path_witness(g: MixedGraph, cluster: str, r: str) -> Optional[Walk
     return Walk(tuple(vs), tuple(es))
 
 
-def check_joint(g: MixedGraph, mb_mode: str = "district") -> JointVerdict:
+def check_joint(g: MixedGraph) -> JointVerdict:
     """Decide joint recoverability and emit the recovery formula.
 
     Requires an m-C-DMG or cm-C-DMG without indicator self-loops or edges
@@ -226,10 +210,10 @@ def check_joint(g: MixedGraph, mb_mode: str = "district") -> JointVerdict:
             violations.append(Violation(cluster, r, "collider_path", w))
     if violations:
         return JointVerdict(False, tuple(violations), None)
-    return JointVerdict(True, (), recovery_formula(g, mb_mode))
+    return JointVerdict(True, (), recovery_formula(g))
 
 
-def recovery_formula(g: MixedGraph, mb_mode: str = "district") -> Expr:
+def recovery_formula(g: MixedGraph) -> Expr:
     """The quotient P(R=0, c) / prod_i P(R_i=0 | blanket, R_blanket=0).
 
     Emitted in proxy form so every symbol resolves against manifest tables:
@@ -242,7 +226,7 @@ def recovery_formula(g: MixedGraph, mb_mode: str = "district") -> Expr:
     )
     factors = []
     for r in all_r:
-        mb = markov_blanket(g, r, mb_mode)
+        mb = markov_blanket(g, r)
         cond = {val(c) for c in mb.observed} | {val(c) for c in mb.missing}
         for m in mb.missing:
             cond |= {rzero(x) for x in g.indicators_of_cluster(m)}
@@ -294,12 +278,9 @@ def construct_witness(g: MixedGraph, violation: Violation) -> MixedGraph:
         pool.sort(key=lambda v: v != owner)
     rep = {c: members[c][0] for c in members}
 
-    masked = set(g.partially_observed)
     if g.graph_class is GraphClass.CMCDMG:
-        rvars = [(f"R_{v}", v) for c in sorted(masked) for v in members[c]]
         r_image = {r: f"R_{rep[g.vertex(r).owner]}" for r in g.indicators}
     else:
-        rvars = [(r, g.vertex(r).owner) for r in sorted(g.indicators)]
         r_image = {r: r for r in g.indicators}
 
     def image(vid: str) -> str:
@@ -359,8 +340,11 @@ def construct_witness(g: MixedGraph, violation: Violation) -> MixedGraph:
     for c in sorted(self_looped):
         directed.add((rep[c], second(c)))
 
+    # after the loop: second() may have added members to masked clusters
     if g.graph_class is GraphClass.CMCDMG:
-        rvars = [(f"R_{v}", v) for c in sorted(masked) for v in members[c]]
+        rvars = [(f"R_{v}", v) for c in g.partially_observed for v in members[c]]
+    else:
+        rvars = [(r, g.vertex(r).owner) for r in sorted(g.indicators)]
 
     clustering = Clustering(tuple((c, tuple(members[c])) for c in sorted(members)))
     verts = [Vertex(v, Kind.VARIABLE) for c in sorted(members) for v in members[c]]

@@ -20,7 +20,6 @@ from mcdmg import (
     Grounding,
     enumerate_compatible,
     equal_manifest_pair,
-    evaluate_interventional,
     exact_tables,
     fixture_path,
     is_compatible,
@@ -30,7 +29,7 @@ from mcdmg import (
 )
 from mcdmg import check_joint, construct_witness
 from mcdmg.expressions import Product, Sum, canonical, proxy, rzero, term, val
-from mcdmg.oracle import evaluate_all
+from mcdmg.oracle import check, evaluate_all
 
 
 def report(criterion, ok, detail=""):
@@ -119,15 +118,9 @@ def test_criterion_3_theorem1_oracle_equivalence():
         for seed in range(100):
             scm = random_scm(madmg, seed=seed)
             scms += 1
-            joint, manifest = exact_tables(scm)
-            grounding = Grounding.from_scm(scm, abstract=fig2b)
-            atoms, cells = evaluate_all(formula, manifest, grounding)
-            for env_vals, got in cells.items():
-                assign = {}
-                for a, vals in zip(atoms, env_vals):
-                    for var, value in zip(grounding.members(a.ref), vals):
-                        assign[var] = value
-                worst = max(worst, abs(got - joint.prob(assign)))
+            _, errors = check(formula, scm, Grounding.from_scm(scm, abstract=fig2b))
+            assert errors
+            worst = max(worst, *errors.values())
     elapsed = time.perf_counter() - t0
     ok = scms >= 2000 and worst <= 1e-9 and elapsed < 300.0
     report(3, ok, f"{len(graphs)} graphs x 100 SCMs, max err {worst:.2e}, {elapsed:.0f} s")
@@ -139,25 +132,11 @@ def _eval_by_cluster(expr, scm, grounding):
     A proxy substitution step renames the atom (value -> proxy) but ranges
     over the same cluster valuations, so equality is checked per valuation.
     """
-    from mcdmg.oracle import free_atoms
-
-    atoms = free_atoms(expr)
-    refs = sorted({a.ref for a in atoms})
-    assert len(refs) == len(atoms)
-    out = {}
-
-    def rec(i, env_by_ref):
-        if i == len(refs):
-            env = {a: env_by_ref[a.ref] for a in atoms}
-            key = tuple(env_by_ref[r] for r in refs)
-            out[key] = evaluate_interventional(expr, scm, grounding, env)
-            return
-        for values in grounding.domain(refs[i]):
-            env_by_ref[refs[i]] = values
-            rec(i + 1, env_by_ref)
-
-    rec(0, {})
-    return refs, out
+    atoms, cells = evaluate_all(expr, scm, grounding, interventional=True)
+    refs = [a.ref for a in atoms]
+    assert len(set(refs)) == len(refs)
+    keyed = {tuple(v for _, v in sorted(zip(refs, vals))): got for vals, got in cells.items()}
+    return sorted(refs), keyed
 
 
 def test_criterion_4_per_step_soundness():

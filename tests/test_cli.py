@@ -179,6 +179,23 @@ def test_oracle_cli_small():
     assert doc["max_abs_error"] <= 1e-9 and not doc["failures"]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--query", "bogus"],
+        ["--query", "effect:CX"],
+        ["--query", "effect:CX:CY:CZ"],
+        ["--graphs", "0"],
+        ["--seeds", "0"],
+    ],
+    ids=["bogus", "effect-one-cluster", "effect-three-clusters", "no-graphs", "no-seeds"],
+)
+def test_oracle_bad_input_exit_2(args):
+    code, out, err = run("oracle", fig("fig2b"), *args)
+    assert code == 2 and out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_simulate_cli():
     code, out, _ = run("simulate", fig("fig1a"), "--rows", "10", "--seed", "3")
     assert code == 0

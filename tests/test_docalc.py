@@ -181,15 +181,8 @@ def test_adjustment_over_masked_cluster_is_sound():
     bound symbol whose proxy alias must stay captured by the binder."""
     import itertools
 
-    from mcdmg import (
-        Budget,
-        Grounding,
-        enumerate_compatible,
-        exact_tables,
-        interventional_table,
-        random_scm,
-    )
-    from mcdmg.oracle import evaluate_all
+    from mcdmg import Budget, Grounding, enumerate_compatible, random_scm
+    from mcdmg.oracle import check
 
     g = parse_graph(MASKED_ADJUSTMENT_SRC)
     d = recover_effect(g, {"C0"}, {"C2"}, depth=10)
@@ -197,19 +190,11 @@ def test_adjustment_over_masked_cluster_is_sound():
     for madmg in itertools.islice(enumerate_compatible(g, budget=Budget(2, 12)), 2):
         for seed in (1, 2):
             scm = random_scm(madmg, seed=seed)
-            _, manifest = exact_tables(scm)
             gr = Grounding.from_scm(scm, abstract=g)
-            atoms, cells = evaluate_all(d.result, manifest, gr)
+            atoms, errors = check(d.result, scm, gr, effect=("C0", "C2"))
             # the formula is a function of treatment and outcome alone
-            assert {a.ref for a in atoms} <= {"C0", "C2"}
-            for env_vals, got in cells.items():
-                env = dict(zip(atoms, env_vals))
-                tkey = next(a for a in atoms if a.ref == "C0")
-                okey = next(a for a in atoms if a.ref == "C2")
-                do = dict(zip(gr.members("C0"), env[tkey]))
-                t = interventional_table(scm, do, gr.clustering)
-                want = t.prob(dict(zip(gr.members("C2"), env[okey])))
-                assert abs(got - want) <= 1e-9
+            assert sorted(a.ref for a in atoms) == ["C0", "C2"]
+            assert errors and max(errors.values()) <= 1e-9
 
 
 def test_random_derivations_sound_against_oracle():
@@ -225,13 +210,11 @@ def test_random_derivations_sound_against_oracle():
         MixedGraph,
         Vertex,
         enumerate_compatible,
-        exact_tables,
-        interventional_table,
         random_scm,
     )
     from mcdmg.errors import BudgetTooSmall
     from mcdmg.graphs import validate
-    from mcdmg.oracle import evaluate_all
+    from mcdmg.oracle import check
 
     rng = _random.Random(9001)
     derived = 0
@@ -277,18 +260,8 @@ def test_random_derivations_sound_against_oracle():
         except BudgetTooSmall:
             continue
         scm = random_scm(madmg, seed=1)
-        _, manifest = exact_tables(scm)
         gr = Grounding.from_scm(scm, abstract=g)
-        atoms, cells = evaluate_all(d.result, manifest, gr)
-        assert {a.ref for a in atoms} <= {treat, outc}
-        tkey = next((a for a in atoms if a.ref == treat), None)
-        okey = next(a for a in atoms if a.ref == outc)
-        for env_vals, got in cells.items():
-            env = dict(zip(atoms, env_vals))
-            t_dom = [env[tkey]] if tkey else gr.domain(treat)
-            for tv in t_dom:
-                do = dict(zip(gr.members(treat), tv))
-                t = interventional_table(scm, do, gr.clustering)
-                want = t.prob(dict(zip(gr.members(outc), env[okey])))
-                assert abs(got - want) <= 1e-9, (sorted(directed), sorted(bidirected))
+        atoms, errors = check(d.result, scm, gr, effect=(treat, outc))
+        assert sorted(a.ref for a in atoms) == sorted([treat, outc])
+        assert errors and max(errors.values()) <= 1e-9, (sorted(directed), sorted(bidirected))
     assert derived >= 25

@@ -12,6 +12,7 @@ from mcdmg import (
     evaluate,
     evaluate_interventional,
     exact_tables,
+    fixture_text,
     interventional_table,
     parse_graph,
     random_scm,
@@ -23,8 +24,8 @@ from mcdmg.errors import (
     PartialClusterAssignment,
     PositivityError,
 )
-from mcdmg.expressions import proxy, term, val
-from mcdmg.oracle import evaluate_all, extended_table, scm_from_cpts
+from mcdmg.expressions import proxy, rzero, term, val
+from mcdmg.oracle import check, evaluate_all, extended_table, free_atoms, scm_from_cpts
 
 
 def mk(src):
@@ -233,30 +234,18 @@ def test_theorem_formula_on_mcar_manifest():
     for madmg in itertools.islice(enumerate_compatible(abstract, budget=Budget(1, 4)), 3):
         for seed in range(10):
             scm = random_scm(madmg, seed=seed)
-            joint, manifest = exact_tables(scm)
-            gr = Grounding.from_scm(scm, abstract=abstract)
-            atoms, cells = evaluate_all(verdict.formula, manifest, gr)
-            for env_vals, got in cells.items():
-                assign = {}
-                for a, vals in zip(atoms, env_vals):
-                    for var, value in zip(gr.members(a.ref), vals):
-                        assign[var] = value
-                assert abs(got - joint.prob(assign)) <= 1e-9
+            _, errors = check(verdict.formula, scm, Grounding.from_scm(scm, abstract=abstract))
+            assert errors and max(errors.values()) <= 1e-9
 
 
 def test_fig3_effect_formula_equals_interventional(fig3):
     d = recover_effect(fig3, {"CX"}, {"CY"})
     witness = construct_witness(fig3, check_joint(fig3).violations[0])
     scm = random_scm(witness, seed=4)
-    _, manifest = exact_tables(scm)
     gr = Grounding.from_scm(scm, abstract=fig3)
-    atoms, cells = evaluate_all(d.result, manifest, gr)
-    for env_vals, got in cells.items():
-        env = dict(zip(atoms, env_vals))
-        do = dict(zip(gr.members("CX"), env[val("CX")]))
-        t = interventional_table(scm, do, gr.clustering)
-        want = t.prob(dict(zip(gr.members("CY"), env[proxy("CY")])))
-        assert abs(got - want) <= 1e-9
+    atoms, errors = check(d.result, scm, gr, effect=("CX", "CY"))
+    assert atoms == (proxy("CY"), val("CX"))
+    assert errors and max(errors.values()) <= 1e-9
 
 
 def test_interventional_evaluator_matches_tables(fig3):
@@ -297,15 +286,10 @@ def test_example2_formula_matches_interventional(fig2b):
     for madmg in itertools.islice(enumerate_compatible(fig2b, budget=Budget(2, 9)), 3):
         for seed in range(5):
             scm = random_scm(madmg, seed=seed)
-            _, manifest = exact_tables(scm)
             gr = Grounding.from_scm(scm, abstract=fig2b)
-            atoms, cells = evaluate_all(d.result, manifest, gr)
-            for env_vals, got in cells.items():
-                env = dict(zip(atoms, env_vals))
-                do = dict(zip(gr.members("CX"), env[proxy("CX")]))
-                t = interventional_table(scm, do, gr.clustering)
-                want = t.prob(dict(zip(gr.members("CY"), env[proxy("CY")])))
-                assert abs(got - want) <= 1e-9
+            atoms, errors = check(d.result, scm, gr, effect=("CX", "CY"))
+            assert atoms == (proxy("CX"), proxy("CY"))
+            assert errors and max(errors.values()) <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -332,3 +316,72 @@ def test_equal_manifest_pair_selfmask_motifs(edge):
     j2, m2 = exact_tables(s2)
     assert float(np.max(np.abs(m1.probs - m2.probs))) <= 1e-9
     assert float(np.max(np.abs(j1.probs - j2.probs))) >= 1e-2
+
+
+# Wrong formulas: the complete-case joint on fig2b (R_CX, R_CY depend on CZ),
+# fig3's CX -> CY effect read off without adjusting for the confounder CZ, and
+# one that ignores the treatment altogether.
+COMPLETE_CASE = term([proxy("CX"), proxy("CY"), val("CZ")], cond=[rzero("R_CX"), rzero("R_CY")])
+UNADJUSTED = term([proxy("CY")], cond=[val("CX"), rzero("R_CY")])
+NO_TREATMENT = term([proxy("CY")], cond=[rzero("R_CY")])
+
+
+def _hand_errors(expr, scm, grounding, treatment=None):
+    """``check`` written out cell by cell, indexing the dense truth table."""
+    joint, manifest = exact_tables(scm)
+    atoms, cells = evaluate_all(expr, manifest, grounding)
+    out = {}
+    for env_vals, got in cells.items():
+        env = dict(zip(atoms, env_vals))
+        given = [v for a, v in env.items() if a.ref == treatment]
+        for tv in given or (grounding.domain(treatment) if treatment else [None]):
+            if treatment:
+                do = dict(zip(grounding.members(treatment), tv))
+                table = interventional_table(scm, do, grounding.clustering)
+            else:
+                table = joint
+            index = [slice(None)] * len(table.variables)
+            for a, vals in env.items():
+                if a.ref != treatment:
+                    for var, value in zip(grounding.members(a.ref), vals):
+                        index[table.variables.index(var)] = value
+            key = env_vals if given or not treatment else env_vals + (tv,)
+            out[key] = abs(got - float(table.probs[tuple(index)].sum()))
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, expr, effect",
+    [
+        ("fig2b", COMPLETE_CASE, None),
+        ("fig3", UNADJUSTED, ("CX", "CY")),
+        ("fig3", NO_TREATMENT, ("CX", "CY")),
+    ],
+    ids=["joint", "effect", "effect-treatment-unmentioned"],
+)
+def test_check_matches_hand_computation(name, expr, effect):
+    g = parse_graph(fixture_text(name))
+    madmg = next(iter(enumerate_compatible(g, budget=Budget(2, 10))))
+    scm = random_scm(madmg, seed=3)
+    gr = Grounding.from_scm(scm, abstract=g)
+    atoms, errors = check(expr, scm, gr, effect)
+    want = _hand_errors(expr, scm, gr, effect and effect[0])
+    assert {a.ref for a in atoms} == {a.ref for a in free_atoms(expr)} | set(effect or ())
+    assert errors.keys() == want.keys() and len(errors) > 1
+    assert max(want.values()) > 1e-3  # the comparison is not between zeros
+    for key, err in want.items():
+        assert errors[key] == pytest.approx(err, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, expr, effect",
+    [("fig2b", COMPLETE_CASE, None), ("fig3", UNADJUSTED, ("CX", "CY"))],
+    ids=["complete-case-joint", "unadjusted-effect"],
+)
+def test_check_flags_wrong_formulas(name, expr, effect):
+    g = parse_graph(fixture_text(name))
+    for madmg in itertools.islice(enumerate_compatible(g, budget=Budget(2, 10)), 5):
+        for seed in range(3):
+            scm = random_scm(madmg, seed=seed)
+            _, errors = check(expr, scm, Grounding.from_scm(scm, abstract=g), effect)
+            assert max(errors.values()) > 1e-3

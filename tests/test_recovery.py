@@ -81,8 +81,6 @@ def test_markov_blankets_fig2b(fig2b):
     assert mb_y.observed == ("CZ",)
     # the district's parent CX joins the blanket (exactness is oracle-checked)
     assert mb_y.missing == ("CX",)
-    assert markov_blanket(fig2b, "R_CY", mode="local").missing == ()
-    assert markov_blanket(fig2b, "R_CY", mode="cluster").observed == ()
 
 
 def test_markov_blanket_isolated():
@@ -258,8 +256,8 @@ def test_transfer_on_random_graphs():
 def test_mlevel_formula_matches_oracle(fig2a):
     import itertools
 
-    from mcdmg import Budget, Grounding, enumerate_compatible, exact_tables, random_scm
-    from mcdmg.oracle import evaluate_all
+    from mcdmg import Budget, Grounding, enumerate_compatible, random_scm
+    from mcdmg.oracle import check
 
     verdict = check_joint(fig2a)
     assert verdict.recoverable
@@ -268,15 +266,8 @@ def test_mlevel_formula_matches_oracle(fig2a):
     ):
         for seed in range(6):
             scm = random_scm(madmg, seed=seed)
-            joint, manifest = exact_tables(scm)
-            gr = Grounding.from_scm(scm, abstract=fig2a)
-            atoms, cells = evaluate_all(verdict.formula, manifest, gr)
-            for env_vals, got in cells.items():
-                assign = {}
-                for a, vals in zip(atoms, env_vals):
-                    for var, value in zip(gr.members(a.ref), vals):
-                        assign[var] = value
-                assert abs(got - joint.prob(assign)) <= 1e-9
+            _, errors = check(verdict.formula, scm, Grounding.from_scm(scm, abstract=fig2a))
+            assert errors and max(errors.values()) <= 1e-9
 
 
 def test_classify_mlevel(fig2a):
