@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from .errors import BudgetTooSmall, InvalidClustering, WrongGraphClass
 from .graphs import (
@@ -30,6 +30,7 @@ from .graphs import (
     MixedGraph,
     Vertex,
     require_valid,
+    topological_order,
 )
 
 Edge = Tuple[str, str, str]  # (kind "->"|"<->", a, b)
@@ -404,6 +405,7 @@ def _enumerate_over_members(abstract, members, budget, canonicalize):
     else:
         rvars = [(r, abstract.vertex(r).owner) for r in sorted(abstract.indicators)]
 
+    nodes = variables + [r for r, _ in rvars]
     clustering = Clustering(tuple((c, members[c]) for c in sorted(members)))
     # within-cluster renaming is a symmetry only once indicators are merged
     if level is GraphClass.CMCDMG:
@@ -425,7 +427,7 @@ def _enumerate_over_members(abstract, members, budget, canonicalize):
             continue
         directed = sorted({(a, b) for k, a, b in edges if k == "->"})
         bidirected = sorted({(a, b) for k, a, b in edges if k == "<->"})
-        if _has_cycle(variables, directed):
+        if topological_order(nodes, directed)[1]:
             continue
         if canonicalize and not _is_canonical(directed, bidirected, perms):
             continue
@@ -442,24 +444,6 @@ def _enumerate_over_members(abstract, members, budget, canonicalize):
                 clustering=clustering,
             )
         )
-
-
-def _has_cycle(variables, directed) -> bool:
-    out: Dict[str, List[str]] = {v: [] for v in variables}
-    indeg = {v: 0 for v in variables}
-    for a, b in directed:
-        if a in out and b in out:  # edges into indicators cannot cycle
-            out[a].append(b)
-            indeg[b] += 1
-    queue = [v for v, d in indeg.items() if d == 0]
-    seen = 0
-    while queue:
-        seen += 1
-        for b in out[queue.pop()]:
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                queue.append(b)
-    return seen != len(out)
 
 
 def _cluster_permutations(members, owner_r):

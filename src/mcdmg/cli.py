@@ -13,6 +13,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -66,6 +67,13 @@ def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
+
+
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not math.isfinite(tol) or tol < 0:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return tol
 
 
 def default_seed(args_seed: Optional[int]) -> int:
@@ -378,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--graphs", type=_positive_int, default=20)
     sp.add_argument("--seeds", type=_positive_int, default=100)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=_tolerance, default=1e-9)
     sp.add_argument("--query", type=_query, default="joint",
                     help="'joint' or 'effect:<CX>:<CY>'")
 

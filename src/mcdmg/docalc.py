@@ -29,10 +29,9 @@ from .expressions import (
     VAL,
     Atom,
     Expr,
-    Product,
-    Quotient,
     Sum,
     Term,
+    _children,
     apply_proxy,
     canonical,
     chain_split,
@@ -357,18 +356,11 @@ def _sum_moves(e: Expr):
     def visit(x: Expr):
         if isinstance(x, Sum):
             try:
-                collapsed = marginalize(x)
+                moves.append((x, marginalize(x)))
             except (TypeError, ValueError):
-                collapsed = None
-            if collapsed is not None:
-                moves.append((x, collapsed))
-            visit(x.body)
-        elif isinstance(x, Product):
-            for f in x.factors:
-                visit(f)
-        elif isinstance(x, Quotient):
-            visit(x.num)
-            visit(x.den)
+                pass
+        for sub in _children(x):
+            visit(sub)
 
     visit(e)
     return moves

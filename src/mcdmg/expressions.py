@@ -170,30 +170,23 @@ def terms_of(e: Expr) -> Tuple[Term, ...]:
     """Every term of the tree, in canonical traversal order."""
     if isinstance(e, Term):
         return (e,)
-    if isinstance(e, One):
-        return ()
-    if isinstance(e, Sum):
-        return terms_of(e.body)
-    if isinstance(e, Product):
-        return tuple(t for f in e.factors for t in terms_of(f))
-    return terms_of(e.num) + terms_of(e.den)
+    out: Tuple[Term, ...] = ()
+    for sub in _children(e):
+        out += terms_of(sub)
+    return out
 
 
 def symbols_of(e: Expr) -> FrozenSet[Atom]:
-    out = set()
-    for t in terms_of(e):
-        out |= t.outcomes | t.do | t.cond
-    if isinstance(e, Sum):
-        out.add(e.bound)
+    if isinstance(e, Term):
+        return e.outcomes | e.do | e.cond
+    out = {e.bound} if isinstance(e, Sum) else set()
     for sub in _children(e):
         out |= symbols_of(sub)
     return frozenset(out)
 
 
 def bound_symbols(e: Expr) -> FrozenSet[Atom]:
-    out = set()
-    if isinstance(e, Sum):
-        out.add(e.bound)
+    out = {e.bound} if isinstance(e, Sum) else set()
     for sub in _children(e):
         out |= bound_symbols(sub)
     return frozenset(out)
@@ -209,17 +202,22 @@ def _children(e: Expr):
     return ()
 
 
+def _rebuild(e: Expr, children) -> Expr:
+    """``e`` with its ``_children`` replaced, in the same order."""
+    if isinstance(e, Sum):
+        return Sum(e.bound, children[0])
+    if isinstance(e, Product):
+        return Product(tuple(children))
+    if isinstance(e, Quotient):
+        return Quotient(*children)
+    return e
+
+
 def rewrite_terms(e: Expr, fn) -> Expr:
     """Apply ``fn`` to every term and rebuild the tree."""
     if isinstance(e, Term):
         return fn(e)
-    if isinstance(e, One):
-        return e
-    if isinstance(e, Sum):
-        return Sum(e.bound, rewrite_terms(e.body, fn))
-    if isinstance(e, Product):
-        return Product(tuple(rewrite_terms(f, fn) for f in e.factors))
-    return Quotient(rewrite_terms(e.num, fn), rewrite_terms(e.den, fn))
+    return _rebuild(e, [rewrite_terms(sub, fn) for sub in _children(e)])
 
 
 def replace_term(e: Expr, old: Expr, new: Expr) -> Expr:
@@ -233,13 +231,7 @@ def replace_term(e: Expr, old: Expr, new: Expr) -> Expr:
         if x == old:
             done[0] = True
             return new
-        if isinstance(x, Sum):
-            return Sum(x.bound, go(x.body))
-        if isinstance(x, Product):
-            return Product(tuple(go(f) for f in x.factors))
-        if isinstance(x, Quotient):
-            return Quotient(go(x.num), go(x.den))
-        return x
+        return _rebuild(x, [go(sub) for sub in _children(x)])
 
     out = go(e)
     if not done[0]:

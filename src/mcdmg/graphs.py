@@ -18,10 +18,11 @@ Conventions
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import InvalidClustering, UnknownVertex, ValidationError, WrongGraphClass
 
@@ -283,14 +284,7 @@ class MixedGraph:
     def district(self, vid: str) -> frozenset:
         """Connected component of ``vid`` under bidirected edges."""
         self.vertex(vid)
-        seen = {vid}
-        stack = [vid]
-        while stack:
-            for u in self._bi[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return frozenset(seen)
+        return closure((vid,), self._bi.__getitem__)
 
     # -- missingness structure ---------------------------------------------
 
@@ -381,6 +375,8 @@ def validate(g: MixedGraph) -> list:
         for e in (a, b):
             if e not in ids:
                 v.append(Violation("unknown-endpoint", f"edge endpoint {e!r} undeclared", (a, b)))
+    if v:
+        return v  # the checks below index adjacency by declared vertex ids
 
     for a, b in sorted(g.bidirected):
         if a == b:
@@ -467,7 +463,8 @@ def validate(g: MixedGraph) -> list:
 
     # acyclicity for the acyclic classes (proxies are sinks, harmless)
     if not cls.cyclic_ok:
-        cyc = _find_cycle(g)
+        loops = sorted(a for a, b in g.directed if a == b)
+        cyc = loops[:1] or topological_order(ids, g.directed)[1]
         if cyc:
             v.append(Violation("acyclicity", "acyclicity violated: " + ",".join(cyc), tuple(cyc)))
 
@@ -499,25 +496,41 @@ def _owner_ok(g: MixedGraph, vert: Vertex) -> bool:
     return False
 
 
-def _find_cycle(g: MixedGraph) -> list:
-    # Kahn's algorithm over directed edges; leftover vertices lie on cycles.
-    indeg = {v.id: 0 for v in g.vertices}
-    for a, b in g.directed:
-        if a == b:
-            return [a]
+def topological_order(nodes: Iterable[str], edges: Iterable[Tuple[str, str]]):
+    """Kahn's algorithm, always placing the smallest ready node next.
+
+    Every edge endpoint must be among ``nodes``. Returns ``(order, unplaced)``:
+    the placed nodes in order, and the sorted nodes that lie on a directed
+    cycle (self-loops included) or are reachable from one.
+    """
+    succ = {n: [] for n in nodes}
+    indeg = dict.fromkeys(succ, 0)
+    for a, b in edges:
+        succ[a].append(b)
         indeg[b] += 1
-    queue = sorted(vid for vid, d in indeg.items() if d == 0)
-    seen = 0
-    while queue:
-        seen += 1
-        n = queue.pop()
-        for b in g._out[n]:
+    ready = [n for n, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        n = heapq.heappop(ready)
+        order.append(n)
+        for b in succ[n]:
             indeg[b] -= 1
             if indeg[b] == 0:
-                queue.append(b)
-    if seen == len(indeg):
-        return []
-    return sorted(vid for vid, d in indeg.items() if d > 0)
+                heapq.heappush(ready, b)
+    return tuple(order), tuple(sorted(n for n, d in indeg.items() if d > 0))
+
+
+def closure(start: Iterable[str], step: Callable[[str], Iterable[str]]) -> frozenset:
+    """Everything reachable from ``start`` by repeated ``step``, start included."""
+    seen = set(start)
+    todo = list(seen)
+    while todo:
+        for b in step(todo.pop()):
+            if b not in seen:
+                seen.add(b)
+                todo.append(b)
+    return frozenset(seen)
 
 
 def require_valid(g: MixedGraph) -> MixedGraph:

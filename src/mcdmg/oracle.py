@@ -34,7 +34,7 @@ from .expressions import (
     Sum,
     Term,
 )
-from .graphs import Clustering, GraphClass, Kind, MixedGraph
+from .graphs import Clustering, GraphClass, Kind, MixedGraph, topological_order
 
 MAX_STATES = 1 << 20
 
@@ -137,28 +137,12 @@ def _latent_name(a: str, b: str) -> str:
 
 
 def _topo_order(madmg: MixedGraph, latents, extra_parents) -> Tuple[str, ...]:
-    names = sorted(set(madmg.variables) | set(madmg.indicators) | set(latents))
-    indeg = {n: 0 for n in names}
-    out = {n: [] for n in names}
-    for b, ps in extra_parents.items():
-        for a in ps:
-            out[a].append(b)
-            indeg[b] += 1
-    order, queue = [], sorted([n for n in names if indeg[n] == 0], reverse=True)
-    while queue:
-        n = queue.pop()
-        order.append(n)
-        added = False
-        for b in out[n]:
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                queue.append(b)
-                added = True
-        if added:
-            queue.sort(reverse=True)
-    if len(order) != len(names):
+    names = set(madmg.variables) | set(madmg.indicators) | set(latents)
+    edges = [(a, b) for b, ps in extra_parents.items() for a in ps]
+    order, cyclic = topological_order(names, edges)
+    if cyclic:
         raise UnknownVertex("variable-level graph has a directed cycle")
-    return tuple(order)
+    return order
 
 
 def random_scm(

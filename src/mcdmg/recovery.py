@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 from .abstraction import is_compatible
 from .errors import PreconditionError, UnknownVertex, WrongGraphClass
 from .expressions import Expr, Product, Quotient, apply_proxy, canonical, rzero, term, val
-from .graphs import Clustering, GraphClass, Kind, MixedGraph, Vertex, require_valid
+from .graphs import Clustering, GraphClass, Kind, MixedGraph, Vertex, closure, require_valid
 from .separation import Walk
 
 
@@ -276,6 +276,11 @@ def construct_witness(g: MixedGraph, violation: Violation) -> MixedGraph:
         if owner not in pool:
             pool[1 if len(pool) > 1 else 0] = owner
         pool.sort(key=lambda v: v != owner)
+        # every other indicator needs its owner as a witness variable too
+        for r in g.indicators:
+            pool = members[g.owner_cluster(r)]
+            if g.vertex(r).owner not in pool:
+                pool.append(g.vertex(r).owner)
     rep = {c: members[c][0] for c in members}
 
     if g.graph_class is GraphClass.CMCDMG:
@@ -293,21 +298,6 @@ def construct_witness(g: MixedGraph, violation: Violation) -> MixedGraph:
 
     directed: set = set()
     bidirected: set = set()
-    sinks: set = set()  # second variables: never sources, can't cycle
-
-    def reaches(a: str, b: str) -> bool:
-        seen, todo = {a}, [a]
-        while todo:
-            cur = todo.pop()
-            for x, y in directed:
-                if x != cur:
-                    continue
-                if y == b:
-                    return True
-                if y not in seen:
-                    seen.add(y)
-                    todo.append(y)
-        return False
 
     # violating structure first, so it is never re-routed
     path_edges = list(zip(violation.witness.vertices, violation.witness.edges, violation.witness.vertices[1:]))
@@ -331,11 +321,10 @@ def construct_witness(g: MixedGraph, violation: Violation) -> MixedGraph:
         if kind == "<->":
             bidirected.add(tuple(sorted((ia, ib))))
             continue
-        if ia == ib or reaches(ib, ia):
+        if ia in closure((ib,), lambda v: [y for x, y in directed if x == v]):
             if g.kind(b) is not Kind.CLUSTER:
                 raise WrongGraphClass("cannot acyclically realize a cycle through an indicator")
             ib = second(b)  # second variables never get outgoing edges
-            sinks.add(ib)
         directed.add((ia, ib))
     for c in sorted(self_looped):
         directed.add((rep[c], second(c)))

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, Optional, Tuple
 
 from .errors import EmptyWalk, OverlappingSets, UnknownVertex
-from .graphs import Kind, MixedGraph
+from .graphs import Kind, MixedGraph, closure
 
 # Edge symbols are oriented along the traversal: "->" leaves via a tail and
 # arrives via a head, "<-" the reverse, "<->" is a head at both ends.
@@ -114,30 +114,16 @@ def descendants(g: MixedGraph, sources: Iterable[str]) -> FrozenSet[str]:
 
     Well defined under cycles: this is the fixed point of one-step expansion.
     """
-    todo = list(sources)
-    for s in todo:
-        g.vertex(s)
-    seen: Set[str] = set(todo)
-    while todo:
-        for b in g._out[todo.pop()]:
-            if b not in seen:
-                seen.add(b)
-                todo.append(b)
-    return frozenset(seen)
+    sources = tuple(sources)
+    g.require(*sources)
+    return closure(sources, g._out.__getitem__)
 
 
 def ancestors(g: MixedGraph, targets: Iterable[str]) -> FrozenSet[str]:
     """All vertices with a directed path into ``targets``, inclusive."""
-    todo = list(targets)
-    for t in todo:
-        g.vertex(t)
-    seen: Set[str] = set(todo)
-    while todo:
-        for a in g._in[todo.pop()]:
-            if a not in seen:
-                seen.add(a)
-                todo.append(a)
-    return frozenset(seen)
+    targets = tuple(targets)
+    g.require(*targets)
+    return closure(targets, g._in.__getitem__)
 
 
 def mutilate(g: MixedGraph, spec: MutilationSpec) -> MixedGraph:

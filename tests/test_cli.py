@@ -69,6 +69,20 @@ def test_validate_good_and_bad(tmp_path):
     assert any(v["code"] == "acyclicity" for v in json.loads(out)["violations"])
 
 
+@pytest.mark.parametrize(
+    "edge", ["X -> Q", "Q -> X", "X <-> Q"], ids=["to-undeclared", "from-undeclared", "bidirected"]
+)
+def test_undeclared_edge_endpoint(tmp_path, edge):
+    bad = tmp_path / "undeclared.mcg"
+    bad.write_text(f'graph "u" class=admg {{\n  var X\n  var Y\n  edge X -> Y\n  edge {edge}\n}}\n')
+    code, out, err = run("validate", str(bad))
+    assert code == 1 and "Traceback" not in err
+    assert [v["code"] for v in json.loads(out)["violations"]] == ["unknown-endpoint"]
+    code, out, err = run("dsep", str(bad), "--x", "X", "--y", "Y")
+    assert code == 2 and out == ""
+    assert "error: unknown-endpoint" in err and "Traceback" not in err
+
+
 def test_dsep_cli():
     code, out, _ = run(
         "dsep", fig("fig2b"), "--x", "CY", "--y", "R_CY", "--given", "CX",
@@ -81,6 +95,7 @@ def test_dsep_cli():
 
     code, out, _ = run("dsep", fig("fig3"), "--x", "CY", "--y", "R_CY")
     doc = json.loads(out)
+    validator("dsep.schema.json").validate(doc)
     assert doc["separated"] is False
     assert doc["witness_path"][0] == "CY" and doc["witness_path"][-1] == "R_CY"
 
@@ -187,8 +202,14 @@ def test_oracle_cli_small():
         ["--query", "effect:CX:CY:CZ"],
         ["--graphs", "0"],
         ["--seeds", "0"],
+        ["--tol", "-1"],
+        ["--tol", "nan"],
+        ["--tol", "inf"],
     ],
-    ids=["bogus", "effect-one-cluster", "effect-three-clusters", "no-graphs", "no-seeds"],
+    ids=[
+        "bogus", "effect-one-cluster", "effect-three-clusters", "no-graphs", "no-seeds",
+        "negative-tol", "nan-tol", "inf-tol",
+    ],
 )
 def test_oracle_bad_input_exit_2(args):
     code, out, err = run("oracle", fig("fig2b"), *args)

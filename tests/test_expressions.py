@@ -1,12 +1,20 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
 from mcdmg.errors import MissingIndicatorLiteral, SymbolAlreadyBound, UnknownVertex
 from mcdmg.expressions import (
+    PROXY,
+    RZERO,
+    VAL,
+    Atom,
     One,
     Product,
     Quotient,
     Sum,
     Term,
     apply_proxy,
+    bound_symbols,
     canonical,
     chain_split,
     expand_total_probability,
@@ -16,8 +24,12 @@ from mcdmg.expressions import (
     marginalize,
     proxy,
     render,
+    replace_term,
+    rewrite_terms,
     rzero,
+    symbols_of,
     term,
+    terms_of,
     val,
 )
 
@@ -192,3 +204,53 @@ def test_expansion_numeric_identity(fig2b):
                 a = evaluate(e, manifest, gr, env)
                 b = evaluate(expanded, manifest, gr, env)
                 assert abs(a - b) <= 1e-12
+
+
+# -- tree walks ----------------------------------------------------------------
+
+atoms = st.builds(Atom, st.sampled_from([VAL, PROXY, RZERO]), st.sampled_from(["A", "B", "C"]))
+terms = st.builds(
+    lambda o, d, c: term(o, d, c - d),
+    st.sets(atoms, min_size=1, max_size=2),
+    st.sets(atoms, max_size=1),
+    st.sets(atoms, max_size=2),
+)
+exprs = st.recursive(
+    terms | st.just(One()),
+    lambda sub: st.one_of(
+        st.builds(Sum, atoms, sub),
+        st.builds(lambda fs: Product(tuple(fs)), st.lists(sub, min_size=1, max_size=3)),
+        st.builds(Quotient, sub, sub),
+    ),
+    max_leaves=8,
+)
+
+
+def _preorder(e):
+    """Every node of the tree, parents before children, left to right."""
+    yield e
+    if isinstance(e, Sum):
+        yield from _preorder(e.body)
+    elif isinstance(e, Product):
+        for f in e.factors:
+            yield from _preorder(f)
+    elif isinstance(e, Quotient):
+        yield from _preorder(e.num)
+        yield from _preorder(e.den)
+
+
+@given(exprs)
+def test_tree_walks_match_preorder(e):
+    nodes = list(_preorder(e))
+    ts = [x for x in nodes if isinstance(x, Term)]
+    bound = {x.bound for x in nodes if isinstance(x, Sum)}
+    assert terms_of(e) == tuple(ts)
+    assert bound_symbols(e) == bound
+    assert symbols_of(e) == bound.union(*(t.outcomes | t.do | t.cond for t in ts))
+
+
+@given(exprs)
+def test_identity_rewrites_keep_the_tree(e):
+    assert rewrite_terms(e, lambda t: t) == e
+    for x in _preorder(e):
+        assert replace_term(e, x, x) == e

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mcdmg import (
     Clustering,
@@ -14,6 +16,7 @@ from mcdmg import (
     validate,
 )
 from mcdmg.errors import ParseError, UnknownVertex, ValidationError, WrongGraphClass
+from mcdmg.graphs import closure, topological_order
 
 
 def test_parse_fig2b_structure(fig2b):
@@ -168,3 +171,41 @@ def test_duplicate_indicator_rejected():
 def test_clustering_partition_errors():
     with pytest.raises(Exception):
         Clustering.from_dict({"A": ["X"], "B": ["X"]}).check_partition()
+
+
+# -- walk helpers --------------------------------------------------------------
+
+NODES = [f"v{i}" for i in range(7)]
+digraphs = st.lists(st.tuples(st.sampled_from(NODES), st.sampled_from(NODES)), max_size=20)
+
+
+def _reach(start, edges):
+    """Brute-force fixpoint of one-step expansion along ``edges``."""
+    reach = set(start)
+    while True:
+        more = {b for a, b in edges if a in reach} - reach
+        if not more:
+            return frozenset(reach)
+        reach |= more
+
+
+@given(digraphs)
+def test_topological_order_properties(edges):
+    order, unplaced = topological_order(NODES, edges)
+    assert sorted(order + unplaced) == NODES and list(unplaced) == sorted(unplaced)
+    pos = {n: i for i, n in enumerate(order)}
+    for a, b in edges:
+        if b in pos:
+            assert a in pos and pos[a] < pos[b]
+    placed = set()
+    for n in order:
+        ready = [m for m in NODES if m not in placed and all(a in placed for a, b in edges if b == m)]
+        assert n == min(ready)
+        placed.add(n)
+    on_cycle = {a for a, b in edges if a in _reach({b}, edges)}
+    assert set(unplaced) == _reach(on_cycle, edges)
+
+
+@given(digraphs, st.sets(st.sampled_from(NODES)))
+def test_closure_is_the_fixpoint(edges, start):
+    assert closure(start, lambda v: [b for a, b in edges if a == v]) == _reach(start, edges)

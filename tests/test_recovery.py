@@ -189,6 +189,26 @@ def test_witness_fig2b_style_cycles(fig2b):
     assert is_compatible(w, g).compatible
 
 
+def test_witness_declares_every_indicator_owner():
+    # R_A2's owner is not CA's representative; it still needs a witness variable
+    src = (
+        'graph "owners" class=m-c-dmg {\n'
+        "  cluster CA { vars A1, A2 }\n"
+        "  cluster CB { vars B1 }\n"
+        "  rvar R_A1 for A1\n"
+        "  rvar R_A2 for A2\n"
+        "  edge CA -> R_A1\n"
+        "  edge CB -> R_A2\n"
+        "}\n"
+    )
+    g = parse_graph(src)
+    v = check_joint(g)
+    w = construct_witness(g, v.violations[0])
+    assert w.variables == ("A1", "A2", "B1")
+    assert ("A1", "R_A1") in w.directed and ("B1", "R_A2") in w.directed
+    assert is_compatible(w, g).compatible
+
+
 def test_determinism(fig2b, fig3):
     a = check_joint(fig2b).to_json()
     b = check_joint(fig2b).to_json()
