@@ -279,7 +279,6 @@ class Budget:
 
     max_vars_per_cluster: int = 2
     max_edges: int = 24
-    min_vars_per_cluster: int = 1
 
 
 def enumerate_compatible(
@@ -319,8 +318,8 @@ def _enumerate(abstract, clustering, budget, canonicalize):
     clustering = clustering or abstract.clustering
     declared = clustering.as_dict
     cluster_ids = sorted(abstract.clusters)
-    lo, hi = budget.min_vars_per_cluster, budget.max_vars_per_cluster
-    for sizes in itertools.product(range(lo, hi + 1), repeat=len(cluster_ids)):
+    per_cluster = range(1, budget.max_vars_per_cluster + 1)
+    for sizes in itertools.product(per_cluster, repeat=len(cluster_ids)):
         members = {}
         for c, n in zip(cluster_ids, sizes):
             pool = list(declared.get(c, ()))
@@ -391,7 +390,9 @@ def _realizations(abstract: MixedGraph, members: Dict[str, Tuple[str, ...]]):
 def _enumerate_over_members(abstract, members, budget, canonicalize):
     level = abstract.graph_class
     groups = _realizations(abstract, members)
-    if any(not pool for _, pool in groups):
+    # the pools are disjoint and each pick is non-empty, so every candidate
+    # has at least one edge per abstract edge
+    if any(not pool for _, pool in groups) or len(groups) > budget.max_edges:
         return
 
     variables = [v for c in sorted(members) for v in members[c]]

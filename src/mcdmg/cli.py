@@ -69,6 +69,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _tolerance(text: str) -> float:
     tol = float(text)
     if not math.isfinite(tol) or tol < 0:
@@ -281,7 +287,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    madmg = _read_graph(args.file)
+    g = _read_graph(args.file)
+    madmg = next(enumerate_compatible(g)) if g.graph_class.clustered else g
     seed = default_seed(args.seed)
     scm = random_scm(madmg, seed=seed)
     _, manifest = exact_tables(scm)
@@ -358,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--max-vars", type=int, default=2)
     sp.add_argument("--max-edges", type=int, default=12)
-    sp.add_argument("--limit", type=int, default=100)
+    sp.add_argument("--limit", type=_count, default=100)
 
     sp = add("check-joint", cmd_check_joint, "joint-distribution recoverability verdict",
              "mcdmg check-joint fig2b")
@@ -393,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("simulate", cmd_simulate, "sample a dataset with NA cells from a seeded SCM",
              "mcdmg simulate fig1a --rows 20 --seed 1")
     sp.add_argument("file")
-    sp.add_argument("--rows", type=int, default=100)
+    sp.add_argument("--rows", type=_count, default=100)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--out", default=None)
 

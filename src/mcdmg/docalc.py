@@ -32,7 +32,6 @@ from .expressions import (
     Sum,
     Term,
     _children,
-    apply_proxy,
     canonical,
     chain_split,
     expand_total_probability,
@@ -285,7 +284,6 @@ def atom_vertices(g: MixedGraph, a: Atom) -> FrozenSet[str]:
 def _term_moves(g: MixedGraph, whole: Expr, t: Term):
     """Candidate rewrites of one term, in the fixed rule order."""
     masked = set(g.partially_observed)
-    moves = []
 
     def sep(moved_atoms):
         y = set().union(*(atom_vertices(g, a) for a in t.outcomes))
@@ -305,24 +303,22 @@ def _term_moves(g: MixedGraph, whole: Expr, t: Term):
             continue
         if g.owner_cluster(r) not in present_clusters:
             continue
-        moves.append(("R1", {"insert": r}, sep([lit]), t.replace(cond=t.cond | {lit})))
+        yield "R1", {"insert": r}, sep([lit]), t.replace(cond=t.cond | {lit})
     # R1: drop a conditioned atom
     for a in sorted(t.cond):
-        moves.append(("R1", {"drop": a.render()}, sep([a]), t.replace(cond=t.cond - {a})))
+        yield "R1", {"drop": a.render()}, sep([a]), t.replace(cond=t.cond - {a})
     # R2: exchange one do(atom) for conditioning
     for a in sorted(t.do):
-        moves.append(
-            ("R2", {"observe": a.render()}, sep([a]), Term(t.outcomes, t.do - {a}, t.cond | {a}))
-        )
+        yield "R2", {"observe": a.render()}, sep([a]), Term(t.outcomes, t.do - {a}, t.cond | {a})
     # R3: delete one do(atom)
     for a in sorted(t.do):
-        moves.append(("R3", {"delete": a.render()}, sep([a]), t.replace(do=t.do - {a})))
+        yield "R3", {"delete": a.render()}, sep([a]), t.replace(do=t.do - {a})
     # ProxyEq1: switch a masked symbol to its proxy when licensed
     for a in sorted(t.outcomes | t.cond):
         if a.kind == VAL and a.ref in masked:
             need = {rzero(r) for r in g.indicators_of_cluster(a.ref)}
             if need <= (t.outcomes | t.cond):
-                moves.append(("ProxyEq1", {"target": a.ref}, None, _swap_proxy(t, a)))
+                yield "ProxyEq1", {"target": a.ref}, None, _swap_proxy(t, a)
     # TotalProb: introduce an adjacent cluster into a do-carrying term
     if t.do:
         adjacent = set()
@@ -333,13 +329,12 @@ def _term_moves(g: MixedGraph, whole: Expr, t: Term):
         used = {a.ref for a in symbols_of(whole)}
         for c in sorted(adjacent):
             if c not in used:
-                moves.append(("TotalProb", {"over": c}, None, expand_total_probability(t, c)))
+                yield "TotalProb", {"over": c}, None, expand_total_probability(t, c)
     # ChainRule: split one outcome off a joint term
     if len(t.outcomes) > 1:
         for a in sorted(t.outcomes):
             if a.kind != RZERO:
-                moves.append(("ChainRule", {"split": a.render()}, None, chain_split(t, a)))
-    return moves
+                yield "ChainRule", {"split": a.render()}, None, chain_split(t, a)
 
 
 def _swap_proxy(t: Term, a: Atom) -> Term:
@@ -407,30 +402,37 @@ def recover_effect(
     return NotDerived(query, depth, explored)
 
 
-def _expand(g: MixedGraph, expr: Expr):
-    """All legal successor states of an expression, in deterministic order."""
-    out = []
+def _candidates(g: MixedGraph, expr: Expr):
+    """Every candidate move of an expression, in the fixed rule order.
+
+    Yields ``(rule, params, sep, rewrite)``: ``sep`` is the (Y, X, Z, W)
+    statement a do-calculus rule needs (None for an algebraic move) and
+    ``rewrite`` the ``(old, new)`` node replacement that makes the successor.
+    The search and replay share this generator.
+    """
     for t in terms_of(expr):
         for rule, params, sep, replacement in _term_moves(g, expr, t):
-            cert = None
-            if sep is not None:
-                y, x, z, w = sep
-                cert = rule_applicable(g, rule, y, x, z, w)
-                if not cert.holds:
-                    continue
-            nxt = canonical(replace_term(expr, t, replacement))
-            step = Step(
-                rule,
-                tuple(sorted(params.items())),
-                canonical(expr),
-                nxt,
-                cert,
-            )
-            out.append((nxt, step))
+            yield rule, tuple(sorted(params.items())), sep, (t, replacement)
     for old, new in _sum_moves(expr):
-        nxt = canonical(replace_term(expr, old, new))
-        step = Step("Marginalize", (), canonical(expr), nxt, None)
-        out.append((nxt, step))
+        yield "Marginalize", (), None, (old, new)
+
+
+def _successor(expr: Expr, rewrite) -> Expr:
+    old, new = rewrite
+    return canonical(replace_term(expr, old, new))
+
+
+def _expand(g: MixedGraph, expr: Expr):
+    """All legal successor states of a canonical expression, in deterministic order."""
+    out = []
+    for rule, params, sep, rewrite in _candidates(g, expr):
+        cert = None
+        if sep is not None:
+            cert = rule_applicable(g, rule, *sep)
+            if not cert.holds:
+                continue
+        nxt = _successor(expr, rewrite)
+        out.append((nxt, Step(rule, params, expr, nxt, cert)))
     return out
 
 
@@ -455,40 +457,35 @@ class ReplayResult:
 def replay(g: MixedGraph, d: Derivation) -> ReplayResult:
     """Re-verify a derivation against a graph, step by step.
 
-    Every rule step's d-separation certificate is recomputed and every
-    algebraic step is re-applied and compared in canonical form. Returns the
-    first failing step when the derivation does not carry over.
+    Each step must continue the previous expression and be one of that
+    expression's candidate moves on ``g``: the same rule and parameters, the
+    same result in canonical form and, for a do-calculus step, the recorded
+    certificate's statement, which is checked once. Returns the first
+    failing step when the derivation does not carry over.
     """
     current = canonical(d.query)
     for i, step in enumerate(d.steps, start=1):
         if canonical(step.before) != current:
             return ReplayResult(False, i, "step does not continue the previous expression")
+        after = canonical(step.after)
+        c = step.certificate
+        statement = None if c is None else (c.rule, c.y, c.x, c.z, c.w)
         try:
-            if step.certificate is not None:
-                c = step.certificate
-                fresh = rule_applicable(g, c.rule, c.y, c.x, c.z, c.w)
-                if not fresh.holds:
-                    return ReplayResult(False, i, f"{c.rule} certificate fails on {g.name}")
-            if not _reapply_matches(g, step):
+            if c is not None and not rule_applicable(g, *statement).holds:
+                return ReplayResult(False, i, f"{c.rule} certificate fails on {g.name}")
+            if not any(
+                (rule, params) == (step.rule, step.params)
+                and _statement(rule, sep) == statement
+                and _successor(current, rewrite) == after
+                for rule, params, sep, rewrite in _candidates(g, current)
+            ):
                 return ReplayResult(False, i, "rewrite is not canonical-form-checkable")
         except (UnknownVertex, OverlappingSets) as exc:
             return ReplayResult(False, i, str(exc))
-        current = canonical(step.after)
+        current = after
     return ReplayResult(True)
 
 
-def _reapply_matches(g: MixedGraph, step: Step) -> bool:
-    """Recompute the rewrite from ``before`` and compare with ``after``."""
-    before = canonical(step.before)
-    after = canonical(step.after)
-    for nxt, s in _expand(g, before):
-        if s.rule == step.rule and s.params == step.params and nxt == after:
-            return True
-    # a proxy substitution outside the bounded search is still checkable
-    if step.rule == "ProxyEq1":
-        target = dict(step.params).get("target")
-        try:
-            return target is not None and canonical(apply_proxy(before, target, g)) == after
-        except Exception:
-            return False
-    return False
+def _statement(rule: str, sep):
+    """A candidate's separation statement in certificate form."""
+    return None if sep is None else (rule, *(tuple(sorted(s)) for s in sep))

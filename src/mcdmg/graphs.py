@@ -158,9 +158,8 @@ class MixedGraph:
         directed: Iterable[Tuple[str, str]] = (),
         bidirected: Iterable[Tuple[str, str]] = (),
         clustering: Optional[Clustering] = None,
-        auto_proxies: bool = True,
     ) -> "MixedGraph":
-        """Assemble a graph, wiring one proxy per indicator when asked.
+        """Assemble a graph, wiring one proxy per indicator.
 
         Proxies receive the id ``<owner>*``, the edges ``anchor -> proxy`` and
         ``indicator -> proxy``, and are skipped for indicators whose proxy was
@@ -169,22 +168,21 @@ class MixedGraph:
         verts = list(vertices)
         dir_edges = {(a, b) for a, b in directed}
         bi_edges = {tuple(sorted((a, b))) for a, b in bidirected}
-        if auto_proxies:
-            have_proxy = {v.owner for v in verts if v.kind is Kind.PROXY}
-            ids = {v.id for v in verts}
-            for v in list(verts):
-                if v.kind is Kind.INDICATOR and v.owner not in have_proxy:
-                    pid = f"{v.owner}*"
-                    if pid in ids:
-                        raise ValidationError(
-                            [Violation("proxy-name", f"vertex id {pid!r} already taken", (pid,))]
-                        )
-                    verts.append(Vertex(pid, Kind.PROXY, owner=v.owner))
-                    ids.add(pid)
-                    have_proxy.add(v.owner)
-                    anchor = _anchor_id(graph_class, v.owner, clustering)
-                    dir_edges.add((anchor, pid))
-                    dir_edges.add((v.id, pid))
+        have_proxy = {v.owner for v in verts if v.kind is Kind.PROXY}
+        ids = {v.id for v in verts}
+        for v in list(verts):
+            if v.kind is Kind.INDICATOR and v.owner not in have_proxy:
+                pid = f"{v.owner}*"
+                if pid in ids:
+                    raise ValidationError(
+                        [Violation("proxy-name", f"vertex id {pid!r} already taken", (pid,))]
+                    )
+                verts.append(Vertex(pid, Kind.PROXY, owner=v.owner))
+                ids.add(pid)
+                have_proxy.add(v.owner)
+                anchor = _anchor_id(graph_class, v.owner, clustering)
+                dir_edges.add((anchor, pid))
+                dir_edges.add((v.id, pid))
         g = MixedGraph(
             name=name,
             graph_class=graph_class,

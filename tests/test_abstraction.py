@@ -17,6 +17,7 @@ from mcdmg import (
 )
 from mcdmg.abstraction import _canon_indicator_names
 from mcdmg.errors import BudgetTooSmall, InvalidClustering, WrongGraphClass
+from tests_support import THIRTEEN_EDGES
 
 
 def test_project_fig1a_gives_fig1c(fig1a, fig1c):
@@ -212,6 +213,13 @@ def test_budget_too_small_for_self_loop():
     )
     with pytest.raises(BudgetTooSmall):
         enumerate_compatible(abstract, budget=Budget(1, 4))
+
+
+def test_more_abstract_edges_than_the_budget_allows():
+    # each abstract edge needs at least one realization, so 13 > 12 edges
+    # fails before any realization is tried
+    with pytest.raises(BudgetTooSmall):
+        enumerate_compatible(parse_graph(THIRTEEN_EDGES), budget=Budget(2, 12))
 
 
 def test_enumeration_contains_fig1a_and_fig1b(fig1a, fig1b, fig1c):

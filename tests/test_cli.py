@@ -8,6 +8,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from mcdmg import fixture_path
+from tests_support import THIRTEEN_EDGES
 
 
 def run(*args):
@@ -125,6 +126,15 @@ def test_enumerate_cli():
     validator("graph.schema.json").validate(doc["graphs"][0])
 
 
+def test_enumerate_more_abstract_edges_than_budget(tmp_path):
+    src = tmp_path / "thirteen.mcg"
+    src.write_text(THIRTEEN_EDGES)
+    code, out, err = run("enumerate", str(src), "--max-edges", "12", "--limit", "1")
+    assert code == 1 and "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["count"] == 0 and doc["graphs"] == [] and "budget" in doc["error"]
+
+
 def test_check_joint_cli_golden():
     code, out, _ = run("check-joint", fig("fig2b"))
     assert code == 0
@@ -223,6 +233,33 @@ def test_simulate_cli():
     lines = out.strip().splitlines()
     assert len(lines) == 11
     assert lines[0].split(",")[0] == "X1"
+
+
+def test_simulate_cluster_graph():
+    # a cluster graph is sampled through its first compatible m-ADMG
+    code, out, err = run("simulate", fig("fig2a"), "--rows", "100", "--seed", "1")
+    assert code == 0 and "Traceback" not in err
+    lines = out.splitlines()
+    assert len(lines) == 101
+    assert "NA" in out and "R_X1" in lines[0].split(",")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["enumerate", fig("fig1c"), "--limit", "-1"], ["simulate", fig("fig1a"), "--rows", "-1"]],
+    ids=["enumerate-negative-limit", "simulate-negative-rows"],
+)
+def test_negative_count_exit_2(args):
+    code, out, err = run(*args)
+    assert code == 2 and out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_zero_counts():
+    code, out, _ = run("enumerate", fig("fig1c"), "--limit", "0")
+    assert code == 0 and json.loads(out) == {"count": 0, "graphs": []}
+    code, out, _ = run("simulate", fig("fig1a"), "--rows", "0")
+    assert code == 0 and out.splitlines() == ["X1,X2,Y1,Y2,Z1,Z2"]
 
 
 def test_simulate_has_na_cells(tmp_path):

@@ -1,6 +1,9 @@
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcdmg import (
     Derivation,
@@ -10,9 +13,11 @@ from mcdmg import (
     replay,
     rule_applicable,
 )
+from mcdmg import docalc
 from mcdmg.docalc import residual_masked_symbols
 from mcdmg.errors import DepthNonPositive, OverlappingSets, UnknownVertex
 from mcdmg.expressions import Product, Sum, canonical, proxy, rzero, term, val
+from tests_support import random_cluster_text
 
 
 def test_rule1_insert_ry_fig2b(fig2b):
@@ -148,6 +153,92 @@ def test_replay_json_round_trip(fig3):
     d = recover_effect(fig3, {"CX"}, {"CY"})
     again = Derivation.from_json(json.loads(json.dumps(d.to_json())))
     assert replay(fig3, again).ok
+
+
+def _tampered(d, i, **changes):
+    steps = list(d.steps)
+    steps[i - 1] = dataclasses.replace(steps[i - 1], **changes)
+    return dataclasses.replace(d, steps=tuple(steps))
+
+
+def test_replay_rejects_a_step_that_does_not_continue(fig3):
+    d = recover_effect(fig3, {"CX"}, {"CY"})
+    bad = _tampered(d, 3, before=d.steps[1].before)
+    assert replay(fig3, bad).to_json() == {
+        "ok": False,
+        "failed_at": 3,
+        "reason": "step does not continue the previous expression",
+    }
+
+
+def test_replay_rejects_a_rewrite_that_is_no_candidate(fig3):
+    d = recover_effect(fig3, {"CX"}, {"CY"})
+    # step 2 is a ProxyEq1 substitution; its result is replaced by its input
+    assert d.steps[1].rule == "ProxyEq1"
+    bad = _tampered(d, 2, after=d.steps[1].before)
+    assert replay(fig3, bad).to_json() == {
+        "ok": False,
+        "failed_at": 2,
+        "reason": "rewrite is not canonical-form-checkable",
+    }
+
+
+def test_replay_rejects_a_certificate_of_another_move(fig3):
+    d = recover_effect(fig3, {"CX"}, {"CY"})
+    # the R2 step's certificate holds on fig3 but does not justify the R1 step
+    assert (d.steps[0].rule, d.steps[3].rule) == ("R1", "R2")
+    bad = _tampered(d, 1, certificate=d.steps[3].certificate)
+    assert replay(fig3, bad).to_json() == {
+        "ok": False,
+        "failed_at": 1,
+        "reason": "rewrite is not canonical-form-checkable",
+    }
+
+
+REPLAY_MATRIX = {
+    ("fig2a", "fig2a"): (True, None, ""),
+    ("fig2a", "fig2b"): (False, 1, "unknown vertex 'R_Y1'"),
+    ("fig2a", "fig3"): (False, 1, "unknown vertex 'R_Y1'"),
+    ("fig2b", "fig2a"): (False, 1, "unknown vertex 'R_CY'"),
+    ("fig2b", "fig2b"): (True, None, ""),
+    ("fig2b", "fig3"): (False, 2, "R2 certificate fails on fig3"),
+    ("fig3", "fig2a"): (False, 1, "unknown vertex 'R_CY'"),
+    ("fig3", "fig2b"): (False, 5, "R3 certificate fails on fig2b"),
+    ("fig3", "fig3"): (True, None, ""),
+}
+
+
+@pytest.mark.parametrize("made_on,replayed_on", sorted(REPLAY_MATRIX))
+def test_replay_verdict_matrix(made_on, replayed_on, request):
+    d = recover_effect(request.getfixturevalue(made_on), {"CX"}, {"CY"})
+    ok, failed_at, reason = REPLAY_MATRIX[made_on, replayed_on]
+    got = replay(request.getfixturevalue(replayed_on), d).to_json()
+    assert got == {"ok": ok, "failed_at": failed_at, "reason": reason}
+
+
+@pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig3"])
+def test_replay_checks_each_certificate_once(name, request, monkeypatch):
+    g = request.getfixturevalue(name)
+    d = recover_effect(g, {"CX"}, {"CY"})
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rule_applicable(*args)
+
+    monkeypatch.setattr(docalc, "rule_applicable", counted)
+    assert replay(g, d).ok
+    assert len(calls) == sum(s.certificate is not None for s in d.steps) > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_found_derivations_replay_on_their_graph(rng):
+    g = parse_graph(random_cluster_text(rng))
+    treatment, outcome = rng.sample(sorted(g.clusters), 2)
+    d = recover_effect(g, {treatment}, {outcome}, depth=4)
+    if isinstance(d, Derivation):
+        assert replay(g, d).ok
 
 
 def test_certificates_recorded(fig3):

@@ -254,3 +254,9 @@ def test_identity_rewrites_keep_the_tree(e):
     assert rewrite_terms(e, lambda t: t) == e
     for x in _preorder(e):
         assert replace_term(e, x, x) == e
+
+
+@given(exprs)
+def test_canonical_is_idempotent(e):
+    once = canonical(e)
+    assert canonical(once) == once

@@ -17,6 +17,7 @@ from mcdmg import (
 )
 from mcdmg.errors import ParseError, UnknownVertex, ValidationError, WrongGraphClass
 from mcdmg.graphs import closure, topological_order
+from tests_support import random_cluster_text
 
 
 def test_parse_fig2b_structure(fig2b):
@@ -209,3 +210,9 @@ def test_topological_order_properties(edges):
 @given(digraphs, st.sets(st.sampled_from(NODES)))
 def test_closure_is_the_fixpoint(edges, start):
     assert closure(start, lambda v: [b for a, b in edges if a == v]) == _reach(start, edges)
+
+
+@given(st.randoms(use_true_random=False))
+def test_emit_parse_round_trip_random(rng):
+    g = parse_graph(random_cluster_text(rng))
+    assert parse_graph(emit_graph(g)) == g

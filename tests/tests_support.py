@@ -1,4 +1,4 @@
-"""Shared random-graph and random-walk generators for the property sweeps."""
+"""Shared graphs, random-graph and random-walk generators for the tests."""
 
 from mcdmg import GraphClass, Kind, MixedGraph, Vertex, Walk
 
@@ -12,7 +12,6 @@ def make_graph(n, directed, bidirected):
         directed=directed,
         bidirected=bidirected,
         clustering=None,
-        auto_proxies=False,
     )
 
 
@@ -75,3 +74,61 @@ def random_walk(rng, g, max_len=8):
     if len(vs) == 1:
         return None
     return Walk(tuple(vs), tuple(es))
+
+
+def random_cluster_text(rng):
+    """A random c-dmg, m-c-dmg or cm-c-dmg in the graph file format.
+
+    2-4 clusters of 1-2 variables; directed edges (self-loops and cycles
+    included) and bidirected edges between clusters; indicators on one or
+    two clusters, with directed and bidirected edges from clusters but none
+    between indicators, as the joint-recovery test requires.
+    """
+    cls = rng.choice(["c-dmg", "m-c-dmg", "cm-c-dmg"])
+    n = rng.randint(2, 4)
+    names = [f"C{i}" for i in range(n)]
+    members = {c: [f"V{c[1:]}_{m + 1}" for m in range(rng.randint(1, 2))] for c in names}
+    lines = [f'graph "rnd" class={cls} {{']
+    lines += [f"  cluster {c} {{ vars {', '.join(members[c])} }}" for c in names]
+    indicators = []
+    if cls != "c-dmg":
+        for c in rng.sample(names, rng.randint(1, 2)):
+            owners = [c] if cls == "cm-c-dmg" else rng.sample(members[c], rng.randint(1, len(members[c])))
+            indicators += [(f"R_{o}", o) for o in owners]
+    lines += [f"  rvar {r} for {o}" for r, o in indicators]
+    for a in names:
+        lines += [f"  edge {a} -> {b}" for b in names if rng.random() < 0.35]
+        lines += [f"  edge {a} <-> {b}" for b in names if a < b and rng.random() < 0.2]
+        for r, _ in indicators:
+            roll = rng.random()
+            if roll < 0.3:
+                lines.append(f"  edge {a} -> {r}")
+            elif roll < 0.4:
+                lines.append(f"  edge {a} <-> {r}")
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+# A cm-c-dmg with 13 abstract edges: no realization fits under 12 edges.
+THIRTEEN_EDGES = """\
+graph "rnd34" class=cm-c-dmg {
+  cluster CL { vars L1 }
+  cluster CE { vars E1, E2 }
+  cluster CG { vars G1 }
+  cluster CA { vars A1, A2 }
+  cluster CK { vars K1 }
+  rvar R_CA for CA
+  edge CE -> CG
+  edge CG <-> CL
+  edge CG -> CL
+  edge CK -> R_CA
+  edge CK <-> CA
+  edge CE -> CE
+  edge CK -> CE
+  edge CG -> CK
+  edge CE -> CK
+  edge CG -> CG
+  edge CL -> CA
+  edge CL -> CL
+  edge CA -> CA
+}
+"""
