@@ -231,7 +231,11 @@ def cmd_recover_effect(args) -> int:
 def cmd_replay(args) -> int:
     g = _read_graph(args.file)
     with open(args.derivation, "r", encoding="utf-8") as fh:
-        d = Derivation.from_json(json.load(fh))
+        try:
+            d = Derivation.from_json(json.load(fh))
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            print(f"error: {args.derivation} is not a derivation: {exc!r}", file=sys.stderr)
+            return 2
     result = replay(g, d)
     _dump(result.to_json())
     return 0 if result.ok else 1
@@ -363,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("enumerate", cmd_enumerate, "stream the compatibility class within a budget",
              "mcdmg enumerate fig1c --max-vars 2 --max-edges 12 --limit 5")
     sp.add_argument("file")
-    sp.add_argument("--max-vars", type=int, default=2)
-    sp.add_argument("--max-edges", type=int, default=12)
+    sp.add_argument("--max-vars", type=_positive_int, default=2)
+    sp.add_argument("--max-edges", type=_positive_int, default=12)
     sp.add_argument("--limit", type=_count, default=100)
 
     sp = add("check-joint", cmd_check_joint, "joint-distribution recoverability verdict",
@@ -388,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("oracle", cmd_oracle, "exhaustive SCM check of a verdict or derivation",
              "mcdmg oracle fig2b --graphs 5 --seeds 10 --query joint")
     sp.add_argument("file")
-    sp.add_argument("--max-vars", type=int, default=2)
-    sp.add_argument("--max-edges", type=int, default=12)
+    sp.add_argument("--max-vars", type=_positive_int, default=2)
+    sp.add_argument("--max-edges", type=_positive_int, default=12)
     sp.add_argument("--graphs", type=_positive_int, default=20)
     sp.add_argument("--seeds", type=_positive_int, default=100)
     sp.add_argument("--seed", type=int, default=None)

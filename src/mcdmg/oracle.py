@@ -10,6 +10,8 @@ symbolic expressions are evaluated against them exactly.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
@@ -18,6 +20,7 @@ import numpy as np
 from .errors import (
     DomainTooLarge,
     EvaluationError,
+    McdmgError,
     PartialClusterAssignment,
     PositivityError,
     UnknownVertex,
@@ -33,6 +36,9 @@ from .expressions import (
     Quotient,
     Sum,
     Term,
+    bound_symbols,
+    render,
+    symbols_of,
 )
 from .graphs import Clustering, GraphClass, Kind, MixedGraph, topological_order
 
@@ -50,12 +56,6 @@ class DistTable:
 
     def __post_init__(self):
         assert self.probs.shape == tuple(self.cards)
-
-    def axis(self, name: str) -> int:
-        try:
-            return self.variables.index(name)
-        except ValueError:
-            raise EvaluationError(f"no column {name!r} in the table") from None
 
     def prob(self, assignment: Mapping[str, int]) -> float:
         """Total mass of the cells matching a partial assignment."""
@@ -151,7 +151,8 @@ def random_scm(madmg: MixedGraph, seed: int = 0) -> DiscreteSCM:
     Variables and indicators are binary. Bidirected edges are materialized
     as fresh latent parents of cardinality 4. Every CPT cell is floored at
     1e-3 so that manifest distributions are strictly positive over complete
-    cases.
+    cases. Raises DomainTooLarge when the joint state space or the manifest
+    would exceed ``MAX_STATES`` cells.
     """
     latent_pairs = sorted(tuple(sorted(e)) for e in madmg.bidirected)
     latents = tuple(_latent_name(a, b) for a, b in latent_pairs)
@@ -170,11 +171,12 @@ def random_scm(madmg: MixedGraph, seed: int = 0) -> DiscreteSCM:
     def card_of(name: str) -> int:
         return 4 if name in latents else 2
 
-    total = 1
-    for name in parents:
-        total *= card_of(name)
-        if total > MAX_STATES:
-            raise DomainTooLarge(f"joint state space exceeds {MAX_STATES}")
+    if math.prod(card_of(n) for n in parents) > MAX_STATES:
+        raise DomainTooLarge(f"joint state space exceeds {MAX_STATES}")
+    # the manifest gives each masked variable an extra NA level
+    observables = list(madmg.variables) + list(madmg.indicators)
+    if math.prod(card_of(n) + (n in madmg.indicator_by_owner) for n in observables) > MAX_STATES:
+        raise DomainTooLarge(f"manifest table exceeds {MAX_STATES} cells")
 
     rng = np.random.default_rng(seed)
     nodes = []
@@ -230,42 +232,66 @@ def _full_array(scm: DiscreteSCM, do: Mapping[str, int] = ()) -> Tuple[Tuple[str
             perm = np.argsort(src_axes)
             arranged = np.transpose(node.cpt, perm) if node.parents else node.cpt
             view = arranged.reshape(view_shape)
-        probs = probs * view
+        probs *= view
     return names, probs
 
 
-def extended_table(scm: DiscreteSCM, do: Mapping[str, int] = ()) -> DistTable:
-    """Distribution over true variables, proxies and indicators under do."""
-    key = ("ext", tuple(sorted(dict(do).items())))
-    if key in scm._cache:
-        return scm._cache[key]
-    names, probs = _full_array(scm, do)
-    drop = tuple(i for i, n in enumerate(names) if n in scm.latents)
-    base = probs.sum(axis=drop) if drop else probs
-    base_names = [n for n in names if n not in scm.latents]
+def _base_table(scm: DiscreteSCM, do: Mapping[str, int] = ()) -> DistTable:
+    """Distribution over true variables and indicators under do."""
+    key = ("base", tuple(sorted(dict(do).items())))
+    if key not in scm._cache:
+        names, probs = _full_array(scm, do)
+        drop = tuple(i for i, n in enumerate(names) if n in scm.latents)
+        kept = tuple(n for n in names if n not in scm.latents)
+        scm._cache[key] = DistTable(
+            kept, tuple(scm.card(n) for n in kept), probs.sum(axis=drop) if drop else probs
+        )
+    return scm._cache[key]
 
-    masked = [v for v in scm.variables if scm.masked(v)]
-    proxies = [scm.proxy_name(v) for v in masked]
-    out_names = tuple(list(base_names) + proxies)
-    out_cards = tuple(
-        [scm.card(n) for n in base_names] + [scm.card(v) + 1 for v in masked]
-    )
 
-    flat = base.reshape(-1)
-    idx = np.unravel_index(np.arange(flat.size), base.shape)
-    cols = {n: idx[i] for i, n in enumerate(base_names)}
-    proxy_cols = []
-    for v in masked:
-        r = cols[scm.indicator_name(v)]
-        proxy_cols.append(np.where(r == 0, cols[v], scm.card(v)))
-    target = np.ravel_multi_index(
-        tuple(list(idx) + proxy_cols), out_cards
-    )
-    out = np.zeros(int(np.prod(out_cards)))
-    np.add.at(out, target, flat)
-    table = DistTable(out_names, out_cards, out.reshape(out_cards))
-    scm._cache[key] = table
-    return table
+def _do_table(scm: DiscreteSCM, do_vars: Tuple[str, ...]) -> DistTable:
+    """The do-tables of every assignment to ``do_vars``, stacked along one
+    leading column ``do(v)`` per intervened variable."""
+    if not do_vars:
+        return _base_table(scm)
+    key = ("do", do_vars)
+    if key not in scm._cache:
+        cards = tuple(scm.card(v) for v in do_vars)
+        tables = [
+            _base_table(scm, dict(zip(do_vars, levels)))
+            for levels in itertools.product(*(range(c) for c in cards))
+        ]
+        probs = np.stack([t.probs for t in tables]).reshape(cards + tables[0].probs.shape)
+        names = tuple(f"do({v})" for v in do_vars) + tables[0].variables
+        scm._cache[key] = DistTable(names, cards + tables[0].cards, probs)
+    return scm._cache[key]
+
+
+def _pin(ndim: int, pins: Mapping[int, slice]) -> Tuple[slice, ...]:
+    return tuple(pins.get(i, slice(None)) for i in range(ndim))
+
+
+def _manifest(scm: DiscreteSCM, base: DistTable) -> DistTable:
+    """Replace each masked variable by its proxy, one indicator at a time.
+
+    ``proxy = x`` takes the cells ``(v = x, R_v = 0)``; the extra level
+    ``proxy = NA`` takes ``sum_v (R_v != 0)``.
+    """
+    names, cards, probs = list(base.variables), list(base.cards), base.probs
+    for v in scm.variables:
+        if not scm.masked(v):
+            continue
+        x, r, k = names.index(v), names.index(scm.indicator_name(v)), scm.card(v)
+        out = np.zeros(probs.shape[:x] + (k + 1,) + probs.shape[x + 1:])
+        observed, missing = slice(0, 1), slice(1, None)
+        out[_pin(out.ndim, {x: slice(0, k), r: observed})] = probs[_pin(out.ndim, {r: observed})]
+        na = probs[_pin(out.ndim, {r: missing})].sum(axis=x, keepdims=True)
+        out[_pin(out.ndim, {x: slice(k, k + 1), r: missing})] = na
+        names[x], cards[x], probs = scm.proxy_name(v), k + 1, out
+    observed = [v for v in scm.variables if not scm.masked(v)]
+    proxies = [scm.proxy_name(v) for v in scm.variables if scm.masked(v)]
+    keep = tuple(observed + proxies + list(scm.indicators))
+    return DistTable(tuple(names), tuple(cards), probs).marginal(keep)
 
 
 def exact_tables(scm: DiscreteSCM) -> Tuple[DistTable, DistTable]:
@@ -275,12 +301,10 @@ def exact_tables(scm: DiscreteSCM) -> Tuple[DistTable, DistTable]:
     level) and indicators; the true values of masked variables are summed
     out.
     """
-    ext = extended_table(scm)
-    joint = ext.marginal(scm.variables)
-    observed = [v for v in scm.variables if not scm.masked(v)]
-    proxies = [scm.proxy_name(v) for v in scm.variables if scm.masked(v)]
-    manifest = ext.marginal(tuple(observed + proxies + list(scm.indicators)))
-    return joint, manifest
+    base = _base_table(scm)
+    if "manifest" not in scm._cache:
+        scm._cache["manifest"] = _manifest(scm, base)
+    return base.marginal(scm.variables), scm._cache["manifest"]
 
 
 def interventional_table(
@@ -309,7 +333,7 @@ def interventional_table(
     for v in do:
         if v not in scm.node_map:
             raise UnknownVertex(f"cannot intervene on unknown node {v!r}")
-    return extended_table(scm, do).marginal(scm.variables)
+    return _base_table(scm, do).marginal(scm.variables)
 
 
 # ---------------------------------------------------------------------------
@@ -371,27 +395,6 @@ class Grounding:
             out = [t + (i,) for t in out for i in range(s)]
         return out
 
-    def columns(self, atom: Atom, values: Tuple[int, ...], *, manifest: bool) -> Dict[str, int]:
-        """Column assignment realizing one grounded atom."""
-        if atom.kind == RZERO:
-            # the abstract indicator covers all member indicators of its cluster
-            rs = self._indicator_group(atom.ref)
-            return {r: 0 for r in rs}
-        vs = self.members(atom.ref)
-        if len(values) != len(vs):
-            raise EvaluationError(f"value arity mismatch for {atom.render()}")
-        cols = {}
-        for v, value in zip(vs, values):
-            if atom.kind == PROXY and v in self.proxy_of:
-                cols[self.proxy_of[v]] = value
-            elif atom.kind == VAL and manifest and v in self.indicator_of:
-                raise EvaluationError(
-                    f"true value of partially observed {v!r} is not observable"
-                )
-            else:
-                cols[v] = value
-        return cols
-
     def _indicator_group(self, rid: str) -> Tuple[str, ...]:
         if rid in self.indicator_groups:
             return self.indicator_groups[rid]
@@ -407,67 +410,270 @@ class Grounding:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: expressions compiled to arrays over whole cluster domains
 # ---------------------------------------------------------------------------
+#
+# An expression compiles to one array with an axis per *scope* atom (the atoms
+# it is evaluated over), in the order of ``Grounding.domain``. Inside, each
+# enclosing sum appends one axis, and a term is read on the table with one
+# sub-axis per cluster member. An array that does not depend on an axis has
+# size 1 there. Beside the values travel error codes (0: none): per cell, the
+# first error that evaluating that cell alone raises, in evaluation order
+# (factors left to right, a denominator before its numerator, bound values in
+# domain order). So a call raises exactly when one of its cells does.
 
 
-def _term_on_table(
-    t: Term, table: DistTable, grounding: Grounding, env: Mapping[Atom, Tuple[int, ...]],
-    *, manifest: bool,
-) -> float:
-    cond: Dict[str, int] = {}
-    for atom in sorted(t.cond):
-        cond.update(grounding.columns(atom, env.get(atom, ()), manifest=manifest))
-    both = dict(cond)
-    for atom in sorted(t.outcomes):
-        both.update(grounding.columns(atom, env.get(atom, ()), manifest=manifest))
-    den = table.prob(cond) if cond else 1.0
-    if den <= 0.0:
-        raise PositivityError(f"zero-mass conditioning stratum {sorted(cond.items())}")
-    return table.prob(both) / den
+def _first(*codes: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """Cell by cell, the first non-zero code in evaluation order."""
+    out = None
+    for c in codes:
+        if c is not None:
+            out = c if out is None else np.where(out != 0, out, c)
+    return out
 
 
-def _lookup(env: Mapping[Atom, Tuple[int, ...]], atom: Atom) -> Tuple[int, ...]:
-    try:
-        return env[atom]
-    except KeyError:
-        raise EvaluationError(f"unbound symbol {atom.render()}") from None
+@dataclass(frozen=True)
+class _Compiled:
+    values: np.ndarray  # one axis per scope atom, over its whole domain
+    codes: Optional[np.ndarray]
+    errors: Tuple[Exception, ...]  # code k raises errors[k - 1]
+    cards: Tuple[Tuple[int, ...], ...]  # member cards of each scope atom
+
+    def at(self, cell: Tuple[int, ...]) -> float:
+        if self.codes is not None and self.codes[cell]:
+            self.raise_code(self.codes[cell])
+        return float(self.values[cell])
+
+    def raise_code(self, code) -> None:
+        raise self.errors[int(code) - 1].with_traceback(None)
 
 
-def _eval(expr: Expr, env, term_eval, grounding: Grounding) -> float:
-    if isinstance(expr, One):
-        return 1.0
-    if isinstance(expr, Term):
-        return term_eval(expr, env)
-    if isinstance(expr, Product):
-        out = 1.0
-        for f in expr.factors:
-            out *= _eval(f, env, term_eval, grounding)
-        return out
-    if isinstance(expr, Quotient):
-        den = _eval(expr.den, env, term_eval, grounding)
-        if den <= 0.0:
-            raise PositivityError("zero denominator in quotient")
-        return _eval(expr.num, env, term_eval, grounding) / den
-    if isinstance(expr, Sum):
-        total = 0.0
-        for values in grounding.domain(expr.bound.ref):
-            inner = dict(env)
-            inner[expr.bound] = values
+class _Compiler:
+    """Compiles one expression against a manifest table (``evaluate``) or
+    against an SCM's do-tables (``evaluate_interventional``)."""
+
+    def __init__(self, source, grounding: Grounding, interventional: bool):
+        self.source, self.g, self.interventional = source, grounding, interventional
+        self.proxies = {p: v for v, p in grounding.proxy_of.items()} if interventional else {}
+        self.axes = []  # member cards per scope axis, sum axes last
+        self.sub = []  # sub-axis -> card; the sub-axes of an axis are contiguous
+        self.offset = []  # axis -> its first sub-axis
+        self.errors = []
+
+    def run(self, expr: Expr, scope: Tuple[Atom, ...]) -> _Compiled:
+        for atom in scope:
+            self._push(atom.ref)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values, codes = self._node(expr, {a: i for i, a in enumerate(scope)})
+        shape = tuple(math.prod(cards) for cards in self.axes)
+        if codes is not None:
+            codes = np.broadcast_to(codes, shape)
+        values = np.broadcast_to(values, shape)
+        return _Compiled(values, codes, tuple(self.errors), tuple(self.axes))
+
+    def _push(self, cluster: str) -> int:
+        cards = tuple(self.g.cards[v] for v in self.g.members(cluster))
+        self.axes.append(cards)
+        self.offset.append(len(self.sub))
+        self.sub.extend(cards)
+        return len(self.axes) - 1
+
+    def _pop(self) -> None:
+        del self.sub[self.offset.pop():]
+        self.axes.pop()
+
+    def _ones(self) -> Tuple[int, ...]:
+        return (1,) * len(self.axes)
+
+    def _flag(self, mask, error: Exception) -> Optional[np.ndarray]:
+        if not np.any(mask):
+            return None
+        self.errors.append(error)
+        return np.where(mask, len(self.errors), 0)
+
+    def _fail(self, error: Exception):
+        error.with_traceback(None)  # the entry is cached: hold no frames
+        return np.ones(self._ones()), self._flag(np.ones(self._ones(), bool), error)
+
+    def _node(self, e: Expr, env: Mapping[Atom, int]):
+        if isinstance(e, One):
+            return np.ones(self._ones()), None
+        if isinstance(e, Term):
+            try:
+                return self._term(e, env)
+            except McdmgError as exc:
+                return self._fail(exc)
+        if isinstance(e, Product):
+            out, codes = np.ones(self._ones()), None
+            for f in e.factors:
+                value, c = self._node(f, env)
+                out, codes = out * value, _first(codes, c)
+            return out, codes
+        if isinstance(e, Quotient):
+            den, den_codes = self._node(e.den, env)
+            zero = self._flag(den <= 0.0, PositivityError("zero denominator in quotient"))
+            num, num_codes = self._node(e.num, env)
+            return num / den, _first(den_codes, zero, num_codes)
+        if isinstance(e, Sum):
+            try:
+                axis = self._push(e.bound.ref)
+            except McdmgError as exc:
+                return self._fail(exc)
             # the proxy alias is captured by the same binder: under the R=0
             # literals both symbols denote the same bound value
-            inner[Atom(PROXY, expr.bound.ref)] = values
-            total += _eval(expr.body, inner, term_eval, grounding)
-        return total
-    raise TypeError(f"not an expression: {expr!r}")
+            inner = {**env, e.bound: axis, Atom(PROXY, e.bound.ref): axis}
+            body, codes = self._node(e.body, inner)
+            size = math.prod(self.axes[axis])
+            self._pop()
+            total = 0.0
+            for i in range(size):  # in domain order, like a running sum
+                total = total + body[..., min(i, body.shape[-1] - 1)]
+            if codes is not None:
+                codes = _first(*(codes[..., i] for i in range(codes.shape[-1])))
+            return total, codes
+        raise TypeError(f"not an expression: {e!r}")
+
+    def _axis(self, env: Mapping[Atom, int], atom: Atom) -> int:
+        try:
+            return env[atom]
+        except KeyError:
+            raise EvaluationError(f"unbound symbol {atom.render()}") from None
+
+    def _columns(self, atom: Atom, env) -> Dict[str, Optional[int]]:
+        """Column -> the sub-axis realizing one atom; None reads an
+        indicator at 0."""
+        if atom.kind == RZERO:
+            # the abstract indicator covers all member indicators of its cluster
+            return {r: None for r in self.g._indicator_group(atom.ref)}
+        first = self.offset[env[atom]]
+        cols = {}
+        for i, v in enumerate(self.g.members(atom.ref)):
+            if atom.kind == PROXY and v in self.g.proxy_of:
+                cols[self.g.proxy_of[v]] = first + i
+            elif atom.kind == VAL and not self.interventional and v in self.g.indicator_of:
+                raise EvaluationError(f"true value of partially observed {v!r} is not observable")
+            else:
+                cols[v] = first + i
+        return cols
+
+    def _sources(self, cols: Mapping[str, Optional[int]]) -> Dict[str, list]:
+        """Column -> the sub-axes it is read along; none reads it at 0.
+
+        Do-tables have no proxy columns, so there a proxy at x reads the
+        cells ``(v = x, R_v = 0)``.
+        """
+        out: Dict[str, list] = {}
+        for col, sub in cols.items():
+            if col in self.proxies:
+                out.setdefault(self.g.indicator_of[self.proxies[col]], [])
+                col = self.proxies[col]
+            out.setdefault(col, []).extend(() if sub is None else (sub,))
+        return out
+
+    def _term(self, t: Term, env):
+        do: Dict[str, int] = {}  # intervened variable -> sub-axis
+        if t.do and not self.interventional:
+            raise EvaluationError("do-terms cannot be evaluated on a plain table")
+        for atom in sorted(t.do):
+            first = self.offset[self._axis(env, atom)]
+            for i, v in enumerate(self.g.members(atom.ref)):
+                do[v] = first + i
+        for atom in t.outcomes | t.cond:
+            if atom.kind != RZERO:
+                self._axis(env, atom)
+        cond: Dict[str, int] = {}
+        for atom in sorted(t.cond):
+            cond.update(self._columns(atom, env))
+        both = dict(cond)
+        for atom in sorted(t.outcomes):
+            both.update(self._columns(atom, env))
+        num, den = self._sources(both), self._sources(cond)
+        table = self.source
+        if self.interventional:
+            # do(v) columns stack one do-table per value of the do sub-axes
+            table = _do_table(self.source, tuple(sorted(do)))
+            for v, sub in do.items():
+                num[f"do({v})"] = den[f"do({v})"] = [sub]
+        values = self._read(table, num)
+        if not cond:
+            return self._merge(values), None
+        den = self._read(table, den)
+        flag = None
+        if np.any(den <= 0.0):
+            error = PositivityError(f"zero-mass conditioning stratum in {render(t)}")
+            flag = self._merge(self._flag(den <= 0.0, error))
+        return self._merge(values / den), flag
+
+    def _read(self, table: DistTable, sources: Mapping[str, list]) -> np.ndarray:
+        """The table's mass along the columns' sub-axes, as an array over
+        every sub-axis (size 1 where it does not depend on one)."""
+        if not sources:
+            return np.full((1,) * len(self.sub), table.total())
+        cols = tuple(sorted(sources))
+        index, letters, operands = [], [], []
+        for col in cols:
+            subs = sources[col]
+            if not subs:
+                index.append(0)
+                continue
+            # a proxy column's NA level lies beyond the sub-axis
+            index.append(slice(0, self.sub[subs[0]]))
+            letters.append(subs[0])
+            for s in subs[1:]:  # the same variable read twice: a diagonal
+                operands += [np.eye(self.sub[s]), [subs[0], s]]
+        used = sorted({s for subs in sources.values() for s in subs})
+        out = np.einsum(table.marginal(cols).probs[tuple(index)], letters, *operands, used)
+        return out.reshape([self.sub[k] if k in used else 1 for k in range(len(self.sub))])
+
+    def _merge(self, arr: np.ndarray) -> np.ndarray:
+        """Sub-axes -> one axis per scope atom, of size 1 where independent."""
+        full, shape = [], []
+        for axis, cards in enumerate(self.axes):
+            dims = arr.shape[self.offset[axis]:self.offset[axis] + len(cards)]
+            if all(d == 1 for d in dims):
+                full.extend(dims)
+                shape.append(1)
+            else:
+                full.extend(cards)
+                shape.append(math.prod(cards))
+        return np.broadcast_to(arr, full).reshape(shape)
 
 
-def _check_env(expr: Expr, env, grounding: Grounding) -> dict:
+def _compiled(
+    expr: Expr, source, grounding: Grounding, scope: Tuple[Atom, ...], interventional: bool
+) -> _Compiled:
+    """The compiled array, memoized in the table's or the SCM's cache."""
+    key = ("compiled", expr, id(grounding), scope)
+    hit = source._cache.get(key)  # one lookup: hashing the key walks the tree
+    if hit is None:
+        # the entry keeps the grounding alive, so its id is not reused
+        hit = (grounding, _Compiler(source, grounding, interventional).run(expr, scope))
+        source._cache[key] = hit
+    return hit[1]
+
+
+def _check_env(env, grounding: Grounding) -> dict:
     env = {k: tuple(v) for k, v in (env or {}).items()}
     for atom, values in env.items():
         if atom.kind != RZERO and len(values) != len(grounding.members(atom.ref)):
             raise EvaluationError(f"value arity mismatch for {atom.render()}")
     return env
+
+
+def _at_env(expr: Expr, source, grounding: Grounding, env, interventional: bool) -> float:
+    """One cell of the compiled array: the env's atoms are its scope."""
+    env = _check_env(env, grounding)
+    scope = tuple(sorted(a for a in env if a.kind != RZERO))
+    compiled = _compiled(expr, source, grounding, scope, interventional)
+    cell = []
+    for atom, cards in zip(scope, compiled.cards):
+        index = 0  # position of the atom's values in Grounding.domain order
+        for x, card in zip(env[atom], cards):
+            if not 0 <= x < card:
+                raise EvaluationError(f"{env[atom]} is outside the domain of {atom.render()}")
+            index = index * card + x
+        cell.append(index)
+    return compiled.at(tuple(cell))
 
 
 def evaluate(
@@ -483,15 +689,7 @@ def evaluate(
     observed variable raises EvaluationError; zero-mass conditioning strata
     raise PositivityError.
     """
-    env = _check_env(expr, env, grounding)
-
-    def term_eval(t: Term, e) -> float:
-        if t.do:
-            raise EvaluationError("do-terms cannot be evaluated on a plain table")
-        full = {a: _lookup(e, a) for a in t.outcomes | t.cond if a.kind != RZERO}
-        return _term_on_table(t, table, grounding, {**e, **full}, manifest=True)
-
-    return _eval(expr, env, term_eval, grounding)
+    return _at_env(expr, table, grounding, env, interventional=False)
 
 
 def evaluate_interventional(
@@ -501,27 +699,11 @@ def evaluate_interventional(
     env: Optional[Mapping[Atom, Tuple[int, ...]]] = None,
 ) -> float:
     """Evaluate under interventional semantics: do-sets become truncated
-    factorizations of the SCM, everything else reads the extended table."""
-    env = _check_env(expr, env, grounding)
-
-    def term_eval(t: Term, e) -> float:
-        do_cols: Dict[str, int] = {}
-        for atom in sorted(t.do):
-            values = _lookup(e, atom)
-            for v, value in zip(grounding.members(atom.ref), values):
-                do_cols[v] = value
-        for atom in t.outcomes | t.cond:
-            if atom.kind != RZERO:
-                _lookup(e, atom)
-        table = extended_table(scm, do_cols)
-        return _term_on_table(t, table, grounding, e, manifest=False)
-
-    return _eval(expr, env, term_eval, grounding)
+    factorizations of the SCM; a proxy at x reads the cells (v = x, R_v = 0)."""
+    return _at_env(expr, scm, grounding, env, interventional=True)
 
 
 def free_atoms(expr: Expr) -> Tuple[Atom, ...]:
-    from .expressions import bound_symbols, symbols_of
-
     bound = set(bound_symbols(expr))
     bound |= {Atom(PROXY, a.ref) for a in bound if a.kind == VAL}
     free = [a for a in sorted(symbols_of(expr) - bound) if a.kind != RZERO]
@@ -535,23 +717,13 @@ def evaluate_all(expr: Expr, table_or_scm, grounding: Grounding, *, intervention
     """
     atoms = free_atoms(expr)
     domains = [grounding.domain(a.ref) for a in atoms]
-    out = {}
-
-    def rec(i, env):
-        if i == len(atoms):
-            if interventional:
-                out[tuple(env[a] for a in atoms)] = evaluate_interventional(
-                    expr, table_or_scm, grounding, env
-                )
-            else:
-                out[tuple(env[a] for a in atoms)] = evaluate(expr, table_or_scm, grounding, env)
-            return
-        for values in domains[i]:
-            env[atoms[i]] = values
-            rec(i + 1, env)
-
-    rec(0, {})
-    return atoms, out
+    compiled = _compiled(expr, table_or_scm, grounding, atoms, interventional)
+    if compiled.codes is not None:
+        codes = compiled.codes.reshape(-1)
+        failed = np.flatnonzero(codes)
+        if failed.size:
+            compiled.raise_code(codes[failed[0]])
+    return atoms, dict(zip(itertools.product(*domains), compiled.values.reshape(-1).tolist()))
 
 
 def check(

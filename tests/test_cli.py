@@ -175,6 +175,17 @@ def test_recover_effect_cli(tmp_path):
     assert code == 1 and not json.loads(out3)["ok"]
 
 
+@pytest.mark.parametrize(
+    "text", ["nonsense\n", '{"graph": "x"}\n'], ids=["not-json", "no-steps"]
+)
+def test_replay_malformed_derivation_exit_2(tmp_path, text):
+    deriv = tmp_path / "bad.json"
+    deriv.write_text(text)
+    code, out, err = run("replay", fig("fig3"), str(deriv))
+    assert code == 2 and out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_recover_effect_latex():
     code, out, _ = run(
         "recover-effect", fig("fig2b"), "--treatment", "CX", "--outcome", "CY",
@@ -251,6 +262,14 @@ def test_simulate_cluster_graph():
 )
 def test_negative_count_exit_2(args):
     code, out, err = run(*args)
+    assert code == 2 and out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["enumerate", "oracle"])
+@pytest.mark.parametrize("flag, value", [("--max-vars", "0"), ("--max-edges", "-1")])
+def test_budget_below_one_exit_2(command, flag, value):
+    code, out, err = run(command, fig("fig2b"), flag, value)
     assert code == 2 and out == ""
     assert "error:" in err and "Traceback" not in err
 

@@ -1,12 +1,18 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mcdmg import (
     Budget,
     Clustering,
+    DiscreteSCM,
+    DistTable,
     Grounding,
+    as_cluster_graph,
     enumerate_compatible,
     equal_manifest_pair,
     evaluate,
@@ -21,11 +27,26 @@ from mcdmg import check_joint, construct_witness, recover_effect
 from mcdmg.errors import (
     DomainTooLarge,
     EvaluationError,
+    McdmgError,
     PartialClusterAssignment,
     PositivityError,
 )
-from mcdmg.expressions import proxy, rzero, term, val
-from mcdmg.oracle import check, evaluate_all, extended_table, free_atoms, scm_from_cpts
+from mcdmg.expressions import (
+    PROXY,
+    RZERO,
+    VAL,
+    Atom,
+    One,
+    Product,
+    Quotient,
+    Sum,
+    Term,
+    proxy,
+    rzero,
+    term,
+    val,
+)
+from mcdmg.oracle import Node, _full_array, check, evaluate_all, free_atoms, scm_from_cpts
 
 
 def mk(src):
@@ -72,6 +93,21 @@ def test_domain_guard():
         random_scm(g, seed=0)
 
 
+def test_domain_guard_counts_the_manifest():
+    """Ten masked binary variables: the full array has 2^20 cells, within the
+    budget, but the manifest has (3 * 2)^10 = 6^10 (about 6.0e7)."""
+    lines = [f"  var V{i}\n  rvar R_V{i} for V{i}" for i in range(10)]
+    g = mk('graph "masked" class=m-admg {\n' + "\n".join(lines) + "\n}\n")
+    with pytest.raises(DomainTooLarge, match="manifest"):
+        random_scm(g, seed=0)
+
+
+def test_fig2b_compatible_graphs_build(fig2b):
+    for madmg in itertools.islice(enumerate_compatible(fig2b, budget=Budget(2, 10)), 20):
+        _, manifest = exact_tables(random_scm(madmg, seed=0))
+        assert abs(manifest.total() - 1.0) < 1e-12
+
+
 def test_tables_conserve_mass():
     g = mk(MAR_SRC)
     scm = random_scm(g, seed=5)
@@ -83,23 +119,23 @@ def test_tables_conserve_mass():
 
 
 def test_eq1_determinism():
+    """Eq. 1 on the manifest: X* = X where R_X = 0, and X* = NA where R_X = 1.
+
+    The manifest's cells are compared with P(z, x, r) = P(z) P(x | z) P(r | z)
+    multiplied out from the CPTs of Z -> X, Z -> R_X.
+    """
     g = mk(MAR_SRC)
     scm = random_scm(g, seed=5)
-    ext = extended_table(scm)
-    x = ext.axis("X")
-    xs = ext.axis("X*")
-    r = ext.axis("R_X")
-    probs = ext.probs
-    for ix in range(2):
-        for ixs in range(3):
-            for ir in range(2):
-                idx = [slice(None)] * len(ext.variables)
-                idx[x], idx[xs], idx[r] = ix, ixs, ir
-                mass = probs[tuple(idx)].sum()
-                if ir == 0 and ixs != ix:
-                    assert mass == 0.0
-                if ir == 1 and ixs != 2:
-                    assert mass == 0.0
+    _, manifest = exact_tables(scm)
+    p_z, p_x, p_r = (scm.node_map[n].cpt for n in ("Z", "X", "R_X"))
+    m = manifest.marginal(("Z", "X*", "R_X")).probs
+    na = 2
+    for z in range(2):
+        for x in range(2):
+            assert m[z, x, 0] == pytest.approx(p_z[z] * p_x[z, x] * p_r[z, 0], abs=1e-15)
+            assert m[z, x, 1] == 0.0  # no mass at X* = x, R_X = 1
+        assert m[z, na, 0] == 0.0  # no mass at X* = NA, R_X = 0
+        assert m[z, na, 1] == pytest.approx(p_z[z] * p_r[z, 1], abs=1e-15)
 
 
 def test_mcar_identity():
@@ -385,3 +421,251 @@ def test_check_flags_wrong_formulas(name, expr, effect):
             scm = random_scm(madmg, seed=seed)
             _, errors = check(expr, scm, Grounding.from_scm(scm, abstract=g), effect)
             assert max(errors.values()) > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# The compiled evaluator against a per-cell reference
+# ---------------------------------------------------------------------------
+#
+# The reference evaluates one cell at a time: it recurses over the tree with
+# the symbols bound in an environment and reads each term off a dense table,
+# the manifest, or under interventions a table over true values, indicators
+# and proxies built here from the definition of the proxy (Eq. 1).
+
+
+def _extended(scm, do):
+    """Joint over true values, indicators and proxies under do."""
+    names, probs = _full_array(scm, do)
+    latent = tuple(i for i, n in enumerate(names) if n in scm.latents)
+    probs = probs.sum(axis=latent) if latent else probs
+    names = [n for n in names if n not in scm.latents]
+    for v in scm.variables:
+        if scm.masked(v):
+            k, n = scm.card(v), len(names)
+            eq1 = np.zeros((k, scm.card(scm.indicator_name(v)), k + 1))
+            for x in range(k):
+                eq1[x, 0, x] = 1.0  # X* = X where R_X = 0
+                eq1[x, 1:, k] = 1.0  # X* = NA otherwise
+            axes = [names.index(v), names.index(scm.indicator_name(v)), n]
+            probs = np.einsum(probs, list(range(n)), eq1, axes, list(range(n + 1)))
+            names.append(scm.proxy_name(v))
+    return DistTable(tuple(names), probs.shape, probs)
+
+
+class _Reference:
+    """Per-cell evaluation: recursion over the tree, one scalar per term."""
+
+    def __init__(self, source, grounding, interventional):
+        self.source, self.g, self.interventional = source, grounding, interventional
+        self.tables = {}
+
+    def cell(self, expr, env):
+        if isinstance(expr, One):
+            return 1.0
+        if isinstance(expr, Term):
+            return self.term(expr, env)
+        if isinstance(expr, Product):
+            out = 1.0
+            for f in expr.factors:
+                out *= self.cell(f, env)
+            return out
+        if isinstance(expr, Quotient):
+            den = self.cell(expr.den, env)
+            if den <= 0.0:
+                raise PositivityError("zero denominator")
+            return self.cell(expr.num, env) / den
+        total = 0.0
+        for values in self.g.domain(expr.bound.ref):
+            inner = {**env, expr.bound: values, proxy(expr.bound.ref): values}
+            total += self.cell(expr.body, inner)
+        return total
+
+    def lookup(self, env, atom):
+        if atom not in env:
+            raise EvaluationError(f"unbound {atom}")
+        return env[atom]
+
+    def term(self, t, env):
+        do = {}
+        if t.do and not self.interventional:
+            raise EvaluationError("do-term on a plain table")
+        for atom in sorted(t.do):
+            do.update(zip(self.g.members(atom.ref), self.lookup(env, atom)))
+        for atom in t.outcomes | t.cond:
+            if atom.kind != RZERO:
+                self.lookup(env, atom)
+        table = self.source
+        if self.interventional:
+            key = tuple(sorted(do.items()))
+            if key not in self.tables:
+                self.tables[key] = _extended(self.source, do)
+            table = self.tables[key]
+        cond = {}
+        for atom in sorted(t.cond):
+            cond.update(self.columns(atom, env))
+        both = dict(cond)
+        for atom in sorted(t.outcomes):
+            both.update(self.columns(atom, env))
+        den = table.prob(cond) if cond else 1.0
+        if den <= 0.0:
+            raise PositivityError("zero-mass stratum")
+        return table.prob(both) / den
+
+    def columns(self, atom, env):
+        if atom.kind == RZERO:
+            return {r: 0 for r in self.g._indicator_group(atom.ref)}
+        cols = {}
+        for v, x in zip(self.g.members(atom.ref), env[atom]):
+            if atom.kind == PROXY and v in self.g.proxy_of:
+                cols[self.g.proxy_of[v]] = x
+            elif atom.kind == VAL and not self.interventional and v in self.g.indicator_of:
+                raise EvaluationError(f"{v} is masked")
+            else:
+                cols[v] = x
+        return cols
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except McdmgError as exc:
+        return type(exc)
+
+
+def _assert_matches_reference(expr, source, gr, interventional):
+    """Every cell through ``evaluate``/``evaluate_interventional`` and the
+    whole domain through ``evaluate_all``, against the reference: the same
+    values within 1e-12 (relative, for quotients far above 1), or the same
+    exception class."""
+    ref = _Reference(source, gr, interventional)
+    one = evaluate_interventional if interventional else evaluate
+    atoms = free_atoms(expr)
+    want_all = {}
+    for vals in itertools.product(*(gr.domain(a.ref) for a in atoms)):
+        env = dict(zip(atoms, vals))
+        want = _outcome(lambda: ref.cell(expr, env))
+        got = _outcome(lambda: one(expr, source, gr, env))
+        if isinstance(want, type) or isinstance(got, type):
+            assert got is want, (vals, got, want)
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12), vals
+        if isinstance(want_all, dict):
+            want_all = want if isinstance(want, type) else {**want_all, vals: want}
+    got_all = _outcome(lambda: evaluate_all(expr, source, gr, interventional=interventional))
+    if isinstance(want_all, type):
+        assert got_all is want_all
+    else:
+        assert not isinstance(got_all, type), got_all
+        assert got_all[0] == atoms and got_all[1].keys() == want_all.keys()
+        for vals, want in want_all.items():
+            assert got_all[1][vals] == pytest.approx(want, rel=1e-12, abs=1e-12)
+    return want_all
+
+
+@functools.lru_cache(maxsize=None)
+def _first_graphs(name, n=3):
+    g = parse_graph(fixture_text(name))
+    return g, tuple(itertools.islice(enumerate_compatible(g, budget=Budget(2, 10)), n))
+
+
+def _degenerate(scm, names):
+    """The SCM with the named mechanisms made deterministic (argmax rows), so
+    that some strata have zero mass."""
+    nodes = []
+    for node in scm.nodes:
+        cpt = node.cpt
+        if node.name in names:
+            cpt = (cpt == cpt.max(axis=-1, keepdims=True)).astype(float)
+            cpt = cpt / cpt.sum(axis=-1, keepdims=True)
+        nodes.append(Node(node.name, node.card, node.parents, cpt))
+    return DiscreteSCM(scm.madmg, tuple(nodes), scm.latents, scm.seed)
+
+
+CLUSTERS = ("CX", "CY", "CZ")
+# indicator literals of fig2a (R_X1, R_Y2) and fig2b (R_CX, R_CY); on another
+# fixture some of them match no indicator
+R_LITERALS = ("R_CX", "R_CY", "R_X1", "R_Y2")
+_cluster_atoms = st.builds(Atom, st.sampled_from([VAL, PROXY]), st.sampled_from(CLUSTERS))
+_ref_atoms = st.one_of(_cluster_atoms, st.builds(rzero, st.sampled_from(R_LITERALS)))
+_ref_terms = st.builds(
+    lambda o, d, c: term(o, d, c - d),
+    st.sets(_ref_atoms, min_size=1, max_size=3),
+    st.sets(_cluster_atoms, max_size=1) | st.just(frozenset()),
+    st.sets(_ref_atoms, max_size=2),
+)
+_ref_exprs = st.recursive(
+    _ref_terms | st.just(One()),
+    lambda sub: st.one_of(
+        st.builds(Sum, _cluster_atoms, sub),
+        st.builds(lambda fs: Product(tuple(fs)), st.lists(sub, min_size=1, max_size=3)),
+        st.builds(Quotient, sub, sub),
+    ),
+    max_leaves=6,
+)
+
+
+# Errors in evaluation order, on an SCM whose X1 is a constant: a sum whose
+# first bound values have zero mass and whose last ones do not, and a factor
+# with zero-mass cells before a factor the manifest cannot answer.
+_ZERO_AT_FIRST_VALUES = Sum(
+    proxy("CX"),
+    Quotient(
+        term([proxy("CY"), proxy("CX"), rzero("R_CX"), rzero("R_CY")]),
+        term([proxy("CX"), rzero("R_CX")]),
+    ),
+)
+_ZERO_THEN_MASKED = Product(
+    (Quotient(One(), term([proxy("CX"), rzero("R_CX")])), term([val("CX")]))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@example(_ZERO_AT_FIRST_VALUES, "fig2b", 0, 2, {"X1"}, False)
+@example(_ZERO_THEN_MASKED, "fig2b", 0, 2, {"X1"}, False)
+@given(
+    _ref_exprs,
+    st.sampled_from(("fig2a", "fig2b", "fig3")),
+    st.integers(0, 2),
+    st.integers(0, 3),
+    st.sets(st.sampled_from(("X1", "Y1", "Z1", "Z2", "R_X1", "R_Y1", "R_CX", "R_CY"))),
+    st.booleans(),
+)
+def test_compiled_evaluator_matches_per_cell_reference(
+    expr, name, graph, seed, deterministic, interventional
+):
+    """On the manifest (where do-terms raise) or under interventions."""
+    g, madmgs = _first_graphs(name)
+    scm = _degenerate(random_scm(madmgs[graph], seed=seed), deterministic)
+    gr = Grounding.from_scm(scm, abstract=g)
+    source = scm if interventional else exact_tables(scm)[1]
+    _assert_matches_reference(expr, source, gr, interventional)
+
+
+@pytest.mark.parametrize(
+    "name, treatment, outcome",
+    [
+        ("fig1a", "X1", "Y2"),
+        ("fig1b", "X1", "Y2"),
+        ("fig1c", "CX", "CY"),
+        ("fig2a", "CX", "CY"),
+        ("fig2b", "CX", "CY"),
+        ("fig3", "CX", "CY"),
+    ],
+)
+def test_interventional_evaluator_matches_reference_on_derivations(name, treatment, outcome):
+    g = parse_graph(fixture_text(name))
+    if g.graph_class.clustered:
+        madmgs = list(itertools.islice(enumerate_compatible(g, budget=Budget(2, 10)), 2))
+    else:
+        madmgs, g = [g], as_cluster_graph(g)
+    d = recover_effect(g, {treatment}, {outcome})
+    compared = 0
+    for madmg in madmgs:
+        for seed in range(2):
+            scm = random_scm(madmg, seed=seed)
+            gr = Grounding.from_scm(scm, g.clustering, abstract=g)
+            for step in d.steps:
+                for expr in (step.before, step.after):
+                    cells = _assert_matches_reference(expr, scm, gr, True)
+                    compared += len(cells)
+    assert compared > 0

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcdmg import (
     GraphClass,
@@ -15,9 +17,11 @@ from mcdmg import (
     descendants,
     enumerate_paths,
     mutilate,
+    parse_graph,
     primary_path,
 )
 from mcdmg.errors import EmptyWalk, OverlappingSets, UnknownVertex
+from mcdmg.separation import path_blocked
 
 
 def test_descendants_fig3_mutilated(fig3):
@@ -132,7 +136,13 @@ def test_enumerate_paths_trivia(fig3):
     assert len(single) == 1 and len(single[0]) == 1
 
 
-from tests_support import all_small_graphs, random_graph, random_query, random_walk  # noqa: E402
+from tests_support import (  # noqa: E402
+    all_small_graphs,
+    random_cluster_text,
+    random_graph,
+    random_query,
+    random_walk,
+)
 
 
 def test_walk_engine_matches_path_oracle_exhaustive_two_vertices():
@@ -226,3 +236,18 @@ def test_primary_path_properties_bulk():
                 seen_all_collider += 1
                 assert all(p.is_collider(i) for i in p.interior())
     assert seen_all_collider >= 300
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_active_path_witness_properties(rng):
+    """On random cluster graphs the witness is a simple, unblocked path of the
+    graph from X to Y, and there is none exactly when every path is blocked."""
+    g = parse_graph(random_cluster_text(rng))
+    X, Y, Z = random_query(rng, g)
+    w = active_path(g, X, Y, Z)
+    assert (w is None) == d_separated_by_paths(g, X, Y, Z)
+    if w is not None:
+        assert w.is_path() and w.vertices[0] in X and w.vertices[-1] in Y
+        w.check_in(g)  # consecutive vertices are joined by the recorded edge
+        assert not path_blocked(g, w, Z)
