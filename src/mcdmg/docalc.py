@@ -14,6 +14,10 @@ until the query contains no do-operator and every partially observed symbol
 appears as a proxy alongside its R=0 literals. Derivations are replayable
 proof objects: every step stores the rule, its parameters and the expression
 before and after, and `replay` re-verifies all of it against a graph.
+
+For the duration of one call, the search memoizes the legal moves of each
+distinct term, certificates included, so a term met in many states is checked
+once. `replay` keeps no memo: it re-checks every certificate.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional, Tuple, Union
 
-from .errors import DepthNonPositive, OverlappingSets, UnknownVertex
+from .errors import DepthNonPositive, OverlappingSets, PreconditionError, UnknownVertex
 from .expressions import (
     PROXY,
     RZERO,
@@ -281,8 +285,14 @@ def atom_vertices(g: MixedGraph, a: Atom) -> FrozenSet[str]:
     return frozenset(pids)
 
 
-def _term_moves(g: MixedGraph, whole: Expr, t: Term):
-    """Candidate rewrites of one term, in the fixed rule order."""
+def _term_moves(g: MixedGraph, t: Term):
+    """Candidate rewrites of one term, in the fixed rule order.
+
+    Yields ``(rule, params, sep, replacement)`` with ``params`` as sorted
+    (key, value) pairs. They depend on the term alone: TotalProb is offered
+    for every adjacent cluster the term does not mention, and `_candidates`
+    drops those that occur elsewhere in the expression.
+    """
     masked = set(g.partially_observed)
 
     def sep(moved_atoms):
@@ -303,22 +313,22 @@ def _term_moves(g: MixedGraph, whole: Expr, t: Term):
             continue
         if g.owner_cluster(r) not in present_clusters:
             continue
-        yield "R1", {"insert": r}, sep([lit]), t.replace(cond=t.cond | {lit})
+        yield "R1", (("insert", r),), sep([lit]), t.replace(cond=t.cond | {lit})
     # R1: drop a conditioned atom
     for a in sorted(t.cond):
-        yield "R1", {"drop": a.render()}, sep([a]), t.replace(cond=t.cond - {a})
+        yield "R1", (("drop", a.render()),), sep([a]), t.replace(cond=t.cond - {a})
     # R2: exchange one do(atom) for conditioning
     for a in sorted(t.do):
-        yield "R2", {"observe": a.render()}, sep([a]), Term(t.outcomes, t.do - {a}, t.cond | {a})
+        yield "R2", (("observe", a.render()),), sep([a]), Term(t.outcomes, t.do - {a}, t.cond | {a})
     # R3: delete one do(atom)
     for a in sorted(t.do):
-        yield "R3", {"delete": a.render()}, sep([a]), t.replace(do=t.do - {a})
+        yield "R3", (("delete", a.render()),), sep([a]), t.replace(do=t.do - {a})
     # ProxyEq1: switch a masked symbol to its proxy when licensed
     for a in sorted(t.outcomes | t.cond):
         if a.kind == VAL and a.ref in masked:
             need = {rzero(r) for r in g.indicators_of_cluster(a.ref)}
             if need <= (t.outcomes | t.cond):
-                yield "ProxyEq1", {"target": a.ref}, None, _swap_proxy(t, a)
+                yield "ProxyEq1", (("target", a.ref),), None, _swap_proxy(t, a)
     # TotalProb: introduce an adjacent cluster into a do-carrying term
     if t.do:
         adjacent = set()
@@ -326,15 +336,14 @@ def _term_moves(g: MixedGraph, whole: Expr, t: Term):
             for vid in atom_vertices(g, a):
                 if vid in g.ids:
                     adjacent |= {n for n in g.neighbors(vid) if g.kind(n) is Kind.CLUSTER}
-        used = {a.ref for a in symbols_of(whole)}
-        for c in sorted(adjacent):
-            if c not in used:
-                yield "TotalProb", {"over": c}, None, expand_total_probability(t, c)
+        mentioned = {a.ref for a in t.outcomes | t.do | t.cond}
+        for c in sorted(adjacent - mentioned):
+            yield "TotalProb", (("over", c),), None, expand_total_probability(t, c)
     # ChainRule: split one outcome off a joint term
     if len(t.outcomes) > 1:
         for a in sorted(t.outcomes):
             if a.kind != RZERO:
-                yield "ChainRule", {"split": a.render()}, None, chain_split(t, a)
+                yield "ChainRule", (("split", a.render()),), None, chain_split(t, a)
 
 
 def _swap_proxy(t: Term, a: Atom) -> Term:
@@ -374,20 +383,30 @@ def recover_effect(
     the final expression has no do-operators and mentions partially observed
     clusters only through proxies guarded by their R=0 literals. Failure is
     reported as NotDerived: the criterion is sound, not complete.
+
+    Each distinct term's legal moves are computed once per call and kept in a
+    dict that lives as long as the search.
     """
     if depth < 1:
         raise DepthNonPositive("depth must be >= 1")
     ts = tuple(sorted(set(treatment)))
     os = tuple(sorted(set(outcome)))
+    for name, ids in (("treatment", ts), ("outcome", os)):
+        if not ids:
+            raise PreconditionError(f"the {name} names no cluster")
     for vid in ts + os:
         if g.kind(vid) is not Kind.CLUSTER:
             raise UnknownVertex(f"{vid!r} is not a cluster vertex")
+    both = sorted(set(ts) & set(os))
+    if both:
+        raise OverlappingSets(f"treatment and outcome overlap in {', '.join(both)}")
     query = canonical(term(outcomes={val(o) for o in os}, do={val(t) for t in ts}))
 
     start = (query, ())
     seen = {query}
     frontier = deque([start])
     explored = 0
+    legal = {}
     while frontier:
         expr, steps = frontier.popleft()
         explored += 1
@@ -395,24 +414,28 @@ def recover_effect(
             return Derivation(g.name, query, steps)
         if len(steps) >= depth:
             continue
-        for nxt, step in _expand(g, expr):
+        for nxt, step in _expand(g, expr, legal):
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append((nxt, steps + (step,)))
     return NotDerived(query, depth, explored)
 
 
-def _candidates(g: MixedGraph, expr: Expr):
+def _candidates(expr: Expr, moves):
     """Every candidate move of an expression, in the fixed rule order.
 
-    Yields ``(rule, params, sep, rewrite)``: ``sep`` is the (Y, X, Z, W)
-    statement a do-calculus rule needs (None for an algebraic move) and
-    ``rewrite`` the ``(old, new)`` node replacement that makes the successor.
-    The search and replay share this generator.
+    ``moves(t)`` gives the ``(rule, params, check, replacement)`` moves of
+    each term; TotalProb moves over a cluster that occurs elsewhere in the
+    expression are dropped. Yields ``(rule, params, check, rewrite)`` with
+    ``rewrite`` the ``(old, new)`` node replacement that makes the successor;
+    a Marginalize move has no check. The search and replay share this
+    generator.
     """
+    used = {a.ref for a in symbols_of(expr)}
     for t in terms_of(expr):
-        for rule, params, sep, replacement in _term_moves(g, expr, t):
-            yield rule, tuple(sorted(params.items())), sep, (t, replacement)
+        for rule, params, check, replacement in moves(t):
+            if rule != "TotalProb" or params[0][1] not in used:
+                yield rule, params, check, (t, replacement)
     for old, new in _sum_moves(expr):
         yield "Marginalize", (), None, (old, new)
 
@@ -422,15 +445,31 @@ def _successor(expr: Expr, rewrite) -> Expr:
     return canonical(replace_term(expr, old, new))
 
 
-def _expand(g: MixedGraph, expr: Expr):
-    """All legal successor states of a canonical expression, in deterministic order."""
+def _legal_moves(g: MixedGraph, t: Term):
+    """A term's moves whose certificate holds, with the certificate in place
+    of the separation statement (None for an algebraic move)."""
     out = []
-    for rule, params, sep, rewrite in _candidates(g, expr):
-        cert = None
-        if sep is not None:
-            cert = rule_applicable(g, rule, *sep)
-            if not cert.holds:
-                continue
+    for rule, params, sep, replacement in _term_moves(g, t):
+        cert = None if sep is None else rule_applicable(g, rule, *sep)
+        if cert is None or cert.holds:
+            out.append((rule, params, cert, replacement))
+    return out
+
+
+def _expand(g: MixedGraph, expr: Expr, legal: dict):
+    """All legal successor states of a canonical expression, in deterministic order.
+
+    ``legal`` maps each term met so far in the search to its `_legal_moves`;
+    a term seen for the first time is added.
+    """
+
+    def moves(t: Term):
+        if t not in legal:
+            legal[t] = _legal_moves(g, t)
+        return legal[t]
+
+    out = []
+    for rule, params, cert, rewrite in _candidates(expr, moves):
         nxt = _successor(expr, rewrite)
         out.append((nxt, Step(rule, params, expr, nxt, cert)))
     return out
@@ -477,7 +516,7 @@ def replay(g: MixedGraph, d: Derivation) -> ReplayResult:
                 (rule, params) == (step.rule, step.params)
                 and _statement(rule, sep) == statement
                 and _successor(current, rewrite) == after
-                for rule, params, sep, rewrite in _candidates(g, current)
+                for rule, params, sep, rewrite in _candidates(current, lambda t: _term_moves(g, t))
             ):
                 return ReplayResult(False, i, "rewrite is not canonical-form-checkable")
         except (UnknownVertex, OverlappingSets) as exc:

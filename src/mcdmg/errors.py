@@ -38,7 +38,8 @@ class WrongGraphClass(McdmgError):
 
 
 class PreconditionError(McdmgError):
-    """Query-time side condition violated (R self-loop or R-R edge)."""
+    """Query-time side condition violated (R self-loop or R-R edge, or an
+    effect query with an empty treatment or outcome)."""
 
 
 class InvalidClustering(McdmgError):

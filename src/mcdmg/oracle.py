@@ -74,7 +74,7 @@ class DistTable:
         names = tuple(v for v in self.variables if v in keep)
         order = tuple(names.index(k) for k in keep)
         out = DistTable(keep, tuple(self.cards[self.variables.index(k)] for k in keep),
-                        np.ascontiguousarray(np.transpose(probs, order)))
+                        np.asarray(np.transpose(probs, order), order="C"))
         self._cache[keep] = out
         return out
 

@@ -8,7 +8,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from mcdmg import fixture_path
-from tests_support import THIRTEEN_EDGES
+from tests_support import FIXTURE_QUERIES, THIRTEEN_EDGES, malformed_graph_texts
 
 
 def run(*args):
@@ -186,6 +186,18 @@ def test_replay_malformed_derivation_exit_2(tmp_path, text):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "treatment,outcome,message",
+    [("CX", "CX", "overlap in CX"), ("CX", "", "outcome names no cluster"),
+     ("", "CY", "treatment names no cluster")],
+    ids=["overlap", "empty-outcome", "empty-treatment"],
+)
+def test_recover_effect_malformed_query_exit_2(treatment, outcome, message):
+    code, out, err = run("recover-effect", fig("fig2b"), "--treatment", treatment, "--outcome", outcome)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 def test_recover_effect_latex():
     code, out, _ = run(
         "recover-effect", fig("fig2b"), "--treatment", "CX", "--outcome", "CY",
@@ -311,3 +323,50 @@ def test_env_seed(tmp_path, monkeypatch):
 def test_help_has_examples():
     code, out, _ = run("check-joint", "--help")
     assert code == 0 and "fig2b" in out
+
+
+def _cli_runs(path, deriv, t, o):
+    """Every subcommand on one graph file, with small budgets."""
+    yield ["parse", path]
+    yield ["parse", path, "--format", "dot"]
+    yield ["parse", path, "--format", "text"]
+    yield ["validate", path]
+    yield ["dsep", path, "--x", t, "--y", o]
+    yield ["dsep", path, "--x", t, "--y", o, "--given", "R_CY", "--overline", t]
+    yield ["abstract", path]
+    yield ["compatible", path, fig("fig1a")]
+    yield ["compatible", fig("fig1c"), path]
+    yield ["enumerate", path, "--limit", "3"]
+    for fmt in ("json", "latex", "text"):
+        yield ["check-joint", path, "--format", fmt]
+        yield ["recover-effect", path, "--treatment", t, "--outcome", o, "--depth", "5", "--format", fmt]
+    yield ["replay", path, deriv]
+    yield ["oracle", path, "--graphs", "1", "--seeds", "1"]
+    yield ["oracle", path, "--graphs", "1", "--seeds", "1", "--query", f"effect:{t}:{o}"]
+    yield ["simulate", path, "--rows", "3"]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_QUERIES) + sorted(malformed_graph_texts()))
+def test_cli_never_raises(name, tmp_path, capsys):
+    """Each run returns 0, 1 or 2, or argparse exits 2; nothing else escapes."""
+    from mcdmg import cli
+
+    if name in FIXTURE_QUERIES:
+        path, (t, o) = name, FIXTURE_QUERIES[name]
+    else:
+        path, (t, o) = str(tmp_path / f"{name}.mcg"), ("CX", "CY")
+        (tmp_path / f"{name}.mcg").write_text(malformed_graph_texts()[name])
+    deriv = tmp_path / "d.json"
+    cli.main(["recover-effect", "fig3", "--treatment", "CX", "--outcome", "CY"])
+    deriv.write_text(capsys.readouterr().out)
+    outcomes = []
+    for argv in _cli_runs(path, str(deriv), t, o):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        except Exception as exc:  # any other escape is the failure reported
+            code = repr(exc)
+        outcomes.append((argv, code))
+    capsys.readouterr()
+    assert [(argv, code) for argv, code in outcomes if code not in (0, 1, 2, ("SystemExit", 2))] == []

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from mcdmg import docalc
 from mcdmg.docalc import residual_masked_symbols
 from mcdmg.errors import DepthNonPositive, OverlappingSets, UnknownVertex
 from mcdmg.expressions import Product, Sum, canonical, proxy, rzero, term, val
-from tests_support import random_cluster_text
+from tests_support import random_cluster_text, search_hashes
 
 
 def test_rule1_insert_ry_fig2b(fig2b):
@@ -356,3 +358,64 @@ def test_random_derivations_sound_against_oracle():
         assert sorted(a.ref for a in atoms) == sorted([treat, outc])
         assert errors and max(errors.values()) <= 1e-9, (sorted(directed), sorted(bidirected))
     assert derived >= 25
+
+
+def test_search_matches_golden_hashes():
+    """The search's JSON on the fixtures and 60 random graphs, pinned as made
+    by the memo-free search (`tests_support.search_hashes` regenerates it)."""
+    golden = json.loads((Path(__file__).parent / "golden_search.json").read_text())
+    assert search_hashes() == golden
+
+
+def reference_search(g, treatment, outcome, depth):
+    """Memo-free breadth-first search: every candidate of every state is
+    checked afresh, in `_candidates` order."""
+    query = canonical(term(outcomes={val(outcome)}, do={val(treatment)}))
+    seen, frontier, explored = {query}, deque([(query, ())]), 0
+    while frontier:
+        expr, steps = frontier.popleft()
+        explored += 1
+        if docalc._observable(g, expr):
+            return Derivation(g.name, query, steps)
+        if len(steps) >= depth:
+            continue
+        for rule, params, sep, rewrite in docalc._candidates(expr, lambda t: docalc._term_moves(g, t)):
+            cert = None
+            if sep is not None:
+                cert = rule_applicable(g, rule, *sep)
+                if not cert.holds:
+                    continue
+            nxt = docalc._successor(expr, rewrite)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append((nxt, steps + (docalc.Step(rule, params, expr, nxt, cert),)))
+    return NotDerived(query, depth, explored)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_memoized_search_matches_reference(rng):
+    g = parse_graph(random_cluster_text(rng))
+    treatment, outcome = rng.sample(sorted(g.clusters), 2)
+    got = recover_effect(g, {treatment}, {outcome}, depth=4).to_json()
+    assert got == reference_search(g, treatment, outcome, 4).to_json()
+
+
+def test_search_checks_each_term_once(fig2a, monkeypatch):
+    terms, checks = [], []
+    term_moves = docalc._term_moves
+
+    def counted_moves(g, t):
+        terms.append(t)
+        return term_moves(g, t)
+
+    def counted_rule(g, rule, *sets):
+        checks.append((terms[-1], rule, *(frozenset(s) for s in sets)))
+        return rule_applicable(g, rule, *sets)
+
+    monkeypatch.setattr(docalc, "_term_moves", counted_moves)
+    monkeypatch.setattr(docalc, "rule_applicable", counted_rule)
+    assert isinstance(recover_effect(fig2a, {"CX"}, {"CY"}, depth=8), Derivation)
+    assert checks and len(set(terms)) == len(terms)
+    assert len(set(checks)) == len(checks)
+

@@ -108,6 +108,13 @@ def test_fig2b_compatible_graphs_build(fig2b):
         assert abs(manifest.total() - 1.0) < 1e-12
 
 
+def test_marginal_over_no_columns_is_the_total():
+    _, manifest = exact_tables(random_scm(parse_graph(fixture_text("fig1a")), seed=0))
+    empty = manifest.marginal(())
+    assert (empty.variables, empty.cards, empty.probs.shape) == ((), (), ())
+    assert empty.total() == manifest.prob({}) == manifest.total()
+
+
 def test_tables_conserve_mass():
     g = mk(MAR_SRC)
     scm = random_scm(g, seed=5)

@@ -132,3 +132,69 @@ graph "rnd34" class=cm-c-dmg {
   edge CA -> CA
 }
 """
+
+
+# (treatment, outcome) per fixture, as the derive workload queries them; the
+# variable-level fixtures are promoted to one cluster per variable
+FIXTURE_QUERIES = {
+    "fig1a": ("X1", "Y2"),
+    "fig1b": ("X1", "Y2"),
+    "fig1c": ("CX", "CY"),
+    "fig2a": ("CX", "CY"),
+    "fig2b": ("CX", "CY"),
+    "fig3": ("CX", "CY"),
+}
+
+
+def search_hashes(random_graphs=60, seed=20261018):
+    """sha256 of the sorted-key ``recover_effect(...).to_json()`` per query.
+
+    The six fixtures at depth 12, then ``random_graphs`` graphs of
+    ``random_cluster_text`` from ``random.Random(seed)`` at depth 5, each with
+    a (treatment, outcome) pair drawn from the same generator. Regenerate the
+    golden file with ``PYTHONPATH=src:tests python -c "import json,
+    tests_support as t; print(json.dumps(t.search_hashes(), indent=1))"``.
+    """
+    import hashlib
+    import json
+    import random
+
+    from mcdmg import GraphClass, as_cluster_graph, fixture_text, parse_graph, recover_effect
+
+    def digest(g, treatment, outcome, depth):
+        out = recover_effect(g, {treatment}, {outcome}, depth=depth).to_json()
+        return hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+
+    fixtures = {}
+    for name, (treatment, outcome) in FIXTURE_QUERIES.items():
+        g = parse_graph(fixture_text(name))
+        if g.graph_class in (GraphClass.ADMG, GraphClass.MADMG):
+            g = as_cluster_graph(g)
+        fixtures[name] = digest(g, treatment, outcome, 12)
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(random_graphs):
+        g = parse_graph(random_cluster_text(rng))
+        treatment, outcome = rng.sample(sorted(g.clusters), 2)
+        graphs.append(digest(g, treatment, outcome, 5))
+    return {"fixtures": fixtures, "random": graphs}
+
+
+def malformed_graph_texts():
+    """Graph files the CLI must reject: an unknown keyword in fig2b, fig2b cut
+    before its closing brace, and a variable-level graph with a directed cycle
+    (it parses but fails validation)."""
+    from mcdmg import fixture_text
+
+    lines = fixture_text("fig2b").splitlines()
+    first_edge = next(i for i, line in enumerate(lines) if line.strip().startswith("edge"))
+    garbage = lines[:first_edge] + ["  frobnicate X7"] + lines[first_edge + 1 :]
+    truncated = lines[: max(i for i, line in enumerate(lines) if line.strip() == "}")]
+    cycle = ["V0", "V1", "V2", "V3"]
+    cyclic = ['graph "cyc" class=admg {'] + [f"  var {v}" for v in cycle]
+    cyclic += [f"  edge {a} -> {b}" for a, b in zip(cycle, cycle[1:] + cycle[:1])] + ["}"]
+    return {
+        "garbage": "\n".join(garbage) + "\n",
+        "truncated": "\n".join(truncated) + "\n",
+        "cyclic": "\n".join(cyclic) + "\n",
+    }
