@@ -39,6 +39,7 @@ from .expressions import (
     bound_symbols,
     render,
     symbols_of,
+    term,
 )
 from .graphs import Clustering, GraphClass, Kind, MixedGraph, topological_order
 
@@ -63,12 +64,18 @@ class DistTable:
             return self.total()
         cols = tuple(sorted(assignment))
         marg = self.marginal(cols)
-        return float(marg.probs[tuple(assignment[c] for c in cols)])
+        index = tuple(assignment[c] for c in cols)
+        for c, x, k in zip(cols, index, marg.cards):
+            _check_level(c, x, k)
+        return float(marg.probs[index])
 
     def marginal(self, keep: Iterable[str]) -> "DistTable":
         keep = tuple(keep)
         if keep in self._cache:
             return self._cache[keep]
+        for k in keep:
+            if k not in self.variables:
+                raise UnknownVertex(f"the table has no column {k!r}")
         drop = tuple(i for i, v in enumerate(self.variables) if v not in keep)
         probs = self.probs.sum(axis=drop) if drop else self.probs
         names = tuple(v for v in self.variables if v in keep)
@@ -82,6 +89,11 @@ class DistTable:
         if "total" not in self._cache:
             self._cache["total"] = float(self.probs.sum())
         return self._cache["total"]
+
+
+def _check_level(name: str, x: int, card: int) -> None:
+    if not 0 <= x < card:
+        raise EvaluationError(f"{name} = {x} is outside its domain 0..{card - 1}")
 
 
 @dataclass(frozen=True)
@@ -154,41 +166,48 @@ def random_scm(madmg: MixedGraph, seed: int = 0) -> DiscreteSCM:
     cases. Raises DomainTooLarge when the joint state space or the manifest
     would exceed ``MAX_STATES`` cells.
     """
-    latent_pairs = sorted(tuple(sorted(e)) for e in madmg.bidirected)
-    latents = tuple(_latent_name(a, b) for a, b in latent_pairs)
-
-    parents: Dict[str, list] = {n: [] for n in list(madmg.variables) + list(madmg.indicators)}
-    for a, b in sorted(madmg.directed):
-        if madmg.kind(b) is Kind.PROXY:
-            continue
-        parents[b].append(a)
-    for lat in latents:
-        parents[lat] = []
-    for (a, b), lat in zip(latent_pairs, latents):
-        parents[a].append(lat)
-        parents[b].append(lat)
-
-    def card_of(name: str) -> int:
-        return 4 if name in latents else 2
-
-    if math.prod(card_of(n) for n in parents) > MAX_STATES:
+    latents, parents = _mechanisms(madmg)
+    if math.prod(_card(n, latents) for n in parents) > MAX_STATES:
         raise DomainTooLarge(f"joint state space exceeds {MAX_STATES}")
     # the manifest gives each masked variable an extra NA level
     observables = list(madmg.variables) + list(madmg.indicators)
-    if math.prod(card_of(n) + (n in madmg.indicator_by_owner) for n in observables) > MAX_STATES:
+    levels = (_card(n, latents) + (n in madmg.indicator_by_owner) for n in observables)
+    if math.prod(levels) > MAX_STATES:
         raise DomainTooLarge(f"manifest table exceeds {MAX_STATES} cells")
 
     rng = np.random.default_rng(seed)
     nodes = []
     for name in _topo_order(madmg, latents, parents):
-        ps = tuple(sorted(parents[name]))
-        k = card_of(name)
-        shape = tuple(card_of(p) for p in ps)
+        ps = parents[name]
+        k = _card(name, latents)
+        shape = tuple(_card(p, latents) for p in ps)
         rows = rng.dirichlet(np.ones(k), size=shape) if shape else rng.dirichlet(np.ones(k))
         cpt = np.asarray(rows, dtype=float).reshape(*shape, k)
         cpt = cpt * (1.0 - k * 1e-3) + 1e-3
         nodes.append(Node(name, k, ps, cpt))
     return DiscreteSCM(madmg, tuple(nodes), latents, seed)
+
+
+def _mechanisms(madmg: MixedGraph) -> Tuple[Tuple[str, ...], Dict[str, Tuple[str, ...]]]:
+    """(latents, node -> sorted parents): a mechanism per variable and
+    indicator (proxies are deterministic), a latent per bidirected edge."""
+    parents: Dict[str, list] = {n: [] for n in list(madmg.variables) + list(madmg.indicators)}
+    for a, b in sorted(madmg.directed):
+        if madmg.kind(b) is not Kind.PROXY:
+            parents[b].append(a)
+    latents = []
+    for a, b in sorted(madmg.bidirected):
+        lat = _latent_name(a, b)
+        parents[a].append(lat)
+        parents[b].append(lat)
+        parents[lat] = []
+        latents.append(lat)
+    return tuple(latents), {n: tuple(sorted(ps)) for n, ps in parents.items()}
+
+
+def _card(name: str, latents: Tuple[str, ...]) -> int:
+    """Latents have 4 levels, variables and indicators 2."""
+    return 4 if name in latents else 2
 
 
 def scm_from_cpts(
@@ -211,59 +230,49 @@ def scm_from_cpts(
 # ---------------------------------------------------------------------------
 
 
-def _full_array(scm: DiscreteSCM, do: Mapping[str, int] = ()) -> Tuple[Tuple[str, ...], np.ndarray]:
-    """Joint over every node (latents included), truncated-factorized under do."""
-    do = dict(do)
+def _do_table(scm: DiscreteSCM, do_vars: Tuple[str, ...] = ()) -> DistTable:
+    """The one table builder: the truncated factorization (Pearl 2009, eq.
+    3.10) over variables and indicators for every assignment to ``do_vars``.
+
+    One product of the CPTs of the nodes not in ``do_vars``, latents summed
+    out once, holds every do-level on its diagonal ``v = do(v)``; a leading
+    column ``do(v)`` per intervened variable copies that diagonal, and the
+    table is zero off it. Without ``do_vars``, the joint. Raises
+    DomainTooLarge, before allocating, when the node array or the stacked
+    table would exceed ``MAX_STATES`` cells.
+    """
+    key = ("do", do_vars)
+    if key in scm._cache:
+        return scm._cache[key]
     names = tuple(n.name for n in scm.nodes)
-    axis = {n: i for i, n in enumerate(names)}
     shape = tuple(n.card for n in scm.nodes)
+    kept = tuple(n for n in names if n not in scm.latents)
+    kept_cards = tuple(scm.card(n) for n in kept)
+    do_cards = tuple(scm.card(v) for v in do_vars)
+    if math.prod(shape) > MAX_STATES or math.prod(do_cards + kept_cards) > MAX_STATES:
+        raise DomainTooLarge(f"do-table on {list(do_vars)} exceeds {MAX_STATES} cells")
+    axis = {n: i for i, n in enumerate(names)}
     probs = np.ones(shape, dtype=float)
     for node in scm.nodes:
-        if node.name in do:
-            point = np.zeros(node.card)
-            point[do[node.name]] = 1.0
-            view = point.reshape([node.card if i == axis[node.name] else 1 for i in range(len(names))])
-        else:
-            # broadcast the CPT onto (parents..., self) axes of the big array
-            src_axes = [axis[p] for p in node.parents] + [axis[node.name]]
-            view_shape = [1] * len(names)
-            for a, size in zip(src_axes, node.cpt.shape):
-                view_shape[a] = size
-            perm = np.argsort(src_axes)
-            arranged = np.transpose(node.cpt, perm) if node.parents else node.cpt
-            view = arranged.reshape(view_shape)
-        probs *= view
-    return names, probs
-
-
-def _base_table(scm: DiscreteSCM, do: Mapping[str, int] = ()) -> DistTable:
-    """Distribution over true variables and indicators under do."""
-    key = ("base", tuple(sorted(dict(do).items())))
-    if key not in scm._cache:
-        names, probs = _full_array(scm, do)
-        drop = tuple(i for i, n in enumerate(names) if n in scm.latents)
-        kept = tuple(n for n in names if n not in scm.latents)
-        scm._cache[key] = DistTable(
-            kept, tuple(scm.card(n) for n in kept), probs.sum(axis=drop) if drop else probs
-        )
-    return scm._cache[key]
-
-
-def _do_table(scm: DiscreteSCM, do_vars: Tuple[str, ...]) -> DistTable:
-    """The do-tables of every assignment to ``do_vars``, stacked along one
-    leading column ``do(v)`` per intervened variable."""
-    if not do_vars:
-        return _base_table(scm)
-    key = ("do", do_vars)
-    if key not in scm._cache:
-        cards = tuple(scm.card(v) for v in do_vars)
-        tables = [
-            _base_table(scm, dict(zip(do_vars, levels)))
-            for levels in itertools.product(*(range(c) for c in cards))
-        ]
-        probs = np.stack([t.probs for t in tables]).reshape(cards + tables[0].probs.shape)
-        names = tuple(f"do({v})" for v in do_vars) + tables[0].variables
-        scm._cache[key] = DistTable(names, cards + tables[0].cards, probs)
+        if node.name in do_vars:
+            continue
+        # broadcast the CPT onto (parents..., self) axes of the big array
+        src_axes = [axis[p] for p in node.parents] + [axis[node.name]]
+        view_shape = [1] * len(names)
+        for a, size in zip(src_axes, node.cpt.shape):
+            view_shape[a] = size
+        arranged = np.transpose(node.cpt, np.argsort(src_axes)) if node.parents else node.cpt
+        probs *= arranged.reshape(view_shape)
+    drop = tuple(axis[n] for n in names if n in scm.latents)
+    probs = probs.sum(axis=drop) if drop else probs
+    n = len(do_vars)
+    probs = probs.reshape((1,) * n + probs.shape)
+    for i, (v, k) in enumerate(zip(do_vars, do_cards)):
+        diagonal = [1] * probs.ndim
+        diagonal[i] = diagonal[n + kept.index(v)] = k
+        probs = probs * np.eye(k).reshape(diagonal)
+    names = tuple(f"do({v})" for v in do_vars) + kept
+    scm._cache[key] = DistTable(names, do_cards + kept_cards, probs)
     return scm._cache[key]
 
 
@@ -301,7 +310,7 @@ def exact_tables(scm: DiscreteSCM) -> Tuple[DistTable, DistTable]:
     level) and indicators; the true values of masked variables are summed
     out.
     """
-    base = _base_table(scm)
+    base = _do_table(scm)
     if "manifest" not in scm._cache:
         scm._cache["manifest"] = _manifest(scm, base)
     return base.marginal(scm.variables), scm._cache["manifest"]
@@ -314,26 +323,26 @@ def interventional_table(
 ) -> DistTable:
     """Truncated-factorization joint over substantive variables under do.
 
-    Macro semantics: when a clustering is known, every treated cluster must
-    be assigned in full.
+    ``do`` assigns variables or indicators of the graph. Macro semantics:
+    when a clustering is known, every treated cluster must be assigned in
+    full.
     """
     clustering = clustering or scm.madmg.clustering
     if clustering is not None:
-        touched = {}
-        for v in do:
-            c = clustering.cluster_of.get(v)
-            if c is not None:
-                touched.setdefault(c, set()).add(v)
-        for c, vs in sorted(touched.items()):
-            missing = set(clustering.members(c)) - vs
+        for c in sorted({clustering.cluster_of[v] for v in do if v in clustering.cluster_of}):
+            missing = set(clustering.members(c)) - set(do)
             if missing:
                 raise PartialClusterAssignment(
                     f"cluster {c!r} is only partly assigned (missing {sorted(missing)})"
                 )
-    for v in do:
-        if v not in scm.node_map:
-            raise UnknownVertex(f"cannot intervene on unknown node {v!r}")
-    return _base_table(scm, do).marginal(scm.variables)
+    for v, x in do.items():
+        if v not in scm.madmg.variables and v not in scm.madmg.indicators:
+            raise UnknownVertex(f"cannot intervene on {v!r}: not a variable or indicator")
+        _check_level(v, x, scm.card(v))
+    do_vars = tuple(sorted(do))
+    stacked = _do_table(scm, do_vars).marginal(tuple(f"do({v})" for v in do_vars) + scm.variables)
+    levels = tuple(do[v] for v in do_vars)
+    return DistTable(scm.variables, stacked.cards[len(do_vars):], stacked.probs[levels])
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +459,7 @@ class _Compiled:
 
 class _Compiler:
     """Compiles one expression against a manifest table (``evaluate``) or
-    against an SCM's do-tables (``evaluate_interventional``)."""
+    against an SCM's do-tables (``evaluate_interventional`` and ``check``'s truth)."""
 
     def __init__(self, source, grounding: Grounding, interventional: bool):
         self.source, self.g, self.interventional = source, grounding, interventional
@@ -590,7 +599,7 @@ class _Compiler:
         num, den = self._sources(both), self._sources(cond)
         table = self.source
         if self.interventional:
-            # do(v) columns stack one do-table per value of the do sub-axes
+            # one table per do-set; its do(v) columns are read along the do sub-axes
             table = _do_table(self.source, tuple(sorted(do)))
             for v, sub in do.items():
                 num[f"do({v})"] = den[f"do({v})"] = [sub]
@@ -710,20 +719,31 @@ def free_atoms(expr: Expr) -> Tuple[Atom, ...]:
     return tuple(free)
 
 
+def _values(expr: Expr, source, grounding: Grounding, scope: Tuple[Atom, ...], interventional):
+    """The compiled array over the scope's whole domain; raises the error of
+    its first failing cell."""
+    compiled = _compiled(expr, source, grounding, scope, interventional)
+    if compiled.codes is not None:
+        codes = compiled.codes.reshape(-1)
+        failed = np.flatnonzero(codes)
+        if failed.size:
+            compiled.raise_code(codes[failed[0]])
+    return compiled.values
+
+
+def _cells(atoms: Tuple[Atom, ...], grounding: Grounding, values: np.ndarray) -> dict:
+    domains = [grounding.domain(a.ref) for a in atoms]
+    return dict(zip(itertools.product(*domains), values.reshape(-1).tolist()))
+
+
 def evaluate_all(expr: Expr, table_or_scm, grounding: Grounding, *, interventional=False):
     """Evaluate over the full domain of the free symbols.
 
     Returns (atoms, {value-tuple-assignment: float}).
     """
     atoms = free_atoms(expr)
-    domains = [grounding.domain(a.ref) for a in atoms]
-    compiled = _compiled(expr, table_or_scm, grounding, atoms, interventional)
-    if compiled.codes is not None:
-        codes = compiled.codes.reshape(-1)
-        failed = np.flatnonzero(codes)
-        if failed.size:
-            compiled.raise_code(codes[failed[0]])
-    return atoms, dict(zip(itertools.product(*domains), compiled.values.reshape(-1).tolist()))
+    values = _values(expr, table_or_scm, grounding, atoms, interventional)
+    return atoms, _cells(atoms, grounding, values)
 
 
 def check(
@@ -735,32 +755,25 @@ def check(
     """Compare a do-free formula with the SCM's truth, cell by cell.
 
     The formula is evaluated on the manifest over the domain of its free
-    symbols. With ``effect=None`` the truth is the joint over the formula's
-    clusters; with ``effect=(treatment, outcome)`` it is the distribution of
-    the other clusters under do(treatment). A treatment or outcome the
-    formula does not mention is appended to the atoms as a value symbol, so
-    every one of its values is checked.
+    symbols. The truth is itself a term, compiled by the same evaluator on
+    the SCM: with ``effect=None`` the joint ``P(c_A, c_B, ...)`` over the
+    formula's clusters; with ``effect=(treatment, outcome)`` the distribution
+    ``P(others | do(treatment))`` of the other clusters. A treatment or
+    outcome the formula does not mention is appended to the atoms as a value
+    symbol, so every one of its values is checked.
 
     Returns (atoms, {value-tuple-assignment: absolute error}).
     """
-    joint, manifest = exact_tables(scm)
-    atoms, cells = evaluate_all(expr, manifest, grounding)
-    treatment = effect[0] if effect else None
+    atoms = free_atoms(expr)
     for ref in effect or ():
         if all(a.ref != ref for a in atoms):
             atoms += (Atom(VAL, ref),)
-            cells = {
-                vals + (v,): got for vals, got in cells.items() for v in grounding.domain(ref)
-            }
-    errors = {}
-    for vals, got in cells.items():
-        do: Dict[str, int] = {}
-        assign: Dict[str, int] = {}
-        for a, v in zip(atoms, vals):
-            (do if a.ref == treatment else assign).update(zip(grounding.members(a.ref), v))
-        table = interventional_table(scm, do, grounding.clustering) if do else joint
-        errors[vals] = abs(got - table.prob(assign))
-    return atoms, errors
+    _, manifest = exact_tables(scm)
+    got = _values(expr, manifest, grounding, atoms, False)
+    scope = tuple(Atom(VAL, a.ref) for a in atoms)
+    treated = {a for a in scope if effect and a.ref == effect[0]}
+    want = _values(term(set(scope) - treated, do=treated), scm, grounding, scope, True)
+    return atoms, _cells(atoms, grounding, np.abs(got - want))
 
 
 # ---------------------------------------------------------------------------
@@ -889,7 +902,6 @@ def _selfmask_cores(kind, rng):
 def _try_pair(madmg, motif, seed):
     kind, x_or_y, z, r = motif
     rng = np.random.default_rng(seed)
-    all_latents = {_latent_name(a, b) for a, b in madmg.bidirected}
 
     special: Dict[str, object] = {}
     if kind == "collider":
@@ -959,8 +971,8 @@ def _try_pair(madmg, motif, seed):
 
                 return {x: x_cpt, r: r_cpt}
 
-    scm1 = _embed(madmg, build(core1), all_latents, leak, seed)
-    scm2 = _embed(madmg, build(core2), all_latents, leak, seed)
+    scm1 = _embed(madmg, build(core1), leak, seed)
+    scm2 = _embed(madmg, build(core2), leak, seed)
     joint1, manifest1 = exact_tables(scm1)
     joint2, manifest2 = exact_tables(scm2)
     if float(np.max(np.abs(manifest1.probs - manifest2.probs))) > 1e-9:
@@ -984,43 +996,29 @@ def _copy_of(source, transform=lambda s: min(s, 1)):
     return make
 
 
-def _embed(madmg, special, all_latents, leak, seed) -> DiscreteSCM:
+def _embed(madmg, special, leak, seed) -> DiscreteSCM:
     """Fill the remaining mechanisms with shared structure.
 
     Children of the leaking variable ignore it entirely (its masked value
     must not surface anywhere else); everything else follows its first
     parent near-deterministically so joint differences survive aggregation.
     """
+    latents, parents = _mechanisms(madmg)
     cpts = {}
-    parents: Dict[str, list] = {
-        n: [] for n in list(madmg.variables) + list(madmg.indicators)
-    }
-    for a, b in sorted(madmg.directed):
-        if madmg.kind(b) is not Kind.PROXY:
-            parents[b].append(a)
-    for a, b in sorted(madmg.bidirected):
-        lat = _latent_name(a, b)
-        parents[a].append(lat)
-        parents[b].append(lat)
-        parents.setdefault(lat, [])
-    for lat in sorted(all_latents):
-        parents.setdefault(lat, [])
-
-    for name in sorted(parents):
-        ps = tuple(sorted(parents[name]))
-        shape = tuple(4 if p in all_latents else 2 for p in ps)
+    for name, ps in parents.items():
+        shape = tuple(_card(p, latents) for p in ps)
         if name in special:
             cpt = np.asarray(special[name](ps, shape), dtype=float)
             if cpt.shape != shape + (cpt.shape[-1],):
                 cpt = np.broadcast_to(cpt, shape + (cpt.shape[-1],)).copy()
-        elif name in all_latents:
-            cpt = np.full(4, 0.25)
+        elif name in latents:
+            cpt = np.full(_card(name, latents), 0.25)
         elif madmg.kind(name) is Kind.INDICATOR:
             cpt = np.broadcast_to(np.array([0.8, 0.2]), shape + (2,)).copy()
         elif leak in ps:
             cpt = np.full(shape + (2,), 0.5)
         elif ps:
-            base = _near_identity(4 if ps[0] in all_latents else 2, 2)
+            base = _near_identity(_card(ps[0], latents), 2)
             view = base.reshape((base.shape[0],) + (1,) * (len(ps) - 1) + (2,))
             cpt = np.broadcast_to(view, shape + (2,)).copy()
         else:

@@ -1,5 +1,8 @@
 import functools
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from mcdmg.errors import (
     McdmgError,
     PartialClusterAssignment,
     PositivityError,
+    UnknownVertex,
 )
 from mcdmg.expressions import (
     PROXY,
@@ -46,7 +50,7 @@ from mcdmg.expressions import (
     term,
     val,
 )
-from mcdmg.oracle import Node, _full_array, check, evaluate_all, free_atoms, scm_from_cpts
+from mcdmg.oracle import Node, _do_table, check, evaluate_all, free_atoms, scm_from_cpts
 
 
 def mk(src):
@@ -77,6 +81,62 @@ def test_random_scm_deterministic():
     assert any(not np.array_equal(x.cpt, y.cpt) for x, y in zip(a.nodes, c.nodes))
 
 
+GOLDEN = Path(__file__).with_name("golden_oracle.json")
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for x in arrays:
+        h.update(np.round(x, 12).tobytes())
+    return h.hexdigest()
+
+
+def _table_digest(table):
+    return _digest(table.probs) + " " + ",".join(table.variables)
+
+
+def golden_oracle_hashes():
+    """sha256 of the CPTs, the joint, the manifest and the CX do-table of
+    the first 3 compatible graphs of fig2a/2b/3 at seeds 0-2, and of fig3's
+    equal-manifest pair. Regenerate ``golden_oracle.json`` only for a stated
+    change of the seed -> CPT stream:
+    ``PYTHONPATH=src:tests python -c "import test_oracle as t; t.write_golden()"``.
+    """
+    out = {}
+    for name in ("fig2a", "fig2b", "fig3"):
+        g, madmgs = _first_graphs(name)
+        for i, madmg in enumerate(madmgs):
+            for seed in range(3):
+                scm = random_scm(madmg, seed=seed)
+                joint, manifest = exact_tables(scm)
+                cx = tuple(sorted(madmg.clustering.members("CX")))
+                out[f"{name}/{i}/{seed}"] = {
+                    "cpts": _digest(*(n.cpt for n in scm.nodes)),
+                    "joint": _table_digest(joint),
+                    "manifest": _table_digest(manifest),
+                    "do_CX": _table_digest(_do_table(scm, cx)),
+                }
+    fig3 = parse_graph(fixture_text("fig3"))
+    witness = construct_witness(fig3, check_joint(fig3).violations[0])
+    for i, scm in enumerate(equal_manifest_pair(witness, seed=0)):
+        joint, manifest = exact_tables(scm)
+        out[f"fig3/equal_manifest_pair/{i}"] = {
+            "cpts": _digest(*(n.cpt for n in scm.nodes)),
+            "joint": _table_digest(joint),
+            "manifest": _table_digest(manifest),
+        }
+    return out
+
+
+def write_golden():
+    GOLDEN.write_text(json.dumps(golden_oracle_hashes(), indent=1, sort_keys=True) + "\n")
+
+
+def test_oracle_tables_match_golden_hashes():
+    """The seed -> CPT stream and every exact table stay byte for byte."""
+    assert golden_oracle_hashes() == json.loads(GOLDEN.read_text())
+
+
 def test_cpt_rows_normalized():
     g = mk(MAR_SRC)
     scm = random_scm(g, seed=1)
@@ -100,6 +160,49 @@ def test_domain_guard_counts_the_manifest():
     g = mk('graph "masked" class=m-admg {\n' + "\n".join(lines) + "\n}\n")
     with pytest.raises(DomainTooLarge, match="manifest"):
         random_scm(g, seed=0)
+
+
+def test_do_tables_count_against_the_budget():
+    """20 binary variables fill the budget exactly; do on two of them would
+    stack 2^22 cells, so the do-table is refused before anything is built."""
+    names = "\n".join(f"  var V{i}" for i in range(20))
+    scm = random_scm(mk(f'graph "full" class=admg {{\n{names}\n}}\n'), seed=0)
+    with pytest.raises(DomainTooLarge, match="do-table"):
+        interventional_table(scm, {"V0": 0, "V1": 1})
+    assert not any(isinstance(k, tuple) and k[0] == "do" for k in scm._cache)
+
+
+def _fig3_scm():
+    _, madmgs = _first_graphs("fig3")
+    return random_scm(madmgs[0], seed=0)
+
+
+@pytest.mark.parametrize(
+    "read, error",
+    [
+        (lambda: exact_tables(random_scm(mk(MCAR_SRC)))[0].prob({"X": -1}), EvaluationError),
+        (lambda: exact_tables(random_scm(mk(MCAR_SRC)))[0].prob({"X": 2}), EvaluationError),
+        (lambda: exact_tables(random_scm(mk(MCAR_SRC)))[1].prob({"X*": 3}), EvaluationError),
+        (lambda: exact_tables(random_scm(mk(MCAR_SRC)))[0].prob({"Q": 0}), UnknownVertex),
+        (lambda: interventional_table(_fig3_scm(), {"X1": -1, "X2": -1}), EvaluationError),
+        (lambda: interventional_table(_fig3_scm(), {"X1": 2, "X2": 0}), EvaluationError),
+        (lambda: interventional_table(_fig3_scm(), {"Q": 0}), UnknownVertex),
+        (lambda: interventional_table(_fig3_scm(), {_fig3_scm().latents[0]: 0}), UnknownVertex),
+    ],
+    ids=[
+        "prob-negative-level",
+        "prob-level-at-card",
+        "prob-proxy-beyond-na",
+        "prob-unknown-column",
+        "do-negative-levels",
+        "do-level-at-card",
+        "do-unknown-node",
+        "do-latent",
+    ],
+)
+def test_out_of_domain_reads_raise(read, error):
+    with pytest.raises(error):
+        read()
 
 
 def test_fig2b_compatible_graphs_build(fig2b):
@@ -441,11 +544,18 @@ def test_check_flags_wrong_formulas(name, expr, effect):
 
 
 def _extended(scm, do):
-    """Joint over true values, indicators and proxies under do."""
-    names, probs = _full_array(scm, do)
-    latent = tuple(i for i, n in enumerate(names) if n in scm.latents)
-    probs = probs.sum(axis=latent) if latent else probs
-    names = [n for n in names if n not in scm.latents]
+    """Joint over true values, indicators and proxies under do: the
+    mechanisms multiplied out in one einsum, with a point mass in place of
+    each intervened node's CPT, then Eq. 1 for each proxy."""
+    axis = {n.name: i for i, n in enumerate(scm.nodes)}
+    operands = []
+    for node in scm.nodes:
+        if node.name in do:
+            operands += [np.eye(node.card)[do[node.name]], [axis[node.name]]]
+        else:
+            operands += [node.cpt, [axis[p] for p in node.parents] + [axis[node.name]]]
+    names = [n.name for n in scm.nodes if n.name not in scm.latents]
+    probs = np.einsum(*operands, [axis[n] for n in names], optimize="greedy")
     for v in scm.variables:
         if scm.masked(v):
             k, n = scm.card(v), len(names)
@@ -676,3 +786,32 @@ def test_interventional_evaluator_matches_reference_on_derivations(name, treatme
                     cells = _assert_matches_reference(expr, scm, gr, True)
                     compared += len(cells)
     assert compared > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(("fig2a", "fig2b", "fig3")),
+    st.integers(0, 2),
+    st.integers(0, 3),
+    st.sampled_from(CLUSTERS),
+)
+def test_do_tables_match_an_independent_product(name, graph, seed, treated):
+    """Each do-level of the one-pass builder against the mechanisms multiplied
+    out per assignment; the stacked table is exactly zero off v = do(v)."""
+    _, madmgs = _first_graphs(name)
+    scm = random_scm(madmgs[graph], seed=seed)
+    members = madmgs[graph].clustering.members(treated)
+    for level in itertools.product(*(range(scm.card(v)) for v in members)):
+        do = dict(zip(members, level))
+        want = _extended(scm, do).marginal(scm.variables).probs
+        got = interventional_table(scm, do).probs
+        assert np.max(np.abs(got - want)) <= 1e-12
+    do_vars = tuple(sorted(members))
+    stacked = _do_table(scm, do_vars)
+    assert stacked.variables[:len(do_vars)] == tuple(f"do({v})" for v in do_vars)
+    diagonal = np.ones(stacked.probs.shape, bool)
+    for i, v in enumerate(do_vars):
+        shape = [1] * stacked.probs.ndim
+        shape[i] = shape[stacked.variables.index(v)] = scm.card(v)
+        diagonal &= np.eye(scm.card(v), dtype=bool).reshape(shape)
+    assert np.all(stacked.probs[~diagonal] == 0.0)
