@@ -7,6 +7,8 @@ verdict against exact enumeration over small discrete structural causal
 models.
 """
 
+import importlib as _importlib
+
 from .graphs import (
     Clustering,
     GraphClass,
@@ -66,18 +68,38 @@ from .docalc import (
     replay,
     rule_applicable,
 )
-from .oracle import (
-    DiscreteSCM,
-    DistTable,
-    Grounding,
-    equal_manifest_pair,
-    evaluate,
-    evaluate_interventional,
-    exact_tables,
-    interventional_table,
-    random_scm,
-)
 from .fixtures import fixture_path, fixture_text
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The exact oracle is the only numpy user. Its names load on first access
+# (PEP 562), so graph-level work never imports numpy.
+_ORACLE_NAMES = (
+    "DiscreteSCM",
+    "DistTable",
+    "Grounding",
+    "equal_manifest_pair",
+    "evaluate",
+    "evaluate_interventional",
+    "exact_tables",
+    "interventional_table",
+    "random_scm",
+)
+
+__all__ = sorted(
+    [name for name in dir() if not name.startswith("_")] + ["oracle", *_ORACLE_NAMES]
+)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name != "oracle" and name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # import_module, not ``from . import oracle``: the from-list handling
+    # calls hasattr(package, "oracle"), which would re-enter this hook.
+    module = _importlib.import_module(".oracle", __name__)
+    # bind every name, so later lookups never reach this hook again
+    globals().update({n: getattr(module, n) for n in _ORACLE_NAMES}, oracle=module)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -4,12 +4,14 @@ Exit codes: 0 success (including positive verdicts), 1 computed negative
 verdict (not recoverable, not derived, incompatible, replay failure, oracle
 mismatch), 2 input or usage error. All structured output goes to stdout,
 diagnostics to stderr. Outputs are byte-identical across runs for the same
-inputs; ``MCDMG_SEED`` overrides the default seed.
+inputs; ``MCDMG_SEED`` overrides the default seed. Only ``oracle`` and
+``simulate`` import numpy and the exact oracle.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
@@ -18,22 +20,23 @@ import os
 import sys
 from typing import Optional
 
-import numpy as np
-
-from . import fixtures, oracle
+from . import fixtures
 from .abstraction import Budget, enumerate_compatible, is_compatible, merge_indicators
 from .docalc import Derivation, NotDerived, recover_effect, replay, residual_masked_symbols
-from .errors import BudgetTooSmall, McdmgError
+from .errors import BudgetTooSmall, InvalidSeed, McdmgError
 from .expressions import latex, render
 from .gfiles import emit_dot, emit_graph, emit_json, parse_graph
 from .graphs import validate
-from .oracle import Grounding, exact_tables, random_scm
 from .recovery import check_joint
 from .separation import MutilationSpec, active_path, mutilate
 
 _FIXTURE_HINT = "bundled fixtures: " + ", ".join(
     f"{n}.mcg" for n in fixtures.NAMES
 )
+
+# `simulate` draws and writes this many rows at a time, so its arrays stay
+# bounded whatever --rows asks for.
+SIMULATE_BLOCK = 65536
 
 
 def _dump(obj) -> None:
@@ -85,7 +88,10 @@ def _tolerance(text: str) -> float:
 def default_seed(args_seed: Optional[int]) -> int:
     if args_seed is not None:
         return args_seed
-    return int(os.environ.get("MCDMG_SEED", "0"))
+    text = os.environ.get("MCDMG_SEED", "0")
+    if not text.isdecimal():
+        raise InvalidSeed(f"MCDMG_SEED must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +248,8 @@ def cmd_replay(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import Grounding, check, random_scm
+
     abstract = _read_graph(args.file)
     seed = default_seed(args.seed)
     effect = args.query
@@ -272,7 +280,7 @@ def cmd_oracle(args) -> int:
         for s in range(args.seeds):
             scm = random_scm(madmg, seed=seed + s)
             grounding = Grounding.from_scm(scm, abstract=abstract)
-            _, errors = oracle.check(expr, scm, grounding, effect)
+            _, errors = check(expr, scm, grounding, effect)
             for env_vals, err in sorted(errors.items()):
                 max_err = max(max_err, err)
                 if err > args.tol:
@@ -291,6 +299,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # the oracle before numpy: this order gives the process a lower peak RSS
+    from .oracle import exact_tables, random_scm
+    import numpy as np
+
     g = _read_graph(args.file)
     madmg = next(enumerate_compatible(g)) if g.graph_class.clustered else g
     seed = default_seed(args.seed)
@@ -298,24 +310,22 @@ def cmd_simulate(args) -> int:
     _, manifest = exact_tables(scm)
     rng = np.random.default_rng(seed)
     flat = manifest.probs.reshape(-1)
-    rows = rng.choice(flat.size, size=args.rows, p=flat / flat.sum())
-    idx = np.unravel_index(rows, manifest.probs.shape)
-
+    p = flat / flat.sum()
+    # the value a proxy column takes when its variable is missing, per column
     proxies = {scm.proxy_name(v): scm.card(v) for v in scm.variables if scm.masked(v)}
-    out_fh = open(args.out, "w", newline="") if args.out else None
-    writer = csv.writer(out_fh if out_fh else sys.stdout)
-    writer.writerow(manifest.variables)
-    for r in range(args.rows):
-        record = []
-        for col, values in zip(manifest.variables, idx):
-            v = int(values[r])
-            if col in proxies and v == proxies[col]:
-                record.append("NA")
-            else:
-                record.append(v)
-        writer.writerow(record)
-    if out_fh:
-        out_fh.close()
+    na_codes = [proxies.get(col) for col in manifest.variables]
+
+    out = open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        writer = csv.writer(fh)
+        writer.writerow(manifest.variables)
+        # choice() reads one uniform per row, so drawing block by block
+        # yields the same rows as one draw of --rows
+        for start in range(0, args.rows, SIMULATE_BLOCK):
+            rows = rng.choice(flat.size, size=min(SIMULATE_BLOCK, args.rows - start), p=p)
+            idx = np.unravel_index(rows, manifest.probs.shape)
+            for record in zip(*(col.tolist() for col in idx)):
+                writer.writerow(["NA" if v == na else v for v, na in zip(record, na_codes)])
     return 0
 
 
@@ -396,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-edges", type=_positive_int, default=12)
     sp.add_argument("--graphs", type=_positive_int, default=20)
     sp.add_argument("--seeds", type=_positive_int, default=100)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=_count, default=None)
     sp.add_argument("--tol", type=_tolerance, default=1e-9)
     sp.add_argument("--query", type=_query, default="joint",
                     help="'joint' or 'effect:<CX>:<CY>'")
@@ -405,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
              "mcdmg simulate fig1a --rows 20 --seed 1")
     sp.add_argument("file")
     sp.add_argument("--rows", type=_count, default=100)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=_count, default=None)
     sp.add_argument("--out", default=None)
 
     return p

@@ -80,3 +80,7 @@ class PositivityError(McdmgError):
 
 class DepthNonPositive(McdmgError):
     """Search depth must be at least 1."""
+
+
+class InvalidSeed(McdmgError):
+    """A seed must be an integer >= 0."""

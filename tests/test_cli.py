@@ -269,13 +269,32 @@ def test_simulate_cluster_graph():
 
 @pytest.mark.parametrize(
     "args",
-    [["enumerate", fig("fig1c"), "--limit", "-1"], ["simulate", fig("fig1a"), "--rows", "-1"]],
-    ids=["enumerate-negative-limit", "simulate-negative-rows"],
+    [
+        ["enumerate", fig("fig1c"), "--limit", "-1"],
+        ["simulate", fig("fig1a"), "--rows", "-1"],
+        ["simulate", fig("fig1a"), "--rows", "2", "--seed", "-1"],
+        ["oracle", fig("fig2b"), "--graphs", "1", "--seeds", "1", "--seed", "-1"],
+    ],
+    ids=["enumerate-negative-limit", "simulate-negative-rows", "simulate-negative-seed",
+         "oracle-negative-seed"],
 )
 def test_negative_count_exit_2(args):
     code, out, err = run(*args)
     assert code == 2 and out == ""
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", ""])
+@pytest.mark.parametrize("command", [["simulate", "fig1a"], ["oracle", "fig2b", "--graphs", "1", "--seeds", "1"]])
+def test_bad_env_seed_exit_2(command, value):
+    import os
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "mcdmg.cli", *command],
+        capture_output=True, text=True, env=dict(os.environ, MCDMG_SEED=value),
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: MCDMG_SEED") and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["enumerate", "oracle"])
@@ -291,6 +310,19 @@ def test_zero_counts():
     assert code == 0 and json.loads(out) == {"count": 0, "graphs": []}
     code, out, _ = run("simulate", fig("fig1a"), "--rows", "0")
     assert code == 0 and out.splitlines() == ["X1,X2,Y1,Y2,Z1,Z2"]
+
+
+def test_simulate_blocks_match_one_draw(monkeypatch, capsys):
+    """Rows drawn in blocks are the rows of one draw, across block boundaries."""
+    from mcdmg import cli
+
+    argv = ["simulate", "fig2a", "--rows", "100", "--seed", "1"]
+    assert cli.main(argv) == 0
+    whole = capsys.readouterr().out
+    monkeypatch.setattr(cli, "SIMULATE_BLOCK", 7)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == whole
+    assert len(whole.splitlines()) == 101 and "NA" in whole
 
 
 def test_simulate_has_na_cells(tmp_path):
@@ -344,6 +376,7 @@ def _cli_runs(path, deriv, t, o):
     yield ["oracle", path, "--graphs", "1", "--seeds", "1"]
     yield ["oracle", path, "--graphs", "1", "--seeds", "1", "--query", f"effect:{t}:{o}"]
     yield ["simulate", path, "--rows", "3"]
+    yield ["simulate", path, "--rows", "3", "--seed", "-1"]
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_QUERIES) + sorted(malformed_graph_texts()))
