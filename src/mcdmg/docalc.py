@@ -16,8 +16,12 @@ proof objects: every step stores the rule, its parameters and the expression
 before and after, and `replay` re-verifies all of it against a graph.
 
 For the duration of one call, the search memoizes the legal moves of each
-distinct term, certificates included, so a term met in many states is checked
-once. `replay` keeps no memo: it re-checks every certificate.
+distinct term, certificates included, and the Marginalize collapse of each
+distinct sum, so a term or sum met in many states is checked once. A
+successor rebuilds and re-normalises only the path from the root to the
+rewritten node: the other subtrees are canonical already and are shared with
+the state it came from. `replay` keeps no memo: it re-checks every
+certificate.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ from .expressions import (
     Sum,
     Term,
     _children,
+    _normal,
+    _rebuild,
     canonical,
     chain_split,
     expand_total_probability,
@@ -44,7 +50,6 @@ from .expressions import (
     marginalize,
     proxy,
     render,
-    replace_term,
     rzero,
     symbols_of,
     term,
@@ -353,21 +358,17 @@ def _swap_proxy(t: Term, a: Atom) -> Term:
     return Term(outs, t.do, cond)
 
 
-def _sum_moves(e: Expr):
-    """Marginalize moves over any collapsible sum node."""
-    moves = []
+def _sum_moves(s: Sum):
+    """The Marginalize move of one sum, if it collapses."""
+    try:
+        return [("Marginalize", (), None, marginalize(s))]
+    except (TypeError, ValueError):
+        return []
 
-    def visit(x: Expr):
-        if isinstance(x, Sum):
-            try:
-                moves.append((x, marginalize(x)))
-            except (TypeError, ValueError):
-                pass
-        for sub in _children(x):
-            visit(sub)
 
-    visit(e)
-    return moves
+def _node_moves(g: MixedGraph, x: Expr):
+    """Candidate rewrites of one term (`_term_moves`) or one sum (`_sum_moves`)."""
+    return _term_moves(g, x) if isinstance(x, Term) else _sum_moves(x)
 
 
 def recover_effect(
@@ -384,8 +385,9 @@ def recover_effect(
     clusters only through proxies guarded by their R=0 literals. Failure is
     reported as NotDerived: the criterion is sound, not complete.
 
-    Each distinct term's legal moves are computed once per call and kept in a
-    dict that lives as long as the search.
+    Each distinct term's legal moves and each distinct sum's collapse are
+    computed once per call and kept in a dict that lives as long as the
+    search.
     """
     if depth < 1:
         raise DepthNonPositive("depth must be >= 1")
@@ -421,52 +423,95 @@ def recover_effect(
     return NotDerived(query, depth, explored)
 
 
+def _rewritable(e: Expr) -> Tuple[Expr, ...]:
+    """Each distinct term, then each distinct sum, at its first pre-order
+    occurrence: the nodes whose rewrites make successors."""
+    terms, sums = [], []
+
+    def visit(x: Expr):
+        if isinstance(x, Term):
+            terms.append(x)
+            return
+        if isinstance(x, Sum):
+            sums.append(x)
+        for sub in _children(x):
+            visit(sub)
+
+    visit(e)
+    return (*dict.fromkeys(terms), *dict.fromkeys(sums))
+
+
 def _candidates(expr: Expr, moves):
     """Every candidate move of an expression, in the fixed rule order.
 
-    ``moves(t)`` gives the ``(rule, params, check, replacement)`` moves of
-    each term; TotalProb moves over a cluster that occurs elsewhere in the
-    expression are dropped. Yields ``(rule, params, check, rewrite)`` with
-    ``rewrite`` the ``(old, new)`` node replacement that makes the successor;
-    a Marginalize move has no check. The search and replay share this
-    generator.
+    ``moves(x)`` gives the ``(rule, params, check, replacement)`` moves of
+    each `_rewritable` node; TotalProb moves over a cluster that occurs
+    elsewhere in the expression are dropped. Yields ``(rule, params, check,
+    rewrite)`` with ``rewrite`` the ``(old, new)`` node replacement that
+    makes the successor; a Marginalize move has no check. A later occurrence
+    of an equal node would only repeat the first one's successors. The search
+    and replay share this generator.
     """
     used = {a.ref for a in symbols_of(expr)}
-    for t in terms_of(expr):
-        for rule, params, check, replacement in moves(t):
+    for x in _rewritable(expr):
+        for rule, params, check, replacement in moves(x):
             if rule != "TotalProb" or params[0][1] not in used:
-                yield rule, params, check, (t, replacement)
-    for old, new in _sum_moves(expr):
-        yield "Marginalize", (), None, (old, new)
+                yield rule, params, check, (x, replacement)
 
 
 def _successor(expr: Expr, rewrite) -> Expr:
+    """``canonical(replace_term(expr, old, new))`` for a canonical ``expr``
+    and ``old`` its first occurrence of that node.
+
+    ``old`` is found by identity, and only the nodes on the path from the
+    root to it are rebuilt and normalised: every other subtree is canonical
+    already. ``new`` is brought into canonical form here.
+    """
     old, new = rewrite
-    return canonical(replace_term(expr, old, new))
+    new = canonical(new)
+
+    def go(x: Expr) -> Optional[Expr]:
+        if x is old:
+            return new
+        if isinstance(x, Term):
+            return None
+        subs = _children(x)
+        for i, sub in enumerate(subs):
+            out = go(sub)
+            if out is not None:
+                return _normal(_rebuild(x, (*subs[:i], out, *subs[i + 1 :])))
+        return None
+
+    out = go(expr)
+    if out is None:
+        raise UnknownVertex("term to replace not found in expression")
+    return out
 
 
-def _legal_moves(g: MixedGraph, t: Term):
-    """A term's moves whose certificate holds, with the certificate in place
-    of the separation statement (None for an algebraic move)."""
+def _legal_moves(g: MixedGraph, x: Expr):
+    """The moves of a term or sum whose certificate holds, with the
+    certificate in place of the separation statement (None for an algebraic
+    move) and the replacement in canonical form."""
     out = []
-    for rule, params, sep, replacement in _term_moves(g, t):
+    for rule, params, sep, replacement in _node_moves(g, x):
         cert = None if sep is None else rule_applicable(g, rule, *sep)
         if cert is None or cert.holds:
-            out.append((rule, params, cert, replacement))
+            out.append((rule, params, cert, canonical(replacement)))
     return out
 
 
 def _expand(g: MixedGraph, expr: Expr, legal: dict):
     """All legal successor states of a canonical expression, in deterministic order.
 
-    ``legal`` maps each term met so far in the search to its `_legal_moves`;
-    a term seen for the first time is added.
+    ``legal`` maps each term and sum met so far in the search to its
+    `_legal_moves`; a node seen for the first time is added.
     """
 
-    def moves(t: Term):
-        if t not in legal:
-            legal[t] = _legal_moves(g, t)
-        return legal[t]
+    def moves(x: Expr):
+        found = legal.get(x)
+        if found is None:
+            found = legal[x] = _legal_moves(g, x)
+        return found
 
     out = []
     for rule, params, cert, rewrite in _candidates(expr, moves):
@@ -516,7 +561,7 @@ def replay(g: MixedGraph, d: Derivation) -> ReplayResult:
                 (rule, params) == (step.rule, step.params)
                 and _statement(rule, sep) == statement
                 and _successor(current, rewrite) == after
-                for rule, params, sep, rewrite in _candidates(current, lambda t: _term_moves(g, t))
+                for rule, params, sep, rewrite in _candidates(current, lambda x: _node_moves(g, x))
             ):
                 return ReplayResult(False, i, "rewrite is not canonical-form-checkable")
         except (UnknownVertex, OverlappingSets) as exc:

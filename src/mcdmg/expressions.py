@@ -9,8 +9,9 @@ structural equality stands in for algebraic equality of rewrites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Tuple, Union
+from dataclasses import dataclass, field
+from operator import is_
+from typing import FrozenSet, Iterable, NamedTuple, Optional, Tuple, Union
 
 from .errors import (
     MissingIndicatorLiteral,
@@ -25,9 +26,12 @@ PROXY = "proxy"
 RZERO = "rzero"
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
-    """One symbol: a cluster value, its proxy, or an indicator pinned to 0."""
+class Atom(NamedTuple):
+    """One symbol: a cluster value, its proxy, or an indicator pinned to 0.
+
+    A named tuple, so hashing, equality and the ``(kind, ref)`` order are
+    the tuple's own.
+    """
 
     kind: str
     ref: str
@@ -66,13 +70,42 @@ def rzero(indicator: str) -> Atom:
     return Atom(RZERO, indicator)
 
 
-@dataclass(frozen=True)
+# Each node caches its hash, and a term also its sort key, in slots that take
+# no part in ``==`` or ``repr``: a subtree shared between search states is
+# hashed once, and a term's atom sets are sorted once. The other nodes' sort
+# keys are rebuilt from their terms' keys: caching those too measured no faster
+# and held more memory. The slots keep nodes free of a ``__dict__``.
+def _cache():
+    return field(default=None, init=False, repr=False, compare=False)
+
+
+def _store_hash(node, parts: tuple) -> int:
+    """Cache ``hash(parts)`` on the node (a hash of 0 is just recomputed)."""
+    h = hash(parts)
+    object.__setattr__(node, "_hash", h)
+    return h
+
+
+def _reduce(self):
+    # rebuilt from its fields, so no hash cached under one process's string
+    # hashing reaches another process
+    return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
+@dataclass(frozen=True, slots=True)
 class Term:
     """``P(outcomes | do(do_set), cond)``; all three are atom sets."""
 
     outcomes: FrozenSet[Atom]
     do: FrozenSet[Atom] = frozenset()
     cond: FrozenSet[Atom] = frozenset()
+    _hash: Optional[int] = _cache()
+    _key: Optional[tuple] = _cache()
+
+    def __hash__(self) -> int:
+        return self._hash or _store_hash(self, (Term, self.outcomes, self.do, self.cond))
+
+    __reduce__ = _reduce
 
     def __post_init__(self):
         if self.do & self.cond:
@@ -84,26 +117,44 @@ class Term:
         return Term(frozenset(d["outcomes"]), frozenset(d["do"]), frozenset(d["cond"]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sum:
     """Sum of the body over all valuations of the bound cluster symbol."""
 
     bound: Atom
     body: "Expr"
+    _hash: Optional[int] = _cache()
+
+    def __hash__(self) -> int:
+        return self._hash or _store_hash(self, (Sum, self.bound, self.body))
+
+    __reduce__ = _reduce
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Product:
     factors: Tuple["Expr", ...]
+    _hash: Optional[int] = _cache()
+
+    def __hash__(self) -> int:
+        return self._hash or _store_hash(self, (Product, self.factors))
+
+    __reduce__ = _reduce
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Quotient:
     num: "Expr"
     den: "Expr"
+    _hash: Optional[int] = _cache()
+
+    def __hash__(self) -> int:
+        return self._hash or _store_hash(self, (Quotient, self.num, self.den))
+
+    __reduce__ = _reduce
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class One:
     pass
 
@@ -120,49 +171,65 @@ def term(outcomes: Iterable[Atom], do: Iterable[Atom] = (), cond: Iterable[Atom]
 # ---------------------------------------------------------------------------
 
 
-def _sort_key(e: Expr):
+def _sort_key(e: Expr) -> tuple:
+    """The place of a factor in a canonical product."""
+    if isinstance(e, Term):
+        key = e._key
+        if key is None:
+            key = (1, tuple(sorted(e.outcomes)), tuple(sorted(e.do)), tuple(sorted(e.cond)))
+            object.__setattr__(e, "_key", key)
+        return key
     if isinstance(e, One):
         return (0,)
-    if isinstance(e, Term):
-        return (1, tuple(sorted(e.outcomes)), tuple(sorted(e.do)), tuple(sorted(e.cond)))
     if isinstance(e, Product):
-        return (2, tuple(_sort_key(f) for f in e.factors))
+        return (2, tuple(map(_sort_key, e.factors)))
     if isinstance(e, Sum):
-        return (3, (e.bound.kind, e.bound.ref), _sort_key(e.body))
+        return (3, e.bound, _sort_key(e.body))
     return (4, _sort_key(e.num), _sort_key(e.den))
 
 
 def canonical(e: Expr) -> Expr:
-    """Normal form: flattened sorted products, ordered sum chains, reduced units."""
+    """Normal form: flattened sorted products, ordered sum chains, reduced units.
+
+    A tree already in normal form is returned as it is, caches included.
+    """
+    if isinstance(e, (One, Term)):
+        return e
+    subs = _children(e)
+    canon = tuple(map(canonical, subs))
+    return _normal(e if all(map(is_, canon, subs)) else _rebuild(e, canon))
+
+
+def _normal(e: Expr) -> Expr:
+    """One level of the normal form, for a node whose children are canonical."""
     if isinstance(e, (One, Term)):
         return e
     if isinstance(e, Product):
         factors = []
         for f in e.factors:
-            cf = canonical(f)
-            if isinstance(cf, Product):
-                factors.extend(cf.factors)
-            elif not isinstance(cf, One):
-                factors.append(cf)
+            if isinstance(f, Product):
+                factors.extend(f.factors)
+            elif not isinstance(f, One):
+                factors.append(f)
         factors.sort(key=_sort_key)
         if not factors:
             return One()
         if len(factors) == 1:
             return factors[0]
+        if len(factors) == len(e.factors) and all(map(is_, factors, e.factors)):
+            return e
         return Product(tuple(factors))
     if isinstance(e, Sum):
-        body = canonical(e.body)
+        body = e.body
         if isinstance(body, Sum) and body.bound < e.bound:
-            inner = canonical(Sum(e.bound, body.body))
-            return Sum(body.bound, inner)
-        return Sum(e.bound, body)
+            return Sum(body.bound, _normal(Sum(e.bound, body.body)))
+        return e
     if isinstance(e, Quotient):
-        num, den = canonical(e.num), canonical(e.den)
-        if isinstance(den, One):
-            return num
-        if num == den:
+        if isinstance(e.den, One):
+            return e.num
+        if e.num == e.den:
             return One()
-        return Quotient(num, den)
+        return e
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -403,16 +470,26 @@ def expr_to_json(e: Expr):
     return {"node": "quotient", "num": expr_to_json(e.num), "den": expr_to_json(e.den)}
 
 
+def _atom_from_json(pair) -> Atom:
+    if not (
+        isinstance(pair, (list, tuple))
+        and len(pair) == 2
+        and pair[0] in (VAL, PROXY, RZERO)
+        and isinstance(pair[1], str)
+    ):
+        raise ValueError(f"not an atom: {pair!r}")
+    return Atom(*pair)
+
+
 def expr_from_json(d) -> Expr:
     node = d["node"]
     if node == "one":
         return One()
     if node == "term":
-        dec = lambda pairs: frozenset(Atom(k, r) for k, r in pairs)
+        dec = lambda pairs: frozenset(map(_atom_from_json, pairs))
         return Term(dec(d["outcomes"]), dec(d["do"]), dec(d["cond"]))
     if node == "sum":
-        k, r = d["bound"]
-        return Sum(Atom(k, r), expr_from_json(d["body"]))
+        return Sum(_atom_from_json(d["bound"]), expr_from_json(d["body"]))
     if node == "product":
         return Product(tuple(expr_from_json(f) for f in d["factors"]))
     if node == "quotient":

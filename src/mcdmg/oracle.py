@@ -653,7 +653,7 @@ def _compiled(
 ) -> _Compiled:
     """The compiled array, memoized in the table's or the SCM's cache."""
     key = ("compiled", expr, id(grounding), scope)
-    hit = source._cache.get(key)  # one lookup: hashing the key walks the tree
+    hit = source._cache.get(key)  # one lookup: the tree's hash is cached on its nodes
     if hit is None:
         # the entry keeps the grounding alive, so its id is not reused
         hit = (grounding, _Compiler(source, grounding, interventional).run(expr, scope))

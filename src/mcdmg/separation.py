@@ -227,10 +227,18 @@ def active_path(
     Xs, Ys, Zs = _check_sets(g, X, Y, Z)
     open_collider = ancestors(g, Zs) if Zs else frozenset()
 
+    moves = {}  # each vertex's moves, sorted once per call
+
+    def moves_of(v: str):
+        out = moves.get(v)
+        if out is None:
+            out = moves[v] = sorted(_moves(g, v))
+        return out
+
     prev = {}
     queue = deque()
     for x in sorted(Xs):
-        for sym, _, mark_in, target in sorted(_moves(g, x)):
+        for sym, _, mark_in, target in moves_of(x):
             state = (target, mark_in)
             if state not in prev:
                 prev[state] = (None, x, sym)
@@ -241,7 +249,7 @@ def active_path(
         v, mark = state
         if v in Ys:
             return _reconstruct(prev, state)
-        for sym, mark_out, mark_in, target in sorted(_moves(g, v)):
+        for sym, mark_out, mark_in, target in moves_of(v):
             if mark == HEAD and mark_out == HEAD:
                 if v not in open_collider:
                     continue

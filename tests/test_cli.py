@@ -175,12 +175,33 @@ def test_recover_effect_cli(tmp_path):
     assert code == 1 and not json.loads(out3)["ok"]
 
 
+def _bogus_kind_derivation():
+    """fig3's derivation with every ``c_CY`` atom given an unknown kind."""
+    code, out, _ = run(
+        "recover-effect", fig("fig3"), "--treatment", "CX", "--outcome", "CY", "--format", "json"
+    )
+    assert code == 0
+
+    def swap(x):
+        if x == ["val", "CY"]:
+            return ["bogus", "CY"]
+        if isinstance(x, list):
+            return [swap(v) for v in x]
+        if isinstance(x, dict):
+            return {k: swap(v) for k, v in x.items()}
+        return x
+
+    doc = json.loads(out)
+    assert swap(doc) != doc
+    return json.dumps(swap(doc))
+
+
 @pytest.mark.parametrize(
-    "text", ["nonsense\n", '{"graph": "x"}\n'], ids=["not-json", "no-steps"]
+    "text", ["nonsense\n", '{"graph": "x"}\n', None], ids=["not-json", "no-steps", "bogus-atom-kind"]
 )
 def test_replay_malformed_derivation_exit_2(tmp_path, text):
     deriv = tmp_path / "bad.json"
-    deriv.write_text(text)
+    deriv.write_text(_bogus_kind_derivation() if text is None else text)
     code, out, err = run("replay", fig("fig3"), str(deriv))
     assert code == 2 and out == ""
     assert "error:" in err and "Traceback" not in err

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 from collections import deque
 from pathlib import Path
 
@@ -18,7 +19,8 @@ from mcdmg import (
 from mcdmg import docalc
 from mcdmg.docalc import residual_masked_symbols
 from mcdmg.errors import DepthNonPositive, OverlappingSets, UnknownVertex
-from mcdmg.expressions import Product, Sum, canonical, proxy, rzero, term, val
+from mcdmg.expressions import Product, Quotient, Sum, canonical, proxy, replace_term, rzero, term, val
+from test_expressions import _preorder, atoms, exprs
 from tests_support import random_cluster_text, search_hashes
 
 
@@ -369,7 +371,8 @@ def test_search_matches_golden_hashes():
 
 def reference_search(g, treatment, outcome, depth):
     """Memo-free breadth-first search: every candidate of every state is
-    checked afresh, in `_candidates` order."""
+    checked afresh, in `_candidates` order, and each successor is rebuilt
+    whole by `replace_term` and `canonical` instead of by `_successor`."""
     query = canonical(term(outcomes={val(outcome)}, do={val(treatment)}))
     seen, frontier, explored = {query}, deque([(query, ())]), 0
     while frontier:
@@ -379,13 +382,13 @@ def reference_search(g, treatment, outcome, depth):
             return Derivation(g.name, query, steps)
         if len(steps) >= depth:
             continue
-        for rule, params, sep, rewrite in docalc._candidates(expr, lambda t: docalc._term_moves(g, t)):
+        for rule, params, sep, rewrite in docalc._candidates(expr, lambda x: docalc._node_moves(g, x)):
             cert = None
             if sep is not None:
                 cert = rule_applicable(g, rule, *sep)
                 if not cert.holds:
                     continue
-            nxt = docalc._successor(expr, rewrite)
+            nxt = canonical(replace_term(expr, *rewrite))
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append((nxt, steps + (docalc.Step(rule, params, expr, nxt, cert),)))
@@ -413,9 +416,56 @@ def test_search_checks_each_term_once(fig2a, monkeypatch):
         checks.append((terms[-1], rule, *(frozenset(s) for s in sets)))
         return rule_applicable(g, rule, *sets)
 
+    sums, offered = [], []
+    marginalize, rewritable = docalc.marginalize, docalc._rewritable
+
+    def counted_marginalize(s):
+        sums.append(s)
+        return marginalize(s)
+
+    def counted_rewritable(e):
+        nodes = rewritable(e)
+        offered.extend(x for x in nodes if isinstance(x, Sum))
+        return nodes
+
     monkeypatch.setattr(docalc, "_term_moves", counted_moves)
     monkeypatch.setattr(docalc, "rule_applicable", counted_rule)
+    monkeypatch.setattr(docalc, "marginalize", counted_marginalize)
+    monkeypatch.setattr(docalc, "_rewritable", counted_rewritable)
     assert isinstance(recover_effect(fig2a, {"CX"}, {"CY"}, depth=8), Derivation)
     assert checks and len(set(terms)) == len(terms)
     assert len(set(checks)) == len(checks)
+    assert sums and len(set(sums)) == len(sums)
+
+    # fig2a's search meets each sum in one state only; on the sixth random
+    # graph of the golden corpus sums recur, and still collapse once each
+    rng = random.Random(20261018)
+    for _ in range(6):
+        g = parse_graph(random_cluster_text(rng))
+        treatment, outcome = rng.sample(sorted(g.clusters), 2)
+    sums.clear()
+    offered.clear()
+    recover_effect(g, {treatment}, {outcome}, depth=5)
+    assert len(offered) > len(set(offered)) == len(sums) == len(set(sums))
+
+
+# trees with equal subtrees in several places, so that the node a rewrite
+# replaces may have later equal occurrences
+_t = term([val("A")], cond=[val("B")])
+_repeating = st.one_of(
+    exprs,
+    st.builds(lambda x: Product((x, x)), exprs),
+    st.builds(lambda a, x: Product((Sum(a, x), Sum(a, x))), atoms, exprs),
+    st.builds(lambda a, x: Quotient(Sum(a, Product((x, _t))), Product((_t, Sum(a, x)))), atoms, exprs),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_repeating, exprs, st.data())
+def test_successor_matches_whole_rebuild(e, new, data):
+    c = canonical(e)
+    nodes = list(_preorder(c))
+    firsts = [x for i, x in enumerate(nodes) if nodes.index(x) == i]
+    old = data.draw(st.sampled_from(firsts))
+    assert docalc._successor(c, (old, new)) == canonical(replace_term(c, old, new))
 

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from mcdmg.expressions import (
     Quotient,
     Sum,
     Term,
+    _sort_key,
     apply_proxy,
     bound_symbols,
     canonical,
@@ -260,3 +263,58 @@ def test_identity_rewrites_keep_the_tree(e):
 def test_canonical_is_idempotent(e):
     once = canonical(e)
     assert canonical(once) == once
+
+
+# -- node contracts ------------------------------------------------------------
+
+
+@given(exprs)
+def test_equal_nodes_hash_equal(e):
+    twin = expr_from_json(expr_to_json(e))  # equal, built apart, nothing cached
+    hash(e)  # e's hashes are cached before it is embedded below
+    assert twin == e and hash(twin) == hash(e)
+    wrap = lambda x: Sum(val("A"), Product((x, q([val("B")]))))
+    assert hash(wrap(e)) == hash(wrap(twin))
+    assert {wrap(e): 1}[wrap(twin)] == 1
+
+
+def test_cache_fields_stay_out_of_eq_repr_and_json():
+    e = Sum(val("A"), Product((q([val("B")], cond=[val("A")]), q([val("A")]))))
+    twin = expr_from_json(expr_to_json(e))
+    hash(e)
+    _sort_key(e)
+    t, twin_t = e.body.factors[0], twin.body.factors[0]
+    assert e._hash is not None and t._key is not None
+    assert twin._hash is None and twin_t._key is None
+    assert e == twin and repr(e) == repr(twin) and expr_to_json(e) == expr_to_json(twin)
+    assert "_hash" not in repr(e) and "_key" not in repr(e)
+    assert not any(hasattr(x, "__dict__") for x in _preorder(e))
+    # a copy is rebuilt from its fields and carries no cached hash
+    again = pickle.loads(pickle.dumps(e))
+    assert again == e and again._hash is None
+
+
+@given(st.lists(atoms))
+def test_atoms_sort_by_kind_then_ref(xs):
+    assert sorted(xs) == sorted(xs, key=lambda a: (a.kind, a.ref))
+
+
+def test_atom_fields_and_rendering():
+    a = Atom(PROXY, "C_X")
+    assert (a.kind, a.ref) == (PROXY, "C_X") and a == proxy("C_X")
+    assert (a.render(), a.render_latex()) == ("c_C_X*", "c_{C_X}^{*}")
+    assert (val("CY").render(), val("CY").render_latex()) == ("c_CY", "c_{CY}")
+    assert (rzero("R_CY").render(), rzero("R_CY").render_latex()) == ("R_CY=0", "R_{CY}{=}0")
+
+
+@pytest.mark.parametrize(
+    "atom",
+    [["bogus", "CY"], ["val"], ["val", "CY", "CZ"], "val", ["val", 3], None],
+    ids=["unknown-kind", "short", "long", "string", "non-string-ref", "null"],
+)
+def test_json_rejects_malformed_atoms(atom):
+    doc = expr_to_json(Sum(val("CY"), q([val("CY")], cond=[val("CX")])))
+    with pytest.raises(ValueError):
+        expr_from_json({**doc, "bound": atom})
+    with pytest.raises(ValueError):
+        expr_from_json({**doc["body"], "cond": [atom]})
