@@ -105,9 +105,7 @@ def project(
 
     directed = set()
     bidirected = set()
-    for a, b in madmg.directed:
-        if madmg.kind(b) is Kind.PROXY:
-            continue
+    for a, b in madmg.declared_directed:
         pa = _project_endpoint(a, madmg, clustering, level)
         pb = _project_endpoint(b, madmg, clustering, level)
         directed.add((pa, pb))
@@ -155,21 +153,11 @@ def merge_indicators(mcdmg: MixedGraph) -> MixedGraph:
         cluster = clustering.cluster_of[mcdmg.vertex(r).owner]
         group[r] = _merged_indicator_id(cluster)
 
-    def image(v: str) -> Optional[str]:
-        if mcdmg.kind(v) is Kind.PROXY:
-            return None
+    def image(v: str) -> str:
         return group.get(v, v)
 
-    directed = set()
-    for a, b in mcdmg.directed:
-        ia, ib = image(a), image(b)
-        if ia is None or ib is None:
-            continue
-        directed.add((ia, ib))
-    bidirected = set()
-    for a, b in mcdmg.bidirected:
-        ia, ib = image(a), image(b)
-        bidirected.add(tuple(sorted((ia, ib))))
+    directed = {(image(a), image(b)) for a, b in mcdmg.declared_directed}
+    bidirected = {tuple(sorted((image(a), image(b)))) for a, b in mcdmg.bidirected}
 
     masked = sorted({group[r] for r in mcdmg.indicators})
     verts = [Vertex(c, Kind.CLUSTER) for c in mcdmg.clusters]
@@ -192,16 +180,10 @@ def merge_indicators(mcdmg: MixedGraph) -> MixedGraph:
 
 
 def _edge_set(g: MixedGraph) -> frozenset:
-    """Non-proxy edges as ("->"|"<->", a, b) triples, bidirected sorted."""
-    proxies = set(g.proxies)
-    out = set()
-    for a, b in g.directed:
-        if b in proxies or a in proxies:
-            continue
-        out.add(("->", a, b))
-    for a, b in g.bidirected:
-        out.add(("<->", a, b))
-    return frozenset(out)
+    """Declared edges as ("->"|"<->", a, b) triples, bidirected sorted."""
+    return frozenset(
+        [("->", a, b) for a, b in g.declared_directed] + [("<->", a, b) for a, b in g.bidirected]
+    )
 
 
 def _indicator_keys(g: MixedGraph) -> frozenset:

@@ -42,13 +42,13 @@ from .expressions import (
     _children,
     _normal,
     _rebuild,
+    _swap_proxy,
     canonical,
     chain_split,
     expand_total_probability,
     expr_from_json,
     expr_to_json,
     marginalize,
-    proxy,
     render,
     rzero,
     symbols_of,
@@ -57,7 +57,7 @@ from .expressions import (
     val,
 )
 from .graphs import Kind, MixedGraph
-from .separation import MutilationSpec, d_separated, descendants, mutilate
+from .separation import MutilationSpec, ancestors, d_separated, mutilate
 
 
 @dataclass(frozen=True)
@@ -122,10 +122,10 @@ def rule_applicable(
     elif rule == "R2":
         spec = MutilationSpec.of(overline=Zs, underline=Xs)
     elif rule == "R3":
+        # the X that are not ancestors of W in the graph without edges into Z
         base = mutilate(g, MutilationSpec.of(overline=Zs))
-        xw = tuple(
-            x for x in Xs if not (descendants(base, {x}) & set(Ws))
-        )
+        above_w = ancestors(base, Ws)
+        xw = tuple(x for x in Xs if x not in above_w)
         spec = MutilationSpec.of(overline=tuple(sorted(set(Zs) | set(xw))))
     else:
         raise ValueError(f"unknown rule {rule!r}")
@@ -333,7 +333,7 @@ def _term_moves(g: MixedGraph, t: Term):
         if a.kind == VAL and a.ref in masked:
             need = {rzero(r) for r in g.indicators_of_cluster(a.ref)}
             if need <= (t.outcomes | t.cond):
-                yield "ProxyEq1", (("target", a.ref),), None, _swap_proxy(t, a)
+                yield "ProxyEq1", (("target", a.ref),), None, _swap_proxy(t, a.ref)
     # TotalProb: introduce an adjacent cluster into a do-carrying term
     if t.do:
         adjacent = set()
@@ -349,13 +349,6 @@ def _term_moves(g: MixedGraph, t: Term):
         for a in sorted(t.outcomes):
             if a.kind != RZERO:
                 yield "ChainRule", (("split", a.render()),), None, chain_split(t, a)
-
-
-def _swap_proxy(t: Term, a: Atom) -> Term:
-    p = proxy(a.ref)
-    outs = frozenset(p if x == a else x for x in t.outcomes)
-    cond = frozenset(p if x == a else x for x in t.cond)
-    return Term(outs, t.do, cond)
 
 
 def _sum_moves(s: Sum):

@@ -321,6 +321,15 @@ def indicators_for(g: MixedGraph, cluster: str) -> Tuple[str, ...]:
     return rs
 
 
+def _swap_proxy(t: Term, target: str) -> Term:
+    """The term with the target's true-value symbol read through its proxy
+    in outcomes and conditions; do-sets keep the true variable."""
+    tv, tp = val(target), proxy(target)
+    outs = frozenset(tp if a == tv else a for a in t.outcomes)
+    cond = frozenset(tp if a == tv else a for a in t.cond)
+    return Term(outs, t.do, cond)
+
+
 def apply_proxy(e: Expr, target: str, g: MixedGraph) -> Expr:
     """Replace a partially observed symbol by its proxy where licensed.
 
@@ -329,7 +338,7 @@ def apply_proxy(e: Expr, target: str, g: MixedGraph) -> Expr:
     stay untouched (interventions set the true variable).
     """
     need = {rzero(r) for r in indicators_for(g, target)}
-    tv, tp = val(target), proxy(target)
+    tv = val(target)
 
     def fix(t: Term) -> Term:
         if tv not in (t.outcomes | t.cond):
@@ -339,9 +348,7 @@ def apply_proxy(e: Expr, target: str, g: MixedGraph) -> Expr:
             raise MissingIndicatorLiteral(
                 f"substituting {target!r} requires its R=0 literals in the same term"
             )
-        outs = frozenset(tp if a == tv else a for a in t.outcomes)
-        cond = frozenset(tp if a == tv else a for a in t.cond)
-        return Term(outs, t.do, cond)
+        return _swap_proxy(t, target)
 
     if not any(tv in (t.outcomes | t.cond) for t in terms_of(e)):
         raise UnknownVertex(f"{target!r} does not occur outside do-sets")

@@ -144,10 +144,7 @@ def emit_graph(g: MixedGraph) -> str:
         lines.append(f"  var {v}")
     for r in g.indicators:
         lines.append(f"  rvar {r} for {g.vertex(r).owner}")
-    proxy_ids = set(g.proxies)
-    for a, b in sorted(g.directed):
-        if b in proxy_ids:
-            continue
+    for a, b in sorted(g.declared_directed):
         lines.append(f"  edge {a} -> {b}")
     for a, b in sorted(g.bidirected):
         lines.append(f"  edge {a} <-> {b}")

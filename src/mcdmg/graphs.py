@@ -19,7 +19,7 @@ Conventions
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple
@@ -139,6 +139,11 @@ class MixedGraph:
     Directed edges are ordered pairs; bidirected edges are stored as sorted
     pairs. ``clustering`` is present for the cluster classes and optionally on
     m-ADMGs that were generated relative to a clustering.
+
+    Adjacency and the proxy wiring are derived here and nowhere else: the
+    neighbour sets of every vertex are built once per graph and returned as
+    they are by `parents`, `children` and `spouses`, and `declared_directed`
+    holds the directed edges without the edges into proxies.
     """
 
     name: str
@@ -242,47 +247,47 @@ class MixedGraph:
     # -- adjacency --------------------------------------------------------
 
     @cached_property
-    def _out(self) -> dict:
-        out = {v.id: set() for v in self.vertices}
+    def _adjacency(self) -> dict:
+        """Vertex -> (parents, children, spouses), derived once per graph."""
+        adj = {v.id: (set(), set(), set()) for v in self.vertices}
         for a, b in self.directed:
-            out[a].add(b)
-        return out
-
-    @cached_property
-    def _in(self) -> dict:
-        inc = {v.id: set() for v in self.vertices}
-        for a, b in self.directed:
-            inc[b].add(a)
-        return inc
-
-    @cached_property
-    def _bi(self) -> dict:
-        nb = {v.id: set() for v in self.vertices}
+            adj[b][0].add(a)
+            adj[a][1].add(b)
         for a, b in self.bidirected:
-            nb[a].add(b)
-            nb[b].add(a)
-        return nb
+            adj[a][2].add(b)
+            adj[b][2].add(a)
+        return {v: tuple(map(frozenset, sets)) for v, sets in adj.items()}
+
+    def _adjacent(self, vid: str) -> tuple:
+        try:
+            return self._adjacency[vid]
+        except KeyError:
+            raise UnknownVertex(f"unknown vertex {vid!r}") from None
 
     def parents(self, vid: str) -> frozenset:
-        self.vertex(vid)
-        return frozenset(self._in[vid])
+        """Tails of the directed edges into ``vid`` (itself, on a self-loop)."""
+        return self._adjacent(vid)[0]
 
     def children(self, vid: str) -> frozenset:
-        self.vertex(vid)
-        return frozenset(self._out[vid])
+        return self._adjacent(vid)[1]
 
     def spouses(self, vid: str) -> frozenset:
         """Bidirected neighbours."""
-        self.vertex(vid)
-        return frozenset(self._bi[vid])
+        return self._adjacent(vid)[2]
 
     def neighbors(self, vid: str) -> frozenset:
-        return self.parents(vid) | self.children(vid) | self.spouses(vid)
+        pa, ch, sp = self._adjacent(vid)
+        return pa | ch | sp
 
     def district(self, vid: str) -> frozenset:
         """Connected component of ``vid`` under bidirected edges."""
-        self.vertex(vid)
-        return closure((vid,), self._bi.__getitem__)
+        return closure((vid,), self.spouses)
+
+    @cached_property
+    def declared_directed(self) -> frozenset:
+        """The directed edges a graph file states: all but the proxy wiring."""
+        proxies = set(self.proxies)
+        return frozenset(e for e in self.directed if e[1] not in proxies)
 
     # -- missingness structure ---------------------------------------------
 
@@ -305,15 +310,21 @@ class MixedGraph:
             return self.clustering.cluster_of[v.owner]
         return v.owner  # m-ADMG: the masked variable itself
 
+    @cached_property
+    def _indicators_by_cluster(self) -> dict:
+        out: dict = {}
+        for r in sorted(self.indicators):
+            out.setdefault(self.owner_cluster(r), []).append(r)
+        return {c: tuple(rs) for c, rs in out.items()}
+
     def indicators_of_cluster(self, cluster: str) -> Tuple[str, ...]:
         """All indicators masking (variables of) the given substantive vertex."""
-        out = [r for r in self.indicators if self.owner_cluster(r) == cluster]
-        return tuple(sorted(out))
+        return self._indicators_by_cluster.get(cluster, ())
 
     @cached_property
     def partially_observed(self) -> Tuple[str, ...]:
         """Substantive vertices with at least one indicator, sorted."""
-        return tuple(sorted({self.owner_cluster(r) for r in self.indicators}))
+        return tuple(sorted(self._indicators_by_cluster))
 
     @cached_property
     def fully_observed(self) -> Tuple[str, ...]:
@@ -326,15 +337,6 @@ class MixedGraph:
         if v.kind is not Kind.PROXY:
             raise UnknownVertex(f"{proxy!r} is not a proxy")
         return _anchor_id(self.graph_class, v.owner, self.clustering)
-
-    # -- surgery (used by mutilation, projection) ---------------------------
-
-    def with_edges(self, directed: Iterable, bidirected: Iterable) -> "MixedGraph":
-        return replace(
-            self,
-            directed=frozenset(tuple(e) for e in directed),
-            bidirected=frozenset(tuple(sorted(e)) for e in bidirected),
-        )
 
     def require(self, *vids: str) -> None:
         for vid in vids:
@@ -578,10 +580,8 @@ def as_cluster_graph(g: MixedGraph) -> MixedGraph:
     clustering = Clustering(tuple((v, (v,)) for v in g.variables))
     verts = [Vertex(v, Kind.CLUSTER) for v in g.variables]
     verts += [Vertex(r, Kind.INDICATOR, g.vertex(r).owner) for r in g.indicators]
-    directed = [e for e in g.directed if g.kind(e[1]) is not Kind.PROXY]
-    bidirected = list(g.bidirected)
     return require_valid(
         MixedGraph.build(
-            g.name, target, verts, directed, bidirected, clustering=clustering
+            g.name, target, verts, g.declared_directed, g.bidirected, clustering=clustering
         )
     )

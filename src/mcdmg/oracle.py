@@ -191,10 +191,7 @@ def random_scm(madmg: MixedGraph, seed: int = 0) -> DiscreteSCM:
 def _mechanisms(madmg: MixedGraph) -> Tuple[Tuple[str, ...], Dict[str, Tuple[str, ...]]]:
     """(latents, node -> sorted parents): a mechanism per variable and
     indicator (proxies are deterministic), a latent per bidirected edge."""
-    parents: Dict[str, list] = {n: [] for n in list(madmg.variables) + list(madmg.indicators)}
-    for a, b in sorted(madmg.directed):
-        if madmg.kind(b) is not Kind.PROXY:
-            parents[b].append(a)
+    parents = {n: list(madmg.parents(n)) for n in madmg.variables + madmg.indicators}
     latents = []
     for a, b in sorted(madmg.bidirected):
         lat = _latent_name(a, b)
@@ -459,11 +456,13 @@ class _Compiled:
 
 class _Compiler:
     """Compiles one expression against a manifest table (``evaluate``) or
-    against an SCM's do-tables (``evaluate_interventional`` and ``check``'s truth)."""
+    against an SCM's do-tables (``evaluate_interventional`` and ``check``'s
+    truth); the source's type decides which."""
 
-    def __init__(self, source, grounding: Grounding, interventional: bool):
-        self.source, self.g, self.interventional = source, grounding, interventional
-        self.proxies = {p: v for v, p in grounding.proxy_of.items()} if interventional else {}
+    def __init__(self, source, grounding: Grounding):
+        self.source, self.g = source, grounding
+        self.interventional = isinstance(source, DiscreteSCM)
+        self.proxies = {p: v for v, p in grounding.proxy_of.items()} if self.interventional else {}
         self.axes = []  # member cards per scope axis, sum axes last
         self.sub = []  # sub-axis -> card; the sub-axes of an axis are contiguous
         self.offset = []  # axis -> its first sub-axis
@@ -648,15 +647,13 @@ class _Compiler:
         return np.broadcast_to(arr, full).reshape(shape)
 
 
-def _compiled(
-    expr: Expr, source, grounding: Grounding, scope: Tuple[Atom, ...], interventional: bool
-) -> _Compiled:
+def _compiled(expr: Expr, source, grounding: Grounding, scope: Tuple[Atom, ...]) -> _Compiled:
     """The compiled array, memoized in the table's or the SCM's cache."""
     key = ("compiled", expr, id(grounding), scope)
     hit = source._cache.get(key)  # one lookup: the tree's hash is cached on its nodes
     if hit is None:
         # the entry keeps the grounding alive, so its id is not reused
-        hit = (grounding, _Compiler(source, grounding, interventional).run(expr, scope))
+        hit = (grounding, _Compiler(source, grounding).run(expr, scope))
         source._cache[key] = hit
     return hit[1]
 
@@ -669,11 +666,11 @@ def _check_env(env, grounding: Grounding) -> dict:
     return env
 
 
-def _at_env(expr: Expr, source, grounding: Grounding, env, interventional: bool) -> float:
+def _at_env(expr: Expr, source, grounding: Grounding, env) -> float:
     """One cell of the compiled array: the env's atoms are its scope."""
     env = _check_env(env, grounding)
     scope = tuple(sorted(a for a in env if a.kind != RZERO))
-    compiled = _compiled(expr, source, grounding, scope, interventional)
+    compiled = _compiled(expr, source, grounding, scope)
     cell = []
     for atom, cards in zip(scope, compiled.cards):
         index = 0  # position of the atom's values in Grounding.domain order
@@ -698,7 +695,7 @@ def evaluate(
     observed variable raises EvaluationError; zero-mass conditioning strata
     raise PositivityError.
     """
-    return _at_env(expr, table, grounding, env, interventional=False)
+    return _at_env(expr, table, grounding, env)
 
 
 def evaluate_interventional(
@@ -709,7 +706,7 @@ def evaluate_interventional(
 ) -> float:
     """Evaluate under interventional semantics: do-sets become truncated
     factorizations of the SCM; a proxy at x reads the cells (v = x, R_v = 0)."""
-    return _at_env(expr, scm, grounding, env, interventional=True)
+    return _at_env(expr, scm, grounding, env)
 
 
 def free_atoms(expr: Expr) -> Tuple[Atom, ...]:
@@ -719,10 +716,10 @@ def free_atoms(expr: Expr) -> Tuple[Atom, ...]:
     return tuple(free)
 
 
-def _values(expr: Expr, source, grounding: Grounding, scope: Tuple[Atom, ...], interventional):
+def _values(expr: Expr, source, grounding: Grounding, scope: Tuple[Atom, ...]):
     """The compiled array over the scope's whole domain; raises the error of
     its first failing cell."""
-    compiled = _compiled(expr, source, grounding, scope, interventional)
+    compiled = _compiled(expr, source, grounding, scope)
     if compiled.codes is not None:
         codes = compiled.codes.reshape(-1)
         failed = np.flatnonzero(codes)
@@ -736,13 +733,14 @@ def _cells(atoms: Tuple[Atom, ...], grounding: Grounding, values: np.ndarray) ->
     return dict(zip(itertools.product(*domains), values.reshape(-1).tolist()))
 
 
-def evaluate_all(expr: Expr, table_or_scm, grounding: Grounding, *, interventional=False):
-    """Evaluate over the full domain of the free symbols.
+def evaluate_all(expr: Expr, table_or_scm, grounding: Grounding):
+    """Evaluate over the full domain of the free symbols: on a table like
+    `evaluate`, on a `DiscreteSCM` like `evaluate_interventional`.
 
     Returns (atoms, {value-tuple-assignment: float}).
     """
     atoms = free_atoms(expr)
-    values = _values(expr, table_or_scm, grounding, atoms, interventional)
+    values = _values(expr, table_or_scm, grounding, atoms)
     return atoms, _cells(atoms, grounding, values)
 
 
@@ -769,10 +767,10 @@ def check(
         if all(a.ref != ref for a in atoms):
             atoms += (Atom(VAL, ref),)
     _, manifest = exact_tables(scm)
-    got = _values(expr, manifest, grounding, atoms, False)
+    got = _values(expr, manifest, grounding, atoms)
     scope = tuple(Atom(VAL, a.ref) for a in atoms)
     treated = {a for a in scope if effect and a.ref == effect[0]}
-    want = _values(term(set(scope) - treated, do=treated), scm, grounding, scope, True)
+    want = _values(term(set(scope) - treated, do=treated), scm, grounding, scope)
     return atoms, _cells(atoms, grounding, np.abs(got - want))
 
 

@@ -309,8 +309,8 @@ def construct_witness(g: MixedGraph, violation: Violation) -> MixedGraph:
             ordered.append(("->", b, a))
         else:
             ordered.append(("<->", a, b))
-    for a, b in sorted(g.directed):
-        if a != b and g.kind(b) is not Kind.PROXY and ("->", a, b) not in ordered:
+    for a, b in sorted(g.declared_directed):
+        if a != b and ("->", a, b) not in ordered:
             ordered.append(("->", a, b))
     for a, b in sorted(g.bidirected):
         if ("<->", a, b) not in ordered and ("<->", b, a) not in ordered:

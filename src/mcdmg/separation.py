@@ -13,7 +13,7 @@ first or tail end first) and never occur on simple paths.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import FrozenSet, Iterable, Optional, Tuple
 
 from .errors import EmptyWalk, OverlappingSets, UnknownVertex
@@ -114,16 +114,12 @@ def descendants(g: MixedGraph, sources: Iterable[str]) -> FrozenSet[str]:
 
     Well defined under cycles: this is the fixed point of one-step expansion.
     """
-    sources = tuple(sources)
-    g.require(*sources)
-    return closure(sources, g._out.__getitem__)
+    return closure(sources, g.children)
 
 
 def ancestors(g: MixedGraph, targets: Iterable[str]) -> FrozenSet[str]:
     """All vertices with a directed path into ``targets``, inclusive."""
-    targets = tuple(targets)
-    g.require(*targets)
-    return closure(targets, g._in.__getitem__)
+    return closure(targets, g.parents)
 
 
 def mutilate(g: MixedGraph, spec: MutilationSpec) -> MixedGraph:
@@ -139,20 +135,12 @@ def mutilate(g: MixedGraph, spec: MutilationSpec) -> MixedGraph:
             raise UnknownVertex(f"proxy {vid!r} cannot be mutilated")
     if spec.empty:
         return g
-    directed = []
-    for a, b in g.directed:
-        if g.kind(b) is Kind.PROXY:
-            directed.append((a, b))
-            continue
-        if b in spec.remove_incoming or a in spec.remove_outgoing:
-            continue
-        directed.append((a, b))
-    bidirected = [
-        (a, b)
-        for a, b in g.bidirected
-        if a not in spec.remove_incoming and b not in spec.remove_incoming
-    ]
-    return g.with_edges(directed, bidirected)
+    over, under = spec.remove_incoming, spec.remove_outgoing
+    directed = g.directed.difference(
+        (a, b) for a, b in g.declared_directed if b in over or a in under
+    )
+    bidirected = frozenset((a, b) for a, b in g.bidirected if a not in over and b not in over)
+    return replace(g, directed=directed, bidirected=bidirected)
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +186,11 @@ def _check_sets(g: MixedGraph, xs, ys, zs) -> Tuple[frozenset, frozenset, frozen
 
 def _moves(g: MixedGraph, v: str):
     """Oriented edge traversals leaving v: (symbol, mark@v, mark@target, target)."""
-    for b in g._out[v]:
+    for b in g.children(v):
         yield FORWARD, TAIL, HEAD, b
-        if b == v:
-            yield BACKWARD, HEAD, TAIL, v
-    for a in g._in[v]:
-        if a != v:
-            yield BACKWARD, HEAD, TAIL, a
-    for u in g._bi[v]:
+    for a in g.parents(v):
+        yield BACKWARD, HEAD, TAIL, a
+    for u in g.spouses(v):
         yield BOTH, HEAD, HEAD, u
 
 

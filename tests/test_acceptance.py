@@ -132,7 +132,7 @@ def _eval_by_cluster(expr, scm, grounding):
     A proxy substitution step renames the atom (value -> proxy) but ranges
     over the same cluster valuations, so equality is checked per valuation.
     """
-    atoms, cells = evaluate_all(expr, scm, grounding, interventional=True)
+    atoms, cells = evaluate_all(expr, scm, grounding)
     refs = [a.ref for a in atoms]
     assert len(set(refs)) == len(refs)
     keyed = {tuple(v for _, v in sorted(zip(refs, vals))): got for vals, got in cells.items()}

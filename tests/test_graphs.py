@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,7 +20,7 @@ from mcdmg import (
 )
 from mcdmg.errors import ParseError, UnknownVertex, ValidationError, WrongGraphClass
 from mcdmg.graphs import closure, topological_order
-from tests_support import random_cluster_text
+from tests_support import graph_hashes, random_cluster_text
 
 
 def test_parse_fig2b_structure(fig2b):
@@ -216,3 +219,11 @@ def test_closure_is_the_fixpoint(edges, start):
 def test_emit_parse_round_trip_random(rng):
     g = parse_graph(random_cluster_text(rng))
     assert parse_graph(emit_graph(g)) == g
+
+
+def test_graph_layer_matches_golden_hashes():
+    """Adjacency, mutilation, emitters, projection, merging, promotion, the
+    joint verdicts, witnesses and the compatible graphs' CPTs on the fixtures
+    and 200 random graphs (`tests_support.graph_hashes` regenerates it)."""
+    golden = json.loads((Path(__file__).parent / "golden_graphs.json").read_text())
+    assert graph_hashes() == golden

@@ -406,6 +406,21 @@ def test_interventional_evaluator_matches_tables(fig3):
     assert abs(got - want) < 1e-12
 
 
+def test_evaluate_all_on_an_scm_is_interventional(fig3):
+    """The source's type decides the semantics: on an SCM, every cell of
+    `evaluate_all` is the `evaluate_interventional` value, do-terms included."""
+    witness = construct_witness(fig3, check_joint(fig3).violations[0])
+    scm = random_scm(witness, seed=8)
+    gr = Grounding.from_scm(scm, abstract=fig3)
+    e = term([val("CY")], do=[val("CX")])
+    atoms, cells = evaluate_all(e, scm, gr)
+    assert sorted(atoms) == [val("CX"), val("CY")]
+    assert len(cells) == len(gr.domain("CX")) * len(gr.domain("CY"))
+    for values, got in cells.items():
+        want = evaluate_interventional(e, scm, gr, dict(zip(atoms, values)))
+        assert abs(got - want) < 1e-12
+
+
 def test_equal_manifest_pair(fig3):
     witness = construct_witness(fig3, check_joint(fig3).violations[0])
     s1, s2 = equal_manifest_pair(witness, seed=0)
@@ -668,7 +683,7 @@ def _assert_matches_reference(expr, source, gr, interventional):
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12), vals
         if isinstance(want_all, dict):
             want_all = want if isinstance(want, type) else {**want_all, vals: want}
-    got_all = _outcome(lambda: evaluate_all(expr, source, gr, interventional=interventional))
+    got_all = _outcome(lambda: evaluate_all(expr, source, gr))
     if isinstance(want_all, type):
         assert got_all is want_all
     else:

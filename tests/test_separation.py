@@ -187,34 +187,6 @@ def test_mutilation_monotone_random():
         assert cut.bidirected <= g.bidirected
 
 
-def random_walk(rng, g, max_len=8):
-    moves = {}
-    for v in (x.id for x in g.vertices):
-        opts = []
-        for b in g.children(v):
-            opts.append(("->", b))
-            if b == v:
-                opts.append(("<-", v))
-        for a in g.parents(v):
-            if a != v:
-                opts.append(("<-", a))
-        for u in g.spouses(v):
-            opts.append(("<->", u))
-        moves[v] = sorted(opts)
-    start = rng.choice(sorted(x.id for x in g.vertices))
-    vs, es = [start], []
-    for _ in range(rng.randint(1, max_len)):
-        opts = moves[vs[-1]]
-        if not opts:
-            break
-        sym, nxt = rng.choice(opts)
-        es.append(sym)
-        vs.append(nxt)
-    if len(vs) == 1:
-        return None
-    return Walk(tuple(vs), tuple(es))
-
-
 def test_primary_path_properties_bulk():
     rng = random.Random(99)
     seen_all_collider = 0

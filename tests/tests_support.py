@@ -51,17 +51,8 @@ def all_small_graphs(n):
 def random_walk(rng, g, max_len=8):
     moves = {}
     for v in (x.id for x in g.vertices):
-        opts = []
-        for b in g.children(v):
-            opts.append(("->", b))
-            if b == v:
-                opts.append(("<-", v))
-        for a in g.parents(v):
-            if a != v:
-                opts.append(("<-", a))
-        for u in g.spouses(v):
-            opts.append(("<->", u))
-        moves[v] = sorted(opts)
+        opts = [("->", b) for b in g.children(v)] + [("<-", a) for a in g.parents(v)]
+        moves[v] = sorted(opts + [("<->", u) for u in g.spouses(v)])
     start = rng.choice(sorted(x.id for x in g.vertices))
     vs, es = [start], []
     for _ in range(rng.randint(1, max_len)):
@@ -177,6 +168,126 @@ def search_hashes(random_graphs=60, seed=20261018):
         g = parse_graph(random_cluster_text(rng))
         treatment, outcome = rng.sample(sorted(g.clusters), 2)
         graphs.append(digest(g, treatment, outcome, 5))
+    return {"fixtures": fixtures, "random": graphs}
+
+
+def graph_hashes(random_graphs=200, seed=20261018):
+    """sha256 per graph and output of the graph layer, keyed by graph.
+
+    The six fixtures, then ``random_graphs`` graphs of ``random_cluster_text``
+    from ``random.Random(seed)``. Per graph: the three emitters and
+    ``_edge_set``; per vertex its parents, children, spouses, district,
+    descendants, ancestors and cluster indicators; 5 seeded mutilations;
+    ``merge_indicators``; the first 5 ``enumerate_compatible(Budget(2, 10))``
+    graphs with ``project`` at both levels, ``is_compatible``,
+    ``as_cluster_graph`` and the CPTs of ``random_scm(m, 1)`` rounded to 12
+    places; ``check_joint`` with a ``construct_witness`` per violation; and
+    ``as_cluster_graph``. A call that raises hashes as its exception. Regenerate
+    the golden file with ``PYTHONPATH=src:tests python -c "import json,
+    tests_support as t; print(json.dumps(t.graph_hashes(), indent=1))"``.
+    """
+    import hashlib
+    import itertools
+    import json
+    import random
+
+    import numpy as np
+
+    from mcdmg import (
+        Budget,
+        GraphClass,
+        MutilationSpec,
+        ancestors,
+        as_cluster_graph,
+        check_joint,
+        construct_witness,
+        descendants,
+        emit_dot,
+        emit_graph,
+        emit_json,
+        enumerate_compatible,
+        fixture_text,
+        is_compatible,
+        merge_indicators,
+        mutilate,
+        parse_graph,
+        project,
+        random_scm,
+    )
+    from mcdmg.abstraction import _edge_set
+    from mcdmg.errors import McdmgError
+
+    def plain(x):
+        if isinstance(x, (set, frozenset)):
+            return sorted(x)
+        if hasattr(x, "value"):
+            return x.value
+        return repr(x)
+
+    def digest(fn):
+        try:
+            out = fn()
+        except McdmgError as exc:
+            out = f"{type(exc).__name__}: {exc}"
+        return hashlib.sha256(json.dumps(out, sort_keys=True, default=plain).encode()).hexdigest()
+
+    def adjacency(g):
+        return {
+            v: [g.parents(v), g.children(v), g.spouses(v), g.district(v),
+                descendants(g, {v}), ancestors(g, {v}), g.indicators_of_cluster(v)]
+            for v in sorted(g.ids)
+        }
+
+    def scm_cpts(m):
+        return [(n.name, n.parents, np.round(n.cpt, 12).tolist()) for n in random_scm(m, 1).nodes]
+
+    def compatible(g):
+        out = []
+        for m in itertools.islice(enumerate_compatible(g, budget=Budget(2, 10)), 5):
+            out.append({
+                "graph": emit_json(m),
+                "mcdmg": digest(lambda: emit_json(project(m, m.clustering, GraphClass.MCDMG))),
+                "cmcdmg": digest(lambda: emit_json(project(m, m.clustering, GraphClass.CMCDMG))),
+                "compatible": digest(lambda: is_compatible(m, g)),
+                "promoted": digest(lambda: emit_json(as_cluster_graph(m))),
+                "scm": digest(lambda: scm_cpts(m)),
+            })
+        return out
+
+    def joint(g):
+        verdict = check_joint(g)
+        witnesses = [digest(lambda: emit_json(construct_witness(g, v))) for v in verdict.violations]
+        return [verdict.to_json(), witnesses]
+
+    spec_rng = random.Random(seed + 1)
+
+    def mutilations(g):
+        vs = sorted(set(g.ids) - set(g.proxies))
+        out = []
+        for _ in range(5):
+            spec = MutilationSpec.of(
+                {v for v in vs if spec_rng.random() < 0.3},
+                {v for v in vs if spec_rng.random() < 0.3},
+            )
+            cut = mutilate(g, spec)
+            out.append([spec.remove_incoming, spec.remove_outgoing, emit_json(cut), adjacency(cut)])
+        return out
+
+    def row(g):
+        return {
+            "emit": digest(lambda: [emit_graph(g), emit_json(g), emit_dot(g)]),
+            "edge_set": digest(lambda: _edge_set(g)),
+            "adjacency": digest(lambda: [adjacency(g), g.partially_observed, g.fully_observed]),
+            "mutilate": digest(lambda: mutilations(g)),
+            "merge": digest(lambda: emit_json(merge_indicators(g))),
+            "compatible": digest(lambda: compatible(g)),
+            "joint": digest(lambda: joint(g)),
+            "promoted": digest(lambda: emit_json(as_cluster_graph(g))),
+        }
+
+    rng = random.Random(seed)
+    fixtures = {name: row(parse_graph(fixture_text(name))) for name in FIXTURE_QUERIES}
+    graphs = [row(parse_graph(random_cluster_text(rng))) for _ in range(random_graphs)]
     return {"fixtures": fixtures, "random": graphs}
 
 
