@@ -453,8 +453,8 @@ def _candidates(expr: Expr, moves):
 
 
 def _successor(expr: Expr, rewrite) -> Expr:
-    """``canonical(replace_term(expr, old, new))`` for a canonical ``expr``
-    and ``old`` its first occurrence of that node.
+    """The canonical form of ``expr`` with ``old``, its first occurrence of
+    that node, replaced by ``new``, for a canonical ``expr``.
 
     ``old`` is found by identity, and only the nodes on the path from the
     root to it are rebuilt and normalised: every other subtree is canonical

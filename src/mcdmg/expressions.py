@@ -287,25 +287,6 @@ def rewrite_terms(e: Expr, fn) -> Expr:
     return _rebuild(e, [rewrite_terms(sub, fn) for sub in _children(e)])
 
 
-def replace_term(e: Expr, old: Expr, new: Expr) -> Expr:
-    """Substitute one occurrence of the node ``old`` (the first, in traversal
-    order): a term, or any subtree such as a sum."""
-    done = [False]
-
-    def go(x: Expr) -> Expr:
-        if done[0]:
-            return x
-        if x == old:
-            done[0] = True
-            return new
-        return _rebuild(x, [go(sub) for sub in _children(x)])
-
-    out = go(e)
-    if not done[0]:
-        raise UnknownVertex("term to replace not found in expression")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Rewriting primitives
 # ---------------------------------------------------------------------------

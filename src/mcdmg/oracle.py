@@ -10,6 +10,7 @@ symbolic expressions are evaluated against them exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -158,34 +159,45 @@ def _topo_order(madmg: MixedGraph, latents, extra_parents) -> Tuple[str, ...]:
 
 
 def random_scm(madmg: MixedGraph, seed: int = 0) -> DiscreteSCM:
-    """Seeded Dirichlet-style parameterization of a variable-level graph.
+    """Seeded Dirichlet(1, ..., 1) parameterization of a variable-level graph.
 
     Variables and indicators are binary. Bidirected edges are materialized
-    as fresh latent parents of cardinality 4. Every CPT cell is floored at
-    1e-3 so that manifest distributions are strictly positive over complete
-    cases. Raises DomainTooLarge when the joint state space or the manifest
-    would exceed ``MAX_STATES`` cells.
+    as fresh latent parents of cardinality 4. All rows are drawn from one
+    ``standard_exponential`` stream, node by node in topological order, and
+    normalized: the bytes ``rng.dirichlet`` would give row by row. Every CPT
+    cell is floored at 1e-3 so that manifest distributions are strictly
+    positive over complete cases. Raises DomainTooLarge, before drawing,
+    when the largest latent join, the joint or the manifest would exceed
+    ``MAX_STATES`` cells.
     """
     latents, parents = _mechanisms(madmg)
-    if math.prod(_card(n, latents) for n in parents) > MAX_STATES:
-        raise DomainTooLarge(f"joint state space exceeds {MAX_STATES}")
-    # the manifest gives each masked variable an extra NA level
+    _check_budget(madmg, latents, parents)
+    order = _topo_order(madmg, latents, parents)
+    shapes = [tuple(_card(p, latents) for p in parents[n]) + (_card(n, latents),) for n in order]
+    draws = np.random.default_rng(seed).standard_exponential(sum(map(math.prod, shapes)))
+    nodes, start = [], 0
+    for name, shape in zip(order, shapes):
+        g = draws[start:start + math.prod(shape)].reshape(shape)
+        start += g.size
+        k = shape[-1]
+        cpt = g * (1.0 / g.sum(-1, keepdims=True)) * (1.0 - k * 1e-3) + 1e-3
+        nodes.append(Node(name, k, parents[name], cpt))
+    return DiscreteSCM(madmg, tuple(nodes), latents, seed)
+
+
+def _check_budget(madmg: MixedGraph, latents, parents) -> None:
+    """Refuse a graph whose exact tables would exceed ``MAX_STATES`` cells:
+    the largest latent join of the joint's elimination, the joint itself
+    (which bounds every CPT without a latent in its scope) and the manifest,
+    where each masked variable gets an extra NA level."""
+    card = functools.partial(_card, latents=latents)
+    _, largest = _elimination([ps + (n,) for n, ps in parents.items()], latents, card)
     observables = list(madmg.variables) + list(madmg.indicators)
-    levels = (_card(n, latents) + (n in madmg.indicator_by_owner) for n in observables)
+    if max(largest, math.prod(map(card, observables))) > MAX_STATES:
+        raise DomainTooLarge(f"latent join or joint table exceeds {MAX_STATES} cells")
+    levels = (card(n) + (n in madmg.indicator_by_owner) for n in observables)
     if math.prod(levels) > MAX_STATES:
         raise DomainTooLarge(f"manifest table exceeds {MAX_STATES} cells")
-
-    rng = np.random.default_rng(seed)
-    nodes = []
-    for name in _topo_order(madmg, latents, parents):
-        ps = parents[name]
-        k = _card(name, latents)
-        shape = tuple(_card(p, latents) for p in ps)
-        rows = rng.dirichlet(np.ones(k), size=shape) if shape else rng.dirichlet(np.ones(k))
-        cpt = np.asarray(rows, dtype=float).reshape(*shape, k)
-        cpt = cpt * (1.0 - k * 1e-3) + 1e-3
-        nodes.append(Node(name, k, ps, cpt))
-    return DiscreteSCM(madmg, tuple(nodes), latents, seed)
 
 
 def _mechanisms(madmg: MixedGraph) -> Tuple[Tuple[str, ...], Dict[str, Tuple[str, ...]]]:
@@ -231,37 +243,42 @@ def _do_table(scm: DiscreteSCM, do_vars: Tuple[str, ...] = ()) -> DistTable:
     """The one table builder: the truncated factorization (Pearl 2009, eq.
     3.10) over variables and indicators for every assignment to ``do_vars``.
 
-    One product of the CPTs of the nodes not in ``do_vars``, latents summed
-    out once, holds every do-level on its diagonal ``v = do(v)``; a leading
-    column ``do(v)`` per intervened variable copies that diagonal, and the
-    table is zero off it. Without ``do_vars``, the joint. Raises
-    DomainTooLarge, before allocating, when the node array or the stacked
+    The CPTs of the nodes not in ``do_vars`` are contracted by variable
+    elimination (Koller & Friedman 2009, ch. 9): each latent, in
+    ``scm.latents`` order, is summed out of the one-einsum join of the
+    factors that mention it, and the factors left are multiplied into the
+    kept table, which holds every do-level on its diagonal ``v = do(v)``. A
+    leading column ``do(v)`` per intervened variable copies that diagonal,
+    and the table is zero off it. Without ``do_vars``, the joint. Raises
+    DomainTooLarge, before allocating, when the largest join or the stacked
     table would exceed ``MAX_STATES`` cells.
     """
     key = ("do", do_vars)
     if key in scm._cache:
         return scm._cache[key]
-    names = tuple(n.name for n in scm.nodes)
-    shape = tuple(n.card for n in scm.nodes)
-    kept = tuple(n for n in names if n not in scm.latents)
+    kept = tuple(n.name for n in scm.nodes if n.name not in scm.latents)
     kept_cards = tuple(scm.card(n) for n in kept)
     do_cards = tuple(scm.card(v) for v in do_vars)
-    if math.prod(shape) > MAX_STATES or math.prod(do_cards + kept_cards) > MAX_STATES:
+    factors = [(n.parents + (n.name,), n.cpt) for n in scm.nodes if n.name not in do_vars]
+    plan, largest = _elimination([s for s, _ in factors], scm.latents, scm.card)
+    if max(largest, math.prod(do_cards + kept_cards)) > MAX_STATES:
         raise DomainTooLarge(f"do-table on {list(do_vars)} exceeds {MAX_STATES} cells")
-    axis = {n: i for i, n in enumerate(names)}
-    probs = np.ones(shape, dtype=float)
-    for node in scm.nodes:
-        if node.name in do_vars:
-            continue
-        # broadcast the CPT onto (parents..., self) axes of the big array
-        src_axes = [axis[p] for p in node.parents] + [axis[node.name]]
-        view_shape = [1] * len(names)
-        for a, size in zip(src_axes, node.cpt.shape):
+    for lat, joined, union in plan:
+        label = {n: i for i, n in enumerate(union)}
+        operands = [x for i in joined for x in (factors[i][1], [label[n] for n in factors[i][0]])]
+        out = tuple(n for n in union if n != lat)
+        factors = [f for i, f in enumerate(factors) if i not in joined]
+        factors.append((out, np.einsum(*operands, [label[n] for n in out])))
+    axis = {n: i for i, n in enumerate(kept)}
+    probs = np.ones(kept_cards)
+    for scope, values in factors:
+        # broadcast the factor onto its axes of the kept table
+        src_axes = [axis[n] for n in scope]
+        view_shape = [1] * len(kept)
+        for a, size in zip(src_axes, values.shape):
             view_shape[a] = size
-        arranged = np.transpose(node.cpt, np.argsort(src_axes)) if node.parents else node.cpt
-        probs *= arranged.reshape(view_shape)
-    drop = tuple(axis[n] for n in names if n in scm.latents)
-    probs = probs.sum(axis=drop) if drop else probs
+        order = sorted(range(len(scope)), key=src_axes.__getitem__)
+        probs *= np.transpose(values, order).reshape(view_shape)
     n = len(do_vars)
     probs = probs.reshape((1,) * n + probs.shape)
     for i, (v, k) in enumerate(zip(do_vars, do_cards)):
@@ -271,6 +288,28 @@ def _do_table(scm: DiscreteSCM, do_vars: Tuple[str, ...] = ()) -> DistTable:
     names = tuple(f"do({v})" for v in do_vars) + kept
     scm._cache[key] = DistTable(names, do_cards + kept_cards, probs)
     return scm._cache[key]
+
+
+def _elimination(scopes, latents, card):
+    """The elimination plan over factor scopes, computed without allocating:
+    per latent, ``(latent, positions of the factors that mention it, union
+    of their scopes)``; the join, the union less the latent, replaces those
+    factors at the end of the list. Also the largest join's loop space, the
+    product of the cards over its union."""
+    plan, largest = [], 0
+    for lat in latents:
+        joined, rest, union = [], [], {}
+        for i, scope in enumerate(scopes):
+            if lat in scope:
+                joined.append(i)
+                union.update(dict.fromkeys(scope))
+            else:
+                rest.append(scope)
+        union = tuple(union)
+        largest = max(largest, math.prod([card(n) for n in union]))
+        plan.append((lat, joined, union))
+        scopes = rest + [tuple([n for n in union if n != lat])]
+    return plan, largest
 
 
 def _pin(ndim: int, pins: Mapping[int, slice]) -> Tuple[slice, ...]:
@@ -1002,6 +1041,7 @@ def _embed(madmg, special, leak, seed) -> DiscreteSCM:
     parent near-deterministically so joint differences survive aggregation.
     """
     latents, parents = _mechanisms(madmg)
+    _check_budget(madmg, latents, parents)
     cpts = {}
     for name, ps in parents.items():
         shape = tuple(_card(p, latents) for p in ps)

@@ -19,9 +19,9 @@ from mcdmg import (
 from mcdmg import docalc
 from mcdmg.docalc import residual_masked_symbols
 from mcdmg.errors import DepthNonPositive, OverlappingSets, UnknownVertex
-from mcdmg.expressions import Product, Quotient, Sum, canonical, proxy, replace_term, rzero, term, val
+from mcdmg.expressions import Product, Quotient, Sum, canonical, proxy, rzero, term, val
 from test_expressions import _preorder, atoms, exprs
-from tests_support import random_cluster_text, search_hashes
+from tests_support import random_cluster_text, replace_term, search_hashes
 
 
 def test_rule1_insert_ry_fig2b(fig2b):

@@ -27,7 +27,6 @@ from mcdmg.expressions import (
     marginalize,
     proxy,
     render,
-    replace_term,
     rewrite_terms,
     rzero,
     symbols_of,
@@ -35,6 +34,7 @@ from mcdmg.expressions import (
     terms_of,
     val,
 )
+from tests_support import replace_term
 
 
 def q(outcomes=(), do=(), cond=()):

@@ -2,11 +2,13 @@ import functools
 import hashlib
 import itertools
 import json
+import math
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mcdmg import (
@@ -28,6 +30,7 @@ from mcdmg import (
 )
 from mcdmg import check_joint, construct_witness, recover_effect
 from mcdmg.errors import (
+    BudgetTooSmall,
     DomainTooLarge,
     EvaluationError,
     McdmgError,
@@ -50,7 +53,17 @@ from mcdmg.expressions import (
     term,
     val,
 )
-from mcdmg.oracle import Node, _do_table, check, evaluate_all, free_atoms, scm_from_cpts
+from mcdmg.oracle import (
+    MAX_STATES,
+    Node,
+    _do_table,
+    _embed,
+    check,
+    evaluate_all,
+    free_atoms,
+    scm_from_cpts,
+)
+from tests_support import random_cluster_text
 
 
 def mk(src):
@@ -79,6 +92,34 @@ def test_random_scm_deterministic():
         assert na.name == nb.name and np.array_equal(na.cpt, nb.cpt)
     c = random_scm(g, seed=12)
     assert any(not np.array_equal(x.cpt, y.cpt) for x, y in zip(a.nodes, c.nodes))
+
+
+def _dirichlet_cpts(scm, seed):
+    """The CPTs of ``random_scm(scm.madmg, seed)`` drawn node by node, in
+    topological order, with one ``rng.dirichlet`` call each."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for node in scm.nodes:
+        shape = tuple(scm.card(p) for p in node.parents)
+        k = node.card
+        rows = rng.dirichlet(np.ones(k), size=shape) if shape else rng.dirichlet(np.ones(k))
+        out.append(np.asarray(rows, dtype=float).reshape(*shape, k) * (1.0 - k * 1e-3) + 1e-3)
+    return out
+
+
+def test_cpts_are_the_per_node_dirichlet_draws():
+    """Byte for byte, which the golden hashes (rounded to 12 places) cannot
+    see: on the fixtures' first compatible graphs and on random graphs."""
+    madmgs = [mk(fixture_text(name)) for name in ("fig1a", "fig1b")]
+    for name in ("fig2a", "fig2b", "fig3"):
+        madmgs += _first_graphs(name)[1]
+    madmgs += [m for m in map(_first_compatible, range(40)) if m is not None]
+    assert len(madmgs) > 30
+    for madmg in madmgs:
+        for seed in (0, 1, 7, 2**31 + 5):
+            scm = random_scm(madmg, seed=seed)
+            want = _dirichlet_cpts(scm, seed)
+            assert all(np.array_equal(n.cpt, w) for n, w in zip(scm.nodes, want)), madmg.name
 
 
 GOLDEN = Path(__file__).with_name("golden_oracle.json")
@@ -170,6 +211,60 @@ def test_do_tables_count_against_the_budget():
     with pytest.raises(DomainTooLarge, match="do-table"):
         interventional_table(scm, {"V0": 0, "V1": 1})
     assert not any(isinstance(k, tuple) and k[0] == "do" for k in scm._cache)
+
+
+# A cm-c-dmg whose first compatible m-ADMG (Budget(2, 16)) has 6 latents and
+# 2^21 node cells, but no latent join above 2^13 cells.
+WIDE_LATENT_GRAPH = """\
+graph "rnd130" class=cm-c-dmg {
+  cluster CJ { vars J1 }
+  cluster CH { vars H1, H2 }
+  cluster CN { vars N1, N2 }
+  cluster CF { vars F1, F2 }
+  cluster CK { vars K1, K2 }
+  rvar R_CN for CN
+  edge CJ -> R_CN
+  edge CH <-> CJ
+  edge CK -> CK
+  edge CF -> CF
+  edge CH <-> CN
+  edge CJ <-> CN
+  edge CK <-> CJ
+  edge CH -> CH
+  edge CF <-> CJ
+  edge CH <-> CF
+  edge CF -> CJ
+}
+"""
+
+
+def test_budget_counts_joins_not_the_node_space():
+    """The dense product over all nodes would have 2^21 cells, beyond the
+    budget; the elimination never allocates it, and the formula checks."""
+    g = mk(WIDE_LATENT_GRAPH)
+    madmg = next(iter(enumerate_compatible(g, budget=Budget(2, 16))))
+    scm = random_scm(madmg, seed=0)
+    assert math.prod(n.card for n in scm.nodes) > MAX_STATES
+    want = _extended(scm, {}).marginal(_do_table(scm).variables).probs
+    assert np.max(np.abs(_do_table(scm).probs - want)) <= 1e-12
+    _, errors = check(check_joint(g).formula, scm, Grounding.from_scm(scm, abstract=g))
+    assert errors and max(errors.values()) <= 1e-9
+
+
+def test_wide_cpt_refused_before_drawing(monkeypatch):
+    """V0 with 11 bidirected edges: its CPT alone has 2 * 4^11 cells, and the
+    join at its first latent 4^11 * 2^2. Refused before any CPT exists."""
+    lines = [f"  var V{i}" for i in range(12)] + [f"  edge V0 <-> V{i}" for i in range(1, 12)]
+    g = mk('graph "wide" class=admg {\n' + "\n".join(lines) + "\n}\n")
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("CPTs drawn for a refused graph")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(DomainTooLarge, match="latent join"):
+        random_scm(g, seed=0)
+    with pytest.raises(DomainTooLarge, match="latent join"):
+        _embed(g, {}, "V0", 0)
 
 
 def _fig3_scm():
@@ -822,7 +917,10 @@ def test_do_tables_match_an_independent_product(name, graph, seed, treated):
         got = interventional_table(scm, do).probs
         assert np.max(np.abs(got - want)) <= 1e-12
     do_vars = tuple(sorted(members))
-    stacked = _do_table(scm, do_vars)
+    _assert_zero_off_diagonal(scm, _do_table(scm, do_vars), do_vars)
+
+
+def _assert_zero_off_diagonal(scm, stacked, do_vars):
     assert stacked.variables[:len(do_vars)] == tuple(f"do({v})" for v in do_vars)
     diagonal = np.ones(stacked.probs.shape, bool)
     for i, v in enumerate(do_vars):
@@ -830,3 +928,41 @@ def test_do_tables_match_an_independent_product(name, graph, seed, treated):
         shape[i] = shape[stacked.variables.index(v)] = scm.card(v)
         diagonal &= np.eye(scm.card(v), dtype=bool).reshape(shape)
     assert np.all(stacked.probs[~diagonal] == 0.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _first_compatible(graph_seed):
+    """The first compatible m-ADMG (``Budget(2, 8)``) of the
+    ``random_cluster_text`` graph of ``random.Random(graph_seed)``, or None."""
+    g = parse_graph(random_cluster_text(random.Random(graph_seed)))
+    try:
+        return next(iter(enumerate_compatible(g, budget=Budget(2, 8))))
+    except BudgetTooSmall:
+        return None
+
+
+# graph seeds 9, 136 and 259 give nodes with two or three latent parents, so
+# that the join at one latent carries the next; 9 and 136 have indicators
+@settings(max_examples=60, deadline=None)
+@example(9, 0, {1, 4})
+@example(136, 1, {0, 2, 5})
+@example(259, 2, set())
+@given(st.integers(0, 299), st.integers(0, 3), st.sets(st.integers(0, 63), max_size=3))
+def test_elimination_matches_the_dense_product(graph_seed, seed, picks):
+    """Each do-level of ``_do_table`` against the mechanisms multiplied out in
+    one einsum, for no do, a random do-set, and a latent's child together
+    with an indicator; the stacked table is exactly zero off v = do(v)."""
+    madmg = _first_compatible(graph_seed)
+    assume(madmg is not None)
+    scm = random_scm(madmg, seed=seed)
+    kept = tuple(n.name for n in scm.nodes if n.name not in scm.latents)
+    confounded = [n.name for n in scm.nodes if set(n.parents) & set(scm.latents)]
+    do_sets = {(), tuple(sorted({kept[i % len(kept)] for i in picks}))}
+    do_sets.add(tuple(sorted(set(confounded[:1]) | set(scm.indicators[:1]))))
+    for do_vars in do_sets:
+        stacked = _do_table(scm, do_vars)
+        assert stacked.variables[len(do_vars):] == kept
+        for level in itertools.product(*(range(scm.card(v)) for v in do_vars)):
+            want = _extended(scm, dict(zip(do_vars, level))).marginal(kept).probs
+            assert np.max(np.abs(stacked.probs[level] - want)) <= 1e-12
+        _assert_zero_off_diagonal(scm, stacked, do_vars)

@@ -137,6 +137,30 @@ FIXTURE_QUERIES = {
 }
 
 
+def replace_term(e, old, new):
+    """``e`` with the first occurrence of the node ``old`` (in traversal
+    order), a term or any subtree such as a sum, replaced by ``new``; the
+    whole tree is rebuilt. The reference that ``docalc._successor``, which
+    rebuilds only the path to ``old``, is checked against."""
+    from mcdmg.errors import UnknownVertex
+    from mcdmg.expressions import _children, _rebuild
+
+    done = [False]
+
+    def go(x):
+        if done[0]:
+            return x
+        if x == old:
+            done[0] = True
+            return new
+        return _rebuild(x, [go(sub) for sub in _children(x)])
+
+    out = go(e)
+    if not done[0]:
+        raise UnknownVertex("term to replace not found in expression")
+    return out
+
+
 def search_hashes(random_graphs=60, seed=20261018):
     """sha256 of the sorted-key ``recover_effect(...).to_json()`` per query.
 
