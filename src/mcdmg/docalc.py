@@ -8,6 +8,9 @@ The three rules reduce to d-separation statements in mutilated graphs:
   where X(W) are the X-vertices that are not ancestors of any W-vertex in
   G over Z.
 
+Each statement is decided on the graph's bitmask adjacency with the
+mutilation as edge masks (`separation.reaches`); no mutilated graph is built.
+
 `recover_effect` searches breadth-first over canonical expression states,
 combining the rules with proxy substitution and probability manipulations,
 until the query contains no do-operator and every partially observed symbol
@@ -30,7 +33,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional, Tuple, Union
 
-from .errors import DepthNonPositive, OverlappingSets, PreconditionError, UnknownVertex
+from .errors import (
+    DepthNonPositive,
+    OverlappingSets,
+    PreconditionError,
+    UnknownRule,
+    UnknownVertex,
+)
 from .expressions import (
     PROXY,
     RZERO,
@@ -45,10 +54,10 @@ from .expressions import (
     _swap_proxy,
     canonical,
     chain_split,
+    collapse,
     expand_total_probability,
     expr_from_json,
     expr_to_json,
-    marginalize,
     render,
     rzero,
     symbols_of,
@@ -57,7 +66,7 @@ from .expressions import (
     val,
 )
 from .graphs import Kind, MixedGraph
-from .separation import MutilationSpec, ancestors, d_separated, mutilate
+from .separation import ancestor_mask, reaches, refuse_proxies
 
 
 @dataclass(frozen=True)
@@ -99,14 +108,14 @@ def rule_applicable(
     Y is the outcome set, X the set being inserted/exchanged/deleted, Z the
     retained interventions, W the other conditioned vertices. Indicators may
     appear in W (they are conditioned at R=0 throughout) but are never
-    intervened on.
+    intervened on. Raises UnknownRule for a rule other than R1, R2 or R3
+    before any other check.
     """
+    if rule not in ("R1", "R2", "R3"):
+        raise UnknownRule(f"unknown rule {rule!r}")
     Ys, Xs, Zs, Ws = (tuple(sorted(set(s))) for s in (Y, X, Z, W))
-    sets = [set(Ys), set(Xs), set(Zs), set(Ws)]
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if sets[i] & sets[j]:
-                raise OverlappingSets("rule sets must be pairwise disjoint")
+    if len({*Ys, *Xs, *Zs, *Ws}) < len(Ys) + len(Xs) + len(Zs) + len(Ws):
+        raise OverlappingSets("rule sets must be pairwise disjoint")
     for vid in (*Ys, *Xs, *Zs, *Ws):
         g.vertex(vid)
     for vid in Zs:
@@ -117,31 +126,20 @@ def rule_applicable(
             if g.kind(vid) is Kind.INDICATOR:
                 raise UnknownVertex(f"indicator {vid!r} cannot be intervened on")
 
-    if rule == "R1":
-        spec = MutilationSpec.of(overline=Zs)
-    elif rule == "R2":
-        spec = MutilationSpec.of(overline=Zs, underline=Xs)
+    ix = g.index
+    zs = ix.mask(Zs)
+    overline, underline = Zs, ()
+    if rule == "R2":
+        underline = Xs
     elif rule == "R3":
         # the X that are not ancestors of W in the graph without edges into Z
-        base = mutilate(g, MutilationSpec.of(overline=Zs))
-        above_w = ancestors(base, Ws)
-        xw = tuple(x for x in Xs if x not in above_w)
-        spec = MutilationSpec.of(overline=tuple(sorted(set(Zs) | set(xw))))
-    else:
-        raise ValueError(f"unknown rule {rule!r}")
-
-    cut = mutilate(g, spec)
-    holds = d_separated(cut, set(Ys), set(Xs), set(Zs) | set(Ws))
-    return RuleCertificate(
-        rule,
-        Ys,
-        Xs,
-        Zs,
-        Ws,
-        tuple(sorted(spec.remove_incoming)),
-        tuple(sorted(spec.remove_outgoing)),
-        holds,
-    )
+        refuse_proxies(ix, zs)
+        above_w = ancestor_mask(ix, ix.mask(Ws), zs)
+        overline = tuple(sorted(set(Zs).union(x for x in Xs if not ix.bit[x] & above_w)))
+    over, under = ix.mask(overline), ix.mask(underline)
+    refuse_proxies(ix, over | under)
+    holds = not reaches(ix, ix.mask(Ys), ix.mask(Xs), zs | ix.mask(Ws), over, under)
+    return RuleCertificate(rule, Ys, Xs, Zs, Ws, overline, underline, holds)
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +350,9 @@ def _term_moves(g: MixedGraph, t: Term):
 
 
 def _sum_moves(s: Sum):
-    """The Marginalize move of one sum, if it collapses."""
-    try:
-        return [("Marginalize", (), None, marginalize(s))]
-    except (TypeError, ValueError):
-        return []
+    """The Marginalize move of one canonical sum, if it collapses."""
+    out = collapse(s)
+    return [] if out is None else [("Marginalize", (), None, out)]
 
 
 def _node_moves(g: MixedGraph, x: Expr):
@@ -557,7 +553,7 @@ def replay(g: MixedGraph, d: Derivation) -> ReplayResult:
                 for rule, params, sep, rewrite in _candidates(current, lambda x: _node_moves(g, x))
             ):
                 return ReplayResult(False, i, "rewrite is not canonical-form-checkable")
-        except (UnknownVertex, OverlappingSets) as exc:
+        except (UnknownVertex, OverlappingSets, UnknownRule) as exc:
             return ReplayResult(False, i, str(exc))
         current = after
     return ReplayResult(True)

@@ -33,6 +33,10 @@ class OverlappingSets(McdmgError):
     """Query vertex sets are required to be pairwise disjoint."""
 
 
+class UnknownRule(McdmgError, ValueError):
+    """A do-calculus certificate names a rule other than R1, R2 or R3."""
+
+
 class WrongGraphClass(McdmgError):
     """Operation is undefined for the graph's declared class."""
 

@@ -355,22 +355,31 @@ def marginalize(e: Expr) -> Expr:
     """Collapse ``sum_s`` when the bound symbol sits in the body's outcomes.
 
     ``sum_s P(y, s | e)`` becomes ``P(y | e)``; a bare ``sum_s P(s | e)``
-    becomes one. Inverse of expansion up to canonical form.
+    becomes one. Inverse of expansion up to canonical form. Raises
+    ValueError for a sum with no closed form.
     """
     if not isinstance(e, Sum):
         raise TypeError("marginalization collapses a sum")
-    s = e.bound
     body = canonical(e.body)
-    if isinstance(body, Term) and s in body.outcomes:
+    out = collapse(e if body is e.body else Sum(e.bound, body))
+    if out is None:
+        raise ValueError("sum does not marginalize to a closed form")
+    return out
+
+
+def collapse(e: Sum) -> Optional[Expr]:
+    """`marginalize` for a sum whose body is canonical: the closed form, or
+    None when there is none."""
+    s, body = e.bound, e.body
+    if isinstance(body, Term):
+        if s not in body.outcomes:
+            return None
         rest = body.outcomes - {s}
-        if not rest:
-            return One()
-        return body.replace(outcomes=rest)
-    if isinstance(body, Product):
+        return body.replace(outcomes=rest) if rest else One()
+    if isinstance(body, Product) and len(body.factors) == 2:
         # sum_s P(y | s, e) P(s | e) -> P(y | e): undo a total-probability step
-        terms = [f for f in body.factors if isinstance(f, Term)]
-        if len(terms) == 2 and len(body.factors) == 2:
-            a, b = terms
+        a, b = body.factors
+        if isinstance(a, Term) and isinstance(b, Term):
             for left, right in ((a, b), (b, a)):
                 if (
                     right.outcomes == {s}
@@ -379,7 +388,7 @@ def marginalize(e: Expr) -> Expr:
                     and left.cond - {s} == right.cond
                 ):
                     return left.replace(cond=left.cond - {s})
-    raise ValueError("sum does not marginalize to a closed form")
+    return None
 
 
 def chain_split(t: Term, piece: Atom) -> Expr:

@@ -22,7 +22,7 @@ import heapq
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvalidClustering, UnknownVertex, ValidationError, WrongGraphClass
 
@@ -132,6 +132,26 @@ class Violation:
         return f"{self.code}: {self.message}{where}"
 
 
+class AdjacencyIndex(NamedTuple):
+    """The adjacency over integer positions: bit ``i`` of a mask stands for
+    ``ids[i]``, the i-th vertex id in sorted order, and the neighbour masks
+    are indexed by position."""
+
+    ids: Tuple[str, ...]
+    bit: dict  # vertex id -> 1 << position
+    parents: Tuple[int, ...]
+    children: Tuple[int, ...]
+    spouses: Tuple[int, ...]
+    proxies: int
+
+    def mask(self, vids: Iterable[str]) -> int:
+        bit = self.bit
+        m = 0
+        for vid in vids:
+            m |= bit[vid]
+        return m
+
+
 @dataclass(frozen=True)
 class MixedGraph:
     """Immutable mixed graph over kinded vertices.
@@ -142,8 +162,9 @@ class MixedGraph:
 
     Adjacency and the proxy wiring are derived here and nowhere else: the
     neighbour sets of every vertex are built once per graph and returned as
-    they are by `parents`, `children` and `spouses`, and `declared_directed`
-    holds the directed edges without the edges into proxies.
+    they are by `parents`, `children` and `spouses`, `index` holds the same
+    sets as bitmasks, and `declared_directed` holds the directed edges
+    without the edges into proxies.
     """
 
     name: str
@@ -257,6 +278,16 @@ class MixedGraph:
             adj[a][2].add(b)
             adj[b][2].add(a)
         return {v: tuple(map(frozenset, sets)) for v, sets in adj.items()}
+
+    @cached_property
+    def index(self) -> AdjacencyIndex:
+        """`_adjacency` as bitmasks over the sorted vertex ids, built once per graph."""
+        ids = tuple(sorted(self._adjacency))
+        bit = {v: 1 << i for i, v in enumerate(ids)}
+        masks = [tuple(sum(bit[u] for u in s) for s in self._adjacency[v]) for v in ids]
+        parents, children, spouses = zip(*masks) if masks else ((), (), ())
+        proxies = sum(bit[p] for p in self.proxies)
+        return AdjacencyIndex(ids, bit, parents, children, spouses, proxies)
 
     def _adjacent(self, vid: str) -> tuple:
         try:

@@ -149,13 +149,16 @@ def _latent_name(a: str, b: str) -> str:
     return f"U_{x}_{y}"
 
 
-def _topo_order(madmg: MixedGraph, latents, extra_parents) -> Tuple[str, ...]:
+def _topo_order(madmg: MixedGraph, latents, extra_parents):
+    """`topological_order` over variables, indicators and latents."""
     names = set(madmg.variables) | set(madmg.indicators) | set(latents)
     edges = [(a, b) for b, ps in extra_parents.items() for a in ps]
-    order, cyclic = topological_order(names, edges)
+    return topological_order(names, edges)
+
+
+def _acyclic(cyclic) -> None:
     if cyclic:
         raise UnknownVertex("variable-level graph has a directed cycle")
-    return order
 
 
 def random_scm(madmg: MixedGraph, seed: int = 0) -> DiscreteSCM:
@@ -171,8 +174,9 @@ def random_scm(madmg: MixedGraph, seed: int = 0) -> DiscreteSCM:
     ``MAX_STATES`` cells.
     """
     latents, parents = _mechanisms(madmg)
-    _check_budget(madmg, latents, parents)
-    order = _topo_order(madmg, latents, parents)
+    order, cyclic = _topo_order(madmg, latents, parents)
+    planned = _check_budget(madmg, latents, parents, order + cyclic)
+    _acyclic(cyclic)
     shapes = [tuple(_card(p, latents) for p in parents[n]) + (_card(n, latents),) for n in order]
     draws = np.random.default_rng(seed).standard_exponential(sum(map(math.prod, shapes)))
     nodes, start = [], 0
@@ -182,22 +186,28 @@ def random_scm(madmg: MixedGraph, seed: int = 0) -> DiscreteSCM:
         k = shape[-1]
         cpt = g * (1.0 / g.sum(-1, keepdims=True)) * (1.0 - k * 1e-3) + 1e-3
         nodes.append(Node(name, k, parents[name], cpt))
-    return DiscreteSCM(madmg, tuple(nodes), latents, seed)
+    scm = DiscreteSCM(madmg, tuple(nodes), latents, seed)
+    scm._cache[("plan", ())] = planned  # the joint's factors are the budget's, in this order
+    return scm
 
 
-def _check_budget(madmg: MixedGraph, latents, parents) -> None:
+def _check_budget(madmg: MixedGraph, latents, parents, order):
     """Refuse a graph whose exact tables would exceed ``MAX_STATES`` cells:
     the largest latent join of the joint's elimination, the joint itself
     (which bounds every CPT without a latent in its scope) and the manifest,
-    where each masked variable gets an extra NA level."""
+    where each masked variable gets an extra NA level. Returns the joint's
+    `_elimination` over the mechanisms in ``order``; the largest join does
+    not depend on the order."""
     card = functools.partial(_card, latents=latents)
-    _, largest = _elimination([ps + (n,) for n, ps in parents.items()], latents, card)
+    planned = _elimination([parents[n] + (n,) for n in order], latents, card)
+    largest = planned[1]
     observables = list(madmg.variables) + list(madmg.indicators)
     if max(largest, math.prod(map(card, observables))) > MAX_STATES:
         raise DomainTooLarge(f"latent join or joint table exceeds {MAX_STATES} cells")
     levels = (card(n) + (n in madmg.indicator_by_owner) for n in observables)
     if math.prod(levels) > MAX_STATES:
         raise DomainTooLarge(f"manifest table exceeds {MAX_STATES} cells")
+    return planned
 
 
 def _mechanisms(madmg: MixedGraph) -> Tuple[Tuple[str, ...], Dict[str, Tuple[str, ...]]]:
@@ -225,7 +235,8 @@ def scm_from_cpts(
     """Assemble an SCM from explicit (parents, cpt) pairs, topologically sorted."""
     parents = {name: list(ps) for name, (ps, _) in cpts.items()}
     latents = tuple(sorted(n for n in cpts if n not in madmg.ids))
-    order = _topo_order(madmg, latents, parents)
+    order, cyclic = _topo_order(madmg, latents, parents)
+    _acyclic(cyclic)
     nodes = []
     for name in order:
         ps, cpt = cpts[name]
@@ -260,7 +271,8 @@ def _do_table(scm: DiscreteSCM, do_vars: Tuple[str, ...] = ()) -> DistTable:
     kept_cards = tuple(scm.card(n) for n in kept)
     do_cards = tuple(scm.card(v) for v in do_vars)
     factors = [(n.parents + (n.name,), n.cpt) for n in scm.nodes if n.name not in do_vars]
-    plan, largest = _elimination([s for s, _ in factors], scm.latents, scm.card)
+    planned = scm._cache.get(("plan", do_vars))
+    plan, largest = planned or _elimination([s for s, _ in factors], scm.latents, scm.card)
     if max(largest, math.prod(do_cards + kept_cards)) > MAX_STATES:
         raise DomainTooLarge(f"do-table on {list(do_vars)} exceeds {MAX_STATES} cells")
     for lat, joined, union in plan:
@@ -1041,7 +1053,7 @@ def _embed(madmg, special, leak, seed) -> DiscreteSCM:
     parent near-deterministically so joint differences survive aggregation.
     """
     latents, parents = _mechanisms(madmg)
-    _check_budget(madmg, latents, parents)
+    _check_budget(madmg, latents, parents, tuple(parents))
     cpts = {}
     for name, ps in parents.items():
         shape = tuple(_card(p, latents) for p in ps)

@@ -3,8 +3,11 @@
 Blocking follows the path definition: a path is blocked by Z when it has a
 non-collider in Z, or a collider with no descendant in Z. The production
 engine is a reachability automaton over (vertex, arrival-mark) states, which
-also admits walks; an exhaustive path enumerator doubles as an independent
-oracle and the two are held in agreement by the test suite.
+also admits walks: `reaches` decides it on the bitmask adjacency of
+`MixedGraph.index`, with a mutilation passed as masks, and `active_path`
+runs it over vertex ids to return a shortest witness. An exhaustive path
+enumerator doubles as an independent oracle and the engines are held in
+agreement with it by the test suite.
 
 Self-loop edges can be traversed in both orientations by walks (arrowhead end
 first or tail end first) and never occur on simple paths.
@@ -17,7 +20,7 @@ from dataclasses import dataclass, replace
 from typing import FrozenSet, Iterable, Optional, Tuple
 
 from .errors import EmptyWalk, OverlappingSets, UnknownVertex
-from .graphs import Kind, MixedGraph, closure
+from .graphs import AdjacencyIndex, Kind, MixedGraph, closure
 
 # Edge symbols are oriented along the traversal: "->" leaves via a tail and
 # arrives via a head, "<-" the reverse, "<->" is a head at both ends.
@@ -198,7 +201,99 @@ def d_separated(
     g: MixedGraph, X: Iterable[str], Y: Iterable[str], Z: Iterable[str]
 ) -> bool:
     """True iff every path between X and Y is blocked by Z."""
-    return active_path(g, X, Y, Z) is None
+    Xs, Ys, Zs = _check_sets(g, X, Y, Z)
+    ix = g.index
+    return not reaches(ix, ix.mask(Xs), ix.mask(Ys), ix.mask(Zs))
+
+
+# The engine below is `active_path`'s search without the witness, over the
+# masks of `MixedGraph.index` (the Bayes-ball algorithm: Shachter 1998; Koller
+# & Friedman 2009, Alg. 3.1). A mutilation is passed as two masks, ``over``
+# and ``under``, and read edge by edge exactly as `mutilate` builds its
+# graph, so no mutilated graph is made: a directed edge a -> b is gone when b
+# is not a proxy and b is overlined or a underlined, a bidirected edge when
+# either end is overlined; a self-loop is both an incoming and an outgoing
+# edge.
+
+
+def _cut(ix: AdjacencyIndex, over: int, under: int):
+    """A function from a position to its (parents, children, spouses) masks
+    after the mutilation."""
+    pa, ch, sp, proxies = ix.parents, ix.children, ix.spouses, ix.proxies
+    if not over | under:
+        return lambda i: (pa[i], ch[i], sp[i])
+    keep_in = proxies | ~over  # children kept by a vertex that is not underlined
+
+    def adjacent(i: int):
+        b = 1 << i
+        p = pa[i] if b & proxies else 0 if b & over else pa[i] & ~under
+        c = ch[i] & (proxies if b & under else keep_in)
+        return p, c, 0 if b & over else sp[i] & ~over
+
+    return adjacent
+
+
+def refuse_proxies(ix: AdjacencyIndex, vertices: int) -> None:
+    """`mutilate`'s refusal of a proxy, for a mask: names the first in id order."""
+    proxies = vertices & ix.proxies
+    if proxies:
+        vid = ix.ids[(proxies & -proxies).bit_length() - 1]
+        raise UnknownVertex(f"proxy {vid!r} cannot be mutilated")
+
+
+def _positions(m: int):
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def ancestor_mask(ix: AdjacencyIndex, targets: int, over: int = 0, under: int = 0) -> int:
+    """The vertices with a directed path into ``targets`` (inclusive) after
+    the mutilation ``over``/``under``, as a mask."""
+    adjacent = _cut(ix, over, under)
+    seen = todo = targets
+    while todo:
+        new = 0
+        for i in _positions(todo):
+            new |= adjacent(i)[0]
+        todo = new & ~seen
+        seen |= todo
+    return seen
+
+
+def reaches(ix: AdjacencyIndex, xs: int, ys: int, zs: int, over: int = 0, under: int = 0) -> bool:
+    """True iff an active path joins ``xs`` to ``ys`` given ``zs`` after the
+    mutilation ``over``/``under``; the vertex sets are disjoint masks.
+
+    Reachability over (vertex, arrival mark) states, kept as two masks: the
+    vertices entered through an arrowhead and those entered through a tail.
+    An endpoint in ``xs`` leaves by any edge, as a vertex entered through a
+    tail does, so the search starts from ``xs`` as tail arrivals.
+    """
+    adjacent = _cut(ix, over, under)
+    open_collider = ancestor_mask(ix, zs, over, under) if zs else 0
+    heads = tails = 0
+    new_heads, new_tails = 0, xs
+    while new_heads | new_tails:
+        if (new_heads | new_tails) & ys:
+            return True
+        heads |= new_heads
+        tails |= new_tails
+        next_heads = next_tails = 0
+        for i in _positions(new_tails & ~zs):  # a non-collider: any edge out
+            p, c, s = adjacent(i)
+            next_heads |= c | s
+            next_tails |= p
+        for i in _positions(new_heads & ~zs):  # a non-collider: out by a tail
+            next_heads |= adjacent(i)[1]
+        for i in _positions(new_heads & open_collider):  # a collider: out by a head
+            p, _, s = adjacent(i)
+            next_heads |= s
+            next_tails |= p
+        new_heads = next_heads & ~heads
+        new_tails = next_tails & ~tails
+    return False
 
 
 def active_path(

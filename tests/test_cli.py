@@ -196,6 +196,23 @@ def _bogus_kind_derivation():
     return json.dumps(swap(doc))
 
 
+def test_replay_unknown_rule_exit_1(tmp_path):
+    code, out, _ = run("recover-effect", fig("fig3"), "--treatment", "CX", "--outcome", "CY")
+    assert code == 0
+    doc = json.loads(out)
+    first = next(s for s in doc["steps"] if "certificate" in s)
+    first["certificate"]["rule"] = "R9"
+    deriv = tmp_path / "d.json"
+    deriv.write_text(json.dumps(doc))
+    code, out, err = run("replay", fig("fig3"), str(deriv))
+    assert code == 1 and "Traceback" not in err
+    assert json.loads(out) == {
+        "ok": False,
+        "failed_at": doc["steps"].index(first) + 1,
+        "reason": "unknown rule 'R9'",
+    }
+
+
 @pytest.mark.parametrize(
     "text", ["nonsense\n", '{"graph": "x"}\n', None], ids=["not-json", "no-steps", "bogus-atom-kind"]
 )

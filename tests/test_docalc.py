@@ -10,15 +10,22 @@ from hypothesis import strategies as st
 
 from mcdmg import (
     Derivation,
+    MixedGraph,
+    MutilationSpec,
     NotDerived,
+    active_path,
+    ancestors,
+    d_separated,
+    d_separated_by_paths,
+    mutilate,
     parse_graph,
     recover_effect,
     replay,
     rule_applicable,
 )
-from mcdmg import docalc
+from mcdmg import docalc, separation
 from mcdmg.docalc import residual_masked_symbols
-from mcdmg.errors import DepthNonPositive, OverlappingSets, UnknownVertex
+from mcdmg.errors import DepthNonPositive, McdmgError, OverlappingSets, UnknownRule, UnknownVertex
 from mcdmg.expressions import Product, Quotient, Sum, canonical, proxy, rzero, term, val
 from test_expressions import _preorder, atoms, exprs
 from tests_support import random_cluster_text, replace_term, search_hashes
@@ -47,6 +54,57 @@ def test_rule3_ancestor_case(fig3):
     # CX is an ancestor of CY, so X(W) is empty and the graph is unmutilated
     cert = rule_applicable(fig3, "R3", {"CZ"}, {"CX"}, set(), {"CY"})
     assert cert.overline == ()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(["R1", "R2", "R3"]))
+def test_mask_certificates_match_the_mutilated_graph(rng, rule):
+    """The certificate, decided on edge masks, agrees with the path oracle
+    on the graph `mutilate` builds for the recorded overline and underline."""
+    g = parse_graph(random_cluster_text(rng))
+    movable = sorted(g.clusters) + (sorted(g.indicators) if rule == "R1" else [])
+    X = set(rng.sample(movable, rng.randint(1, min(2, len(movable)))))
+    Z = {c for c in g.clusters if c not in X and rng.random() < 0.4}
+    rest = sorted(g.ids - X - Z)
+    Y = set(rng.sample(rest, rng.randint(1, min(2, len(rest))))) if rest else set()
+    W = {v for v in rest if v not in Y and rng.random() < 0.3}
+    cert = rule_applicable(g, rule, Y, X, Z, W)
+    if rule == "R3":
+        above_w = ancestors(mutilate(g, MutilationSpec.of(overline=Z)), W)
+        assert cert.overline == tuple(sorted(Z | {x for x in X if x not in above_w}))
+    cut = mutilate(g, MutilationSpec.of(cert.overline, cert.underline))
+    assert cert.holds == d_separated_by_paths(cut, Y, X, Z | W)
+    for graph in (g, cut):
+        assert d_separated(graph, Y, X, Z | W) == (active_path(graph, Y, X, Z | W) is None)
+
+
+@pytest.mark.parametrize(
+    "rule,Y,X,Z,W,holds",
+    [
+        # CY is underlined; its edge into the proxy CY* survives, and is the
+        # only path left open
+        ("R2", {"CY*"}, {"CY"}, set(), {"CX", "R_CY"}, False),
+        # CZ is overlined, and so loses CZ <-> CY and CZ <-> R_CY
+        ("R1", {"CY"}, {"R_CY"}, {"CZ"}, set(), True),
+    ],
+)
+def test_mask_mutilation_keeps_proxy_edges_and_cuts_bidirected(fig3, rule, Y, X, Z, W, holds):
+    cert = rule_applicable(fig3, rule, Y, X, Z, W)
+    cut = mutilate(fig3, MutilationSpec.of(cert.overline, cert.underline))
+    assert cert.holds is holds is d_separated_by_paths(cut, Y, X, Z | W)
+
+
+@pytest.mark.parametrize("name", ["fig2a", "fig3"])
+def test_search_builds_no_mutilated_graph(name, request, monkeypatch):
+    g = request.getfixturevalue(name)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built during the search")
+
+    monkeypatch.setattr(separation, "mutilate", refuse)
+    monkeypatch.setattr(MixedGraph, "__init__", refuse)
+    d = recover_effect(g, {"CX"}, {"CY"})
+    assert isinstance(d, Derivation) and replay(g, d).ok
 
 
 def test_rule_rejects_overlap(fig2b):
@@ -197,6 +255,24 @@ def test_replay_rejects_a_certificate_of_another_move(fig3):
         "failed_at": 1,
         "reason": "rewrite is not canonical-form-checkable",
     }
+
+
+def test_replay_rejects_an_unknown_rule(fig3):
+    d = recover_effect(fig3, {"CX"}, {"CY"})
+    assert d.steps[0].certificate is not None
+    bad = _tampered(d, 1, certificate=dataclasses.replace(d.steps[0].certificate, rule="R9"))
+    assert replay(fig3, bad).to_json() == {
+        "ok": False,
+        "failed_at": 1,
+        "reason": "unknown rule 'R9'",
+    }
+
+
+def test_unknown_rule_is_checked_first(fig3):
+    # overlapping sets and an unknown vertex would each be refused too
+    with pytest.raises(UnknownRule, match="unknown rule 'R9'") as info:
+        rule_applicable(fig3, "R9", {"CY"}, {"CY"}, {"nope"}, set())
+    assert isinstance(info.value, McdmgError) and isinstance(info.value, ValueError)
 
 
 REPLAY_MATRIX = {
@@ -417,11 +493,11 @@ def test_search_checks_each_term_once(fig2a, monkeypatch):
         return rule_applicable(g, rule, *sets)
 
     sums, offered = [], []
-    marginalize, rewritable = docalc.marginalize, docalc._rewritable
+    collapse, rewritable = docalc.collapse, docalc._rewritable
 
-    def counted_marginalize(s):
+    def counted_collapse(s):
         sums.append(s)
-        return marginalize(s)
+        return collapse(s)
 
     def counted_rewritable(e):
         nodes = rewritable(e)
@@ -430,7 +506,7 @@ def test_search_checks_each_term_once(fig2a, monkeypatch):
 
     monkeypatch.setattr(docalc, "_term_moves", counted_moves)
     monkeypatch.setattr(docalc, "rule_applicable", counted_rule)
-    monkeypatch.setattr(docalc, "marginalize", counted_marginalize)
+    monkeypatch.setattr(docalc, "collapse", counted_collapse)
     monkeypatch.setattr(docalc, "_rewritable", counted_rewritable)
     assert isinstance(recover_effect(fig2a, {"CX"}, {"CY"}, depth=8), Derivation)
     assert checks and len(set(terms)) == len(terms)

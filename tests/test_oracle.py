@@ -28,6 +28,7 @@ from mcdmg import (
     parse_graph,
     random_scm,
 )
+from mcdmg import GraphClass, Kind, MixedGraph, Vertex, oracle
 from mcdmg import check_joint, construct_witness, recover_effect
 from mcdmg.errors import (
     BudgetTooSmall,
@@ -265,6 +266,44 @@ def test_wide_cpt_refused_before_drawing(monkeypatch):
         random_scm(g, seed=0)
     with pytest.raises(DomainTooLarge, match="latent join"):
         _embed(g, {}, "V0", 0)
+
+
+def test_one_elimination_plan_per_scm(monkeypatch):
+    """`random_scm` plans the joint's elimination once, over the mechanisms
+    in the order the joint multiplies them, and `exact_tables` reuses it:
+    the joint is the bytes of one planned afresh."""
+    calls = []
+    elimination = oracle._elimination
+
+    def counted(*args):
+        calls.append(args)
+        return elimination(*args)
+
+    monkeypatch.setattr(oracle, "_elimination", counted)
+    madmgs = _first_graphs("fig2b")[1] + _first_graphs("fig3")[1]
+    madmgs += (next(iter(enumerate_compatible(mk(WIDE_LATENT_GRAPH), budget=Budget(2, 16)))),)
+    for madmg in madmgs:
+        calls.clear()
+        scm = random_scm(madmg, seed=5)
+        exact_tables(scm)
+        assert len(calls) == 1
+        fresh = random_scm(madmg, seed=5)
+        del fresh._cache[("plan", ())]
+        assert np.array_equal(_do_table(fresh).probs, _do_table(scm).probs)
+    assert max(len(m.bidirected) for m in madmgs) > 1  # the plan's order matters
+
+
+def test_budget_refused_before_the_cycle_error():
+    """A cyclic variable-level graph (only buildable without validation) is
+    refused by the budget first, and otherwise by its cycle."""
+    def cyclic(n, bidirected):
+        verts = [Vertex(f"V{i}", Kind.VARIABLE) for i in range(n)]
+        return MixedGraph.build("cyc", GraphClass.ADMG, verts, [("V0", "V1"), ("V1", "V0")], bidirected)
+
+    with pytest.raises(UnknownVertex, match="directed cycle"):
+        random_scm(cyclic(2, ()), seed=0)
+    with pytest.raises(DomainTooLarge, match="latent join"):
+        random_scm(cyclic(12, [("V0", f"V{i}") for i in range(1, 12)]), seed=0)
 
 
 def _fig3_scm():

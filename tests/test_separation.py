@@ -12,6 +12,7 @@ from mcdmg import (
     Vertex,
     Walk,
     active_path,
+    ancestors,
     d_separated,
     d_separated_by_paths,
     descendants,
@@ -21,7 +22,7 @@ from mcdmg import (
     primary_path,
 )
 from mcdmg.errors import EmptyWalk, OverlappingSets, UnknownVertex
-from mcdmg.separation import path_blocked
+from mcdmg.separation import ancestor_mask, path_blocked, reaches
 
 
 def test_descendants_fig3_mutilated(fig3):
@@ -223,3 +224,30 @@ def test_active_path_witness_properties(rng):
         assert w.is_path() and w.vertices[0] in X and w.vertices[-1] in Y
         w.check_in(g)  # consecutive vertices are joined by the recorded edge
         assert not path_blocked(g, w, Z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_masks_match_the_mutilated_graph(rng):
+    """The mask engine, in both directions and with a mutilation passed as
+    masks, agrees with the path oracle on the graph `mutilate` builds, and
+    its ancestor closure with that graph's."""
+    g = parse_graph(random_cluster_text(rng))
+    mutilable = sorted(v for v in g.ids if g.kind(v) is not Kind.PROXY)
+    over = {v for v in mutilable if rng.random() < 0.3}
+    under = {v for v in mutilable if rng.random() < 0.3}
+    X, Y, Z = random_query(rng, g)
+    cut = mutilate(g, MutilationSpec.of(over, under))
+    ix = g.index
+    xs, ys, zs, o, u = (ix.mask(s) for s in (X, Y, Z, over, under))
+    connected = not d_separated_by_paths(cut, X, Y, Z)
+    assert reaches(ix, xs, ys, zs, o, u) == reaches(ix, ys, xs, zs, o, u) == connected
+    assert ancestor_mask(ix, zs, o, u) == ix.mask(ancestors(cut, Z))
+
+
+def test_masks_keep_the_proxy_edge_of_an_underlined_vertex(fig3):
+    # CY -> CY* is the only path left open given CX and R_CY
+    ix = fig3.index
+    args = ix.mask({"CX", "R_CY"}), 0, ix.mask({"CY"})
+    assert reaches(ix, ix.mask({"CY"}), ix.mask({"CY*"}), *args)
+    assert reaches(ix, ix.mask({"CY*"}), ix.mask({"CY"}), *args)
