@@ -169,6 +169,14 @@ class Step:
         return out
 
 
+def _vertex_ids(certificate: dict, key: str) -> Tuple[str, ...]:
+    """A certificate's vertex set, which must be a JSON list of ids."""
+    ids = certificate[key]
+    if not isinstance(ids, list) or not all(isinstance(v, str) for v in ids):
+        raise TypeError(f"certificate field {key!r} is not a list of vertex ids: {ids!r}")
+    return tuple(ids)
+
+
 @dataclass(frozen=True)
 class Derivation:
     """A replayable sequence of justified rewrites from query to result."""
@@ -198,16 +206,8 @@ class Derivation:
             cert = None
             if "certificate" in s:
                 c = s["certificate"]
-                cert = RuleCertificate(
-                    c["rule"],
-                    tuple(c["y"]),
-                    tuple(c["x"]),
-                    tuple(c["z"]),
-                    tuple(c["w"]),
-                    tuple(c["overline"]),
-                    tuple(c["underline"]),
-                    c["holds"],
-                )
+                sets = (_vertex_ids(c, k) for k in ("y", "x", "z", "w", "overline", "underline"))
+                cert = RuleCertificate(c["rule"], *sets, c["holds"])
             steps.append(
                 Step(
                     s["rule"],
@@ -372,7 +372,9 @@ def recover_effect(
     parameter order, so results are deterministic and shortest. Success means
     the final expression has no do-operators and mentions partially observed
     clusters only through proxies guarded by their R=0 literals. Failure is
-    reported as NotDerived: the criterion is sound, not complete.
+    reported as NotDerived: the criterion is sound, not complete. Each state
+    is goal-tested once, when it is first generated; in breadth-first order
+    that returns the derivation a test at pop time would.
 
     Each distinct term's legal moves and each distinct sum's collapse are
     computed once per call and kept in a dict that lives as long as the
@@ -393,20 +395,23 @@ def recover_effect(
         raise OverlappingSets(f"treatment and outcome overlap in {', '.join(both)}")
     query = canonical(term(outcomes={val(o) for o in os}, do={val(t) for t in ts}))
 
-    start = (query, ())
+    if _observable(g, query):
+        return Derivation(g.name, query, ())
     seen = {query}
-    frontier = deque([start])
+    frontier = deque([(query, ())])
     explored = 0
     legal = {}
     while frontier:
         expr, steps = frontier.popleft()
         explored += 1
-        if _observable(g, expr):
-            return Derivation(g.name, query, steps)
         if len(steps) >= depth:
             continue
         for nxt, step in _expand(g, expr, legal):
             if nxt not in seen:
+                # goal test at generation: in breadth-first order the first
+                # observable state generated is the first one popped
+                if _observable(g, nxt):
+                    return Derivation(g.name, query, steps + (step,))
                 seen.add(nxt)
                 frontier.append((nxt, steps + (step,)))
     return NotDerived(query, depth, explored)

@@ -6,15 +6,27 @@ parents, proxies follow deterministically (value under R=0, NA under R=1).
 Everything downstream is full enumeration, no sampling: joint, manifest and
 interventional distributions come out as dense probability tables, and
 symbolic expressions are evaluated against them exactly.
+
+The work splits into a structure and the numbers. What depends only on the
+graph and its mechanisms (the CPT layout, the elimination plans and
+broadcasts of the do-tables, the manifest's pins, the marginals' axes, and
+each compiled term's reads) is worked out once: per variable-level graph in
+`_Structure`, owned weakly by the graph, and per expression, scope and
+grounding content in a bounded cache of `_Plan`s. Per SCM only the numeric
+kernels run.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -45,6 +57,16 @@ from .expressions import (
 from .graphs import Clustering, GraphClass, Kind, MixedGraph, topological_order
 
 MAX_STATES = 1 << 20
+PLANS_KEPT = 512  # compiled-expression plans, least recently used dropped first
+STRUCTURES_PER_GRAPH = 8  # mechanism sets per graph
+DO_PLANS_KEPT = 64  # do-sets per structure
+
+
+def _bounded_put(cache: OrderedDict, key, value, bound: int):
+    cache[key] = value
+    if len(cache) > bound:
+        cache.popitem(last=False)
+    return value
 
 
 @dataclass(frozen=True)
@@ -72,18 +94,21 @@ class DistTable:
 
     def marginal(self, keep: Iterable[str]) -> "DistTable":
         keep = tuple(keep)
-        if keep in self._cache:
-            return self._cache[keep]
-        for k in keep:
-            if k not in self.variables:
-                raise UnknownVertex(f"the table has no column {k!r}")
-        drop = tuple(i for i, v in enumerate(self.variables) if v not in keep)
-        probs = self.probs.sum(axis=drop) if drop else self.probs
-        names = tuple(v for v in self.variables if v in keep)
-        order = tuple(names.index(k) for k in keep)
-        out = DistTable(keep, tuple(self.cards[self.variables.index(k)] for k in keep),
-                        np.asarray(np.transpose(probs, order), order="C"))
-        self._cache[keep] = out
+        out = self._cache.get(keep)
+        if out is None:
+            cards = _marginal_layout(self.variables, self.cards, keep)[2]
+            out = self._cache[keep] = DistTable(keep, cards, np.asarray(self._mass(keep), order="C"))
+        return out
+
+    def _mass(self, keep: Tuple[str, ...]) -> np.ndarray:
+        """The marginal's probabilities over ``keep``, axes in that order:
+        the sum `marginal` copies to C order, left as a transposed view."""
+        key = ("mass", keep)
+        out = self._cache.get(key)
+        if out is None:
+            drop, order, _ = _marginal_layout(self.variables, self.cards, keep)
+            out = self.probs.sum(axis=drop) if drop else self.probs
+            out = self._cache[key] = np.transpose(out, order)
         return out
 
     def total(self) -> float:
@@ -92,13 +117,25 @@ class DistTable:
         return self._cache["total"]
 
 
+@functools.lru_cache(maxsize=1024)
+def _marginal_layout(variables, cards, keep):
+    """`DistTable.marginal`'s layout, once per (columns, kept columns): the
+    axes summed out, the transpose onto ``keep`` and the kept cards."""
+    for k in keep:
+        if k not in variables:
+            raise UnknownVertex(f"the table has no column {k!r}")
+    drop = tuple(i for i, v in enumerate(variables) if v not in keep)
+    names = tuple(v for v in variables if v in keep)
+    order = tuple(names.index(k) for k in keep)
+    return drop, order, tuple(cards[variables.index(k)] for k in keep)
+
+
 def _check_level(name: str, x: int, card: int) -> None:
     if not 0 <= x < card:
         raise EvaluationError(f"{name} = {x} is outside its domain 0..{card - 1}")
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """One mechanism: a CPT over the node's parents (sorted order)."""
 
     name: str
@@ -118,6 +155,15 @@ class DiscreteSCM:
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
+    def structure(self) -> "_Structure":
+        """The structure shared by every SCM with these mechanisms."""
+        s = self._cache.get("structure")
+        if s is None:
+            specs = tuple((n.name, n.parents, n.card) for n in self.nodes)
+            s = self._cache["structure"] = _structure(self.madmg, self.latents, specs)
+        return s
+
+    @property
     def node_map(self) -> Dict[str, Node]:
         if "nodes" not in self._cache:
             self._cache["nodes"] = {n.name: n for n in self.nodes}
@@ -125,14 +171,14 @@ class DiscreteSCM:
 
     @property
     def variables(self) -> Tuple[str, ...]:
-        return tuple(sorted(self.madmg.variables))
+        return self.structure.variables
 
     @property
     def indicators(self) -> Tuple[str, ...]:
-        return tuple(sorted(self.madmg.indicators))
+        return self.structure.indicators
 
     def card(self, name: str) -> int:
-        return self.node_map[name].card
+        return self.structure.cards[name]
 
     def masked(self, var: str) -> bool:
         return var in self.madmg.indicator_by_owner
@@ -142,6 +188,141 @@ class DiscreteSCM:
 
     def indicator_name(self, var: str) -> str:
         return self.madmg.indicator_by_owner[var]
+
+
+# ---------------------------------------------------------------------------
+# The structure: everything but the numbers, once per graph and mechanism set
+# ---------------------------------------------------------------------------
+
+
+class _Structure:
+    """The part of an SCM's exact tables that its numbers do not change.
+
+    Built once per variable-level graph and mechanism set (``specs``: per
+    node in topological order its name, sorted parents and card) and shared
+    by every SCM with them. It holds no array of any SCM and no reference to
+    the graph, which owns it weakly (`_structure`). Everything in it is
+    worked out on first use: the CPT layout of `random_scm`, the plan of each
+    do-set's table and the manifest's pins.
+    """
+
+    def __init__(self, madmg: MixedGraph, latents: Tuple[str, ...], specs):
+        self.latents, self.specs = latents, specs
+        self.cards = {name: k for name, _, k in specs}
+        self.variables = tuple(sorted(madmg.variables))
+        self.indicators = tuple(sorted(madmg.indicators))
+        self.indicator_of = dict(madmg.indicator_by_owner)
+        self.proxy_of = dict(madmg.proxy_by_owner)
+        self.kept = tuple(name for name, _, _ in specs if name not in latents)
+        self.scopes = tuple(ps + (name,) for name, ps, _ in specs)
+        # the joint's elimination; its largest join does not depend on the order
+        self.joint = _elimination(self.scopes, latents, self.cards.__getitem__)
+        self.do_plans: OrderedDict = OrderedDict()
+
+    def check_budget(self) -> None:
+        """Refuse a graph whose exact tables would exceed ``MAX_STATES``
+        cells: the largest latent join of the joint's elimination, the joint
+        itself (which bounds every CPT without a latent in its scope) and the
+        manifest, where each masked variable gets an extra NA level."""
+        observables = self.variables + self.indicators
+        if max(self.joint[1], math.prod(self.cards[n] for n in observables)) > MAX_STATES:
+            raise DomainTooLarge(f"latent join or joint table exceeds {MAX_STATES} cells")
+        levels = (self.cards[n] + (n in self.indicator_of) for n in observables)
+        if math.prod(levels) > MAX_STATES:
+            raise DomainTooLarge(f"manifest table exceeds {MAX_STATES} cells")
+
+    @cached_property
+    def draw_layout(self):
+        """`random_scm`'s CPT layout. The stream is drawn node by node in
+        topological order and regrouped by row length k (None when it
+        already is): the stream positions in grouped order, per k its rows'
+        span of the grouped buffer, and per node its span and shape there."""
+        spans, start = {}, 0
+        for name, ps, k in self.specs:
+            shape = tuple(self.cards[p] for p in ps) + (k,)
+            spans.setdefault(k, []).append((name, ps, start, shape))
+            start += math.prod(shape)
+        order, groups, segments = [], [], []
+        for k, nodes in sorted(spans.items()):
+            first = len(order)
+            for name, ps, stream_at, shape in nodes:
+                segments.append((name, ps, k, len(order), len(order) + math.prod(shape), shape))
+                order.extend(range(stream_at, stream_at + math.prod(shape)))
+            groups.append((k, first, len(order)))
+        names = [name for name, _, _ in self.specs]
+        segments.sort(key=lambda seg: names.index(seg[0]))
+        regroup = None if order == sorted(order) else np.array(order)
+        return start, regroup, tuple(groups), tuple(segments)
+
+    def do_plan(self, do_vars: Tuple[str, ...]) -> "_DoPlan":
+        plan = self.do_plans.get(do_vars)
+        if plan is None:
+            plan = _bounded_put(self.do_plans, do_vars, _DoPlan(self, do_vars), DO_PLANS_KEPT)
+        return plan
+
+    @cached_property
+    def manifest_pins(self):
+        """`_manifest`'s pins on the joint, one masked variable at a time:
+        the output shape, the observed cells' destination and source, the
+        missing stratum and its axis, and the NA level's destination."""
+        names, cards, pins = list(self.kept), [self.cards[n] for n in self.kept], []
+        observed, missing = slice(0, 1), slice(1, None)
+        for v in self.variables:
+            if v not in self.indicator_of:
+                continue
+            x, r, k = names.index(v), names.index(self.indicator_of[v]), self.cards[v]
+            names[x], cards[x] = self.proxy_of[v], k + 1
+            n = len(names)
+            pins.append((
+                tuple(cards),
+                _pin(n, {x: slice(0, k), r: observed}),
+                _pin(n, {r: observed}),
+                _pin(n, {r: missing}),
+                x,
+                _pin(n, {x: slice(k, k + 1), r: missing}),
+            ))
+        masked = [v for v in self.variables if v in self.indicator_of]
+        observed_vars = [v for v in self.variables if v not in self.indicator_of]
+        keep = tuple(observed_vars + [self.proxy_of[v] for v in masked] + list(self.indicators))
+        return tuple(pins), tuple(names), tuple(cards), keep
+
+
+_STRUCTURES: "weakref.WeakKeyDictionary[MixedGraph, OrderedDict]" = weakref.WeakKeyDictionary()
+
+
+def _structures_of(madmg: MixedGraph) -> OrderedDict:
+    """The structures of one graph; they go when the graph goes."""
+    per_graph = _STRUCTURES.get(madmg)
+    if per_graph is None:
+        per_graph = _STRUCTURES[madmg] = OrderedDict()
+    return per_graph
+
+
+def _structure(madmg: MixedGraph, latents: Tuple[str, ...], specs) -> _Structure:
+    """The one builder: the structure of the SCMs on ``madmg`` with these
+    mechanisms, built on first use."""
+    per_graph = _structures_of(madmg)
+    key = (latents, specs)
+    s = per_graph.get(key)
+    if s is None:
+        s = _bounded_put(per_graph, key, _Structure(madmg, latents, specs), STRUCTURES_PER_GRAPH)
+    return s
+
+
+def _random_structure(madmg: MixedGraph) -> _Structure:
+    """`random_scm`'s structure: a mechanism per variable and indicator, a
+    latent per bidirected edge, checked against the budget (before the
+    cycle error) once per graph."""
+    per_graph = _structures_of(madmg)
+    s = per_graph.get(None)
+    if s is None:
+        latents, parents = _mechanisms(madmg)
+        order, cyclic = _topo_order(madmg, latents, parents)
+        s = _structure(madmg, latents, tuple((n, parents[n], _card(n, latents)) for n in order + cyclic))
+        s.check_budget()
+        _acyclic(cyclic)
+        per_graph[None] = s
+    return s
 
 
 def _latent_name(a: str, b: str) -> str:
@@ -172,42 +353,25 @@ def random_scm(madmg: MixedGraph, seed: int = 0) -> DiscreteSCM:
     positive over complete cases. Raises DomainTooLarge, before drawing,
     when the largest latent join, the joint or the manifest would exceed
     ``MAX_STATES`` cells.
+
+    The graph's structure (mechanisms, order, budget and the stream's row
+    layout) is worked out once; per seed, the rows of each length are
+    normalized in one pass, each summed as ``g.sum(-1)`` sums it.
     """
-    latents, parents = _mechanisms(madmg)
-    order, cyclic = _topo_order(madmg, latents, parents)
-    planned = _check_budget(madmg, latents, parents, order + cyclic)
-    _acyclic(cyclic)
-    shapes = [tuple(_card(p, latents) for p in parents[n]) + (_card(n, latents),) for n in order]
-    draws = np.random.default_rng(seed).standard_exponential(sum(map(math.prod, shapes)))
-    nodes, start = [], 0
-    for name, shape in zip(order, shapes):
-        g = draws[start:start + math.prod(shape)].reshape(shape)
-        start += g.size
-        k = shape[-1]
-        cpt = g * (1.0 / g.sum(-1, keepdims=True)) * (1.0 - k * 1e-3) + 1e-3
-        nodes.append(Node(name, k, parents[name], cpt))
-    scm = DiscreteSCM(madmg, tuple(nodes), latents, seed)
-    scm._cache[("plan", ())] = planned  # the joint's factors are the budget's, in this order
+    s = _random_structure(madmg)
+    size, regroup, groups, segments = s.draw_layout
+    flat = np.random.default_rng(seed).standard_exponential(size)
+    if regroup is not None:
+        flat = flat[regroup]
+    for k, a, b in groups:
+        g = flat[a:b].reshape(-1, k)
+        g *= 1.0 / g.sum(-1, keepdims=True)
+        g *= 1.0 - k * 1e-3
+        g += 1e-3
+    nodes = tuple(Node(name, k, ps, flat[a:b].reshape(shape)) for name, ps, k, a, b, shape in segments)
+    scm = DiscreteSCM(madmg, nodes, s.latents, seed)
+    scm._cache["structure"] = s
     return scm
-
-
-def _check_budget(madmg: MixedGraph, latents, parents, order):
-    """Refuse a graph whose exact tables would exceed ``MAX_STATES`` cells:
-    the largest latent join of the joint's elimination, the joint itself
-    (which bounds every CPT without a latent in its scope) and the manifest,
-    where each masked variable gets an extra NA level. Returns the joint's
-    `_elimination` over the mechanisms in ``order``; the largest join does
-    not depend on the order."""
-    card = functools.partial(_card, latents=latents)
-    planned = _elimination([parents[n] + (n,) for n in order], latents, card)
-    largest = planned[1]
-    observables = list(madmg.variables) + list(madmg.indicators)
-    if max(largest, math.prod(map(card, observables))) > MAX_STATES:
-        raise DomainTooLarge(f"latent join or joint table exceeds {MAX_STATES} cells")
-    levels = (card(n) + (n in madmg.indicator_by_owner) for n in observables)
-    if math.prod(levels) > MAX_STATES:
-        raise DomainTooLarge(f"manifest table exceeds {MAX_STATES} cells")
-    return planned
 
 
 def _mechanisms(madmg: MixedGraph) -> Tuple[Tuple[str, ...], Dict[str, Tuple[str, ...]]]:
@@ -233,21 +397,80 @@ def scm_from_cpts(
     madmg: MixedGraph, cpts: Mapping[str, Tuple[Tuple[str, ...], np.ndarray]], seed: int = 0
 ) -> DiscreteSCM:
     """Assemble an SCM from explicit (parents, cpt) pairs, topologically sorted."""
-    parents = {name: list(ps) for name, (ps, _) in cpts.items()}
+    parents = {name: tuple(ps) for name, (ps, _) in cpts.items()}
     latents = tuple(sorted(n for n in cpts if n not in madmg.ids))
     order, cyclic = _topo_order(madmg, latents, parents)
     _acyclic(cyclic)
-    nodes = []
-    for name in order:
-        ps, cpt = cpts[name]
-        cpt = np.asarray(cpt, dtype=float)
-        nodes.append(Node(name, int(cpt.shape[-1]), tuple(ps), cpt))
-    return DiscreteSCM(madmg, tuple(nodes), latents, seed)
+    arrays = {name: np.asarray(cpt, dtype=float) for name, (_, cpt) in cpts.items()}
+    specs = tuple((n, parents[n], int(arrays[n].shape[-1])) for n in order)
+    s = _structure(madmg, latents, specs)
+    scm = DiscreteSCM(madmg, tuple(Node(n, k, ps, arrays[n]) for n, ps, k in specs), latents, seed)
+    scm._cache["structure"] = s
+    return scm
 
 
 # ---------------------------------------------------------------------------
 # Exact tables
 # ---------------------------------------------------------------------------
+
+
+class _DoPlan:
+    """`_do_table`'s work for one do-set, but the numbers: the elimination
+    steps over factor slots (the CPTs of the nodes not intervened on, in
+    node order, then each join), each left factor's transpose and reshape
+    onto the kept table, and the diagonals of the do columns. Raises
+    DomainTooLarge when the largest join or the stacked table would exceed
+    ``MAX_STATES`` cells."""
+
+    def __init__(self, s: _Structure, do_vars: Tuple[str, ...]):
+        card = s.cards.__getitem__
+        kept_cards = tuple(map(card, s.kept))
+        do_cards = tuple(map(card, do_vars))
+        self.live = tuple(i for i, (name, _, _) in enumerate(s.specs) if name not in do_vars)
+        factors = [(i, s.scopes[n]) for i, n in enumerate(self.live)]  # (slot, scope)
+        plan, largest = s.joint if not do_vars else _elimination([f[1] for f in factors], s.latents, card)
+        if max(largest, math.prod(do_cards + kept_cards)) > MAX_STATES:
+            raise DomainTooLarge(f"do-table on {list(do_vars)} exceeds {MAX_STATES} cells")
+        self.steps = []
+        for lat, joined, union in plan:
+            label = {n: i for i, n in enumerate(union)}
+            out = tuple(n for n in union if n != lat)
+            subscripts = tuple((factors[i][0], [label[n] for n in factors[i][1]]) for i in joined)
+            self.steps.append((subscripts, [label[n] for n in out]))
+            factors = [f for i, f in enumerate(factors) if i not in joined]
+            factors.append((len(self.live) + len(self.steps) - 1, out))
+        axis = {n: i for i, n in enumerate(s.kept)}
+        self.kept_cards, self.broadcasts = kept_cards, []
+        for slot, scope in factors:
+            # broadcast the factor onto its axes of the kept table
+            src_axes = [axis[n] for n in scope]
+            view_shape = [1] * len(s.kept)
+            for a, n in zip(src_axes, scope):
+                view_shape[a] = card(n)
+            order = sorted(range(len(scope)), key=src_axes.__getitem__)
+            self.broadcasts.append((slot, order, view_shape))
+        n = len(do_vars)
+        self.lead = (1,) * n + kept_cards
+        self.diagonals = []
+        for i, (v, k) in enumerate(zip(do_vars, do_cards)):
+            diagonal = [1] * len(self.lead)
+            diagonal[i] = diagonal[n + s.kept.index(v)] = k
+            self.diagonals.append(np.eye(k).reshape(diagonal))
+        self.names = tuple(f"do({v})" for v in do_vars) + s.kept
+        self.cards = do_cards + kept_cards
+
+    def run(self, nodes: Tuple[Node, ...]) -> DistTable:
+        values = [nodes[i].cpt for i in self.live]
+        for subscripts, out in self.steps:
+            operands = [x for slot, labels in subscripts for x in (values[slot], labels)]
+            values.append(np.einsum(*operands, out))
+        probs = np.ones(self.kept_cards)
+        for slot, order, view_shape in self.broadcasts:
+            probs *= np.transpose(values[slot], order).reshape(view_shape)
+        probs = probs.reshape(self.lead)
+        for diagonal in self.diagonals:
+            probs = probs * diagonal
+        return DistTable(self.names, self.cards, probs)
 
 
 def _do_table(scm: DiscreteSCM, do_vars: Tuple[str, ...] = ()) -> DistTable:
@@ -263,43 +486,15 @@ def _do_table(scm: DiscreteSCM, do_vars: Tuple[str, ...] = ()) -> DistTable:
     and the table is zero off it. Without ``do_vars``, the joint. Raises
     DomainTooLarge, before allocating, when the largest join or the stacked
     table would exceed ``MAX_STATES`` cells.
+
+    The plan (`_DoPlan`) is worked out once per structure and do-set; per
+    SCM only the einsums and products run.
     """
     key = ("do", do_vars)
-    if key in scm._cache:
-        return scm._cache[key]
-    kept = tuple(n.name for n in scm.nodes if n.name not in scm.latents)
-    kept_cards = tuple(scm.card(n) for n in kept)
-    do_cards = tuple(scm.card(v) for v in do_vars)
-    factors = [(n.parents + (n.name,), n.cpt) for n in scm.nodes if n.name not in do_vars]
-    planned = scm._cache.get(("plan", do_vars))
-    plan, largest = planned or _elimination([s for s, _ in factors], scm.latents, scm.card)
-    if max(largest, math.prod(do_cards + kept_cards)) > MAX_STATES:
-        raise DomainTooLarge(f"do-table on {list(do_vars)} exceeds {MAX_STATES} cells")
-    for lat, joined, union in plan:
-        label = {n: i for i, n in enumerate(union)}
-        operands = [x for i in joined for x in (factors[i][1], [label[n] for n in factors[i][0]])]
-        out = tuple(n for n in union if n != lat)
-        factors = [f for i, f in enumerate(factors) if i not in joined]
-        factors.append((out, np.einsum(*operands, [label[n] for n in out])))
-    axis = {n: i for i, n in enumerate(kept)}
-    probs = np.ones(kept_cards)
-    for scope, values in factors:
-        # broadcast the factor onto its axes of the kept table
-        src_axes = [axis[n] for n in scope]
-        view_shape = [1] * len(kept)
-        for a, size in zip(src_axes, values.shape):
-            view_shape[a] = size
-        order = sorted(range(len(scope)), key=src_axes.__getitem__)
-        probs *= np.transpose(values, order).reshape(view_shape)
-    n = len(do_vars)
-    probs = probs.reshape((1,) * n + probs.shape)
-    for i, (v, k) in enumerate(zip(do_vars, do_cards)):
-        diagonal = [1] * probs.ndim
-        diagonal[i] = diagonal[n + kept.index(v)] = k
-        probs = probs * np.eye(k).reshape(diagonal)
-    names = tuple(f"do({v})" for v in do_vars) + kept
-    scm._cache[key] = DistTable(names, do_cards + kept_cards, probs)
-    return scm._cache[key]
+    table = scm._cache.get(key)
+    if table is None:
+        table = scm._cache[key] = scm.structure.do_plan(do_vars).run(scm.nodes)
+    return table
 
 
 def _elimination(scopes, latents, card):
@@ -332,23 +527,16 @@ def _manifest(scm: DiscreteSCM, base: DistTable) -> DistTable:
     """Replace each masked variable by its proxy, one indicator at a time.
 
     ``proxy = x`` takes the cells ``(v = x, R_v = 0)``; the extra level
-    ``proxy = NA`` takes ``sum_v (R_v != 0)``.
+    ``proxy = NA`` takes ``sum_v (R_v != 0)``. The pins are the structure's.
     """
-    names, cards, probs = list(base.variables), list(base.cards), base.probs
-    for v in scm.variables:
-        if not scm.masked(v):
-            continue
-        x, r, k = names.index(v), names.index(scm.indicator_name(v)), scm.card(v)
-        out = np.zeros(probs.shape[:x] + (k + 1,) + probs.shape[x + 1:])
-        observed, missing = slice(0, 1), slice(1, None)
-        out[_pin(out.ndim, {x: slice(0, k), r: observed})] = probs[_pin(out.ndim, {r: observed})]
-        na = probs[_pin(out.ndim, {r: missing})].sum(axis=x, keepdims=True)
-        out[_pin(out.ndim, {x: slice(k, k + 1), r: missing})] = na
-        names[x], cards[x], probs = scm.proxy_name(v), k + 1, out
-    observed = [v for v in scm.variables if not scm.masked(v)]
-    proxies = [scm.proxy_name(v) for v in scm.variables if scm.masked(v)]
-    keep = tuple(observed + proxies + list(scm.indicators))
-    return DistTable(tuple(names), tuple(cards), probs).marginal(keep)
+    pins, names, cards, keep = scm.structure.manifest_pins
+    probs = base.probs
+    for shape, observed_dst, observed_src, missing, x, na_dst in pins:
+        out = np.zeros(shape)
+        out[observed_dst] = probs[observed_src]
+        out[na_dst] = probs[missing].sum(axis=x, keepdims=True)
+        probs = out
+    return DistTable(names, cards, probs).marginal(keep)
 
 
 def exact_tables(scm: DiscreteSCM) -> Tuple[DistTable, DistTable]:
@@ -359,9 +547,10 @@ def exact_tables(scm: DiscreteSCM) -> Tuple[DistTable, DistTable]:
     out.
     """
     base = _do_table(scm)
-    if "manifest" not in scm._cache:
-        scm._cache["manifest"] = _manifest(scm, base)
-    return base.marginal(scm.variables), scm._cache["manifest"]
+    manifest = scm._cache.get("manifest")
+    if manifest is None:
+        manifest = scm._cache["manifest"] = _manifest(scm, base)
+    return base.marginal(scm.variables), manifest
 
 
 def interventional_table(
@@ -442,6 +631,18 @@ class Grounding:
             groups,
         )
 
+    @cached_property
+    def content(self) -> "_Content":
+        """Everything a compiled plan depends on, hashed once; equal
+        groundings share it."""
+        return _Content.of((
+            self.clustering,
+            tuple(sorted(self.cards.items())),
+            tuple(sorted(self.indicator_of.items())),
+            tuple(sorted(self.proxy_of.items())),
+            tuple(sorted(self.indicator_groups.items())),
+        ))
+
     def members(self, cluster: str) -> Tuple[str, ...]:
         return self.clustering.members(cluster)
 
@@ -466,6 +667,26 @@ class Grounding:
         raise EvaluationError(f"indicator literal {rid!r} matches no indicator")
 
 
+class _Content:
+    """A tuple key whose hash is computed once, one object per live key."""
+
+    __slots__ = ("key", "hash", "__weakref__")
+    _live: "weakref.WeakValueDictionary[tuple, _Content]" = weakref.WeakValueDictionary()
+
+    def __init__(self, key: tuple):
+        self.key, self.hash = key, hash(key)
+
+    @classmethod
+    def of(cls, key: tuple) -> "_Content":
+        return cls._live.setdefault(key, cls(key))
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other) -> bool:
+        return self is other or (isinstance(other, _Content) and self.key == other.key)
+
+
 # ---------------------------------------------------------------------------
 # Evaluation: expressions compiled to arrays over whole cluster domains
 # ---------------------------------------------------------------------------
@@ -478,6 +699,11 @@ class Grounding:
 # first error that evaluating that cell alone raises, in evaluation order
 # (factors left to right, a denominator before its numerator, bound values in
 # domain order). So a call raises exactly when one of its cells does.
+#
+# `_Compiler` works out a `_Plan` once per expression, scope and grounding
+# content: every shape, each term's reads and merges, and the errors that do
+# not depend on the numbers. `_Plan.run` does the arithmetic on one source
+# and numbers the errors as they occur, zero-mass strata included.
 
 
 def _first(*codes: Optional[np.ndarray]) -> Optional[np.ndarray]:
@@ -487,6 +713,15 @@ def _first(*codes: Optional[np.ndarray]) -> Optional[np.ndarray]:
         if c is not None:
             out = c if out is None else np.where(out != 0, out, c)
     return out
+
+
+def _flag(errors: list, mask, error) -> Optional[np.ndarray]:
+    """Codes for the cells in ``mask``, under a new error (``error()``
+    makes it), or None when no cell is."""
+    if not np.any(mask):
+        return None
+    errors.append(error())
+    return np.where(mask, len(errors), 0)
 
 
 @dataclass(frozen=True)
@@ -505,30 +740,171 @@ class _Compiled:
         raise self.errors[int(code) - 1].with_traceback(None)
 
 
-class _Compiler:
-    """Compiles one expression against a manifest table (``evaluate``) or
-    against an SCM's do-tables (``evaluate_interventional`` and ``check``'s
-    truth); the source's type decides which."""
+class _Failed:
+    """A subexpression that raises whatever the numbers: every cell fails."""
 
-    def __init__(self, source, grounding: Grounding):
-        self.source, self.g = source, grounding
-        self.interventional = isinstance(source, DiscreteSCM)
-        self.proxies = {p: v for v, p in grounding.proxy_of.items()} if self.interventional else {}
+    def __init__(self, shape, error: Exception):
+        error.with_traceback(None)  # the plan is cached: hold no frames
+        self.shape, self.error = shape, error
+
+    def run(self, source, errors):
+        errors.append(copy.copy(self.error))  # a source's own error: raising it sets its frames
+        return np.ones(self.shape), np.full(self.shape, len(errors))
+
+
+class _Product:
+    """A product of factors; with none, One."""
+
+    def __init__(self, ones, factors):
+        self.ones, self.factors = ones, factors
+
+    def run(self, source, errors):
+        out, codes = np.ones(self.ones), None
+        for f in self.factors:
+            value, c = f.run(source, errors)
+            out, codes = out * value, _first(codes, c)
+        return out, codes
+
+
+class _Quotient:
+    def __init__(self, num, den):
+        self.num, self.den = num, den
+
+    def run(self, source, errors):
+        den, den_codes = self.den.run(source, errors)
+        zero = _flag(errors, den <= 0.0, lambda: PositivityError("zero denominator in quotient"))
+        num, num_codes = self.num.run(source, errors)
+        return num / den, _first(den_codes, zero, num_codes)
+
+
+class _SumOver:
+    def __init__(self, body, size: int):
+        self.body, self.size = body, size
+
+    def run(self, source, errors):
+        body, codes = self.body.run(source, errors)
+        total = 0.0
+        last = body.shape[-1] - 1
+        for i in range(self.size):  # in domain order, like a running sum
+            total = total + body[..., min(i, last)]
+        if codes is not None:
+            codes = _first(*(codes[..., i] for i in range(codes.shape[-1])))
+        return total, codes
+
+
+class _Read:
+    """One marginal read: the table's mass along the columns' sub-axes, as an
+    array over every sub-axis (size 1 where it does not depend on one)."""
+
+    def __init__(self, sub, sources: Mapping[str, list]):
+        self.cols = tuple(sorted(sources))
+        index, self.letters, self.operands = [], [], []
+        for col in self.cols:
+            subs = sources[col]
+            if not subs:
+                index.append(0)
+                continue
+            # a proxy column's NA level lies beyond the sub-axis
+            index.append(slice(0, sub[subs[0]]))
+            self.letters.append(subs[0])
+            for s in subs[1:]:  # the same variable read twice: a diagonal
+                self.operands += [np.eye(sub[s]), [subs[0], s]]
+        self.index = tuple(index)
+        self.used = sorted({s for subs in sources.values() for s in subs})
+        self.shape = tuple(sub[k] if k in self.used else 1 for k in range(len(sub)))
+
+    def run(self, table: DistTable) -> np.ndarray:
+        if not self.cols:
+            return np.full(self.shape, table.total())
+        probs = table._mass(self.cols)[self.index]
+        return np.einsum(probs, self.letters, *self.operands, self.used).reshape(self.shape)
+
+
+class _Term:
+    """A term: its numerator and conditioning reads on one table (the
+    source, or the SCM's do-table of ``do_vars``), merged onto the scope
+    axes; a zero-mass stratum flags its cells."""
+
+    def __init__(self, compiler: "_Compiler", t: Term, do_vars, num, den):
+        self.do_vars, self.num, self.den = do_vars, num, den
+        self.ones = compiler._ones()
+        self.message = f"zero-mass conditioning stratum in {render(t)}"
+        if den is None:
+            self.merge = compiler._merge(num.shape)
+        else:
+            self.merge = compiler._merge(np.broadcast_shapes(num.shape, den.shape))
+            self.merge_flag = compiler._merge(den.shape)
+
+    def run(self, source, errors):
+        try:
+            table = source if self.do_vars is None else _do_table(source, self.do_vars)
+            values = self.num.run(table)
+            den = None if self.den is None else self.den.run(table)
+        except McdmgError as exc:
+            return _Failed(self.ones, exc).run(source, errors)
+        if den is None:
+            return _merged(values, self.merge), None
+        flag = _flag(errors, den <= 0.0, lambda: PositivityError(self.message))
+        if flag is not None:
+            flag = _merged(flag, self.merge_flag)
+        return _merged(values / den, self.merge), flag
+
+
+def _merged(arr: np.ndarray, merge) -> np.ndarray:
+    full, shape = merge
+    if arr.shape != full:
+        arr = np.broadcast_to(arr, full)
+    return arr.reshape(shape)
+
+
+class _Plan:
+    """A compiled expression but the numbers; ``run`` evaluates it on one
+    source (a table, or an SCM under interventional semantics)."""
+
+    def __init__(self, root, shape, cards):
+        self.root, self.shape, self.cards = root, shape, cards
+
+    def run(self, source) -> _Compiled:
+        errors = []
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values, codes = self.root.run(source, errors)
+        if codes is not None:
+            codes = np.broadcast_to(codes, self.shape)
+        if values.shape != self.shape:
+            values = np.broadcast_to(values, self.shape)
+        return _Compiled(values, codes, tuple(errors), self.cards)
+
+    @cached_property
+    def keys(self) -> list:
+        """The scope's value tuples in cell order, as ``Grounding.domain``
+        lists each atom's."""
+        domains = [list(itertools.product(*map(range, cards))) for cards in self.cards]
+        return list(itertools.product(*domains))
+
+
+class _Compiler:
+    """Plans one expression against a table (``evaluate``) or against an
+    SCM's do-tables (``evaluate_interventional`` and ``check``'s truth), for
+    one scope and grounding: the sub-axes of every cluster member, each
+    term's columns, index, einsum subscripts, diagonal operands and merge
+    shapes, and the errors that every source would raise (unbound symbols,
+    a do-term or a masked true value on a plain table, an indicator literal
+    that matches no indicator). The numbers, and the positivity flags that
+    depend on them, are left to `_Plan.run`."""
+
+    def __init__(self, grounding: Grounding, interventional: bool):
+        self.g, self.interventional = grounding, interventional
+        self.proxies = {p: v for v, p in grounding.proxy_of.items()} if interventional else {}
         self.axes = []  # member cards per scope axis, sum axes last
         self.sub = []  # sub-axis -> card; the sub-axes of an axis are contiguous
         self.offset = []  # axis -> its first sub-axis
-        self.errors = []
 
-    def run(self, expr: Expr, scope: Tuple[Atom, ...]) -> _Compiled:
+    def plan(self, expr: Expr, scope: Tuple[Atom, ...]) -> _Plan:
         for atom in scope:
             self._push(atom.ref)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values, codes = self._node(expr, {a: i for i, a in enumerate(scope)})
+        root = self._node(expr, {a: i for i, a in enumerate(scope)})
         shape = tuple(math.prod(cards) for cards in self.axes)
-        if codes is not None:
-            codes = np.broadcast_to(codes, shape)
-        values = np.broadcast_to(values, shape)
-        return _Compiled(values, codes, tuple(self.errors), tuple(self.axes))
+        return _Plan(root, shape, tuple(self.axes))
 
     def _push(self, cluster: str) -> int:
         cards = tuple(self.g.cards[v] for v in self.g.members(cluster))
@@ -544,52 +920,31 @@ class _Compiler:
     def _ones(self) -> Tuple[int, ...]:
         return (1,) * len(self.axes)
 
-    def _flag(self, mask, error: Exception) -> Optional[np.ndarray]:
-        if not np.any(mask):
-            return None
-        self.errors.append(error)
-        return np.where(mask, len(self.errors), 0)
-
-    def _fail(self, error: Exception):
-        error.with_traceback(None)  # the entry is cached: hold no frames
-        return np.ones(self._ones()), self._flag(np.ones(self._ones(), bool), error)
-
     def _node(self, e: Expr, env: Mapping[Atom, int]):
         if isinstance(e, One):
-            return np.ones(self._ones()), None
+            return _Product(self._ones(), ())
         if isinstance(e, Term):
             try:
                 return self._term(e, env)
             except McdmgError as exc:
-                return self._fail(exc)
+                return _Failed(self._ones(), exc)
         if isinstance(e, Product):
-            out, codes = np.ones(self._ones()), None
-            for f in e.factors:
-                value, c = self._node(f, env)
-                out, codes = out * value, _first(codes, c)
-            return out, codes
+            return _Product(self._ones(), tuple(self._node(f, env) for f in e.factors))
         if isinstance(e, Quotient):
-            den, den_codes = self._node(e.den, env)
-            zero = self._flag(den <= 0.0, PositivityError("zero denominator in quotient"))
-            num, num_codes = self._node(e.num, env)
-            return num / den, _first(den_codes, zero, num_codes)
+            den = self._node(e.den, env)
+            return _Quotient(self._node(e.num, env), den)
         if isinstance(e, Sum):
             try:
                 axis = self._push(e.bound.ref)
             except McdmgError as exc:
-                return self._fail(exc)
+                return _Failed(self._ones(), exc)
             # the proxy alias is captured by the same binder: under the R=0
             # literals both symbols denote the same bound value
             inner = {**env, e.bound: axis, Atom(PROXY, e.bound.ref): axis}
-            body, codes = self._node(e.body, inner)
+            body = self._node(e.body, inner)
             size = math.prod(self.axes[axis])
             self._pop()
-            total = 0.0
-            for i in range(size):  # in domain order, like a running sum
-                total = total + body[..., min(i, body.shape[-1] - 1)]
-            if codes is not None:
-                codes = _first(*(codes[..., i] for i in range(codes.shape[-1])))
-            return total, codes
+            return _SumOver(body, size)
         raise TypeError(f"not an expression: {e!r}")
 
     def _axis(self, env: Mapping[Atom, int], atom: Atom) -> int:
@@ -629,7 +984,7 @@ class _Compiler:
             out.setdefault(col, []).extend(() if sub is None else (sub,))
         return out
 
-    def _term(self, t: Term, env):
+    def _term(self, t: Term, env) -> _Term:
         do: Dict[str, int] = {}  # intervened variable -> sub-axis
         if t.do and not self.interventional:
             raise EvaluationError("do-terms cannot be evaluated on a plain table")
@@ -647,66 +1002,54 @@ class _Compiler:
         for atom in sorted(t.outcomes):
             both.update(self._columns(atom, env))
         num, den = self._sources(both), self._sources(cond)
-        table = self.source
+        do_vars = None
         if self.interventional:
             # one table per do-set; its do(v) columns are read along the do sub-axes
-            table = _do_table(self.source, tuple(sorted(do)))
+            do_vars = tuple(sorted(do))
             for v, sub in do.items():
                 num[f"do({v})"] = den[f"do({v})"] = [sub]
-        values = self._read(table, num)
-        if not cond:
-            return self._merge(values), None
-        den = self._read(table, den)
-        flag = None
-        if np.any(den <= 0.0):
-            error = PositivityError(f"zero-mass conditioning stratum in {render(t)}")
-            flag = self._merge(self._flag(den <= 0.0, error))
-        return self._merge(values / den), flag
+        den = _Read(self.sub, den) if cond else None
+        return _Term(self, t, do_vars, _Read(self.sub, num), den)
 
-    def _read(self, table: DistTable, sources: Mapping[str, list]) -> np.ndarray:
-        """The table's mass along the columns' sub-axes, as an array over
-        every sub-axis (size 1 where it does not depend on one)."""
-        if not sources:
-            return np.full((1,) * len(self.sub), table.total())
-        cols = tuple(sorted(sources))
-        index, letters, operands = [], [], []
-        for col in cols:
-            subs = sources[col]
-            if not subs:
-                index.append(0)
-                continue
-            # a proxy column's NA level lies beyond the sub-axis
-            index.append(slice(0, self.sub[subs[0]]))
-            letters.append(subs[0])
-            for s in subs[1:]:  # the same variable read twice: a diagonal
-                operands += [np.eye(self.sub[s]), [subs[0], s]]
-        used = sorted({s for subs in sources.values() for s in subs})
-        out = np.einsum(table.marginal(cols).probs[tuple(index)], letters, *operands, used)
-        return out.reshape([self.sub[k] if k in used else 1 for k in range(len(self.sub))])
-
-    def _merge(self, arr: np.ndarray) -> np.ndarray:
-        """Sub-axes -> one axis per scope atom, of size 1 where independent."""
+    def _merge(self, arr_shape: Tuple[int, ...]):
+        """Sub-axes -> one axis per scope atom, of size 1 where independent:
+        the broadcast shape and the merged shape."""
         full, shape = [], []
         for axis, cards in enumerate(self.axes):
-            dims = arr.shape[self.offset[axis]:self.offset[axis] + len(cards)]
+            dims = arr_shape[self.offset[axis]:self.offset[axis] + len(cards)]
             if all(d == 1 for d in dims):
                 full.extend(dims)
                 shape.append(1)
             else:
                 full.extend(cards)
                 shape.append(math.prod(cards))
-        return np.broadcast_to(arr, full).reshape(shape)
+        return tuple(full), tuple(shape)
+
+
+_PLANS: OrderedDict = OrderedDict()
+
+
+def _plan(expr: Expr, source, grounding: Grounding, scope: Tuple[Atom, ...]) -> _Plan:
+    """The plan of an expression over a scope, once per grounding content
+    and kind of source; the least recently used of `PLANS_KEPT` go."""
+    interventional = isinstance(source, DiscreteSCM)
+    key = (expr, scope, grounding.content, interventional)
+    plan = _PLANS.get(key)  # the tree's hash is cached on its nodes
+    if plan is None:
+        plan = _Compiler(grounding, interventional).plan(expr, scope)
+        _bounded_put(_PLANS, key, plan, PLANS_KEPT)
+    else:
+        _PLANS.move_to_end(key)
+    return plan
 
 
 def _compiled(expr: Expr, source, grounding: Grounding, scope: Tuple[Atom, ...]) -> _Compiled:
-    """The compiled array, memoized in the table's or the SCM's cache."""
-    key = ("compiled", expr, id(grounding), scope)
-    hit = source._cache.get(key)  # one lookup: the tree's hash is cached on its nodes
+    """The plan run on the source, memoized in the table's or the SCM's cache."""
+    plan = _plan(expr, source, grounding, scope)
+    hit = source._cache.get(plan)
     if hit is None:
-        # the entry keeps the grounding alive, so its id is not reused
-        hit = (grounding, _Compiler(source, grounding).run(expr, scope))
-        source._cache[key] = hit
-    return hit[1]
+        hit = source._cache[plan] = plan.run(source)
+    return hit
 
 
 def _check_env(env, grounding: Grounding) -> dict:
@@ -760,6 +1103,7 @@ def evaluate_interventional(
     return _at_env(expr, scm, grounding, env)
 
 
+@functools.lru_cache(maxsize=PLANS_KEPT)
 def free_atoms(expr: Expr) -> Tuple[Atom, ...]:
     bound = set(bound_symbols(expr))
     bound |= {Atom(PROXY, a.ref) for a in bound if a.kind == VAL}
@@ -779,9 +1123,9 @@ def _values(expr: Expr, source, grounding: Grounding, scope: Tuple[Atom, ...]):
     return compiled.values
 
 
-def _cells(atoms: Tuple[Atom, ...], grounding: Grounding, values: np.ndarray) -> dict:
-    domains = [grounding.domain(a.ref) for a in atoms]
-    return dict(zip(itertools.product(*domains), values.reshape(-1).tolist()))
+def _cells(expr: Expr, source, grounding: Grounding, scope: Tuple[Atom, ...], values) -> dict:
+    keys = _plan(expr, source, grounding, scope).keys
+    return dict(zip(keys, values.reshape(-1).tolist()))
 
 
 def evaluate_all(expr: Expr, table_or_scm, grounding: Grounding):
@@ -792,7 +1136,7 @@ def evaluate_all(expr: Expr, table_or_scm, grounding: Grounding):
     """
     atoms = free_atoms(expr)
     values = _values(expr, table_or_scm, grounding, atoms)
-    return atoms, _cells(atoms, grounding, values)
+    return atoms, _cells(expr, table_or_scm, grounding, atoms, values)
 
 
 def check(
@@ -822,7 +1166,7 @@ def check(
     scope = tuple(Atom(VAL, a.ref) for a in atoms)
     treated = {a for a in scope if effect and a.ref == effect[0]}
     want = _values(term(set(scope) - treated, do=treated), scm, grounding, scope)
-    return atoms, _cells(atoms, grounding, np.abs(got - want))
+    return atoms, _cells(expr, manifest, grounding, atoms, np.abs(got - want))
 
 
 # ---------------------------------------------------------------------------
@@ -1052,23 +1396,23 @@ def _embed(madmg, special, leak, seed) -> DiscreteSCM:
     must not surface anywhere else); everything else follows its first
     parent near-deterministically so joint differences survive aggregation.
     """
-    latents, parents = _mechanisms(madmg)
-    _check_budget(madmg, latents, parents, tuple(parents))
+    s = _random_structure(madmg)
+    latents = s.latents
     cpts = {}
-    for name, ps in parents.items():
-        shape = tuple(_card(p, latents) for p in ps)
+    for name, ps, _ in s.specs:
+        shape = tuple(s.cards[p] for p in ps)
         if name in special:
             cpt = np.asarray(special[name](ps, shape), dtype=float)
             if cpt.shape != shape + (cpt.shape[-1],):
                 cpt = np.broadcast_to(cpt, shape + (cpt.shape[-1],)).copy()
         elif name in latents:
-            cpt = np.full(_card(name, latents), 0.25)
+            cpt = np.full(s.cards[name], 0.25)
         elif madmg.kind(name) is Kind.INDICATOR:
             cpt = np.broadcast_to(np.array([0.8, 0.2]), shape + (2,)).copy()
         elif leak in ps:
             cpt = np.full(shape + (2,), 0.5)
         elif ps:
-            base = _near_identity(_card(ps[0], latents), 2)
+            base = _near_identity(s.cards[ps[0]], 2)
             view = base.reshape((base.shape[0],) + (1,) * (len(ps) - 1) + (2,))
             cpt = np.broadcast_to(view, shape + (2,)).copy()
         else:

@@ -213,15 +213,30 @@ def test_replay_unknown_rule_exit_1(tmp_path):
     }
 
 
+def _bad_certificate_derivation(y) -> str:
+    """fig3's CX -> CY derivation with the first certificate's ``y`` replaced."""
+    code, out, _ = run("recover-effect", fig("fig3"), "--treatment", "CX", "--outcome", "CY")
+    assert code == 0
+    doc = json.loads(out)
+    next(s for s in doc["steps"] if "certificate" in s)["certificate"]["y"] = y
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
-    "text", ["nonsense\n", '{"graph": "x"}\n', None], ids=["not-json", "no-steps", "bogus-atom-kind"]
+    "text",
+    ["nonsense\n", '{"graph": "x"}\n', None, [5, "CY"], "CY"],
+    ids=["not-json", "no-steps", "bogus-atom-kind", "certificate-int-vertex", "certificate-string-set"],
 )
 def test_replay_malformed_derivation_exit_2(tmp_path, text):
     deriv = tmp_path / "bad.json"
-    deriv.write_text(_bogus_kind_derivation() if text is None else text)
+    if text is None:
+        text = _bogus_kind_derivation()
+    elif not isinstance(text, str) or not text.endswith("\n"):
+        text = _bad_certificate_derivation(text)
+    deriv.write_text(text)
     code, out, err = run("replay", fig("fig3"), str(deriv))
     assert code == 2 and out == ""
-    assert "error:" in err and "Traceback" not in err
+    assert "is not a derivation" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

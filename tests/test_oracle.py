@@ -1,9 +1,15 @@
+import collections
 import functools
+import gc
 import hashlib
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +185,61 @@ def test_oracle_tables_match_golden_hashes():
     assert golden_oracle_hashes() == json.loads(GOLDEN.read_text())
 
 
+GOLDEN_EVAL = Path(__file__).with_name("golden_eval.json")
+
+
+def _cells_digest(read):
+    """sha256 of an ``evaluate_all`` outcome: the atoms and every cell's
+    float bytes, or the class and message of the error it raised."""
+    try:
+        atoms, cells = read()
+    except McdmgError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    h = hashlib.sha256(repr([a.render() for a in atoms]).encode())
+    for key, value in cells.items():
+        h.update(repr(key).encode() + float(value).hex().encode())
+    return h.hexdigest()
+
+
+def golden_eval_hashes():
+    """sha256 of the ``evaluate_all`` cells on the first 3 compatible graphs
+    of fig2a/2b/3 at seeds 0-2: the joint formula (where recoverable) and the
+    CX -> CY formula on the manifest, and every derivation step's before and
+    after on the SCM. Regenerate ``golden_eval.json`` only for a stated
+    change of evaluation bytes:
+    ``PYTHONPATH=src:tests python -c "import test_oracle as t; t.write_golden_eval()"``.
+    """
+    out = {}
+    for name in ("fig2a", "fig2b", "fig3"):
+        g, madmgs = _first_graphs(name)
+        verdict = check_joint(g)
+        d = recover_effect(g, {"CX"}, {"CY"})
+        for i, madmg in enumerate(madmgs):
+            for seed in range(3):
+                scm = random_scm(madmg, seed=seed)
+                _, manifest = exact_tables(scm)
+                gr = Grounding.from_scm(scm, abstract=g)
+                entry = {"effect": _cells_digest(lambda: evaluate_all(d.result, manifest, gr))}
+                if verdict.recoverable:
+                    entry["joint"] = _cells_digest(lambda: evaluate_all(verdict.formula, manifest, gr))
+                entry["steps"] = [
+                    _cells_digest(lambda: evaluate_all(expr, scm, gr))
+                    for step in d.steps
+                    for expr in (step.before, step.after)
+                ]
+                out[f"{name}/{i}/{seed}"] = entry
+    return out
+
+
+def write_golden_eval():
+    GOLDEN_EVAL.write_text(json.dumps(golden_eval_hashes(), indent=1, sort_keys=True) + "\n")
+
+
+def test_evaluation_matches_golden_hashes():
+    """Every evaluated cell stays the same float, byte for byte."""
+    assert golden_eval_hashes() == json.loads(GOLDEN_EVAL.read_text())
+
+
 def test_cpt_rows_normalized():
     g = mk(MAR_SRC)
     scm = random_scm(g, seed=1)
@@ -269,9 +330,10 @@ def test_wide_cpt_refused_before_drawing(monkeypatch):
 
 
 def test_one_elimination_plan_per_scm(monkeypatch):
-    """`random_scm` plans the joint's elimination once, over the mechanisms
-    in the order the joint multiplies them, and `exact_tables` reuses it:
-    the joint is the bytes of one planned afresh."""
+    """One plan per structure: the first SCM of a graph plans the joint's
+    elimination once, over the mechanisms in the order the joint multiplies
+    them, and a second seed of the same graph plans nothing. The joint is
+    the bytes of one planned afresh."""
     calls = []
     elimination = oracle._elimination
 
@@ -280,6 +342,7 @@ def test_one_elimination_plan_per_scm(monkeypatch):
         return elimination(*args)
 
     monkeypatch.setattr(oracle, "_elimination", counted)
+    monkeypatch.setattr(oracle, "_STRUCTURES", weakref.WeakKeyDictionary())
     madmgs = _first_graphs("fig2b")[1] + _first_graphs("fig3")[1]
     madmgs += (next(iter(enumerate_compatible(mk(WIDE_LATENT_GRAPH), budget=Budget(2, 16)))),)
     for madmg in madmgs:
@@ -287,10 +350,99 @@ def test_one_elimination_plan_per_scm(monkeypatch):
         scm = random_scm(madmg, seed=5)
         exact_tables(scm)
         assert len(calls) == 1
-        fresh = random_scm(madmg, seed=5)
-        del fresh._cache[("plan", ())]
+        calls.clear()
+        exact_tables(random_scm(madmg, seed=6))
+        assert not calls
+    for madmg in madmgs:
+        scm = random_scm(madmg, seed=5)
+        monkeypatch.setattr(oracle, "_STRUCTURES", weakref.WeakKeyDictionary())
+        fresh = DiscreteSCM(madmg, scm.nodes, scm.latents, scm.seed)
         assert np.array_equal(_do_table(fresh).probs, _do_table(scm).probs)
+        assert fresh.structure is not scm.structure
     assert max(len(m.bidirected) for m in madmgs) > 1  # the plan's order matters
+
+
+def _fingerprint(name, graph, seed):
+    """Every exact table and compiled cell of one SCM, as sha256 hex: the
+    CPTs, joint, manifest and CX do-table bytes, the CX -> CY formula (and
+    fig2b's joint formula) on the manifest, each step's before and after on
+    the SCM, and ``check``'s errors."""
+    g, madmgs = _first_graphs(name)
+    scm = random_scm(madmgs[graph], seed=seed)
+    joint, manifest = exact_tables(scm)
+    gr = Grounding.from_scm(scm, abstract=g)
+    cx = tuple(sorted(madmgs[graph].clustering.members("CX")))
+    tables = [n.cpt for n in scm.nodes] + [joint.probs, manifest.probs, _do_table(scm, cx).probs]
+    d = recover_effect(g, {"CX"}, {"CY"})
+    exprs = [(d.result, manifest)] + [(x, scm) for step in d.steps for x in (step.before, step.after)]
+    verdict = check_joint(g)
+    if verdict.recoverable:
+        exprs.append((verdict.formula, manifest))
+    return {
+        "tables": [hashlib.sha256(t.tobytes()).hexdigest() for t in tables],
+        "cells": [_cells_digest(lambda: evaluate_all(x, src, gr)) for x, src in exprs],
+        "check": _cells_digest(lambda: check(d.result, scm, gr, ("CX", "CY"))),
+    }
+
+
+def test_structures_leak_no_numbers_between_scms():
+    """Graphs and seeds interleaved (A0, B0, A1, A0) in one process, sharing
+    structures and plans: each SCM's bytes are those of the same SCM built
+    and evaluated alone in a fresh interpreter."""
+    order = [("fig2b", 0, 0), ("fig3", 1, 0), ("fig2b", 0, 1), ("fig2b", 0, 0)]
+    here = [_fingerprint(*case) for case in order]
+    assert here[0] == here[3] and here[0] != here[2]
+    src = Path(oracle.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(src), str(Path(__file__).parent)))}
+    for case, got in zip(order[:3], here):
+        script = f"import json, test_oracle as t; print(json.dumps(t._fingerprint{case!r}))"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == got, case
+
+
+def test_structures_go_with_their_graph():
+    """A graph owns its structures weakly: once the graph and its SCMs are
+    gone, so is the structure; plans do not hold it."""
+    g = mk(MAR_SRC.replace('"mar"', '"mar-dropped"'))
+    scm = random_scm(g, seed=0)
+    clustering = Clustering.from_dict({"CZ": ["Z"], "CX": ["X"]})
+    gr = Grounding(clustering, {"Z": 2, "X": 2}, {"X": "R_X"}, {"X": "X*"})
+    evaluate_all(term([val("CZ")], do=[val("CX")]), scm, gr)
+    structure = weakref.ref(scm.structure)
+    assert g in oracle._STRUCTURES
+    del g, scm
+    gc.collect()
+    assert structure() is None
+
+
+def test_caches_keep_to_their_bounds(monkeypatch):
+    """Plans, do-set plans and structures per graph stay within their
+    bounds, least recently used (plans) or oldest (the others) dropped
+    first, and what is dropped is rebuilt the same."""
+    monkeypatch.setattr(oracle, "PLANS_KEPT", 3)
+    monkeypatch.setattr(oracle, "DO_PLANS_KEPT", 2)
+    monkeypatch.setattr(oracle, "STRUCTURES_PER_GRAPH", 2)
+    monkeypatch.setattr(oracle, "_PLANS", collections.OrderedDict())
+    g, madmgs = _first_graphs("fig2b")
+    scm = random_scm(madmgs[0], seed=3)
+    gr = Grounding.from_scm(scm, abstract=g)
+    exprs = [term([val(c)]) for c in ("CX", "CY", "CZ")] + [term([val("CX"), val("CY")])]
+    first = [evaluate_all(x, scm, gr) for x in exprs]
+    assert len(oracle._PLANS) == 3
+    again = evaluate_all(exprs[0], random_scm(madmgs[0], seed=3), gr)
+    assert again == first[0] and len(oracle._PLANS) == 3
+    for do_vars in (("X1",), ("X2",), ("Y1",)):
+        _do_table(scm, do_vars)
+    assert list(scm.structure.do_plans) == [("X2",), ("Y1",)]
+    for k in range(3):  # a different card of the first node makes another structure
+        cpts = {n.name: (n.parents, n.cpt) for n in scm.nodes}
+        first = scm.nodes[0]
+        cpts[first.name] = (first.parents, np.full(first.cpt.shape[:-1] + (k + 3,), 1.0 / (k + 3)))
+        scm_from_cpts(madmgs[0], cpts, seed=k)
+        assert len(oracle._structures_of(madmgs[0])) <= 2
+    rebuilt = random_scm(madmgs[0], seed=3)
+    assert all(np.array_equal(a.cpt, b.cpt) for a, b in zip(rebuilt.nodes, scm.nodes))
 
 
 def test_budget_refused_before_the_cycle_error():
