@@ -37,6 +37,8 @@ from .errors import (
     PartialClusterAssignment,
     PositivityError,
     UnknownVertex,
+    ValidationError,
+    WrongGraphClass,
 )
 from .expressions import (
     PROXY,
@@ -311,11 +313,12 @@ def _structure(madmg: MixedGraph, latents: Tuple[str, ...], specs) -> _Structure
 
 def _random_structure(madmg: MixedGraph) -> _Structure:
     """`random_scm`'s structure: a mechanism per variable and indicator, a
-    latent per bidirected edge, checked against the budget (before the
-    cycle error) once per graph."""
+    latent per bidirected edge, checked against the graph class, then the
+    budget, then the cycle error, once per graph."""
     per_graph = _structures_of(madmg)
     s = per_graph.get(None)
     if s is None:
+        _require_variable_level(madmg)
         latents, parents = _mechanisms(madmg)
         order, cyclic = _topo_order(madmg, latents, parents)
         s = _structure(madmg, latents, tuple((n, parents[n], _card(n, latents)) for n in order + cyclic))
@@ -323,6 +326,13 @@ def _random_structure(madmg: MixedGraph) -> _Structure:
         _acyclic(cyclic)
         per_graph[None] = s
     return s
+
+
+def _require_variable_level(madmg: MixedGraph) -> None:
+    if madmg.graph_class not in (GraphClass.ADMG, GraphClass.MADMG):
+        raise WrongGraphClass(
+            f"the exact oracle needs a variable-level graph (admg or m-admg), not {madmg.graph_class.value}"
+        )
 
 
 def _latent_name(a: str, b: str) -> str:
@@ -396,13 +406,34 @@ def _card(name: str, latents: Tuple[str, ...]) -> int:
 def scm_from_cpts(
     madmg: MixedGraph, cpts: Mapping[str, Tuple[Tuple[str, ...], np.ndarray]], seed: int = 0
 ) -> DiscreteSCM:
-    """Assemble an SCM from explicit (parents, cpt) pairs, topologically sorted."""
+    """Assemble an SCM from explicit (parents, cpt) pairs, topologically sorted.
+
+    Every variable and indicator needs a mechanism, and a name the graph
+    does not have is a latent. A missing mechanism, one for a proxy and a
+    parent without one raise UnknownVertex; a CPT whose shape is not its
+    parents' cards and then its own raises ValidationError.
+    """
     parents = {name: tuple(ps) for name, (ps, _) in cpts.items()}
     latents = tuple(sorted(n for n in cpts if n not in madmg.ids))
+    arrays = {name: np.asarray(cpt, dtype=float) for name, (_, cpt) in cpts.items()}
+    cards = {name: a.shape[-1] if a.ndim else 0 for name, a in arrays.items()}
+    nodes = set(madmg.variables) | set(madmg.indicators)
+    for name in sorted(nodes - cpts.keys()):
+        raise UnknownVertex(f"{name!r} has no mechanism")
+    for name, ps in parents.items():
+        if name in madmg.ids and name not in nodes:
+            raise UnknownVertex(f"{name!r} is a proxy, which takes no mechanism")
+        for p in ps:
+            if p not in cpts:
+                raise UnknownVertex(f"parent {p!r} of {name!r} has no mechanism")
+        want = tuple(cards[p] for p in ps) + (cards[name],)
+        if arrays[name].shape != want:
+            raise ValidationError(
+                [f"the CPT of {name!r} has shape {arrays[name].shape}, not (*parent cards, card) = {want}"]
+            )
     order, cyclic = _topo_order(madmg, latents, parents)
     _acyclic(cyclic)
-    arrays = {name: np.asarray(cpt, dtype=float) for name, (_, cpt) in cpts.items()}
-    specs = tuple((n, parents[n], int(arrays[n].shape[-1])) for n in order)
+    specs = tuple((n, parents[n], cards[n]) for n in order)
     s = _structure(madmg, latents, specs)
     scm = DiscreteSCM(madmg, tuple(Node(n, k, ps, arrays[n]) for n, ps, k in specs), latents, seed)
     scm._cache["structure"] = s
@@ -1172,6 +1203,18 @@ def check(
 # ---------------------------------------------------------------------------
 # Counterexample pairs: equal manifests, different joints
 # ---------------------------------------------------------------------------
+#
+# A pair is built in three steps. A motif draws two *core joints*, over (x, r)
+# for self-masking and over (y, z, r) for the collider, that agree on every
+# observable cell and differ in the masked stratum. Each core becomes the
+# *mechanisms that realize it*: per motif node a small table over the
+# parents it reads (its sources). Every other node gets a *filler*, the same
+# in both models. One helper, `_along`, turns every table into a CPT, so both
+# models differ only in the motif's numbers.
+
+_NO_PAIR = "no counterexample pair found within the attempt budget"
+_ONE_HOT = np.eye(2)
+_FOLLOW = np.array([[0.85, 1.0 - 0.85], [1.0 - 0.85, 0.85]])  # P(child | parent's parity)
 
 
 def equal_manifest_pair(madmg: MixedGraph, seed: int = 0) -> Tuple[DiscreteSCM, DiscreteSCM]:
@@ -1183,14 +1226,27 @@ def equal_manifest_pair(madmg: MixedGraph, seed: int = 0) -> Tuple[DiscreteSCM, 
     every manifest cell and differs in the true joint by at least 1.2e-2
     somewhere; found by a seeded randomized search over base
     parameterizations (at most 300) combined with an exact perturbation of
-    the masked stratum.
+    the masked stratum. Raises WrongGraphClass unless the graph is an
+    (m-)ADMG.
     """
-    motif = _find_violating_motif(madmg)
+    _require_variable_level(madmg)
+    kind, owner, z, r = _find_violating_motif(madmg)
+    if kind == "collider" and (madmg.spouses(owner) | madmg.spouses(r)) - {z}:
+        raise PositivityError(_NO_PAIR)  # Y and R must be confounded only through Z
     for k in range(300):
-        pair = _try_pair(madmg, motif, seed + k)
-        if pair is not None:
-            return pair
-    raise PositivityError("no counterexample pair found within the attempt budget")
+        rng = np.random.default_rng(seed + k)
+        if kind == "collider":
+            models = _collider_motif(rng, owner, z, r)
+        else:
+            models = _selfmask_motif(rng, owner, r, latent=kind == "selfmask-latent")
+        if models is None:
+            continue
+        scm1, scm2 = (_embed(madmg, tables, owner, seed + k) for tables in models)
+        (joint1, manifest1), (joint2, manifest2) = exact_tables(scm1), exact_tables(scm2)
+        manifest_gap = np.max(np.abs(manifest1.probs - manifest2.probs))
+        if manifest_gap <= 1e-9 and np.max(np.abs(joint1.probs - joint2.probs)) >= 1.2e-2:
+            return scm1, scm2
+    raise PositivityError(_NO_PAIR)
 
 
 def _find_violating_motif(madmg: MixedGraph):
@@ -1207,20 +1263,13 @@ def _find_violating_motif(madmg: MixedGraph):
                 continue
             if owner in madmg.spouses(z):
                 return ("collider", owner, z, r)
-    raise UnknownVertex(
-        "graph has neither a self-masking adjacency nor a Y <-> Z <-> R_Y chain"
-    )
+    raise UnknownVertex("graph has neither a self-masking adjacency nor a Y <-> Z <-> R_Y chain")
 
 
-def _near_identity(parent_card: int, card: int, weight: float = 0.85) -> np.ndarray:
-    cpt = np.full((parent_card, card), (1.0 - weight) / max(card - 1, 1))
-    for p in range(parent_card):
-        cpt[p, p % card] = weight if card > 1 else 1.0
-    return cpt
-
-
-def _collider_cores(rng):
-    """Two (y, z, r) joints equal on the observable cells, Y independent of R.
+def _collider_motif(rng, y, z, r):
+    """Two (y, z, r) joints equal on the observable cells, Y independent of
+    R, and the tables that realize them: Y and R copy the latent they share
+    with Z, and Z reads its conditional given both latents.
 
     The perturbation moves the masked stratum along a pattern with zero
     column sums (keeps P(z, R=1)) and zero row sum at y=1 (keeps the
@@ -1231,12 +1280,7 @@ def _collider_cores(rng):
     z_given = rng.uniform(0.15, 0.85, size=(2, 2))  # P(Z=1 | y, r)
     p_y = np.array([1.0 - p_y1, p_y1])
     p_r = np.array([1.0 - p_r1, p_r1])
-    core1 = np.zeros((2, 2, 2))  # (y, z, r)
-    for yy in range(2):
-        for rr in range(2):
-            pz1 = z_given[yy, rr]
-            core1[yy, 0, rr] = p_y[yy] * p_r[rr] * (1 - pz1)
-            core1[yy, 1, rr] = p_y[yy] * p_r[rr] * pz1
+    core1 = (p_y[:, None] * p_r)[:, None, :] * np.stack([1 - z_given, z_given], axis=1)
     f = core1[:, :, 1]
     d = np.array([[-1.0, 1.0], [1.0, -1.0]])
     t = min(float(np.min(np.where(d < 0, f - 1e-3, np.inf))), 0.06)
@@ -1244,32 +1288,48 @@ def _collider_cores(rng):
         return None
     core2 = core1.copy()
     core2[:, :, 1] = f + t * d
-    return (core1, core2), (p_y, p_r)
+    lat_yz, lat_zr = _latent_name(y, z), _latent_name(z, r)
+    copy = _ONE_HOT[[0, 1, 1, 1]]  # latent states 2 and 3 carry no mass
+    given = np.full((2, 4, 4, 2), 0.5)  # per core: (U_yz, U_zr, z)
+    mass = np.stack([core1, core2]).transpose(0, 1, 3, 2)
+    given[:, :2, :2] = mass / mass.sum(-1, keepdims=True)
+    return tuple(
+        {
+            lat_yz: ((), np.concatenate([p_y, [0.0, 0.0]])),
+            lat_zr: ((), np.concatenate([p_r, [0.0, 0.0]])),
+            y: ((lat_yz,), copy),
+            r: ((lat_zr,), copy),
+            z: ((lat_yz, lat_zr), z_cpt),
+        }
+        for z_cpt in given
+    )
 
 
-def _selfmask_cores(kind, rng):
-    """Two (x, r) joints with equal P(x, R=0) cells and equal P(R=1).
+def _selfmask_motif(rng, x, r, latent: bool):
+    """Two (x, r) joints with equal P(x, R=0) cells and equal P(R=1), and
+    the tables that realize them.
 
     With a direct X -> R_X edge the pair trades the masking rates against
     the marginal; through a latent any perturbation of the masked stratum
-    with zero total works.
+    with zero total works, and X and R_X read their halves of the latent's
+    state.
     """
     p1 = rng.uniform(0.35, 0.65)
     r0, r1 = rng.uniform(0.25, 0.45, size=2)
-    core1 = np.array(
-        [
-            [(1 - p1) * (1 - r0), (1 - p1) * r0],
-            [p1 * (1 - r1), p1 * r1],
-        ]
-    )  # (x, r)
-    if kind == "selfmask-latent":
+    core1 = np.array([[(1 - p1) * (1 - r0), (1 - p1) * r0], [p1 * (1 - r1), p1 * r1]])  # (x, r)
+    if latent:
         f = core1[:, 1]
         t = min(float(f.min() - 1e-3), 0.05)
         if t < 0.02:
             return None
         core2 = core1.copy()
         core2[:, 1] = f + t * np.array([-1.0, 1.0])
-        return core1, core2
+        lat = _latent_name(x, r)  # latent state = (x, r) pair
+        x_of, r_of = _ONE_HOT[[0, 0, 1, 1]], _ONE_HOT[[0, 1, 0, 1]]
+        return tuple(
+            {lat: ((), core.reshape(-1)), x: ((lat,), x_of), r: ((lat,), r_of)}
+            for core in (core1, core2)
+        )
     # direct edge: R depends on X only, so model 2 must stay a product
     # P2(x) P2(R|x) with the same observable cells
     t = 0.12
@@ -1281,141 +1341,51 @@ def _selfmask_cores(kind, rng):
     r0b = 1 - ((1 - p1) * (1 - r0)) / p0b
     if not (0.02 < r0b < 0.98):
         return None
-    core2 = np.array(
-        [
-            [p0b * (1 - r0b), p0b * r0b],
-            [p1b * (1 - r1b), p1b * r1b],
-        ]
-    )
+    core2 = np.array([[p0b * (1 - r0b), p0b * r0b], [p1b * (1 - r1b), p1b * r1b]])
     if abs(p1b - p1) < 0.02:
         return None
-    return core1, core2
+    cores = np.stack([core1, core2])
+    marg = cores.sum(axis=2)
+    rate = cores[:, :, 1] / marg
+    return tuple(
+        {x: ((), m), r: ((x,), np.stack([1 - q, q], axis=-1))} for m, q in zip(marg, rate)
+    )
 
 
-def _try_pair(madmg, motif, seed):
-    kind, x_or_y, z, r = motif
-    rng = np.random.default_rng(seed)
-
-    special: Dict[str, object] = {}
-    if kind == "collider":
-        y = x_or_y
-        got = _collider_cores(rng)
-        if got is None:
-            return None
-        (core1, core2), (p_y, p_r) = got
-        lat_yz, lat_zr = _latent_name(y, z), _latent_name(z, r)
-        if (madmg.spouses(y) | madmg.spouses(r)) - {z}:
-            return None  # Y and R must be confounded only through Z
-        leak = y
-
-        def build(core):
-            def z_cpt(ps, shape):
-                cpt = np.full(shape + (2,), 0.5)
-                for idx in np.ndindex(*shape) if shape else iter([()]):
-                    la = idx[ps.index(lat_yz)] if lat_yz in ps else 2
-                    lb = idx[ps.index(lat_zr)] if lat_zr in ps else 2
-                    if la < 2 and lb < 2:
-                        mass = core[la, :, lb]
-                        cpt[idx] = mass / mass.sum()
-                return cpt
-
-            return {
-                lat_yz: lambda ps, shape: np.concatenate([p_y, [0.0, 0.0]]),
-                lat_zr: lambda ps, shape: np.concatenate([p_r, [0.0, 0.0]]),
-                y: _copy_of(lat_yz),
-                r: _copy_of(lat_zr),
-                z: z_cpt,
-            }
-
-    else:
-        x = x_or_y
-        cores = _selfmask_cores(kind, rng)
-        if cores is None:
-            return None
-        core1, core2 = cores
-        leak = x
-        if kind == "selfmask-latent":
-            lat = _latent_name(x, r)
-
-            def build(core):
-                prior = core.reshape(-1)  # latent state = (x, r) pair
-                return {
-                    lat: lambda ps, shape: prior,
-                    x: _copy_of(lat, lambda s: s >> 1),
-                    r: _copy_of(lat, lambda s: s & 1),
-                }
-
-        else:
-
-            def build(core):
-                marg = core.sum(axis=1)
-                r_given = core[:, 1] / marg
-
-                def x_cpt(ps, shape):
-                    return np.broadcast_to(marg, shape + (2,)).copy()
-
-                def r_cpt(ps, shape):
-                    xi = ps.index(x)
-                    cpt = np.zeros(shape + (2,))
-                    for idx in np.ndindex(*shape) if shape else iter([()]):
-                        rate = r_given[idx[xi]]
-                        cpt[idx] = (1 - rate, rate)
-                    return cpt
-
-                return {x: x_cpt, r: r_cpt}
-
-    scm1 = _embed(madmg, build(core1), leak, seed)
-    scm2 = _embed(madmg, build(core2), leak, seed)
-    joint1, manifest1 = exact_tables(scm1)
-    joint2, manifest2 = exact_tables(scm2)
-    if float(np.max(np.abs(manifest1.probs - manifest2.probs))) > 1e-9:
-        return None
-    gap = float(np.max(np.abs(joint1.probs - joint2.probs)))
-    if gap < 1.2e-2:
-        return None
-    return scm1, scm2
-
-
-def _copy_of(source, transform=lambda s: min(s, 1)):
-    """Deterministic CPT copying (a transform of) one parent's state."""
-
-    def make(ps, shape):
-        cpt = np.zeros(shape + (2,))
-        si = ps.index(source)
-        for idx in np.ndindex(*shape) if shape else iter([()]):
-            cpt[idx + (transform(idx[si]),)] = 1.0
-        return cpt
-
-    return make
+def _along(table, sources, parents, cards) -> np.ndarray:
+    """The CPT over ``parents`` (shape: their cards, then the node's states)
+    that reads ``table`` (axes: ``sources``, a subset of the parents in any
+    order, then the node's states) at the sources' states and ignores every
+    other parent."""
+    table = np.asarray(table, dtype=float)
+    k = table.shape[-1:]
+    order = [sources.index(p) for p in parents if p in sources] + [len(sources)]
+    cpt = np.empty(tuple(cards[p] for p in parents) + k)
+    cpt[...] = table.transpose(order).reshape(tuple(cards[p] if p in sources else 1 for p in parents) + k)
+    return cpt
 
 
 def _embed(madmg, special, leak, seed) -> DiscreteSCM:
-    """Fill the remaining mechanisms with shared structure.
+    """The SCM with ``special``'s mechanisms (node -> (sources, table)) and
+    fillers elsewhere, every table read along its sources by `_along`.
 
-    Children of the leaking variable ignore it entirely (its masked value
-    must not surface anywhere else); everything else follows its first
-    parent near-deterministically so joint differences survive aggregation.
+    Latents are uniform and indicators mask at rate 0.2. Children of the
+    leaking variable ignore every parent (its masked value must not surface
+    anywhere else); every other node follows its first parent
+    near-deterministically so joint differences survive aggregation.
     """
     s = _random_structure(madmg)
-    latents = s.latents
     cpts = {}
-    for name, ps, _ in s.specs:
-        shape = tuple(s.cards[p] for p in ps)
+    for name, ps, k in s.specs:
         if name in special:
-            cpt = np.asarray(special[name](ps, shape), dtype=float)
-            if cpt.shape != shape + (cpt.shape[-1],):
-                cpt = np.broadcast_to(cpt, shape + (cpt.shape[-1],)).copy()
-        elif name in latents:
-            cpt = np.full(s.cards[name], 0.25)
+            sources, table = special[name]
+        elif name in s.latents:
+            sources, table = (), np.full(k, 0.25)
         elif madmg.kind(name) is Kind.INDICATOR:
-            cpt = np.broadcast_to(np.array([0.8, 0.2]), shape + (2,)).copy()
-        elif leak in ps:
-            cpt = np.full(shape + (2,), 0.5)
-        elif ps:
-            base = _near_identity(s.cards[ps[0]], 2)
-            view = base.reshape((base.shape[0],) + (1,) * (len(ps) - 1) + (2,))
-            cpt = np.broadcast_to(view, shape + (2,)).copy()
+            sources, table = (), [0.8, 0.2]
+        elif ps and leak not in ps:
+            sources, table = ps[:1], _FOLLOW[np.arange(s.cards[ps[0]]) % 2]
         else:
-            cpt = np.array([0.5, 0.5])
-        cpts[name] = (ps, cpt)
+            sources, table = (), [0.5, 0.5]
+        cpts[name] = (ps, _along(table, sources, ps, s.cards))
     return scm_from_cpts(madmg, cpts, seed)

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import weakref
@@ -44,6 +45,8 @@ from mcdmg.errors import (
     PartialClusterAssignment,
     PositivityError,
     UnknownVertex,
+    ValidationError,
+    WrongGraphClass,
 )
 from mcdmg.expressions import (
     PROXY,
@@ -63,6 +66,7 @@ from mcdmg.expressions import (
 from mcdmg.oracle import (
     MAX_STATES,
     Node,
+    _along,
     _do_table,
     _embed,
     check,
@@ -238,6 +242,63 @@ def write_golden_eval():
 def test_evaluation_matches_golden_hashes():
     """Every evaluated cell stays the same float, byte for byte."""
     assert golden_eval_hashes() == json.loads(GOLDEN_EVAL.read_text())
+
+
+GOLDEN_PAIRS = Path(__file__).with_name("golden_pairs.json")
+
+
+def _pair_digest(witness):
+    """sha256 of ``equal_manifest_pair(witness, seed=0)``: each node's name,
+    parents and raw CPT bytes of both SCMs, or the class and message of the
+    error it raised."""
+    try:
+        pair = equal_manifest_pair(witness, seed=0)
+    except McdmgError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    h = hashlib.sha256()
+    for scm in pair:
+        for n in scm.nodes:
+            h.update(repr((n.name, n.parents)).encode() + n.cpt.tobytes())
+    return h.hexdigest()
+
+
+def golden_pair_hashes(random_graphs=100, seed=20261018):
+    """sha256 of the counterexample pair of fig3's witness, of the two
+    self-masking motifs, and of the first-violation witness of every
+    non-recoverable graph among ``random_graphs`` of ``random_cluster_text``
+    from ``random.Random(seed)``: pairs, `PositivityError`s and
+    `UnknownVertex`es. Regenerate ``golden_pairs.json`` only for a stated
+    change of the pairs' bytes:
+    ``PYTHONPATH=src:tests python -c "import test_oracle as t; t.write_golden_pairs()"``.
+    """
+    fig3 = parse_graph(fixture_text("fig3"))
+    graphs = {"fig3": fig3}
+    for name, edge in (("selfmask-direct", "CX -> R_CX"), ("selfmask-latent", "CX <-> R_CX")):
+        graphs[name] = parse_graph(SELFMASK_MOTIF.format(edge=edge))
+    rng = random.Random(seed)
+    for i in range(random_graphs):
+        g = parse_graph(random_cluster_text(rng))
+        if g.graph_class is not GraphClass.CDMG:
+            graphs[f"random/{i}"] = g
+    out = {}
+    for name, g in graphs.items():
+        verdict = check_joint(g)
+        if not verdict.recoverable:
+            out[name] = _pair_digest(construct_witness(g, verdict.violations[0]))
+    return out
+
+
+def write_golden_pairs():
+    GOLDEN_PAIRS.write_text(json.dumps(golden_pair_hashes(), indent=1, sort_keys=True) + "\n")
+
+
+def test_counterexample_pairs_match_golden_hashes():
+    """Every counterexample pair stays byte for byte, and every failure
+    keeps its class and message."""
+    got = golden_pair_hashes()
+    assert got == json.loads(GOLDEN_PAIRS.read_text())
+    outcomes = {v.split(":")[0] if ":" in v else "pair" for v in got.values()}
+    assert outcomes == {"pair", "PositivityError", "UnknownVertex"}
 
 
 def test_cpt_rows_normalized():
@@ -739,22 +800,81 @@ def test_example2_formula_matches_interventional(fig2b):
             assert errors and max(errors.values()) <= 1e-9
 
 
+@pytest.mark.parametrize("name", ["fig1c", "fig2a", "fig3"])
+def test_oracle_refuses_cluster_graphs(name):
+    """The oracle's SCMs live on (m-)ADMGs: a cluster graph is refused by
+    class, before any mechanism or motif is looked for."""
+    g = parse_graph(fixture_text(name))
+    with pytest.raises(WrongGraphClass, match="variable-level"):
+        random_scm(g, seed=0)
+    with pytest.raises(WrongGraphClass, match="variable-level"):
+        equal_manifest_pair(g, seed=0)
+
+
+MCAR_CPTS = {
+    "X": ((), np.array([0.5, 0.5])),
+    "Y": (("X",), np.array([[0.9, 0.1], [0.2, 0.8]])),
+    "R_X": ((), np.array([0.7, 0.3])),
+}
+
+
+@pytest.mark.parametrize(
+    "change, error, node",
+    [
+        ({"Y": None}, UnknownVertex, "Y"),
+        ({"Y": (("X", "Q"), np.full((2, 2, 2), 0.5))}, UnknownVertex, "Q"),
+        ({"X*": ((), np.array([0.5, 0.5]))}, UnknownVertex, "X*"),
+        ({"Y": (("X",), np.full((3, 2), 0.5))}, ValidationError, "Y"),
+        ({"Y": ((), np.full((2, 2), 0.5))}, ValidationError, "Y"),
+        ({"X": ((), np.float64(1.0))}, ValidationError, "X"),
+    ],
+    ids=["missing", "unknown-parent", "proxy", "shape", "extra-axis", "scalar"],
+)
+def test_scm_from_cpts_refuses_malformed_mechanisms(change, error, node):
+    """A malformed mechanism raises a package error naming its node."""
+    cpts = {**MCAR_CPTS, **change}
+    cpts = {name: mech for name, mech in cpts.items() if mech is not None}
+    with pytest.raises(error, match=re.escape(repr(node))):
+        scm_from_cpts(mk(MCAR_SRC), cpts)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_along_reads_the_table_at_its_sources(data):
+    """For any parents, cards and subset of sources in any order, the CPT
+    has shape (parent cards..., k), and each cell is the table's row at the
+    sources' states, whatever the other parents' states."""
+    parents = data.draw(st.permutations([f"P{i}" for i in range(data.draw(st.integers(0, 4)))]))
+    cards = {p: data.draw(st.integers(1, 3)) for p in parents}
+    sources = tuple(data.draw(st.permutations(parents)))[: data.draw(st.integers(0, len(parents)))]
+    k = data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    table = rng.random(tuple(cards[p] for p in sources) + (k,))
+    cpt = _along(table, sources, tuple(parents), cards)
+    assert cpt.shape == tuple(cards[p] for p in parents) + (k,)
+    for states in itertools.product(*(range(cards[p]) for p in parents)):
+        at = dict(zip(parents, states))
+        assert np.array_equal(cpt[states], table[tuple(at[p] for p in sources)])
+
+
+SELFMASK_MOTIF = (
+    'graph "adj" class=cm-c-dmg {{\n'
+    "  cluster CX {{ vars X1 }}\n"
+    "  cluster CW {{ vars W1 }}\n"
+    "  rvar R_CX for CX\n"
+    "  edge CX -> CW\n"
+    "  edge {edge}\n"
+    "}}\n"
+)
+
+
 @pytest.mark.parametrize(
     "edge",
-    ["edge CX -> R_CX", "edge CX <-> R_CX"],
+    ["CX -> R_CX", "CX <-> R_CX"],
     ids=["direct-selfmask", "latent-selfmask"],
 )
 def test_equal_manifest_pair_selfmask_motifs(edge):
-    src = (
-        'graph "adj" class=cm-c-dmg {\n'
-        "  cluster CX { vars X1 }\n"
-        "  cluster CW { vars W1 }\n"
-        "  rvar R_CX for CX\n"
-        "  edge CX -> CW\n"
-        f"  {edge}\n"
-        "}\n"
-    )
-    g = parse_graph(src)
+    g = parse_graph(SELFMASK_MOTIF.format(edge=edge))
     verdict = check_joint(g)
     assert not verdict.recoverable
     witness = construct_witness(g, verdict.violations[0])
