@@ -313,15 +313,16 @@ def _structure(madmg: MixedGraph, latents: Tuple[str, ...], specs) -> _Structure
 
 def _random_structure(madmg: MixedGraph) -> _Structure:
     """`random_scm`'s structure: a mechanism per variable and indicator, a
-    latent per bidirected edge, checked against the graph class, then the
-    budget, then the cycle error, once per graph."""
+    latent per bidirected edge (latents have 4 levels, variables and
+    indicators 2), checked against the graph class, then the budget, then
+    the cycle error, once per graph."""
     per_graph = _structures_of(madmg)
     s = per_graph.get(None)
     if s is None:
         _require_variable_level(madmg)
         latents, parents = _mechanisms(madmg)
         order, cyclic = _topo_order(madmg, latents, parents)
-        s = _structure(madmg, latents, tuple((n, parents[n], _card(n, latents)) for n in order + cyclic))
+        s = _structure(madmg, latents, tuple((n, parents[n], 4 if n in latents else 2) for n in order + cyclic))
         s.check_budget()
         _acyclic(cyclic)
         per_graph[None] = s
@@ -398,11 +399,6 @@ def _mechanisms(madmg: MixedGraph) -> Tuple[Tuple[str, ...], Dict[str, Tuple[str
     return tuple(latents), {n: tuple(sorted(ps)) for n, ps in parents.items()}
 
 
-def _card(name: str, latents: Tuple[str, ...]) -> int:
-    """Latents have 4 levels, variables and indicators 2."""
-    return 4 if name in latents else 2
-
-
 def scm_from_cpts(
     madmg: MixedGraph, cpts: Mapping[str, Tuple[Tuple[str, ...], np.ndarray]], seed: int = 0
 ) -> DiscreteSCM:
@@ -411,7 +407,9 @@ def scm_from_cpts(
     Every variable and indicator needs a mechanism, and a name the graph
     does not have is a latent. A missing mechanism, one for a proxy and a
     parent without one raise UnknownVertex; a CPT whose shape is not its
-    parents' cards and then its own raises ValidationError.
+    parents' cards and then its own, with an entry that is negative (or not
+    a number), or with a row that does not sum to 1 within 1e-9 raises
+    ValidationError.
     """
     parents = {name: tuple(ps) for name, (ps, _) in cpts.items()}
     latents = tuple(sorted(n for n in cpts if n not in madmg.ids))
@@ -431,6 +429,10 @@ def scm_from_cpts(
             raise ValidationError(
                 [f"the CPT of {name!r} has shape {arrays[name].shape}, not (*parent cards, card) = {want}"]
             )
+        if not np.all(arrays[name] >= 0.0):
+            raise ValidationError([f"the CPT of {name!r} has an entry that is negative or not a number"])
+        if not np.all(np.abs(arrays[name].sum(-1) - 1.0) <= 1e-9):
+            raise ValidationError([f"a row of the CPT of {name!r} does not sum to 1"])
     order, cyclic = _topo_order(madmg, latents, parents)
     _acyclic(cyclic)
     specs = tuple((n, parents[n], cards[n]) for n in order)
@@ -760,12 +762,18 @@ class _Compiled:
     values: np.ndarray  # one axis per scope atom, over its whole domain
     codes: Optional[np.ndarray]
     errors: Tuple[Exception, ...]  # code k raises errors[k - 1]
-    cards: Tuple[Tuple[int, ...], ...]  # member cards of each scope atom
 
-    def at(self, cell: Tuple[int, ...]) -> float:
-        if self.codes is not None and self.codes[cell]:
-            self.raise_code(self.codes[cell])
-        return float(self.values[cell])
+    @cached_property
+    def flat(self):
+        """The values and the codes (or None) in cell order, as lists."""
+        codes = None if self.codes is None else self.codes.reshape(-1).tolist()
+        return self.values.reshape(-1).tolist(), codes
+
+    def at(self, position: int) -> float:
+        values, codes = self.flat
+        if codes is not None and codes[position]:
+            self.raise_code(codes[position])
+        return values[position]
 
     def raise_code(self, code) -> None:
         raise self.errors[int(code) - 1].with_traceback(None)
@@ -903,14 +911,14 @@ class _Plan:
             codes = np.broadcast_to(codes, self.shape)
         if values.shape != self.shape:
             values = np.broadcast_to(values, self.shape)
-        return _Compiled(values, codes, tuple(errors), self.cards)
+        return _Compiled(values, codes, tuple(errors))
 
     @cached_property
-    def keys(self) -> list:
-        """The scope's value tuples in cell order, as ``Grounding.domain``
-        lists each atom's."""
+    def index(self) -> dict:
+        """The cell index: the scope's value tuples, each atom's in the
+        order ``Grounding.domain`` lists them, to their flat positions."""
         domains = [list(itertools.product(*map(range, cards))) for cards in self.cards]
-        return list(itertools.product(*domains))
+        return dict(zip(itertools.product(*domains), itertools.count()))
 
 
 class _Compiler:
@@ -921,7 +929,9 @@ class _Compiler:
     shapes, and the errors that every source would raise (unbound symbols,
     a do-term or a masked true value on a plain table, an indicator literal
     that matches no indicator). The numbers, and the positivity flags that
-    depend on them, are left to `_Plan.run`."""
+    depend on them, are left to `_Plan.run`. A plan whose scope domain or
+    any sum body (the scope's cells times the bound symbols') would exceed
+    ``MAX_STATES`` cells is refused with DomainTooLarge."""
 
     def __init__(self, grounding: Grounding, interventional: bool):
         self.g, self.interventional = grounding, interventional
@@ -933,6 +943,7 @@ class _Compiler:
     def plan(self, expr: Expr, scope: Tuple[Atom, ...]) -> _Plan:
         for atom in scope:
             self._push(atom.ref)
+        self._budget()
         root = self._node(expr, {a: i for i, a in enumerate(scope)})
         shape = tuple(math.prod(cards) for cards in self.axes)
         return _Plan(root, shape, tuple(self.axes))
@@ -943,6 +954,10 @@ class _Compiler:
         self.offset.append(len(self.sub))
         self.sub.extend(cards)
         return len(self.axes) - 1
+
+    def _budget(self) -> None:
+        if math.prod(self.sub) > MAX_STATES:
+            raise DomainTooLarge(f"a compiled array would exceed {MAX_STATES} cells")
 
     def _pop(self) -> None:
         del self.sub[self.offset.pop():]
@@ -969,6 +984,7 @@ class _Compiler:
                 axis = self._push(e.bound.ref)
             except McdmgError as exc:
                 return _Failed(self._ones(), exc)
+            self._budget()
             # the proxy alias is captured by the same binder: under the R=0
             # literals both symbols denote the same bound value
             inner = {**env, e.bound: axis, Atom(PROXY, e.bound.ref): axis}
@@ -1074,37 +1090,50 @@ def _plan(expr: Expr, source, grounding: Grounding, scope: Tuple[Atom, ...]) -> 
     return plan
 
 
-def _compiled(expr: Expr, source, grounding: Grounding, scope: Tuple[Atom, ...]) -> _Compiled:
+def _compiled(plan: _Plan, source) -> _Compiled:
     """The plan run on the source, memoized in the table's or the SCM's cache."""
-    plan = _plan(expr, source, grounding, scope)
     hit = source._cache.get(plan)
     if hit is None:
         hit = source._cache[plan] = plan.run(source)
     return hit
 
 
-def _check_env(env, grounding: Grounding) -> dict:
-    env = {k: tuple(v) for k, v in (env or {}).items()}
-    for atom, values in env.items():
-        if atom.kind != RZERO and len(values) != len(grounding.members(atom.ref)):
-            raise EvaluationError(f"value arity mismatch for {atom.render()}")
-    return env
-
-
 def _at_env(expr: Expr, source, grounding: Grounding, env) -> float:
-    """One cell of the compiled array: the env's atoms are its scope."""
-    env = _check_env(env, grounding)
-    scope = tuple(sorted(a for a in env if a.kind != RZERO))
-    compiled = _compiled(expr, source, grounding, scope)
-    cell = []
-    for atom, cards in zip(scope, compiled.cards):
-        index = 0  # position of the atom's values in Grounding.domain order
-        for x, card in zip(env[atom], cards):
+    """One cell of the compiled array: the env's atoms are its scope. A read
+    is one lookup on the source, for the scope, the plan's cell index and
+    the compiled array, and one in that index; an env that misses either
+    goes to `_read`, which raises if it is invalid."""
+    try:
+        scope, index, compiled = source._cache[(expr, grounding.content, *env)]
+        position = index[tuple(map(tuple, map(env.__getitem__, scope)))]
+    except (KeyError, TypeError):
+        position, compiled = _read(expr, source, grounding, env)
+    return compiled.at(position)
+
+
+def _read(expr: Expr, source, grounding: Grounding, env):
+    """A read that missed: the checks (``tuple`` of every value, indicator
+    literals included, then each atom's arity and, once compiled, its
+    domain), the compiled array and the cell's position. Kept on the source
+    under the env's atoms unless it names an indicator literal, whose
+    values only these checks read."""
+    values = {k: tuple(v) for k, v in (env or {}).items()}
+    for atom, vs in values.items():
+        if atom.kind != RZERO and len(vs) != len(grounding.members(atom.ref)):
+            raise EvaluationError(f"value arity mismatch for {atom.render()}")
+    scope = tuple(sorted(a for a in values if a.kind != RZERO))
+    plan = _plan(expr, source, grounding, scope)
+    compiled = _compiled(plan, source)
+    for atom, cards in zip(scope, plan.cards):
+        for x, card in zip(values[atom], cards):
             if not 0 <= x < card:
-                raise EvaluationError(f"{env[atom]} is outside the domain of {atom.render()}")
-            index = index * card + x
-        cell.append(index)
-    return compiled.at(tuple(cell))
+                raise EvaluationError(f"{values[atom]} is outside the domain of {atom.render()}")
+    cell = tuple(values[a] for a in scope)
+    if cell not in plan.index:
+        raise EvaluationError(f"{cell} holds a level that is not an integer")
+    if env and len(scope) == len(values):
+        source._cache[(expr, grounding.content, *env)] = (scope, plan.index, compiled)
+    return plan.index[cell], compiled
 
 
 def evaluate(
@@ -1145,7 +1174,7 @@ def free_atoms(expr: Expr) -> Tuple[Atom, ...]:
 def _values(expr: Expr, source, grounding: Grounding, scope: Tuple[Atom, ...]):
     """The compiled array over the scope's whole domain; raises the error of
     its first failing cell."""
-    compiled = _compiled(expr, source, grounding, scope)
+    compiled = _compiled(_plan(expr, source, grounding, scope), source)
     if compiled.codes is not None:
         codes = compiled.codes.reshape(-1)
         failed = np.flatnonzero(codes)
@@ -1155,8 +1184,8 @@ def _values(expr: Expr, source, grounding: Grounding, scope: Tuple[Atom, ...]):
 
 
 def _cells(expr: Expr, source, grounding: Grounding, scope: Tuple[Atom, ...], values) -> dict:
-    keys = _plan(expr, source, grounding, scope).keys
-    return dict(zip(keys, values.reshape(-1).tolist()))
+    index = _plan(expr, source, grounding, scope).index
+    return dict(zip(index, values.reshape(-1).tolist()))
 
 
 def evaluate_all(expr: Expr, table_or_scm, grounding: Grounding):
@@ -1233,6 +1262,7 @@ def equal_manifest_pair(madmg: MixedGraph, seed: int = 0) -> Tuple[DiscreteSCM, 
     kind, owner, z, r = _find_violating_motif(madmg)
     if kind == "collider" and (madmg.spouses(owner) | madmg.spouses(r)) - {z}:
         raise PositivityError(_NO_PAIR)  # Y and R must be confounded only through Z
+    fillers = _fillers(madmg, owner)
     for k in range(300):
         rng = np.random.default_rng(seed + k)
         if kind == "collider":
@@ -1241,7 +1271,7 @@ def equal_manifest_pair(madmg: MixedGraph, seed: int = 0) -> Tuple[DiscreteSCM, 
             models = _selfmask_motif(rng, owner, r, latent=kind == "selfmask-latent")
         if models is None:
             continue
-        scm1, scm2 = (_embed(madmg, tables, owner, seed + k) for tables in models)
+        scm1, scm2 = (_embed(fillers, tables, seed + k) for tables in models)
         (joint1, manifest1), (joint2, manifest2) = exact_tables(scm1), exact_tables(scm2)
         manifest_gap = np.max(np.abs(manifest1.probs - manifest2.probs))
         if manifest_gap <= 1e-9 and np.max(np.abs(joint1.probs - joint2.probs)) >= 1.2e-2:
@@ -1365,9 +1395,10 @@ def _along(table, sources, parents, cards) -> np.ndarray:
     return cpt
 
 
-def _embed(madmg, special, leak, seed) -> DiscreteSCM:
-    """The SCM with ``special``'s mechanisms (node -> (sources, table)) and
-    fillers elsewhere, every table read along its sources by `_along`.
+def _fillers(madmg, leak) -> DiscreteSCM:
+    """The SCM with a filler mechanism at every node, built and checked once
+    per witness; `_embed` puts the motif's in. Every table is read along
+    its sources by `_along`.
 
     Latents are uniform and indicators mask at rate 0.2. Children of the
     leaking variable ignore every parent (its masked value must not surface
@@ -1377,9 +1408,7 @@ def _embed(madmg, special, leak, seed) -> DiscreteSCM:
     s = _random_structure(madmg)
     cpts = {}
     for name, ps, k in s.specs:
-        if name in special:
-            sources, table = special[name]
-        elif name in s.latents:
+        if name in s.latents:
             sources, table = (), np.full(k, 0.25)
         elif madmg.kind(name) is Kind.INDICATOR:
             sources, table = (), [0.8, 0.2]
@@ -1388,4 +1417,19 @@ def _embed(madmg, special, leak, seed) -> DiscreteSCM:
         else:
             sources, table = (), [0.5, 0.5]
         cpts[name] = (ps, _along(table, sources, ps, s.cards))
-    return scm_from_cpts(madmg, cpts, seed)
+    return scm_from_cpts(madmg, cpts)
+
+
+def _embed(fillers: DiscreteSCM, special, seed) -> DiscreteSCM:
+    """``fillers`` with ``special``'s mechanisms (node -> (sources, table))
+    in place, each read along its sources by `_along`, on the same
+    structure."""
+    nodes = []
+    for n in fillers.nodes:
+        if n.name in special:
+            sources, table = special[n.name]
+            n = n._replace(cpt=_along(table, sources, n.parents, fillers.structure.cards))
+        nodes.append(n)
+    scm = DiscreteSCM(fillers.madmg, tuple(nodes), fillers.latents, seed)
+    scm._cache["structure"] = fillers.structure
+    return scm

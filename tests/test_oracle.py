@@ -68,7 +68,7 @@ from mcdmg.oracle import (
     Node,
     _along,
     _do_table,
-    _embed,
+    _fillers,
     check,
     evaluate_all,
     free_atoms,
@@ -387,7 +387,7 @@ def test_wide_cpt_refused_before_drawing(monkeypatch):
     with pytest.raises(DomainTooLarge, match="latent join"):
         random_scm(g, seed=0)
     with pytest.raises(DomainTooLarge, match="latent join"):
-        _embed(g, {}, "V0", 0)
+        _fillers(g, "V0")
 
 
 def test_one_elimination_plan_per_scm(monkeypatch):
@@ -838,6 +838,57 @@ def test_scm_from_cpts_refuses_malformed_mechanisms(change, error, node):
         scm_from_cpts(mk(MCAR_SRC), cpts)
 
 
+@pytest.mark.parametrize(
+    "change, node",
+    [
+        ({"X": ((), np.array([0.9, 0.9]))}, "X"),
+        ({"R_X": ((), np.array([-0.5, 1.5]))}, "R_X"),
+        ({"Y": (("X",), np.array([[0.9, 0.1], [0.2, 0.8 + 1e-8]]))}, "Y"),
+        ({"Y": (("X",), np.array([[0.9, 0.1], [np.nan, 0.8]]))}, "Y"),
+    ],
+    ids=["row-sum", "negative", "row-sum-off-by-1e-8", "nan"],
+)
+def test_scm_from_cpts_refuses_bad_numbers(change, node):
+    """A negative (or NaN) entry, or a row that does not sum to 1 within
+    1e-9, raises ValidationError naming its node; 1e-10 off is accepted."""
+    with pytest.raises(ValidationError, match=re.escape(repr(node))):
+        scm_from_cpts(mk(MCAR_SRC), {**MCAR_CPTS, **change})
+    close = np.array([[0.9, 0.1], [0.2, 0.8 + 1e-10]])
+    scm_from_cpts(mk(MCAR_SRC), {**MCAR_CPTS, "Y": (("X",), close)})
+
+
+def test_compiled_arrays_count_against_the_budget(monkeypatch):
+    """Three clusters of 1,024 cells each: a scope over all three, and the
+    innermost body of sum_a sum_b sum_c P(a) P(b) P(c), would be 2^30-cell
+    arrays. Each plan is refused before any array is allocated, on a table
+    and on an SCM alike; one sum over one cluster fits."""
+    members = {c: [f"{c[1]}{i}" for i in range(10)] for c in ("CA", "CB", "CC")}
+    gr = Grounding(Clustering.from_dict(members), {v: 2 for vs in members.values() for v in vs}, {}, {})
+    table = DistTable(tuple(members["CA"]), (2,) * 10, np.full((2,) * 10, 1.0 / 1024))
+    graph = mk('graph "wide" class=admg {\n' + "".join(f"  var {v}\n" for v in gr.cards) + "}\n")
+    scm = scm_from_cpts(graph, {v: ((), np.array([0.5, 0.5])) for v in gr.cards})
+    a, b, c = (val(name) for name in members)
+    assert evaluate_all(Sum(a, term([a])), table, gr)[1] == {(): pytest.approx(1.0)}
+    nested = Sum(a, Sum(b, Sum(c, Product((term([a]), term([b]), term([c]))))))
+    wide = term([a, b, c])
+
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("an array allocated for a refused plan")
+
+    monkeypatch.setattr(np, "ones", no_arrays)
+    monkeypatch.setattr(np, "einsum", no_arrays)
+    reads = [
+        lambda: evaluate(nested, table, gr),
+        lambda: evaluate_all(nested, table, gr),
+        lambda: evaluate_interventional(nested, scm, gr),
+        lambda: evaluate_all(wide, scm, gr),
+        lambda: evaluate_interventional(wide, scm, gr, {a: (0,) * 10, b: (0,) * 10, c: (0,) * 10}),
+    ]
+    for read in reads:
+        with pytest.raises(DomainTooLarge, match="compiled array"):
+            read()
+
+
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_along_reads_the_table_at_its_sources(data):
@@ -1207,6 +1258,127 @@ def test_interventional_evaluator_matches_reference_on_derivations(name, treatme
                     cells = _assert_matches_reference(expr, scm, gr, True)
                     compared += len(cells)
     assert compared > 0
+
+
+@functools.lru_cache(maxsize=None)
+def _effect_derivation(name):
+    return recover_effect(parse_graph(fixture_text(name)), {"CX"}, {"CY"})
+
+
+# the forms a cell's values may take: a tuple, a list, numpy integers
+_VALUE_FORMS = (tuple, list, lambda values: tuple(np.int64(x) for x in values))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(("fig2a", "fig2b", "fig3")),
+    st.integers(0, 2),
+    st.integers(0, 5),
+    st.randoms(use_true_random=False),
+    st.booleans(),
+    st.none() | _ref_exprs,
+)
+def test_cell_reads_are_the_evaluate_all_cells(name, graph, seed, rnd, cells_first, extra):
+    """Every per-cell `evaluate`/`evaluate_interventional` value is exactly
+    (``==``) the matching `evaluate_all` cell, whichever is read first, with
+    the env's atoms in any order and its values as tuples, lists or numpy
+    integers: the CX -> CY formula on the manifest, each derivation step on
+    the SCM, and a random expression on both."""
+    g, madmgs = _first_graphs(name)
+    scm = random_scm(madmgs[graph], seed=seed)
+    manifest = exact_tables(scm)[1]
+    gr = Grounding.from_scm(scm, abstract=g)
+    d = _effect_derivation(name)
+    reads = [(d.result, manifest, evaluate)]
+    reads += [(x, scm, evaluate_interventional) for step in d.steps for x in (step.before, step.after)]
+    if extra is not None:
+        reads += [(extra, manifest, evaluate), (extra, scm, evaluate_interventional)]
+    compared = 0
+    for expr, source, one in reads:
+        atoms = free_atoms(expr)
+        every = _outcome(lambda: evaluate_all(expr, source, gr)) if not cells_first else None
+        got = {}
+        for values in itertools.product(*(gr.domain(a.ref) for a in atoms)):
+            env = [(a, rnd.choice(_VALUE_FORMS)(v)) for a, v in zip(atoms, values)]
+            rnd.shuffle(env)
+            got[values] = _outcome(lambda: one(expr, source, gr, dict(env)))
+        if cells_first:
+            every = _outcome(lambda: evaluate_all(expr, source, gr))
+        if isinstance(every, type):
+            assert every in got.values()  # evaluate_all raises its first failing cell's error
+            continue
+        assert every[0] == atoms and got == every[1]
+        compared += len(got)
+    assert compared > 0
+
+
+_FIG3_EFFECT = term([val("CY")], do=[val("CX")])
+_VALID_ENV = {val("CY"): (0, 0), val("CX"): (0, 1)}
+
+
+@pytest.mark.parametrize(
+    "env, error, message",
+    [
+        ({val("CY"): (0,), val("CX"): (0, 1)}, EvaluationError, "value arity mismatch for c_CY"),
+        ({val("CY"): (0, 0), val("CX"): (2, 0)}, EvaluationError, "(2, 0) is outside the domain of c_CX"),
+        ({val("CY"): (0, 0), val("CX"): (0, -1)}, EvaluationError, "(0, -1) is outside the domain of c_CX"),
+        ({val("CY"): (0, 0)}, EvaluationError, "unbound symbol c_CX"),
+        ({**_VALID_ENV, rzero("R_CY"): 0}, TypeError, "'int' object is not iterable"),
+        (None, EvaluationError, "unbound symbol c_CX"),
+    ],
+    ids=["arity", "out-of-domain", "negative-level", "missing-atom", "literal-not-iterable", "none"],
+)
+def test_invalid_envs_raise_as_before(env, error, message):
+    """An invalid env raises the same class and message on a fresh SCM and
+    after valid reads over the same atoms (and the same literals) filled
+    its caches."""
+    g, madmgs = _first_graphs("fig3")
+    scm = random_scm(madmgs[0], seed=0)
+    gr = Grounding.from_scm(scm, abstract=g)
+    for warm in (False, True):
+        with pytest.raises(error) as info:
+            evaluate_interventional(_FIG3_EFFECT, scm, gr, env)
+        assert str(info.value) == message, warm
+        valid = {a: (0,) * len(gr.members(a.ref)) if a.kind != RZERO else () for a in env or {}}
+        _outcome(lambda: evaluate_interventional(_FIG3_EFFECT, scm, gr, valid))
+        want = evaluate_all(_FIG3_EFFECT, scm, gr)[1][((0, 1), (0, 0))]
+        assert evaluate_interventional(_FIG3_EFFECT, scm, gr, _VALID_ENV) == want
+
+
+def test_levels_that_are_not_integers():
+    """A level of 1.5 raises EvaluationError (numpy's IndexError before the
+    cell index); 1.0 equals 1 and reads that cell."""
+    g, madmgs = _first_graphs("fig3")
+    scm = random_scm(madmgs[0], seed=0)
+    gr = Grounding.from_scm(scm, abstract=g)
+    for warm in (False, True):
+        with pytest.raises(EvaluationError, match="not an integer"):
+            evaluate_interventional(_FIG3_EFFECT, scm, gr, {**_VALID_ENV, val("CX"): (0, 1.5)})
+        got = evaluate_interventional(_FIG3_EFFECT, scm, gr, {**_VALID_ENV, val("CX"): (0, 1.0)})
+        assert got == evaluate_interventional(_FIG3_EFFECT, scm, gr, _VALID_ENV)
+
+
+def test_failing_cells_raise_as_before():
+    """A masked true value on the manifest and a zero-mass stratum raise
+    the same class and message on every read, beside cells that do not."""
+    g, madmgs = _first_graphs("fig3")
+    scm = random_scm(madmgs[0], seed=0)
+    gr = Grounding.from_scm(scm, abstract=g)
+    manifest = exact_tables(scm)[1]
+    zero = scm_from_cpts(mk('graph "z" class=admg {\n  var A\n  var B\n}\n'), {
+        "A": ((), np.array([1.0, 0.0])),
+        "B": ((), np.array([0.5, 0.5])),
+    })
+    zero_gr = Grounding.from_scm(zero, Clustering.from_dict({"CA": ["A"], "CB": ["B"]}))
+    conditional = term([val("CB")], cond=[val("CA")])
+    for _ in range(2):
+        with pytest.raises(EvaluationError) as info:
+            evaluate(term([val("CY")]), manifest, gr, {val("CY"): (0, 0)})
+        assert str(info.value) == "true value of partially observed 'Y1' is not observable"
+        assert evaluate(conditional, exact_tables(zero)[1], zero_gr, {val("CB"): (1,), val("CA"): (0,)}) == 0.5
+        with pytest.raises(PositivityError) as info:
+            evaluate_interventional(conditional, zero, zero_gr, {val("CA"): (1,), val("CB"): (0,)})
+        assert str(info.value) == "zero-mass conditioning stratum in P(c_CB | c_CA)"
 
 
 @settings(max_examples=40, deadline=None)
