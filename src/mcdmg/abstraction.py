@@ -300,8 +300,14 @@ def _enumerate(abstract, clustering, budget, canonicalize):
     clustering = clustering or abstract.clustering
     declared = clustering.as_dict
     cluster_ids = sorted(abstract.clusters)
-    per_cluster = range(1, budget.max_vars_per_cluster + 1)
-    for sizes in itertools.product(per_cluster, repeat=len(cluster_ids)):
+    top = budget.max_vars_per_cluster
+    # A self-loop needs two members to be realized, and any size tuple with a
+    # single-member looped cluster yields nothing, so it is not tried. A
+    # budget of one still tries its one tuple: an edge without variable-level
+    # semantics raises there, as it would at any size.
+    looped = {a for a, b in abstract.declared_directed if a == b}
+    per_cluster = [range(2 if c in looped and top > 1 else 1, top + 1) for c in cluster_ids]
+    for sizes in itertools.product(*per_cluster):
         members = {}
         for c, n in zip(cluster_ids, sizes):
             pool = list(declared.get(c, ()))

@@ -4,15 +4,19 @@ Exit codes: 0 success (including positive verdicts), 1 computed negative
 verdict (not recoverable, not derived, incompatible, replay failure, oracle
 mismatch), 2 input or usage error. All structured output goes to stdout,
 diagnostics to stderr. Outputs are byte-identical across runs for the same
-inputs; ``MCDMG_SEED`` overrides the default seed. Only ``oracle`` and
-``simulate`` import numpy and the exact oracle.
+inputs; ``MCDMG_SEED`` overrides the default seed.
+
+A process loads only what its subcommand runs. At module level this file
+imports what every subcommand needs to read a graph (``errors``,
+``fixtures``, ``gfiles``, ``graphs``); each ``cmd_*`` imports the rest of
+what it calls. So ``--help`` and usage errors load no command module, and
+only ``oracle`` and ``simulate`` import numpy and the exact oracle.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import itertools
 import json
 import math
@@ -21,14 +25,9 @@ import sys
 from typing import Optional
 
 from . import fixtures
-from .abstraction import Budget, enumerate_compatible, is_compatible, merge_indicators
-from .docalc import Derivation, NotDerived, recover_effect, replay, residual_masked_symbols
-from .errors import BudgetTooSmall, InvalidSeed, McdmgError
-from .expressions import latex, render
+from .errors import BudgetTooSmall, InvalidSeed, McdmgError, PreconditionError
 from .gfiles import emit_dot, emit_graph, emit_json, parse_graph
 from .graphs import validate
-from .recovery import check_joint
-from .separation import MutilationSpec, active_path, mutilate
 
 _FIXTURE_HINT = "bundled fixtures: " + ", ".join(
     f"{n}.mcg" for n in fixtures.NAMES
@@ -126,10 +125,16 @@ def cmd_validate(args) -> int:
 
 
 def cmd_dsep(args) -> int:
+    from .separation import MutilationSpec, active_path, mutilate
+
     g = _read_graph(args.file)
+    xs, ys = _split(args.x), _split(args.y)
+    for flag, ids in (("--x", xs), ("--y", ys)):
+        if not ids:
+            raise PreconditionError(f"{flag} names no vertex")
     spec = MutilationSpec.of(_split(args.overline), _split(args.underline))
     cut = mutilate(g, spec)
-    witness = active_path(cut, _split(args.x), _split(args.y), _split(args.given))
+    witness = active_path(cut, xs, ys, _split(args.given))
     _dump(
         {
             "separated": witness is None,
@@ -140,6 +145,8 @@ def cmd_dsep(args) -> int:
 
 
 def cmd_abstract(args) -> int:
+    from .abstraction import merge_indicators
+
     g = _read_graph(args.file)
     out = merge_indicators(g)
     if args.format == "dot":
@@ -152,6 +159,8 @@ def cmd_abstract(args) -> int:
 
 
 def cmd_compatible(args) -> int:
+    from .abstraction import is_compatible
+
     abstract = _read_graph(args.abstract)
     madmg = _read_graph(args.madmg)
     clustering = _read_graph(args.clustering).clustering if args.clustering else None
@@ -167,6 +176,8 @@ def cmd_compatible(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .abstraction import Budget, enumerate_compatible
+
     abstract = _read_graph(args.file)
     budget = Budget(args.max_vars, args.max_edges)
     try:
@@ -180,6 +191,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_check_joint(args) -> int:
+    from .expressions import latex, render
+    from .recovery import check_joint
+
     g = _read_graph(args.file)
     verdict = check_joint(g)
     if args.format == "latex":
@@ -200,6 +214,9 @@ def cmd_check_joint(args) -> int:
 
 
 def cmd_recover_effect(args) -> int:
+    from .docalc import NotDerived, recover_effect, residual_masked_symbols
+    from .expressions import latex, render
+
     g = _read_graph(args.file)
     result = recover_effect(g, _split(args.treatment), _split(args.outcome), args.depth)
     if isinstance(result, NotDerived):
@@ -235,6 +252,8 @@ def cmd_recover_effect(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    from .docalc import Derivation, replay
+
     g = _read_graph(args.file)
     with open(args.derivation, "r", encoding="utf-8") as fh:
         try:
@@ -248,7 +267,10 @@ def cmd_replay(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .abstraction import Budget, enumerate_compatible
+    from .docalc import NotDerived, recover_effect
     from .oracle import Grounding, check, random_scm
+    from .recovery import check_joint
 
     abstract = _read_graph(args.file)
     seed = default_seed(args.seed)
@@ -299,6 +321,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    import csv
+
+    from .abstraction import enumerate_compatible
+
     # the oracle before numpy: this order gives the process a lower peak RSS
     from .oracle import exact_tables, random_scm
     import numpy as np

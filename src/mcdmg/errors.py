@@ -42,8 +42,9 @@ class WrongGraphClass(McdmgError):
 
 
 class PreconditionError(McdmgError):
-    """Query-time side condition violated (R self-loop or R-R edge, or an
-    effect query with an empty treatment or outcome)."""
+    """Query-time side condition violated (R self-loop or R-R edge, an
+    effect query with an empty treatment or outcome, or a d-separation
+    query on the command line with an empty X or Y)."""
 
 
 class InvalidClustering(McdmgError):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -9,12 +10,15 @@ from mcdmg import (
     Kind,
     MixedGraph,
     Vertex,
+    emit_graph,
     enumerate_compatible,
+    fixture_text,
     is_compatible,
     merge_indicators,
     parse_graph,
     project,
 )
+from mcdmg import abstraction
 from mcdmg.abstraction import _canon_indicator_names
 from mcdmg.errors import BudgetTooSmall, InvalidClustering, WrongGraphClass
 from tests_support import THIRTEEN_EDGES
@@ -230,6 +234,49 @@ def test_enumeration_contains_fig1a_and_fig1b(fig1a, fig1b, fig1c):
         found.add((frozenset(g.directed), frozenset(g.bidirected)))
     assert sig_a in found
     assert sig_b in found
+
+
+# sha256 of the emit_graph texts of a stream prefix, made before size tuples
+# that leave a looped cluster one member were skipped:
+# (fixture, max vars, max edges, prefix length, canonicalize) -> digest
+STREAM_PREFIXES = {
+    ("fig1c", 3, 6, 240, True): "114e9794af88718ebffc1a1565cc61560d9f7e2c3dac96c8df9b714f8ee3f290",
+    ("fig1c", 3, 6, 240, False): "114e9794af88718ebffc1a1565cc61560d9f7e2c3dac96c8df9b714f8ee3f290",
+    ("fig2a", 3, 12, 25, True): "05c8b9bc2aab44237c8a9a9a87c1b293e381cfa1eab8491055d9e78c423c463a",
+    ("fig2a", 3, 12, 25, False): "05c8b9bc2aab44237c8a9a9a87c1b293e381cfa1eab8491055d9e78c423c463a",
+    ("fig2b", 2, 9, 800, True): "2f44f3db6741704dab4cdfa590e01d969d03b58a89bd6d5506605ce322c07acf",
+    ("fig2b", 2, 9, 800, False): "f32cc83a5b0e86aed609bb9e64d82024e7e543b0f89d2af8ca53c555beceb75d",
+    ("fig3", 3, 12, 1400, True): "96b05c9c014fa2da1426dd23367baba39870e5d458f37ea2396ad6bc7f69e37c",
+    ("fig3", 3, 12, 1400, False): "a60742d9110773e7457e2b207b984a0dcdfdd455fdfc33ed771611d6b3bbda4d",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(STREAM_PREFIXES), ids=lambda s: "-".join(map(str, s)))
+def test_enumeration_stream_prefixes_are_pinned(spec):
+    name, max_vars, max_edges, n, canonicalize = spec
+    abstract = parse_graph(fixture_text(name))
+    stream = enumerate_compatible(abstract, budget=Budget(max_vars, max_edges), canonicalize=canonicalize)
+    digest = hashlib.sha256()
+    for g in itertools.islice(stream, n):
+        digest.update(emit_graph(g).encode())
+    assert digest.hexdigest() == STREAM_PREFIXES[spec]
+
+
+@pytest.mark.parametrize("name", ["fig1c", "fig2b", "fig3"])
+def test_looped_clusters_start_at_two_members(monkeypatch, name):
+    calls = []
+    real = abstraction._enumerate_over_members
+
+    def counted(abstract, members, budget, canonicalize):
+        calls.append(members)
+        return real(abstract, members, budget, canonicalize)
+
+    monkeypatch.setattr(abstraction, "_enumerate_over_members", counted)
+    first = next(enumerate_compatible(parse_graph(fixture_text(name)), budget=Budget(99, 12)))
+    # every cluster of these fixtures has a self-loop, so the first size tuple
+    # tried gives each cluster two members, and it yields
+    assert len(calls) == 1
+    assert [len(vs) for _, vs in first.clustering.clusters] == [2, 2, 2]
 
 
 def test_enumeration_deterministic(fig2b):

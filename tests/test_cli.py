@@ -101,6 +101,21 @@ def test_dsep_cli():
     assert doc["witness_path"][0] == "CY" and doc["witness_path"][-1] == "R_CY"
 
 
+@pytest.mark.parametrize("flag", ["--x", "--y"])
+@pytest.mark.parametrize("value", ["", ","], ids=["empty", "comma"])
+def test_dsep_empty_set_exit_2(flag, value):
+    sets = {"--x": "CY", "--y": "R_CY", flag: value}
+    code, out, err = run("dsep", fig("fig2b"), *[a for kv in sets.items() for a in kv])
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} names no vertex\n"
+
+
+def test_dsep_empty_given_is_legal():
+    want = run("dsep", fig("fig3"), "--x", "CY", "--y", "R_CY")
+    assert run("dsep", fig("fig3"), "--x", "CY", "--y", "R_CY", "--given", ",") == want
+    assert run("dsep", fig("fig3"), "--x", "CY", "--y", "R_CY", "--given", "") == want
+
+
 def test_abstract_cli():
     code, out, _ = run("abstract", fig("fig2a"))
     assert code == 0

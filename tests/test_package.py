@@ -1,4 +1,4 @@
-"""The package's public names, and the lazy loading of numpy and the exact oracle."""
+"""The package's public names, and the lazy loading of its submodules and numpy."""
 
 import contextlib
 import json
@@ -29,6 +29,9 @@ ORACLE_NAMES = [
     "evaluate_interventional", "exact_tables", "interventional_table", "random_scm",
 ]
 
+# the submodules that only some subcommands run
+COMMAND_MODULES = ["abstraction", "docalc", "expressions", "oracle", "recovery", "separation"]
+
 
 def python(code, *args):
     proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True)
@@ -50,10 +53,31 @@ def test_star_import():
     assert set(ALL) <= set(ns)
 
 
-def test_lazy_names_are_the_oracle_names():
+def test_lazy_names_are_their_modules_names():
     assert mcdmg.random_scm is mcdmg.oracle.random_scm
-    for name in ORACLE_NAMES:
-        assert getattr(mcdmg, name) is getattr(mcdmg.oracle, name)
+    assert mcdmg._EXPORTS["oracle"] == tuple(ORACLE_NAMES)
+    assert sorted(n for mod, names in mcdmg._EXPORTS.items() for n in (mod, *names)) == ALL
+    for mod, names in mcdmg._EXPORTS.items():
+        module = getattr(mcdmg, mod)
+        assert module.__name__ == f"mcdmg.{mod}"
+        for name in names:
+            assert getattr(mcdmg, name) is getattr(module, name)
+            # each row names the module that defines the name
+            assert getattr(mcdmg, name).__module__ == module.__name__
+
+
+def test_first_access_binds_the_whole_row():
+    doc = python(
+        "import json, mcdmg\n"
+        "rows = {}\n"
+        "for mod, names in mcdmg._EXPORTS.items():\n"
+        "    before = [n for n in names if n in vars(mcdmg)]\n"
+        "    getattr(mcdmg, names[-1] if names else mod)\n"
+        "    after = all(n in vars(mcdmg) for n in (mod, *names))\n"
+        "    rows[mod] = [before, after]\n"
+        "print(json.dumps(rows))\n"
+    )
+    assert doc == {mod: [[], True] for mod in mcdmg._EXPORTS}
 
 
 def test_unknown_attribute_raises():
@@ -114,3 +138,40 @@ def test_graph_level_subcommands_run_without_numpy(tmp_path):
         ]
     blocked = python(_RUN_ALL, "blocked", json.dumps(runs))
     assert blocked == python(_RUN_ALL, "open", json.dumps(runs))
+
+
+# Runs CLI argv lists in-process; returns the mcdmg submodules then loaded
+# and whether numpy is.
+_LOADED_BY = """
+import contextlib, io, json, sys
+import mcdmg
+after_import = sorted(m for m in sys.modules if m.startswith("mcdmg."))
+from mcdmg import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
+loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("mcdmg."))
+print(json.dumps({"after_import": after_import, "loaded": loaded, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_import_mcdmg_loads_no_submodule():
+    doc = python(_LOADED_BY, "[]")
+    assert doc["after_import"] == [] and not doc["numpy"]
+
+
+def test_parse_and_validate_load_only_the_graph_reader():
+    argvs = [["parse", "fig2b"], ["parse", "fig3", "--format", "dot"], ["validate", "fig2b"]]
+    doc = python(_LOADED_BY, json.dumps(argvs))
+    assert doc["loaded"] == ["cli", "errors", "fixtures", "gfiles", "graphs"]
+    assert not set(COMMAND_MODULES) & set(doc["loaded"]) and not doc["numpy"]
+
+
+def test_help_and_usage_errors_load_no_command_module():
+    argvs = [["--help"], ["oracle", "--help"], ["oracle", "fig2b", "--query", "bogus"],
+             ["enumerate", "fig2b", "--max-vars", "0"], ["no-such-command"]]
+    doc = python(_LOADED_BY, json.dumps(argvs))
+    assert not set(COMMAND_MODULES) & set(doc["loaded"]) and not doc["numpy"]
