@@ -20,18 +20,19 @@ before and after, and `replay` re-verifies all of it against a graph.
 
 For the duration of one call, the search memoizes the legal moves of each
 distinct term, certificates included, and the Marginalize collapse of each
-distinct sum, so a term or sum met in many states is checked once. A
-successor rebuilds and re-normalises only the path from the root to the
-rewritten node: the other subtrees are canonical already and are shared with
-the state it came from. `replay` keeps no memo: it re-checks every
-certificate.
+distinct sum, so a term or sum met in many states is checked once. Listing
+a state's rewritable nodes records the path to each, and a successor is
+rebuilt along that path only, upward, each ancestor normalised by its own
+type: the other subtrees are canonical already and are shared with the state
+it came from. A `Step` is made only for a successor that was not seen before.
+`replay` keeps no memo: it re-checks every certificate.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple, Union
 
 from .errors import (
     DepthNonPositive,
@@ -46,11 +47,14 @@ from .expressions import (
     VAL,
     Atom,
     Expr,
+    One,
+    Product,
+    Quotient,
     Sum,
     Term,
     _children,
     _normal,
-    _rebuild,
+    _sort_key,
     _swap_proxy,
     canonical,
     chain_split,
@@ -66,7 +70,7 @@ from .expressions import (
     val,
 )
 from .graphs import Kind, MixedGraph
-from .separation import ancestor_mask, reaches, refuse_proxies
+from .separation import ancestor_mask, reaches, refuse_proxies, vertex_set
 
 
 @dataclass(frozen=True)
@@ -113,7 +117,7 @@ def rule_applicable(
     """
     if rule not in ("R1", "R2", "R3"):
         raise UnknownRule(f"unknown rule {rule!r}")
-    Ys, Xs, Zs, Ws = (tuple(sorted(set(s))) for s in (Y, X, Z, W))
+    Ys, Xs, Zs, Ws = (tuple(sorted(vertex_set(n, s))) for n, s in zip("YXZW", (Y, X, Z, W)))
     if len({*Ys, *Xs, *Zs, *Ws}) < len(Ys) + len(Xs) + len(Zs) + len(Ws):
         raise OverlappingSets("rule sets must be pairwise disjoint")
     for vid in (*Ys, *Xs, *Zs, *Ws):
@@ -382,8 +386,8 @@ def recover_effect(
     """
     if depth < 1:
         raise DepthNonPositive("depth must be >= 1")
-    ts = tuple(sorted(set(treatment)))
-    os = tuple(sorted(set(outcome)))
+    ts = tuple(sorted(vertex_set("treatment", treatment)))
+    os = tuple(sorted(vertex_set("outcome", outcome)))
     for name, ids in (("treatment", ts), ("outcome", os)):
         if not ids:
             raise PreconditionError(f"the {name} names no cluster")
@@ -406,8 +410,9 @@ def recover_effect(
         explored += 1
         if len(steps) >= depth:
             continue
-        for nxt, step in _expand(g, expr, legal):
+        for nxt, rule, params, cert in _expand(g, expr, legal):
             if nxt not in seen:
+                step = Step(rule, params, expr, nxt, cert)
                 # goal test at generation: in breadth-first order the first
                 # observable state generated is the first one popped
                 if _observable(g, nxt):
@@ -417,22 +422,33 @@ def recover_effect(
     return NotDerived(query, depth, explored)
 
 
-def _rewritable(e: Expr) -> Tuple[Expr, ...]:
-    """Each distinct term, then each distinct sum, at its first pre-order
-    occurrence: the nodes whose rewrites make successors."""
-    terms, sums = [], []
+def _rewritable(e: Expr) -> Dict[Expr, Tuple[int, ...]]:
+    """Each distinct term, then each distinct sum, mapped to the child
+    positions that lead from the root to its first pre-order occurrence:
+    the nodes whose rewrites make successors, with where to make them."""
+    terms, sums = {}, {}
 
-    def visit(x: Expr):
+    def visit(x: Expr, path: Tuple[int, ...]):
         if isinstance(x, Term):
-            terms.append(x)
+            terms.setdefault(x, path)
             return
         if isinstance(x, Sum):
-            sums.append(x)
-        for sub in _children(x):
-            visit(sub)
+            sums.setdefault(x, path)
+        for i, sub in enumerate(_children(x)):
+            visit(sub, (*path, i))
 
-    visit(e)
-    return (*dict.fromkeys(terms), *dict.fromkeys(sums))
+    visit(e, ())
+    return {**terms, **sums}
+
+
+def _rewrites(expr: Expr, moves):
+    """`_candidates`, each with the path to the node it rewrites:
+    ``(rule, params, check, old, new, path)``."""
+    used = {a.ref for a in symbols_of(expr)}
+    for x, path in _rewritable(expr).items():
+        for rule, params, check, replacement in moves(x):
+            if rule != "TotalProb" or params[0][1] not in used:
+                yield rule, params, check, x, replacement, path
 
 
 def _candidates(expr: Expr, moves):
@@ -443,43 +459,67 @@ def _candidates(expr: Expr, moves):
     elsewhere in the expression are dropped. Yields ``(rule, params, check,
     rewrite)`` with ``rewrite`` the ``(old, new)`` node replacement that
     makes the successor; a Marginalize move has no check. A later occurrence
-    of an equal node would only repeat the first one's successors. The search
-    and replay share this generator.
+    of an equal node would only repeat the first one's successors. Replay
+    reads this generator; the search reads `_rewrites`, which also gives
+    each node's path.
     """
-    used = {a.ref for a in symbols_of(expr)}
-    for x in _rewritable(expr):
-        for rule, params, check, replacement in moves(x):
-            if rule != "TotalProb" or params[0][1] not in used:
-                yield rule, params, check, (x, replacement)
+    for rule, params, check, old, new, _ in _rewrites(expr, moves):
+        yield rule, params, check, (old, new)
 
 
-def _successor(expr: Expr, rewrite) -> Expr:
-    """The canonical form of ``expr`` with ``old``, its first occurrence of
-    that node, replaced by ``new``, for a canonical ``expr``.
+def _path_to(e: Expr, node: Expr) -> Tuple[int, ...]:
+    """The child positions that lead from ``e`` to the first pre-order
+    occurrence of the object ``node``."""
 
-    ``old`` is found by identity, and only the nodes on the path from the
-    root to it are rebuilt and normalised: every other subtree is canonical
-    already. ``new`` is brought into canonical form here.
-    """
-    old, new = rewrite
-    new = canonical(new)
-
-    def go(x: Expr) -> Optional[Expr]:
-        if x is old:
-            return new
-        if isinstance(x, Term):
-            return None
-        subs = _children(x)
-        for i, sub in enumerate(subs):
-            out = go(sub)
-            if out is not None:
-                return _normal(_rebuild(x, (*subs[:i], out, *subs[i + 1 :])))
+    def go(x: Expr) -> Optional[Tuple[int, ...]]:
+        if x is node:
+            return ()
+        for i, sub in enumerate(_children(x)):
+            found = go(sub)
+            if found is not None:
+                return (i, *found)
         return None
 
-    out = go(expr)
-    if out is None:
+    path = go(e)
+    if path is None:
         raise UnknownVertex("term to replace not found in expression")
-    return out
+    return path
+
+
+def _successor(expr: Expr, rewrite, path: Optional[Tuple[int, ...]] = None) -> Expr:
+    """The canonical form of ``expr`` with the node ``old`` at ``path``
+    replaced by ``new``, for a canonical ``expr`` and ``new``.
+
+    Without a path, ``old`` is found by identity at its first occurrence and
+    ``new`` is brought into canonical form first. Only the nodes on the path
+    are rebuilt, upward from the rewritten node, each normalised by its own
+    type: every other subtree is canonical already. A product's other factors
+    are canonical and sorted, so the new factor is spliced in: a product is
+    flattened, ``One`` dropped, a lone factor stands alone, and the factors
+    are sorted only when one was added.
+    """
+    old, new = rewrite
+    if path is None:
+        path = _path_to(expr, old)
+        new = canonical(new)
+    ancestors, node = [], expr
+    for i in path:
+        ancestors.append(node)
+        node = _children(node)[i]
+    for parent, i in zip(reversed(ancestors), reversed(path)):
+        kind = type(parent)
+        if kind is Product:
+            others = parent.factors[:i] + parent.factors[i + 1 :]
+            added = new.factors if type(new) is Product else () if type(new) is One else (new,)
+            if added:
+                new = Product(tuple(sorted(others + added, key=_sort_key)))
+            else:
+                new = others[0] if len(others) == 1 else Product(others)
+        elif kind is Sum:
+            new = _normal(Sum(parent.bound, new))
+        else:
+            new = _normal(Quotient(new, parent.den) if i == 0 else Quotient(parent.num, new))
+    return new
 
 
 def _legal_moves(g: MixedGraph, x: Expr):
@@ -495,10 +535,13 @@ def _legal_moves(g: MixedGraph, x: Expr):
 
 
 def _expand(g: MixedGraph, expr: Expr, legal: dict):
-    """All legal successor states of a canonical expression, in deterministic order.
+    """All legal successor states of a canonical expression, in deterministic
+    order, as ``(successor, rule, params, certificate)``.
 
     ``legal`` maps each term and sum met so far in the search to its
-    `_legal_moves`; a node seen for the first time is added.
+    `_legal_moves`; a node seen for the first time is added. The replacements
+    are canonical already, and each successor is rebuilt along the path
+    `_rewritable` recorded.
     """
 
     def moves(x: Expr):
@@ -507,11 +550,8 @@ def _expand(g: MixedGraph, expr: Expr, legal: dict):
             found = legal[x] = _legal_moves(g, x)
         return found
 
-    out = []
-    for rule, params, cert, rewrite in _candidates(expr, moves):
-        nxt = _successor(expr, rewrite)
-        out.append((nxt, Step(rule, params, expr, nxt, cert)))
-    return out
+    for rule, params, cert, old, new, path in _rewrites(expr, moves):
+        yield _successor(expr, (old, new), path), rule, params, cert
 
 
 # ---------------------------------------------------------------------------

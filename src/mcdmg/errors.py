@@ -43,8 +43,9 @@ class WrongGraphClass(McdmgError):
 
 class PreconditionError(McdmgError):
     """Query-time side condition violated (R self-loop or R-R edge, an
-    effect query with an empty treatment or outcome, or a d-separation
-    query on the command line with an empty X or Y)."""
+    effect query with an empty treatment or outcome, a d-separation query
+    on the command line with an empty X or Y, or a bare string where a
+    collection of vertex ids is expected)."""
 
 
 class InvalidClustering(McdmgError):

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import FrozenSet, Iterable, Optional, Tuple
 
-from .errors import EmptyWalk, OverlappingSets, UnknownVertex
+from .errors import EmptyWalk, OverlappingSets, PreconditionError, UnknownVertex
 from .graphs import AdjacencyIndex, Kind, MixedGraph, closure
 
 # Edge symbols are oriented along the traversal: "->" leaves via a tail and
@@ -178,8 +178,16 @@ def primary_path(w: Walk) -> Walk:
 # ---------------------------------------------------------------------------
 
 
+def vertex_set(name: str, ids: Iterable[str]) -> FrozenSet[str]:
+    """The vertex ids an argument names. A bare string is refused: read as a
+    collection, it would name one vertex per character."""
+    if isinstance(ids, str):
+        raise PreconditionError(f"{name} must be a collection of vertex ids, not the string {ids!r}")
+    return frozenset(ids)
+
+
 def _check_sets(g: MixedGraph, xs, ys, zs) -> Tuple[frozenset, frozenset, frozenset]:
-    X, Y, Z = frozenset(xs), frozenset(ys), frozenset(zs)
+    X, Y, Z = vertex_set("X", xs), vertex_set("Y", ys), vertex_set("Z", zs)
     for vid in X | Y | Z:
         g.vertex(vid)
     if X & Y or X & Z or Y & Z:

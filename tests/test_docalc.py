@@ -25,9 +25,28 @@ from mcdmg import (
 )
 from mcdmg import docalc, separation
 from mcdmg.docalc import residual_masked_symbols
-from mcdmg.errors import DepthNonPositive, McdmgError, OverlappingSets, UnknownRule, UnknownVertex
-from mcdmg.expressions import Product, Quotient, Sum, canonical, proxy, rzero, term, val
-from test_expressions import _preorder, atoms, exprs
+from mcdmg.errors import (
+    DepthNonPositive,
+    McdmgError,
+    OverlappingSets,
+    PreconditionError,
+    UnknownRule,
+    UnknownVertex,
+)
+from mcdmg.expressions import (
+    One,
+    Product,
+    Quotient,
+    Sum,
+    Term,
+    _children,
+    canonical,
+    proxy,
+    rzero,
+    term,
+    val,
+)
+from test_expressions import _preorder, atoms, exprs, terms
 from tests_support import random_cluster_text, replace_term, search_hashes
 
 
@@ -170,6 +189,22 @@ def test_recover_effect_unblockable():
     out = recover_effect(g, {"CX"}, {"CY"}, depth=6)
     assert isinstance(out, NotDerived)
     assert out.depth == 6 and out.states_explored > 0
+
+
+def test_recover_effect_refuses_a_bare_string(fig2b):
+    # read as a set of characters, "CX" would fail on the vertex 'C'
+    with pytest.raises(PreconditionError, match="treatment .* not the string 'CX'"):
+        recover_effect(fig2b, "CX", "CY")
+    with pytest.raises(PreconditionError, match="outcome .* not the string 'CY'"):
+        recover_effect(fig2b, {"CX"}, "CY")
+
+
+def test_rule_applicable_refuses_a_bare_string(fig2b):
+    # read as sets of characters, "CY" and "CX" would overlap in 'C'
+    with pytest.raises(PreconditionError, match="Y .* not the string 'CY'"):
+        rule_applicable(fig2b, "R2", "CY", "CX", (), ())
+    with pytest.raises(PreconditionError, match="W .* not the string 'R_CY'"):
+        rule_applicable(fig2b, "R1", {"CY"}, {"CX"}, (), "R_CY")
 
 
 def test_depth_validation(fig2b):
@@ -525,6 +560,47 @@ def test_search_checks_each_term_once(fig2a, monkeypatch):
     assert len(offered) > len(set(offered)) == len(sums) == len(set(sums))
 
 
+def _golden_random_query(k):
+    """The k-th (1-based) random graph of the golden search corpus, with its
+    (treatment, outcome)."""
+    rng = random.Random(20261018)
+    for _ in range(k):
+        g = parse_graph(random_cluster_text(rng))
+        treatment, outcome = rng.sample(sorted(g.clusters), 2)
+    return g, treatment, outcome
+
+
+def test_search_makes_a_step_only_for_kept_states(fig2a, monkeypatch):
+    """A `Step` is made for each successor not already seen, and for no
+    duplicate: counted against the successors `_expand` yields."""
+    made, counts = [], {"new": 0, "all": 0}
+    step, expand = docalc.Step, docalc._expand
+
+    def counted_step(*args):
+        made.append(args)
+        return step(*args)
+
+    def counted_expand(g, expr, legal):
+        if not seen:
+            seen.add(expr)  # the query, the first state expanded
+        for out in expand(g, expr, legal):
+            counts["all"] += 1
+            if out[0] not in seen:
+                seen.add(out[0])
+                counts["new"] += 1
+            yield out
+
+    monkeypatch.setattr(docalc, "Step", counted_step)
+    monkeypatch.setattr(docalc, "_expand", counted_expand)
+    g, treatment, outcome = _golden_random_query(6)
+    for graph, t, o, depth in ((fig2a, "CX", "CY", 8), (g, treatment, outcome, 5)):
+        seen = set()
+        made.clear()
+        counts.update(new=0, all=0)
+        recover_effect(graph, {t}, {o}, depth=depth)
+        assert len(made) == counts["new"] < counts["all"]
+
+
 # trees with equal subtrees in several places, so that the node a rewrite
 # replaces may have later equal occurrences
 _t = term([val("A")], cond=[val("B")])
@@ -544,4 +620,54 @@ def test_successor_matches_whole_rebuild(e, new, data):
     firsts = [x for i, x in enumerate(nodes) if nodes.index(x) == i]
     old = data.draw(st.sampled_from(firsts))
     assert docalc._successor(c, (old, new)) == canonical(replace_term(c, old, new))
+
+
+def _paths(e, path=()):
+    """``(path, node)`` for every node of the tree, in pre-order."""
+    yield path, e
+    for i, sub in enumerate(_children(e)):
+        yield from _paths(sub, (*path, i))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_repeating, terms, terms, exprs, st.data())
+def test_rewritable_paths_lead_to_first_occurrences(e, a, b, other, data):
+    """Each node `_rewritable` offers, terms first and then sums, maps to the
+    path of its first pre-order occurrence, and `_successor` along that path
+    is the whole-tree rebuild: for a product that must be flattened, for
+    ``One``, which drops a factor, and for any other canonical tree."""
+    c = canonical(e)
+    firsts = {}
+    for path, x in _paths(c):
+        firsts.setdefault(x, path)
+    paths = docalc._rewritable(c)
+    offered = [x for x in firsts if isinstance(x, Term)] + [x for x in firsts if isinstance(x, Sum)]
+    assert list(paths) == offered
+    assert paths == {x: firsts[x] for x in paths}
+    if not paths:  # the tree is One
+        return
+    old = data.draw(st.sampled_from(list(paths)))
+    product = canonical(Product((a, b)))
+    assert isinstance(product, Product)
+    for new in (product, One(), canonical(other)):
+        got = docalc._successor(c, (old, new), paths[old])
+        assert got == canonical(replace_term(c, old, new))
+
+
+# numerator and denominator differ in one term, which no `exprs` tree holds
+_d = term([val("D")])
+_d_given_a = term([val("D")], cond=[val("A")])
+
+
+@settings(max_examples=100, deadline=None)
+@given(exprs, exprs, atoms)
+def test_successor_reduces_a_quotient_whose_sides_meet(x, y, a):
+    """Rewriting the numerator's one differing term makes it equal to the
+    denominator: the quotient becomes ``One``, and the nodes above it are
+    rebuilt around that."""
+    q = Quotient(Product((x, _d)), Product((x, _d_given_a)))
+    for e, expected in ((q, One()), (Sum(a, q), Sum(a, One())), (Product((y, q)), canonical(y))):
+        c = canonical(e)
+        got = docalc._successor(c, (_d, _d_given_a), docalc._rewritable(c)[_d])
+        assert got == expected == canonical(replace_term(c, _d, _d_given_a))
 

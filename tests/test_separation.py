@@ -21,7 +21,7 @@ from mcdmg import (
     parse_graph,
     primary_path,
 )
-from mcdmg.errors import EmptyWalk, OverlappingSets, UnknownVertex
+from mcdmg.errors import EmptyWalk, OverlappingSets, PreconditionError, UnknownVertex
 from mcdmg.separation import ancestor_mask, path_blocked, reaches
 
 
@@ -111,6 +111,15 @@ def test_dsep_edgeless():
 def test_dsep_overlap_rejected(fig3):
     with pytest.raises(OverlappingSets):
         d_separated(fig3, {"CX"}, {"CX"}, set())
+
+
+def test_dsep_refuses_a_bare_string(fig2b):
+    # read as sets of characters, "CX" and "CY" would name the vertices C, X and Y
+    for query in (d_separated, active_path, d_separated_by_paths):
+        with pytest.raises(PreconditionError, match="X .* not the string 'CX'"):
+            query(fig2b, "CX", "CY", ())
+    with pytest.raises(PreconditionError, match="Z .* not the string 'CZ'"):
+        d_separated(fig2b, {"CX"}, {"CY"}, "CZ")
 
 
 def test_active_path_is_simple(fig3):
