@@ -25,7 +25,13 @@ a state's rewritable nodes records the path to each, and a successor is
 rebuilt along that path only, upward, each ancestor normalised by its own
 type: the other subtrees are canonical already and are shared with the state
 it came from. A `Step` is made only for a successor that was not seen before.
-`replay` keeps no memo: it re-checks every certificate.
+The goal test is one per-term predicate, memoized per call like the moves.
+A state at depth − 1 is expanded last: its successors are goal-tested and
+never kept, so the search builds one only when every term of the replacement
+and every term off the rewritten path is observable, or a quotient on the
+path may cancel. `NotDerived.states_explored` counts the states expanded.
+`replay` keeps no memo: it re-checks every certificate, requires the recorded
+one to equal it in every field, and requires an observable result.
 """
 
 from __future__ import annotations
@@ -226,7 +232,11 @@ class Derivation:
 
 @dataclass(frozen=True)
 class NotDerived:
-    """Search exhausted the depth bound; says nothing about recoverability."""
+    """Search exhausted the depth bound; says nothing about recoverability.
+
+    ``states_explored`` is the number of states the search expanded: the
+    distinct states within depth − 1 moves of the query.
+    """
 
     query: Expr
     depth: int
@@ -247,22 +257,35 @@ class NotDerived:
 # ---------------------------------------------------------------------------
 
 
-def _observable(g: MixedGraph, e: Expr) -> bool:
-    """No do-sets; partially observed symbols appear only as proxies with
-    their R=0 literals in the same term."""
-    masked = set(g.partially_observed)
-    for t in terms_of(e):
-        if t.do:
+def _term_observable(g: MixedGraph, t: Term) -> bool:
+    """No do-set; a partially observed symbol appears only as its proxy, with
+    its R=0 literals in the same term."""
+    if t.do:
+        return False
+    present = t.outcomes | t.cond
+    for a in present:
+        if a.kind == VAL and a.ref in g.partially_observed:
             return False
-        present = t.outcomes | t.cond
-        for a in present:
-            if a.kind == VAL and a.ref in masked:
-                return False
-            if a.kind == PROXY:
-                need = {rzero(r) for r in g.indicators_of_cluster(a.ref)}
-                if not need <= present:
-                    return False
+        if a.kind == PROXY and not {rzero(r) for r in g.indicators_of_cluster(a.ref)} <= present:
+            return False
     return True
+
+
+def _observable(g: MixedGraph, e: Expr) -> bool:
+    """Every term of the expression is `_term_observable`."""
+    return all(_term_observable(g, t) for t in terms_of(e))
+
+
+def _memo(fn, g: MixedGraph, cache: dict):
+    """``fn(g, x)``, kept in ``cache`` for each distinct ``x``."""
+
+    def get(x):
+        found = cache.get(x)
+        if found is None:
+            found = cache[x] = fn(g, x)
+        return found
+
+    return get
 
 
 def residual_masked_symbols(g: MixedGraph, e: Expr) -> Tuple[str, ...]:
@@ -380,9 +403,14 @@ def recover_effect(
     is goal-tested once, when it is first generated; in breadth-first order
     that returns the derivation a test at pop time would.
 
-    Each distinct term's legal moves and each distinct sum's collapse are
-    computed once per call and kept in a dict that lives as long as the
-    search.
+    A state at depth − 1 is the last one expanded. Its successors are only
+    goal-tested, never kept, and `_goal_move` builds just those that can be
+    observable. So ``NotDerived.states_explored`` counts the states within
+    depth − 1 moves of the query.
+
+    Each distinct term's legal moves, each distinct sum's collapse and each
+    distinct term's goal test are computed once per call and kept in dicts
+    that live as long as the search.
     """
     if depth < 1:
         raise DepthNonPositive("depth must be >= 1")
@@ -399,23 +427,27 @@ def recover_effect(
         raise OverlappingSets(f"treatment and outcome overlap in {', '.join(both)}")
     query = canonical(term(outcomes={val(o) for o in os}, do={val(t) for t in ts}))
 
-    if _observable(g, query):
+    legal, observable = {}, _memo(_term_observable, g, {})
+    if all(map(observable, terms_of(query))):
         return Derivation(g.name, query, ())
     seen = {query}
     frontier = deque([(query, ())])
     explored = 0
-    legal = {}
     while frontier:
         expr, steps = frontier.popleft()
         explored += 1
-        if len(steps) >= depth:
+        if len(steps) == depth - 1:
+            found = _goal_move(g, expr, legal, observable)
+            if found is not None:
+                nxt, rule, params, cert = found
+                return Derivation(g.name, query, steps + (Step(rule, params, expr, nxt, cert),))
             continue
         for nxt, rule, params, cert in _expand(g, expr, legal):
             if nxt not in seen:
                 step = Step(rule, params, expr, nxt, cert)
                 # goal test at generation: in breadth-first order the first
                 # observable state generated is the first one popped
-                if _observable(g, nxt):
+                if all(map(observable, terms_of(nxt))):
                     return Derivation(g.name, query, steps + (step,))
                 seen.add(nxt)
                 frontier.append((nxt, steps + (step,)))
@@ -543,15 +575,47 @@ def _expand(g: MixedGraph, expr: Expr, legal: dict):
     are canonical already, and each successor is rebuilt along the path
     `_rewritable` recorded.
     """
-
-    def moves(x: Expr):
-        found = legal.get(x)
-        if found is None:
-            found = legal[x] = _legal_moves(g, x)
-        return found
-
-    for rule, params, cert, old, new, path in _rewrites(expr, moves):
+    for rule, params, cert, old, new, path in _rewrites(expr, _memo(_legal_moves, g, legal)):
         yield _successor(expr, (old, new), path), rule, params, cert
+
+
+def _may_be_goal(expr: Expr, path: Tuple[int, ...], new: Expr, observable) -> bool:
+    """Whether putting ``new`` at ``path`` in ``expr`` can give an observable
+    expression, judged from terms that exist already.
+
+    The rebuild along the path keeps every subtree off it, so each of their
+    terms must be ``observable``, and so must each term of ``new``. A quotient
+    on the path is the exception: it becomes ``One`` when its sides meet,
+    dropping terms, so below it nothing can be ruled out.
+    """
+    node = expr
+    for i in path:
+        if type(node) is Quotient:
+            return True
+        kids = _children(node)
+        for j, sub in enumerate(kids):
+            if j != i and not all(map(observable, terms_of(sub))):
+                return False
+        node = kids[i]
+    return all(map(observable, terms_of(new)))
+
+
+def _goal_move(g: MixedGraph, expr: Expr, legal: dict, observable):
+    """The first legal move of ``expr``, in `_expand` order, whose successor
+    is observable, as ``(successor, rule, params, certificate)``; None if
+    there is none.
+
+    The search calls it for a state at depth − 1, whose successors are only
+    goal-tested, so a successor is built only when `_may_be_goal` allows it.
+    A successor the search has seen is not observable (it was goal-tested when
+    it was added), so no ``seen`` lookup is needed.
+    """
+    for rule, params, cert, old, new, path in _rewrites(expr, _memo(_legal_moves, g, legal)):
+        if _may_be_goal(expr, path, new, observable):
+            nxt = _successor(expr, (old, new), path)
+            if all(map(observable, terms_of(nxt))):
+                return nxt, rule, params, cert
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +626,7 @@ def _expand(g: MixedGraph, expr: Expr, legal: dict):
 @dataclass(frozen=True)
 class ReplayResult:
     ok: bool
-    failed_at: Optional[int] = None  # 1-based step index
+    failed_at: Optional[int] = None  # 1-based step index; 0 for the query itself
     reason: str = ""
 
     def __bool__(self) -> bool:
@@ -577,9 +641,12 @@ def replay(g: MixedGraph, d: Derivation) -> ReplayResult:
 
     Each step must continue the previous expression and be one of that
     expression's candidate moves on ``g``: the same rule and parameters, the
-    same result in canonical form and, for a do-calculus step, the recorded
-    certificate's statement, which is checked once. Returns the first
-    failing step when the derivation does not carry over.
+    same result in canonical form and, for a do-calculus step, a recorded
+    certificate equal in every field to the one `rule_applicable` computes
+    for its statement, which is checked once. The result must then be
+    observable on ``g``. Returns the first failing step when the derivation
+    does not carry over; an unobservable result fails at the last step, or
+    at 0 when there are no steps and the query itself is not observable.
     """
     current = canonical(d.query)
     for i, step in enumerate(d.steps, start=1):
@@ -589,8 +656,14 @@ def replay(g: MixedGraph, d: Derivation) -> ReplayResult:
         c = step.certificate
         statement = None if c is None else (c.rule, c.y, c.x, c.z, c.w)
         try:
-            if c is not None and not rule_applicable(g, *statement).holds:
-                return ReplayResult(False, i, f"{c.rule} certificate fails on {g.name}")
+            if c is not None:
+                computed = rule_applicable(g, *statement)
+                if not computed.holds:
+                    return ReplayResult(False, i, f"{c.rule} certificate fails on {g.name}")
+                if c != computed or c.holds is not True:
+                    return ReplayResult(
+                        False, i, f"recorded {c.rule} certificate differs from the one computed on {g.name}"
+                    )
             if not any(
                 (rule, params) == (step.rule, step.params)
                 and _statement(rule, sep) == statement
@@ -601,6 +674,8 @@ def replay(g: MixedGraph, d: Derivation) -> ReplayResult:
         except (UnknownVertex, OverlappingSets, UnknownRule) as exc:
             return ReplayResult(False, i, str(exc))
         current = after
+    if not _observable(g, current):
+        return ReplayResult(False, len(d.steps), f"result is not observable on {g.name}")
     return ReplayResult(True)
 
 

@@ -228,6 +228,28 @@ def test_replay_unknown_rule_exit_1(tmp_path):
     }
 
 
+@pytest.mark.parametrize(
+    "change,failed_at,reason",
+    [
+        ("holds", 1, "recorded R1 certificate differs from the one computed on fig3"),
+        ("cut", 2, "result is not observable on fig3"),
+    ],
+)
+def test_replay_tampered_or_cut_derivation_exit_1(tmp_path, change, failed_at, reason):
+    code, out, _ = run("recover-effect", fig("fig3"), "--treatment", "CX", "--outcome", "CY")
+    assert code == 0
+    doc = json.loads(out)
+    if change == "holds":
+        doc["steps"][0]["certificate"]["holds"] = "yes"
+    else:
+        doc["steps"] = doc["steps"][:2]
+    deriv = tmp_path / "d.json"
+    deriv.write_text(json.dumps(doc))
+    code, out, err = run("replay", fig("fig3"), str(deriv))
+    assert code == 1 and "Traceback" not in err
+    assert json.loads(out) == {"ok": False, "failed_at": failed_at, "reason": reason}
+
+
 def _bad_certificate_derivation(y) -> str:
     """fig3's CX -> CY derivation with the first certificate's ``y`` replaced."""
     code, out, _ = run("recover-effect", fig("fig3"), "--treatment", "CX", "--outcome", "CY")

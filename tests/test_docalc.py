@@ -42,8 +42,10 @@ from mcdmg.expressions import (
     _children,
     canonical,
     proxy,
+    render,
     rzero,
     term,
+    terms_of,
     val,
 )
 from test_expressions import _preorder, atoms, exprs, terms
@@ -303,6 +305,43 @@ def test_replay_rejects_an_unknown_rule(fig3):
     }
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("holds", False), ("holds", "yes"), ("overline", ["CY", "R_CY"]), ("underline", ["CZ"])],
+)
+def test_replay_rejects_a_certificate_that_differs_from_the_computed_one(fig3, field, value):
+    """The statement (rule, y, x, z, w) still holds on fig3; another field of
+    the recorded certificate is changed."""
+    doc = recover_effect(fig3, {"CX"}, {"CY"}).to_json()
+    doc["steps"][0]["certificate"][field] = value
+    assert replay(fig3, Derivation.from_json(doc)).to_json() == {
+        "ok": False,
+        "failed_at": 1,
+        "reason": "recorded R1 certificate differs from the one computed on fig3",
+    }
+
+
+def test_replay_rejects_an_unobservable_result(fig3):
+    d = recover_effect(fig3, {"CX"}, {"CY"})
+    cut = dataclasses.replace(d, steps=d.steps[:2])
+    assert render(cut.result) == "P(c_CY* | do(c_CX), R_CY=0)"
+    assert replay(fig3, cut).to_json() == {
+        "ok": False,
+        "failed_at": 2,
+        "reason": "result is not observable on fig3",
+    }
+
+
+def test_replay_fails_an_empty_derivation_of_an_unobservable_query_at_0(fig3):
+    # no step to blame: failed_at 0 names the query itself
+    d = Derivation(fig3.name, canonical(term([val("CY")], do=[val("CX")])), ())
+    assert replay(fig3, d).to_json() == {
+        "ok": False,
+        "failed_at": 0,
+        "reason": "result is not observable on fig3",
+    }
+
+
 def test_unknown_rule_is_checked_first(fig3):
     # overlapping sets and an unknown vertex would each be refused too
     with pytest.raises(UnknownRule, match="unknown rule 'R9'") as info:
@@ -511,8 +550,16 @@ def reference_search(g, treatment, outcome, depth):
 def test_memoized_search_matches_reference(rng):
     g = parse_graph(random_cluster_text(rng))
     treatment, outcome = rng.sample(sorted(g.clusters), 2)
-    got = recover_effect(g, {treatment}, {outcome}, depth=4).to_json()
-    assert got == reference_search(g, treatment, outcome, 4).to_json()
+    got = recover_effect(g, {treatment}, {outcome}, depth=4)
+    want = reference_search(g, treatment, outcome, 4)
+    if isinstance(want, Derivation):
+        assert got.to_json() == want.to_json()
+    else:
+        # the search expands states up to depth - 1 only: it counts what the
+        # reference pops at depth - 1
+        shallower = reference_search(g, treatment, outcome, 3)
+        assert isinstance(got, NotDerived) and isinstance(shallower, NotDerived)
+        assert got.to_json() == {**want.to_json(), "states_explored": shallower.states_explored}
 
 
 def test_search_checks_each_term_once(fig2a, monkeypatch):
@@ -671,3 +718,62 @@ def test_successor_reduces_a_quotient_whose_sides_meet(x, y, a):
         got = docalc._successor(c, (_d, _d_given_a), docalc._rewritable(c)[_d])
         assert got == expected == canonical(replace_term(c, _d, _d_given_a))
 
+
+
+def _states_within(g, treatment, outcome, depth):
+    """Every state within ``depth`` moves of the query, in breadth-first order."""
+    query = canonical(term(outcomes={val(outcome)}, do={val(treatment)}))
+    states, frontier, legal = {query: None}, [query], {}
+    for _ in range(depth):
+        frontier = [nxt for e in frontier for nxt, *_ in docalc._expand(g, e, legal) if nxt not in states]
+        frontier = list(dict.fromkeys(frontier))
+        states.update(dict.fromkeys(frontier))
+    return list(states)
+
+
+def _assert_skips_only_unobservable(e, observable, rewrites):
+    """Each ``(old, new, path)`` rewrite of ``e`` that `_may_be_goal` rules out
+    builds a successor with a term that is not ``observable``."""
+    for old, new, path in rewrites:
+        if not docalc._may_be_goal(e, path, new, observable):
+            assert not all(map(observable, terms_of(docalc._successor(e, (old, new), path))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_last_level_filter_skips_only_unobservable_successors(rng):
+    g = parse_graph(random_cluster_text(rng))
+    treatment, outcome = rng.sample(sorted(g.clusters), 2)
+    moves = docalc._memo(docalc._legal_moves, g, {})
+    observable = lambda t: docalc._term_observable(g, t)
+    for e in _states_within(g, treatment, outcome, 3):
+        rewrites = [(old, new, path) for *_, old, new, path in docalc._rewrites(e, moves)]
+        _assert_skips_only_unobservable(e, observable, rewrites)
+
+
+# the filter holds for any per-term predicate; this one calls a term
+# observable when it has no do-set, so `_u` is not
+_u = term([val("U")], do=[val("V")])
+
+
+def _no_do(t):
+    return not t.do
+
+
+@settings(max_examples=100, deadline=None)
+@given(exprs, exprs, atoms, exprs)
+def test_last_level_filter_builds_a_quotient_whose_sides_meet(x, y, a, other):
+    """Rewriting the numerator's one differing term turns the quotient into
+    ``One`` and drops its unobservable terms, so the filter must let it
+    through; any other rewrite it rules out is unobservable too."""
+    q = Quotient(Product((x, _u, _d)), Product((x, _u, _d_given_a)))
+    c = canonical(q)
+    path = docalc._rewritable(c)[_d]
+    assert docalc._successor(c, (_d, _d_given_a), path) == One()
+    assert docalc._may_be_goal(c, path, _d_given_a, _no_do)
+    for e in (q, Sum(a, q), Product((y, q))):
+        c = canonical(e)
+        paths = docalc._rewritable(c)
+        news = (_d_given_a, One(), canonical(other))
+        rewrites = [(old, new, path) for old, path in paths.items() for new in news]
+        _assert_skips_only_unobservable(c, _no_do, rewrites)
