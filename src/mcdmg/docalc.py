@@ -30,12 +30,15 @@ A state at depth − 1 is expanded last: its successors are goal-tested and
 never kept, so the search builds one only when every term of the replacement
 and every term off the rewritten path is observable, or a quotient on the
 path may cancel. `NotDerived.states_explored` counts the states expanded.
-`replay` keeps no memo: it re-checks every certificate, requires the recorded
-one to equal it in every field, and requires an observable result.
+`replay` lists moves and rebuilds successors along the same recorded paths
+as the search, but keeps no memo: it re-checks every certificate, requires
+the recorded one to equal it in every field, requires every symbol of the
+query to name a vertex of the graph, and requires an observable result.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple, Union
@@ -320,7 +323,7 @@ def _term_moves(g: MixedGraph, t: Term):
 
     Yields ``(rule, params, sep, replacement)`` with ``params`` as sorted
     (key, value) pairs. They depend on the term alone: TotalProb is offered
-    for every adjacent cluster the term does not mention, and `_candidates`
+    for every adjacent cluster the term does not mention, and `_rewrites`
     drops those that occur elsewhere in the expression.
     """
     masked = set(g.partially_observed)
@@ -404,16 +407,21 @@ def recover_effect(
     that returns the derivation a test at pop time would.
 
     A state at depth − 1 is the last one expanded. Its successors are only
-    goal-tested, never kept, and `_goal_move` builds just those that can be
-    observable. So ``NotDerived.states_explored`` counts the states within
-    depth − 1 moves of the query.
+    goal-tested, never kept, and the search builds just those that
+    `_may_be_goal` allows. So ``NotDerived.states_explored`` counts the
+    states within depth − 1 moves of the query. ``depth`` must be an integer
+    (anything `operator.index` accepts) of at least 1.
 
     Each distinct term's legal moves, each distinct sum's collapse and each
     distinct term's goal test are computed once per call and kept in dicts
     that live as long as the search.
     """
+    try:
+        depth = operator.index(depth)
+    except TypeError:
+        depth = 0  # not an integer: refused below
     if depth < 1:
-        raise DepthNonPositive("depth must be >= 1")
+        raise DepthNonPositive("depth must be an integer >= 1")
     ts = tuple(sorted(vertex_set("treatment", treatment)))
     os = tuple(sorted(vertex_set("outcome", outcome)))
     for name, ids in (("treatment", ts), ("outcome", os)):
@@ -427,7 +435,7 @@ def recover_effect(
         raise OverlappingSets(f"treatment and outcome overlap in {', '.join(both)}")
     query = canonical(term(outcomes={val(o) for o in os}, do={val(t) for t in ts}))
 
-    legal, observable = {}, _memo(_term_observable, g, {})
+    moves, observable = _memo(_legal_moves, g, {}), _memo(_term_observable, g, {})
     if all(map(observable, terms_of(query))):
         return Derivation(g.name, query, ())
     seen = {query}
@@ -436,21 +444,20 @@ def recover_effect(
     while frontier:
         expr, steps = frontier.popleft()
         explored += 1
-        if len(steps) == depth - 1:
-            found = _goal_move(g, expr, legal, observable)
-            if found is not None:
-                nxt, rule, params, cert = found
+        last = len(steps) == depth - 1  # successors are goal-tested, never kept
+        for rule, params, cert, new, path in _rewrites(expr, moves):
+            if last and not _may_be_goal(expr, path, new, observable):
+                continue
+            nxt = _successor(expr, path, new)
+            if nxt in seen:
+                continue
+            # goal test at generation: in breadth-first order the first
+            # observable state generated is the first one popped
+            if all(map(observable, terms_of(nxt))):
                 return Derivation(g.name, query, steps + (Step(rule, params, expr, nxt, cert),))
-            continue
-        for nxt, rule, params, cert in _expand(g, expr, legal):
-            if nxt not in seen:
-                step = Step(rule, params, expr, nxt, cert)
-                # goal test at generation: in breadth-first order the first
-                # observable state generated is the first one popped
-                if all(map(observable, terms_of(nxt))):
-                    return Derivation(g.name, query, steps + (step,))
+            if not last:
                 seen.add(nxt)
-                frontier.append((nxt, steps + (step,)))
+                frontier.append((nxt, steps + (Step(rule, params, expr, nxt, cert),)))
     return NotDerived(query, depth, explored)
 
 
@@ -474,66 +481,32 @@ def _rewritable(e: Expr) -> Dict[Expr, Tuple[int, ...]]:
 
 
 def _rewrites(expr: Expr, moves):
-    """`_candidates`, each with the path to the node it rewrites:
-    ``(rule, params, check, old, new, path)``."""
-    used = {a.ref for a in symbols_of(expr)}
-    for x, path in _rewritable(expr).items():
-        for rule, params, check, replacement in moves(x):
-            if rule != "TotalProb" or params[0][1] not in used:
-                yield rule, params, check, x, replacement, path
-
-
-def _candidates(expr: Expr, moves):
     """Every candidate move of an expression, in the fixed rule order.
 
-    ``moves(x)`` gives the ``(rule, params, check, replacement)`` moves of
-    each `_rewritable` node; TotalProb moves over a cluster that occurs
-    elsewhere in the expression are dropped. Yields ``(rule, params, check,
-    rewrite)`` with ``rewrite`` the ``(old, new)`` node replacement that
-    makes the successor; a Marginalize move has no check. A later occurrence
-    of an equal node would only repeat the first one's successors. Replay
-    reads this generator; the search reads `_rewrites`, which also gives
-    each node's path.
+    ``moves(x)`` gives the ``(rule, params, check, new)`` moves of each
+    `_rewritable` node; TotalProb moves over a cluster that occurs elsewhere
+    in the expression are dropped. Yields ``(rule, params, check, new,
+    path)`` with ``path`` the one `_rewritable` recorded for the rewritten
+    node; a Marginalize move has no check. A later occurrence of an equal
+    node would only repeat the first one's successors.
     """
-    for rule, params, check, old, new, _ in _rewrites(expr, moves):
-        yield rule, params, check, (old, new)
+    used = {a.ref for a in symbols_of(expr)}
+    for x, path in _rewritable(expr).items():
+        for rule, params, check, new in moves(x):
+            if rule != "TotalProb" or params[0][1] not in used:
+                yield rule, params, check, new, path
 
 
-def _path_to(e: Expr, node: Expr) -> Tuple[int, ...]:
-    """The child positions that lead from ``e`` to the first pre-order
-    occurrence of the object ``node``."""
+def _successor(expr: Expr, path: Tuple[int, ...], new: Expr) -> Expr:
+    """The canonical form of ``expr`` with the node at ``path`` replaced by
+    ``new``, for a canonical ``expr`` and ``new``.
 
-    def go(x: Expr) -> Optional[Tuple[int, ...]]:
-        if x is node:
-            return ()
-        for i, sub in enumerate(_children(x)):
-            found = go(sub)
-            if found is not None:
-                return (i, *found)
-        return None
-
-    path = go(e)
-    if path is None:
-        raise UnknownVertex("term to replace not found in expression")
-    return path
-
-
-def _successor(expr: Expr, rewrite, path: Optional[Tuple[int, ...]] = None) -> Expr:
-    """The canonical form of ``expr`` with the node ``old`` at ``path``
-    replaced by ``new``, for a canonical ``expr`` and ``new``.
-
-    Without a path, ``old`` is found by identity at its first occurrence and
-    ``new`` is brought into canonical form first. Only the nodes on the path
-    are rebuilt, upward from the rewritten node, each normalised by its own
-    type: every other subtree is canonical already. A product's other factors
-    are canonical and sorted, so the new factor is spliced in: a product is
-    flattened, ``One`` dropped, a lone factor stands alone, and the factors
-    are sorted only when one was added.
+    Only the nodes on the path are rebuilt, upward from the rewritten node,
+    each normalised by its own type: every other subtree is canonical
+    already. A product's other factors are canonical and sorted, so the new
+    factor is spliced in: a product is flattened, ``One`` dropped, a lone
+    factor stands alone, and the factors are sorted only when one was added.
     """
-    old, new = rewrite
-    if path is None:
-        path = _path_to(expr, old)
-        new = canonical(new)
     ancestors, node = [], expr
     for i in path:
         ancestors.append(node)
@@ -566,19 +539,6 @@ def _legal_moves(g: MixedGraph, x: Expr):
     return out
 
 
-def _expand(g: MixedGraph, expr: Expr, legal: dict):
-    """All legal successor states of a canonical expression, in deterministic
-    order, as ``(successor, rule, params, certificate)``.
-
-    ``legal`` maps each term and sum met so far in the search to its
-    `_legal_moves`; a node seen for the first time is added. The replacements
-    are canonical already, and each successor is rebuilt along the path
-    `_rewritable` recorded.
-    """
-    for rule, params, cert, old, new, path in _rewrites(expr, _memo(_legal_moves, g, legal)):
-        yield _successor(expr, (old, new), path), rule, params, cert
-
-
 def _may_be_goal(expr: Expr, path: Tuple[int, ...], new: Expr, observable) -> bool:
     """Whether putting ``new`` at ``path`` in ``expr`` can give an observable
     expression, judged from terms that exist already.
@@ -598,24 +558,6 @@ def _may_be_goal(expr: Expr, path: Tuple[int, ...], new: Expr, observable) -> bo
                 return False
         node = kids[i]
     return all(map(observable, terms_of(new)))
-
-
-def _goal_move(g: MixedGraph, expr: Expr, legal: dict, observable):
-    """The first legal move of ``expr``, in `_expand` order, whose successor
-    is observable, as ``(successor, rule, params, certificate)``; None if
-    there is none.
-
-    The search calls it for a state at depth − 1, whose successors are only
-    goal-tested, so a successor is built only when `_may_be_goal` allows it.
-    A successor the search has seen is not observable (it was goal-tested when
-    it was added), so no ``seen`` lookup is needed.
-    """
-    for rule, params, cert, old, new, path in _rewrites(expr, _memo(_legal_moves, g, legal)):
-        if _may_be_goal(expr, path, new, observable):
-            nxt = _successor(expr, (old, new), path)
-            if all(map(observable, terms_of(nxt))):
-                return nxt, rule, params, cert
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +589,24 @@ def replay(g: MixedGraph, d: Derivation) -> ReplayResult:
     observable on ``g``. Returns the first failing step when the derivation
     does not carry over; an unobservable result fails at the last step, or
     at 0 when there are no steps and the query itself is not observable.
+
+    The query fails at 0 when one of its symbols names nothing of that kind
+    in ``g``: a value must name a substantive vertex, a proxy a partially
+    observed one and an R=0 literal an indicator. Every step is a legal
+    move, so checking the query covers the whole derivation. The moves are
+    listed by `_rewrites` and rebuilt by `_successor` along the paths it
+    records, as in the search.
     """
     current = canonical(d.query)
+    refs = {
+        VAL: (g.substantive, "substantive vertex"),
+        PROXY: (g.partially_observed, "partially observed vertex"),
+        RZERO: (g.indicators, "indicator"),
+    }
+    for a in sorted(symbols_of(current)):
+        known, what = refs[a.kind]
+        if a.ref not in known:
+            return ReplayResult(False, 0, f"{a.render()} names no {what} of {g.name}")
     for i, step in enumerate(d.steps, start=1):
         if canonical(step.before) != current:
             return ReplayResult(False, i, "step does not continue the previous expression")
@@ -667,8 +625,8 @@ def replay(g: MixedGraph, d: Derivation) -> ReplayResult:
             if not any(
                 (rule, params) == (step.rule, step.params)
                 and _statement(rule, sep) == statement
-                and _successor(current, rewrite) == after
-                for rule, params, sep, rewrite in _candidates(current, lambda x: _node_moves(g, x))
+                and _successor(current, path, canonical(new)) == after
+                for rule, params, sep, new, path in _rewrites(current, lambda x: _node_moves(g, x))
             ):
                 return ReplayResult(False, i, "rewrite is not canonical-form-checkable")
         except (UnknownVertex, OverlappingSets, UnknownRule) as exc:

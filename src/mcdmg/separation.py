@@ -5,9 +5,9 @@ non-collider in Z, or a collider with no descendant in Z. The production
 engine is a reachability automaton over (vertex, arrival-mark) states, which
 also admits walks: `reaches` decides it on the bitmask adjacency of
 `MixedGraph.index`, with a mutilation passed as masks, and `active_path`
-runs it over vertex ids to return a shortest witness. An exhaustive path
-enumerator doubles as an independent oracle and the engines are held in
-agreement with it by the test suite.
+runs it breadth-first over the same positions to return a shortest
+witness. An exhaustive path enumerator doubles as an independent oracle
+and the engines are held in agreement with it by the test suite.
 
 Self-loop edges can be traversed in both orientations by walks (arrowhead end
 first or tail end first) and never occur on simple paths.
@@ -214,7 +214,7 @@ def d_separated(
     return not reaches(ix, ix.mask(Xs), ix.mask(Ys), ix.mask(Zs))
 
 
-# The engine below is `active_path`'s search without the witness, over the
+# The engine below is `active_path`'s search without the witness, kept as
 # masks of `MixedGraph.index` (the Bayes-ball algorithm: Shachter 1998; Koller
 # & Friedman 2009, Alg. 3.1). A mutilation is passed as two masks, ``over``
 # and ``under``, and read edge by edge exactly as `mutilate` builds its
@@ -309,58 +309,53 @@ def active_path(
 ) -> Optional[Walk]:
     """A shortest active path between X and Y given Z, or None if separated.
 
-    Breadth-first search over (vertex, arrival-mark) states. A shortest
-    active walk is necessarily simple, so the witness is a path.
+    Breadth-first search over (position, arrived by a head) states of
+    `MixedGraph.index`, each position's moves in (symbol, target id) order.
+    A shortest active walk is necessarily simple, so the witness is a path.
     """
     Xs, Ys, Zs = _check_sets(g, X, Y, Z)
-    open_collider = ancestors(g, Zs) if Zs else frozenset()
+    ix = g.index
+    ys, zs = ix.mask(Ys), ix.mask(Zs)
+    open_collider = ancestor_mask(ix, zs) if zs else 0
 
-    moves = {}  # each vertex's moves, sorted once per call
-
-    def moves_of(v: str):
-        out = moves.get(v)
-        if out is None:
-            out = moves[v] = sorted(_moves(g, v))
-        return out
+    def moves(i: int):
+        for sym, targets in ((FORWARD, ix.children[i]), (BACKWARD, ix.parents[i]), (BOTH, ix.spouses[i])):
+            for j in _positions(targets):
+                yield sym, j
 
     prev = {}
     queue = deque()
-    for x in sorted(Xs):
-        for sym, _, mark_in, target in moves_of(x):
-            state = (target, mark_in)
+    for x in _positions(ix.mask(Xs)):
+        for sym, j in moves(x):
+            state = (j, sym != BACKWARD)
             if state not in prev:
                 prev[state] = (None, x, sym)
                 queue.append(state)
 
     while queue:
         state = queue.popleft()
-        v, mark = state
-        if v in Ys:
-            return _reconstruct(prev, state)
-        for sym, mark_out, mark_in, target in moves_of(v):
-            if mark == HEAD and mark_out == HEAD:
-                if v not in open_collider:
+        i, head = state
+        if ys >> i & 1:
+            return _reconstruct(ix.ids, prev, state)
+        for sym, j in moves(i):
+            if head and sym != FORWARD:  # a collider: in and out by a head
+                if not open_collider >> i & 1:
                     continue
-            elif v in Zs:
+            elif zs >> i & 1:
                 continue
-            nxt = (target, mark_in)
+            nxt = (j, sym != BACKWARD)
             if nxt not in prev:
-                prev[nxt] = (state, v, sym)
+                prev[nxt] = (state, i, sym)
                 queue.append(nxt)
     return None
 
 
-def _reconstruct(prev, state) -> Walk:
-    vs = [state[0]]
-    es = []
-    while True:
-        parent, _, sym = prev[state]
+def _reconstruct(ids, prev, state) -> Walk:
+    vs, es = [ids[state[0]]], []
+    while state is not None:
+        state, i, sym = prev[state]
+        vs.append(ids[i])
         es.append(sym)
-        if parent is None:
-            vs.append(prev[state][1])
-            break
-        vs.append(parent[0])
-        state = parent
     return Walk(tuple(reversed(vs)), tuple(reversed(es)))
 
 

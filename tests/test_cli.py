@@ -7,8 +7,8 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from mcdmg import fixture_path
-from tests_support import FIXTURE_QUERIES, THIRTEEN_EDGES, malformed_graph_texts
+from mcdmg import Derivation, fixture_path
+from tests_support import FIXTURE_QUERIES, THIRTEEN_EDGES, malformed_graph_texts, unknown_symbol_queries
 
 
 def run(*args):
@@ -248,6 +248,15 @@ def test_replay_tampered_or_cut_derivation_exit_1(tmp_path, change, failed_at, r
     code, out, err = run("replay", fig("fig3"), str(deriv))
     assert code == 1 and "Traceback" not in err
     assert json.loads(out) == {"ok": False, "failed_at": failed_at, "reason": reason}
+
+
+@pytest.mark.parametrize("query,reason", unknown_symbol_queries())
+def test_replay_symbol_the_graph_lacks_exit_1(tmp_path, query, reason):
+    deriv = tmp_path / "d.json"
+    deriv.write_text(json.dumps(Derivation("fig3", query, ()).to_json()))
+    code, out, err = run("replay", fig("fig3"), str(deriv))
+    assert code == 1 and "Traceback" not in err
+    assert json.loads(out) == {"ok": False, "failed_at": 0, "reason": reason}
 
 
 def _bad_certificate_derivation(y) -> str:

@@ -48,8 +48,8 @@ from mcdmg.expressions import (
     terms_of,
     val,
 )
-from test_expressions import _preorder, atoms, exprs, terms
-from tests_support import random_cluster_text, replace_term, search_hashes
+from test_expressions import atoms, exprs, terms
+from tests_support import random_cluster_text, replace_term, search_hashes, unknown_symbol_queries
 
 
 def test_rule1_insert_ry_fig2b(fig2b):
@@ -209,9 +209,19 @@ def test_rule_applicable_refuses_a_bare_string(fig2b):
         rule_applicable(fig2b, "R1", {"CY"}, {"CX"}, (), "R_CY")
 
 
-def test_depth_validation(fig2b):
-    with pytest.raises(DepthNonPositive):
-        recover_effect(fig2b, {"CX"}, {"CY"}, depth=0)
+def test_depth_validation(fig2a, fig2b):
+    # a float depth used to lift the bound: on fig2a, depth=3.5 returned 7 steps
+    for g, depth in ((fig2b, 0), (fig2b, -1), (fig2a, 3.5), (fig2a, "3"), (fig2a, None)):
+        with pytest.raises(DepthNonPositive, match="depth must be an integer >= 1"):
+            recover_effect(g, {"CX"}, {"CY"}, depth=depth)
+
+
+def test_depth_accepts_a_numpy_integer(fig2a):
+    np = pytest.importorskip("numpy")
+    for depth in (3, 8):
+        want = recover_effect(fig2a, {"CX"}, {"CY"}, depth=depth).to_json()
+        got = recover_effect(fig2a, {"CX"}, {"CY"}, depth=np.int64(depth)).to_json()
+        assert json.dumps(got) == json.dumps(want)
 
 
 def test_search_determinism(fig3):
@@ -340,6 +350,12 @@ def test_replay_fails_an_empty_derivation_of_an_unobservable_query_at_0(fig3):
         "failed_at": 0,
         "reason": "result is not observable on fig3",
     }
+
+
+@pytest.mark.parametrize("query,reason", unknown_symbol_queries())
+def test_replay_rejects_a_symbol_the_graph_lacks(fig3, query, reason):
+    d = Derivation(fig3.name, canonical(query), ())
+    assert replay(fig3, d).to_json() == {"ok": False, "failed_at": 0, "reason": reason}
 
 
 def test_unknown_rule_is_checked_first(fig3):
@@ -519,9 +535,16 @@ def test_search_matches_golden_hashes():
     assert search_hashes() == golden
 
 
+def _node_at(e, path):
+    """The node the child positions ``path`` lead to from ``e``."""
+    for i in path:
+        e = _children(e)[i]
+    return e
+
+
 def reference_search(g, treatment, outcome, depth):
     """Memo-free breadth-first search: every candidate of every state is
-    checked afresh, in `_candidates` order, and each successor is rebuilt
+    checked afresh, in `_rewrites` order, and each successor is rebuilt
     whole by `replace_term` and `canonical` instead of by `_successor`."""
     query = canonical(term(outcomes={val(outcome)}, do={val(treatment)}))
     seen, frontier, explored = {query}, deque([(query, ())]), 0
@@ -532,13 +555,13 @@ def reference_search(g, treatment, outcome, depth):
             return Derivation(g.name, query, steps)
         if len(steps) >= depth:
             continue
-        for rule, params, sep, rewrite in docalc._candidates(expr, lambda x: docalc._node_moves(g, x)):
+        for rule, params, sep, new, path in docalc._rewrites(expr, lambda x: docalc._node_moves(g, x)):
             cert = None
             if sep is not None:
                 cert = rule_applicable(g, rule, *sep)
                 if not cert.holds:
                     continue
-            nxt = canonical(replace_term(expr, *rewrite))
+            nxt = canonical(replace_term(expr, _node_at(expr, path), new))
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append((nxt, steps + (docalc.Step(rule, params, expr, nxt, cert),)))
@@ -618,34 +641,35 @@ def _golden_random_query(k):
 
 
 def test_search_makes_a_step_only_for_kept_states(fig2a, monkeypatch):
-    """A `Step` is made for each successor not already seen, and for no
-    duplicate: counted against the successors `_expand` yields."""
-    made, counts = [], {"new": 0, "all": 0}
-    step, expand = docalc.Step, docalc._expand
+    """A `Step` is made for each successor not already seen that is kept
+    (within depth moves of the query) or returned (observable), and for no
+    duplicate: counted against the successors `_successor` builds."""
+    made, counts = [], {"kept": 0, "all": 0}
+    step, successor = docalc.Step, docalc._successor
 
     def counted_step(*args):
         made.append(args)
         return step(*args)
 
-    def counted_expand(g, expr, legal):
-        if not seen:
-            seen.add(expr)  # the query, the first state expanded
-        for out in expand(g, expr, legal):
-            counts["all"] += 1
-            if out[0] not in seen:
-                seen.add(out[0])
-                counts["new"] += 1
-            yield out
+    def counted_successor(expr, path, new):
+        nxt = successor(expr, path, new)
+        if not depth_of:
+            depth_of[expr] = 0  # the query, the first state expanded
+        counts["all"] += 1
+        if nxt not in depth_of:
+            depth_of[nxt] = depth_of[expr] + 1
+            counts["kept"] += depth_of[nxt] < depth or docalc._observable(graph, nxt)
+        return nxt
 
     monkeypatch.setattr(docalc, "Step", counted_step)
-    monkeypatch.setattr(docalc, "_expand", counted_expand)
+    monkeypatch.setattr(docalc, "_successor", counted_successor)
     g, treatment, outcome = _golden_random_query(6)
     for graph, t, o, depth in ((fig2a, "CX", "CY", 8), (g, treatment, outcome, 5)):
-        seen = set()
+        depth_of = {}
         made.clear()
-        counts.update(new=0, all=0)
+        counts.update(kept=0, all=0)
         recover_effect(graph, {t}, {o}, depth=depth)
-        assert len(made) == counts["new"] < counts["all"]
+        assert len(made) == counts["kept"] < counts["all"]
 
 
 # trees with equal subtrees in several places, so that the node a rewrite
@@ -663,10 +687,11 @@ _repeating = st.one_of(
 @given(_repeating, exprs, st.data())
 def test_successor_matches_whole_rebuild(e, new, data):
     c = canonical(e)
-    nodes = list(_preorder(c))
-    firsts = [x for i, x in enumerate(nodes) if nodes.index(x) == i]
-    old = data.draw(st.sampled_from(firsts))
-    assert docalc._successor(c, (old, new)) == canonical(replace_term(c, old, new))
+    firsts = {}
+    for path, x in _paths(c):
+        firsts.setdefault(x, path)
+    old = data.draw(st.sampled_from(list(firsts)))
+    assert docalc._successor(c, firsts[old], canonical(new)) == canonical(replace_term(c, old, new))
 
 
 def _paths(e, path=()):
@@ -697,7 +722,7 @@ def test_rewritable_paths_lead_to_first_occurrences(e, a, b, other, data):
     product = canonical(Product((a, b)))
     assert isinstance(product, Product)
     for new in (product, One(), canonical(other)):
-        got = docalc._successor(c, (old, new), paths[old])
+        got = docalc._successor(c, paths[old], new)
         assert got == canonical(replace_term(c, old, new))
 
 
@@ -715,7 +740,7 @@ def test_successor_reduces_a_quotient_whose_sides_meet(x, y, a):
     q = Quotient(Product((x, _d)), Product((x, _d_given_a)))
     for e, expected in ((q, One()), (Sum(a, q), Sum(a, One())), (Product((y, q)), canonical(y))):
         c = canonical(e)
-        got = docalc._successor(c, (_d, _d_given_a), docalc._rewritable(c)[_d])
+        got = docalc._successor(c, docalc._rewritable(c)[_d], _d_given_a)
         assert got == expected == canonical(replace_term(c, _d, _d_given_a))
 
 
@@ -723,20 +748,20 @@ def test_successor_reduces_a_quotient_whose_sides_meet(x, y, a):
 def _states_within(g, treatment, outcome, depth):
     """Every state within ``depth`` moves of the query, in breadth-first order."""
     query = canonical(term(outcomes={val(outcome)}, do={val(treatment)}))
-    states, frontier, legal = {query: None}, [query], {}
+    states, frontier, moves = {query: None}, [query], docalc._memo(docalc._legal_moves, g, {})
     for _ in range(depth):
-        frontier = [nxt for e in frontier for nxt, *_ in docalc._expand(g, e, legal) if nxt not in states]
-        frontier = list(dict.fromkeys(frontier))
+        frontier = [docalc._successor(e, path, new) for e in frontier for *_, new, path in docalc._rewrites(e, moves)]
+        frontier = list(dict.fromkeys(nxt for nxt in frontier if nxt not in states))
         states.update(dict.fromkeys(frontier))
     return list(states)
 
 
 def _assert_skips_only_unobservable(e, observable, rewrites):
-    """Each ``(old, new, path)`` rewrite of ``e`` that `_may_be_goal` rules out
+    """Each ``(path, new)`` rewrite of ``e`` that `_may_be_goal` rules out
     builds a successor with a term that is not ``observable``."""
-    for old, new, path in rewrites:
+    for path, new in rewrites:
         if not docalc._may_be_goal(e, path, new, observable):
-            assert not all(map(observable, terms_of(docalc._successor(e, (old, new), path))))
+            assert not all(map(observable, terms_of(docalc._successor(e, path, new))))
 
 
 @settings(max_examples=30, deadline=None)
@@ -747,7 +772,7 @@ def test_last_level_filter_skips_only_unobservable_successors(rng):
     moves = docalc._memo(docalc._legal_moves, g, {})
     observable = lambda t: docalc._term_observable(g, t)
     for e in _states_within(g, treatment, outcome, 3):
-        rewrites = [(old, new, path) for *_, old, new, path in docalc._rewrites(e, moves)]
+        rewrites = [(path, new) for *_, new, path in docalc._rewrites(e, moves)]
         _assert_skips_only_unobservable(e, observable, rewrites)
 
 
@@ -769,11 +794,11 @@ def test_last_level_filter_builds_a_quotient_whose_sides_meet(x, y, a, other):
     q = Quotient(Product((x, _u, _d)), Product((x, _u, _d_given_a)))
     c = canonical(q)
     path = docalc._rewritable(c)[_d]
-    assert docalc._successor(c, (_d, _d_given_a), path) == One()
+    assert docalc._successor(c, path, _d_given_a) == One()
     assert docalc._may_be_goal(c, path, _d_given_a, _no_do)
     for e in (q, Sum(a, q), Product((y, q))):
         c = canonical(e)
         paths = docalc._rewritable(c)
         news = (_d_given_a, One(), canonical(other))
-        rewrites = [(old, new, path) for old, path in paths.items() for new in news]
+        rewrites = [(path, new) for path in paths.values() for new in news]
         _assert_skips_only_unobservable(c, _no_do, rewrites)

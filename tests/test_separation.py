@@ -152,6 +152,7 @@ from tests_support import (  # noqa: E402
     random_graph,
     random_query,
     random_walk,
+    reference_active_path,
 )
 
 
@@ -233,6 +234,23 @@ def test_active_path_witness_properties(rng):
         assert w.is_path() and w.vertices[0] in X and w.vertices[-1] in Y
         w.check_in(g)  # consecutive vertices are joined by the recorded edge
         assert not path_blocked(g, w, Z)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_active_path_matches_reference_on_mutilations(rng):
+    """The witness over index positions has the tokens of the frozenset
+    search's witness, on random cluster graphs and their mutilations."""
+    g = parse_graph(random_cluster_text(rng))
+    mutilable = sorted(v for v in g.ids if g.kind(v) is not Kind.PROXY)
+    for _ in range(4):
+        over = {v for v in mutilable if rng.random() < 0.3}
+        under = {v for v in mutilable if rng.random() < 0.3}
+        cut = mutilate(g, MutilationSpec.of(over, under))
+        for _ in range(5):
+            X, Y, Z = random_query(rng, cut)
+            got, want = (f(cut, X, Y, Z) for f in (active_path, reference_active_path))
+            assert (want is None and got is None) or got.tokens() == want.tokens(), (X, Y, Z)
 
 
 @settings(max_examples=200, deadline=None)

@@ -137,11 +137,24 @@ FIXTURE_QUERIES = {
 }
 
 
+def unknown_symbol_queries():
+    """Queries of zero-step fig3 derivations with a symbol that names nothing
+    of its kind in fig3 (CZ is fully observed), each with the reason replay
+    fails them for at step 0."""
+    from mcdmg.expressions import proxy, rzero, term, val
+
+    return [
+        (term([val("NOPE")]), "c_NOPE names no substantive vertex of fig3"),
+        (term([proxy("CZ")]), "c_CZ* names no partially observed vertex of fig3"),
+        (term([rzero("R_NOPE")]), "R_NOPE=0 names no indicator of fig3"),
+    ]
+
+
 def replace_term(e, old, new):
     """``e`` with the first occurrence of the node ``old`` (in traversal
     order), a term or any subtree such as a sum, replaced by ``new``; the
     whole tree is rebuilt. The reference that ``docalc._successor``, which
-    rebuilds only the path to ``old``, is checked against."""
+    rebuilds only the path to the node, is checked against."""
     from mcdmg.errors import UnknownVertex
     from mcdmg.expressions import _children, _rebuild
 
@@ -159,6 +172,47 @@ def replace_term(e, old, new):
     if not done[0]:
         raise UnknownVertex("term to replace not found in expression")
     return out
+
+
+def reference_active_path(g, X, Y, Z):
+    """A shortest active path between X and Y given Z, or None: breadth-first
+    search over (vertex id, arrival mark) states, each vertex's moves sorted.
+    The reference that ``separation.active_path``, which runs the same search
+    over the positions of ``MixedGraph.index``, is checked against."""
+    from collections import deque
+
+    from mcdmg.separation import HEAD, _check_sets, _moves, ancestors
+
+    Xs, Ys, Zs = _check_sets(g, X, Y, Z)
+    open_collider = ancestors(g, Zs) if Zs else frozenset()
+    prev, queue = {}, deque()
+    for x in sorted(Xs):
+        for sym, _, mark_in, target in sorted(_moves(g, x)):
+            state = (target, mark_in)
+            if state not in prev:
+                prev[state] = (None, x, sym)
+                queue.append(state)
+    while queue:
+        state = queue.popleft()
+        v, mark = state
+        if v in Ys:
+            vs, es = [v], []
+            while state is not None:
+                state, u, sym = prev[state]
+                vs.append(u)
+                es.append(sym)
+            return Walk(tuple(reversed(vs)), tuple(reversed(es)))
+        for sym, mark_out, mark_in, target in sorted(_moves(g, v)):
+            if mark == HEAD and mark_out == HEAD:
+                if v not in open_collider:
+                    continue
+            elif v in Zs:
+                continue
+            nxt = (target, mark_in)
+            if nxt not in prev:
+                prev[nxt] = (state, v, sym)
+                queue.append(nxt)
+    return None
 
 
 def search_hashes(random_graphs=60, seed=20261018):
