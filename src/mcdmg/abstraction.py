@@ -14,6 +14,14 @@ at least one realizing variable edge, and an absent cluster edge forbids all
 of them. Cluster self-loops stand for intra-cluster directed edges;
 intra-cluster bidirected edges have no cluster-level syntax and are therefore
 unlicensed.
+
+Realization follows one rule. A cluster is realized by its members, and an
+indicator by its variable-level indicators: its own id at m level, and
+``R_<v>`` for each member ``v`` of its cluster at cm level. A directed
+abstract edge is realized by any directed edge ``x -> y`` with ``x != y``
+between the two ends' realizations, and a bidirected one by any pair, so
+edges out of an indicator are realized like any other. Enumeration and
+`recovery.construct_witness` both build their graphs through `_realize`.
 """
 
 from __future__ import annotations
@@ -75,12 +83,13 @@ def _project_endpoint(vid: str, g: MixedGraph, clustering: Clustering, level: Gr
         cluster = clustering.cluster_of.get(owner)
         if cluster is None:
             raise InvalidClustering(f"indicator owner {owner!r} is unclustered")
-        return _merged_indicator_id(cluster)
+        return indicator_id(cluster)
     raise InvalidClustering(f"cannot project a {kind.value} vertex")
 
 
-def _merged_indicator_id(cluster: str) -> str:
-    return f"R_{cluster}"
+def indicator_id(owner: str) -> str:
+    """The id ``R_<owner>`` of an indicator that is made, not declared."""
+    return f"R_{owner}"
 
 
 def project(
@@ -125,7 +134,7 @@ def project(
         masked = sorted(
             {clustering.cluster_of[madmg.vertex(r).owner] for r in madmg.indicators}
         )
-        verts += [Vertex(_merged_indicator_id(c), Kind.INDICATOR, c) for c in masked]
+        verts += [Vertex(indicator_id(c), Kind.INDICATOR, c) for c in masked]
     return require_valid(
         MixedGraph.build(
             f"{madmg.name}@cluster",
@@ -148,20 +157,16 @@ def merge_indicators(mcdmg: MixedGraph) -> MixedGraph:
     if mcdmg.graph_class is not GraphClass.MCDMG:
         raise WrongGraphClass("merge starts from an m-c-dmg")
     clustering = mcdmg.clustering
-    group: Dict[str, str] = {}
-    for r in mcdmg.indicators:
-        cluster = clustering.cluster_of[mcdmg.vertex(r).owner]
-        group[r] = _merged_indicator_id(cluster)
+    cluster_of = {r: clustering.cluster_of[mcdmg.vertex(r).owner] for r in mcdmg.indicators}
 
     def image(v: str) -> str:
-        return group.get(v, v)
+        return indicator_id(cluster_of[v]) if v in cluster_of else v
 
     directed = {(image(a), image(b)) for a, b in mcdmg.declared_directed}
     bidirected = {tuple(sorted((image(a), image(b)))) for a, b in mcdmg.bidirected}
 
-    masked = sorted({group[r] for r in mcdmg.indicators})
     verts = [Vertex(c, Kind.CLUSTER) for c in mcdmg.clusters]
-    verts += [Vertex(rid, Kind.INDICATOR, rid[len("R_"):]) for rid in masked]
+    verts += [Vertex(indicator_id(c), Kind.INDICATOR, c) for c in sorted(set(cluster_of.values()))]
     return require_valid(
         MixedGraph.build(
             f"{mcdmg.name}@cm",
@@ -236,7 +241,7 @@ def _canon_indicator_names(g: MixedGraph) -> frozenset:
     """
     if g.graph_class is not GraphClass.CMCDMG:
         return _edge_set(g)
-    alias = {r: _merged_indicator_id(g.vertex(r).owner) for r in g.indicators}
+    alias = {r: indicator_id(g.vertex(r).owner) for r in g.indicators}
 
     def fix(v: str) -> str:
         return alias.get(v, v)
@@ -275,7 +280,8 @@ def enumerate_compatible(
     Deterministic order: cluster sizes ascend lexicographically, then one
     nonempty realization subset per abstract edge in bitmask order. Acyclic
     at variable level. With ``canonicalize`` the stream keeps one labeled
-    representative per within-cluster renaming orbit.
+    representative per within-cluster renaming orbit. Every abstract edge,
+    an edge out of an indicator included, is realized by the module's rule.
 
     Raises
     ------
@@ -294,110 +300,84 @@ def enumerate_compatible(
 
 def _enumerate(abstract, clustering, budget, canonicalize):
     level = _level_of(abstract)
-    if level is GraphClass.MCDMG:
-        yield from _enumerate_fixed_members(abstract, budget, canonicalize)
-        return
-    clustering = clustering or abstract.clustering
-    declared = clustering.as_dict
-    cluster_ids = sorted(abstract.clusters)
+    declared = (clustering or abstract.clustering).as_dict
     top = budget.max_vars_per_cluster
-    # A self-loop needs two members to be realized, and any size tuple with a
-    # single-member looped cluster yields nothing, so it is not tried. A
-    # budget of one still tries its one tuple: an edge without variable-level
-    # semantics raises there, as it would at any size.
+    # A self-loop needs two members to be realized. An m-c-dmg's indicators
+    # name its declared variables, so there each cluster keeps its declared
+    # size, and none fits a budget below it.
     looped = {a for a, b in abstract.declared_directed if a == b}
-    per_cluster = [range(2 if c in looped and top > 1 else 1, top + 1) for c in cluster_ids]
-    for sizes in itertools.product(*per_cluster):
-        members = {}
-        for c, n in zip(cluster_ids, sizes):
-            pool = list(declared.get(c, ()))
-            while len(pool) < n:
-                pool.append(f"{c}_{len(pool) + 1}")
-            members[c] = tuple(pool[:n])
+
+    def sizes(c: str) -> range:
+        if level is GraphClass.MCDMG:
+            n = len(declared.get(c, ()))
+            return range(n, min(n, top) + 1)
+        return range(2 if c in looped else 1, top + 1)
+
+    cluster_ids = sorted(abstract.clusters)
+    for size in itertools.product(*map(sizes, cluster_ids)):
+        members = {c: _members_of(declared.get(c, ()), c, n) for c, n in zip(cluster_ids, size)}
         yield from _enumerate_over_members(abstract, members, budget, canonicalize)
 
 
-def _enumerate_fixed_members(abstract, budget, canonicalize):
-    members = {c: tuple(vs) for c, vs in abstract.clustering.clusters}
-    if any(len(vs) > budget.max_vars_per_cluster for vs in members.values()):
-        return
-    yield from _enumerate_over_members(abstract, members, budget, canonicalize)
+def _members_of(declared: Sequence[str], cluster: str, n: int) -> Tuple[str, ...]:
+    """The first ``n`` declared members of a cluster, padded with ``<cluster>_<i>``."""
+    pool = list(declared)
+    while len(pool) < n:
+        pool.append(f"{cluster}_{len(pool) + 1}")
+    return tuple(pool[:n])
+
+
+def _realized(abstract: MixedGraph, members: Dict[str, Sequence[str]], vid: str) -> Sequence[str]:
+    """The variable-level vertices that realize an abstract vertex."""
+    if abstract.kind(vid) is Kind.CLUSTER:
+        return members[vid]
+    if abstract.graph_class is GraphClass.CMCDMG:
+        return tuple(indicator_id(v) for v in members[abstract.vertex(vid).owner])
+    return (vid,)
 
 
 def _realizations(abstract: MixedGraph, members: Dict[str, Tuple[str, ...]]):
-    """Per abstract edge, the candidate variable-level edges, sorted.
-
-    Indicator ids at variable level follow the ``R_<var>`` convention at cm
-    level and keep their declared names at m level.
-    """
-    level = abstract.graph_class
-    if level is GraphClass.CMCDMG:
-        r_of = {c: tuple(f"R_{v}" for v in members[c]) for c in members}
-
-        def indicator_pool(rid: str) -> Sequence[str]:
-            return r_of[abstract.vertex(rid).owner]
-
-    else:
-        def indicator_pool(rid: str) -> Sequence[str]:
-            return (rid,)
-
-    groups = []
+    """Per abstract edge, the sorted variable-level edges that realize it."""
+    pools = []
     for kind, a, b in sorted(_edge_set(abstract)):
-        ka, kb = abstract.kind(a), abstract.kind(b)
-        if kind == "->" and ka is Kind.CLUSTER and kb is Kind.CLUSTER:
-            if a == b:
-                pool = [
-                    ("->", x, y)
-                    for x in members[a]
-                    for y in members[a]
-                    if x != y
-                ]
-            else:
-                pool = [("->", x, y) for x in members[a] for y in members[b]]
-        elif kind == "->" and ka is Kind.CLUSTER and kb is Kind.INDICATOR:
-            pool = [("->", x, r) for x in members[a] for r in indicator_pool(b)]
-        elif kind == "<->" and ka is Kind.CLUSTER and kb is Kind.CLUSTER:
-            pool = [("<->", *sorted((x, y))) for x in members[a] for y in members[b]]
-        elif kind == "<->" and {ka, kb} == {Kind.CLUSTER, Kind.INDICATOR}:
-            c, r = (a, b) if ka is Kind.CLUSTER else (b, a)
-            pool = [("<->", *sorted((x, rr))) for x in members[c] for rr in indicator_pool(r)]
-        elif kind == "<->" and ka is Kind.INDICATOR and kb is Kind.INDICATOR:
-            pool = [
-                ("<->", *sorted((ra, rb)))
-                for ra in indicator_pool(a)
-                for rb in indicator_pool(b)
-            ]
+        ra, rb = _realized(abstract, members, a), _realized(abstract, members, b)
+        if kind == "->":
+            pool = {("->", x, y) for x in ra for y in rb if x != y}
         else:
-            raise WrongGraphClass(
-                f"abstract edge {a} {kind} {b} has no variable-level semantics"
-            )
-        groups.append(((kind, a, b), sorted(set(pool))))
-    return groups
+            pool = {("<->", *sorted((x, y))) for x in ra for y in rb}
+        pools.append(sorted(pool))
+    return pools
+
+
+def _indicators(abstract: MixedGraph, members: Dict[str, Sequence[str]]):
+    """(id, owner) of every variable-level indicator, named as in `_realized`."""
+    if abstract.graph_class is GraphClass.CMCDMG:
+        masked = {abstract.vertex(r).owner for r in abstract.indicators}
+        return [(indicator_id(v), v) for c in sorted(masked) for v in members[c]]
+    return [(r, abstract.vertex(r).owner) for r in sorted(abstract.indicators)]
+
+
+def _realize(abstract, members, directed, bidirected, name: str) -> MixedGraph:
+    """The m-ADMG over these cluster members, their indicators and edges."""
+    clustering = Clustering(tuple((c, tuple(members[c])) for c in sorted(members)))
+    verts = [Vertex(v, Kind.VARIABLE) for v in clustering.variables]
+    verts += [Vertex(r, Kind.INDICATOR, owner) for r, owner in _indicators(abstract, members)]
+    return require_valid(
+        MixedGraph.build(name, GraphClass.MADMG, verts, directed, bidirected, clustering=clustering)
+    )
 
 
 def _enumerate_over_members(abstract, members, budget, canonicalize):
-    level = abstract.graph_class
-    groups = _realizations(abstract, members)
+    pools = _realizations(abstract, members)
     # the pools are disjoint and each pick is non-empty, so every candidate
     # has at least one edge per abstract edge
-    if any(not pool for _, pool in groups) or len(groups) > budget.max_edges:
+    if any(not pool for pool in pools) or len(pools) > budget.max_edges:
         return
 
-    variables = [v for c in sorted(members) for v in members[c]]
-    if level is GraphClass.CMCDMG:
-        masked_clusters = {abstract.vertex(r).owner for r in abstract.indicators}
-        rvars = [
-            (f"R_{v}", v)
-            for c in sorted(masked_clusters)
-            for v in members[c]
-        ]
-    else:
-        rvars = [(r, abstract.vertex(r).owner) for r in sorted(abstract.indicators)]
-
-    nodes = variables + [r for r, _ in rvars]
-    clustering = Clustering(tuple((c, members[c]) for c in sorted(members)))
+    rvars = _indicators(abstract, members)
+    nodes = [v for c in sorted(members) for v in members[c]] + [r for r, _ in rvars]
     # within-cluster renaming is a symmetry only once indicators are merged
-    if level is GraphClass.CMCDMG:
+    if abstract.graph_class is GraphClass.CMCDMG:
         perms = _cluster_permutations(members, {o: r for r, o in rvars})
     else:
         perms = [{}]
@@ -407,7 +387,7 @@ def _enumerate_over_members(abstract, members, budget, canonicalize):
             tuple(pool[i] for i in range(len(pool)) if mask >> i & 1)
             for mask in range(1, 1 << len(pool))
         ]
-        for _, pool in groups
+        for pool in pools
     ]
     counter = 0
     for picks in itertools.product(*choice_iters):
@@ -421,18 +401,7 @@ def _enumerate_over_members(abstract, members, budget, canonicalize):
         if canonicalize and not _is_canonical(directed, bidirected, perms):
             continue
         counter += 1
-        verts = [Vertex(v, Kind.VARIABLE) for v in variables]
-        verts += [Vertex(r, Kind.INDICATOR, owner) for r, owner in rvars]
-        yield require_valid(
-            MixedGraph.build(
-                f"{abstract.name}.compat{counter}",
-                GraphClass.MADMG,
-                verts,
-                directed,
-                bidirected,
-                clustering=clustering,
-            )
-        )
+        yield _realize(abstract, members, directed, bidirected, f"{abstract.name}.compat{counter}")
 
 
 def _cluster_permutations(members, owner_r):

@@ -30,6 +30,7 @@ from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .abstraction import indicator_id
 from .errors import (
     DomainTooLarge,
     EvaluationError,
@@ -693,7 +694,7 @@ class Grounding:
             return (rid,)
         # cluster-level literal R_<cluster>: expand to the members' indicators
         for c, vs in self.clustering.clusters:
-            if rid == f"R_{c}":
+            if rid == indicator_id(c):
                 group = tuple(self.indicator_of[v] for v in vs if v in self.indicator_of)
                 if group:
                     return group

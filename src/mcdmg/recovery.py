@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .abstraction import is_compatible
+from .abstraction import _members_of, _realize, _realized, is_compatible
 from .errors import PreconditionError, UnknownVertex, WrongGraphClass
 from .expressions import Expr, Product, Quotient, apply_proxy, canonical, rzero, term, val
-from .graphs import Clustering, GraphClass, Kind, MixedGraph, Vertex, closure, require_valid
+from .graphs import GraphClass, Kind, MixedGraph, closure
 from .separation import Walk
 
 
@@ -261,13 +261,10 @@ def construct_witness(g: MixedGraph, violation: Violation) -> MixedGraph:
 
     declared = g.clustering.as_dict
     self_looped = {a for a, b in g.directed if a == b and g.kind(a) is Kind.CLUSTER}
-    members = {}
-    for c in sorted(g.clusters):
-        pool = list(declared.get(c, ())) or [f"{c}_1"]
-        size = 2 if c in self_looped else 1
-        while len(pool) < size:
-            pool.append(f"{c}_{len(pool) + 1}")
-        members[c] = list(pool[:size])
+    members = {
+        c: list(_members_of(declared.get(c, ()), c, 2 if c in self_looped else 1))
+        for c in sorted(g.clusters)
+    }
 
     # the violated cluster's representative must be the masked variable itself
     if g.graph_class is GraphClass.MCDMG:
@@ -281,19 +278,13 @@ def construct_witness(g: MixedGraph, violation: Violation) -> MixedGraph:
             pool = members[g.owner_cluster(r)]
             if g.vertex(r).owner not in pool:
                 pool.append(g.vertex(r).owner)
-    rep = {c: members[c][0] for c in members}
-
-    if g.graph_class is GraphClass.CMCDMG:
-        r_image = {r: f"R_{rep[g.vertex(r).owner]}" for r in g.indicators}
-    else:
-        r_image = {r: r for r in g.indicators}
 
     def image(vid: str) -> str:
-        return rep[vid] if g.kind(vid) is Kind.CLUSTER else r_image[vid]
+        return _realized(g, members, vid)[0]  # the representative realization
 
     def second(c: str) -> str:
         if len(members[c]) == 1:
-            members[c].append(f"{c}_{len(members[c]) + 1}")
+            members[c] = list(_members_of(members[c], c, 2))
         return members[c][1]
 
     directed: set = set()
@@ -327,28 +318,10 @@ def construct_witness(g: MixedGraph, violation: Violation) -> MixedGraph:
             ib = second(b)  # second variables never get outgoing edges
         directed.add((ia, ib))
     for c in sorted(self_looped):
-        directed.add((rep[c], second(c)))
+        directed.add((members[c][0], second(c)))
 
-    # after the loop: second() may have added members to masked clusters
-    if g.graph_class is GraphClass.CMCDMG:
-        rvars = [(f"R_{v}", v) for c in g.partially_observed for v in members[c]]
-    else:
-        rvars = [(r, g.vertex(r).owner) for r in sorted(g.indicators)]
-
-    clustering = Clustering(tuple((c, tuple(members[c])) for c in sorted(members)))
-    verts = [Vertex(v, Kind.VARIABLE) for c in sorted(members) for v in members[c]]
-    verts += [Vertex(r, Kind.INDICATOR, o) for r, o in rvars]
-    witness = require_valid(
-        MixedGraph.build(
-            f"{g.name}.witness",
-            GraphClass.MADMG,
-            verts,
-            directed,
-            bidirected,
-            clustering=clustering,
-        )
-    )
-    report = is_compatible(witness, g, clustering)
+    witness = _realize(g, members, directed, bidirected, f"{g.name}.witness")
+    report = is_compatible(witness, g, witness.clustering)
     if not report.compatible:
         raise AssertionError(f"witness construction incompatible: {report}")
     return witness

@@ -196,13 +196,13 @@ def _check_sets(g: MixedGraph, xs, ys, zs) -> Tuple[frozenset, frozenset, frozen
 
 
 def _moves(g: MixedGraph, v: str):
-    """Oriented edge traversals leaving v: (symbol, mark@v, mark@target, target)."""
+    """Oriented edge traversals leaving v: (symbol, target)."""
     for b in g.children(v):
-        yield FORWARD, TAIL, HEAD, b
+        yield FORWARD, b
     for a in g.parents(v):
-        yield BACKWARD, HEAD, TAIL, a
+        yield BACKWARD, a
     for u in g.spouses(v):
-        yield BOTH, HEAD, HEAD, u
+        yield BOTH, u
 
 
 def d_separated(
@@ -392,7 +392,7 @@ def enumerate_paths(
             return
         if v != a and g.kind(v) is Kind.PROXY and not allow_proxy_interior:
             return
-        for sym, _, _, target in sorted(_moves(g, v), key=lambda m: (m[3], m[0])):
+        for sym, target in sorted(_moves(g, v), key=lambda m: (m[1], m[0])):
             if target in walk_vs:
                 continue
             extend(walk_vs + [target], walk_es + [sym])

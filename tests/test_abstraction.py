@@ -21,6 +21,7 @@ from mcdmg import (
 from mcdmg import abstraction
 from mcdmg.abstraction import _canon_indicator_names
 from mcdmg.errors import BudgetTooSmall, InvalidClustering, WrongGraphClass
+from mcdmg.graphs import validate
 from tests_support import THIRTEEN_EDGES
 
 
@@ -322,3 +323,72 @@ def test_prop1_inclusion_fig2a(fig2a, fig2b):
         enumerate_compatible(fig2a, budget=Budget(2, 10), canonicalize=False), 25
     ):
         assert is_compatible(g, merged).compatible
+
+
+def indicator_out_text(rng):
+    """A random m-c-dmg or cm-c-dmg whose indicators may have children.
+
+    2-3 clusters of 1-2 variables, indicators on one or two clusters, and
+    between each cluster and indicator no edge, ``C -> R``, ``C <-> R`` or
+    ``R -> C``; no edge joins two indicators, as `check_joint` requires.
+    """
+    cls = rng.choice(["m-c-dmg", "cm-c-dmg"])
+    names = [f"C{i}" for i in range(rng.randint(2, 3))]
+    members = {c: [f"V{c[1:]}_{m + 1}" for m in range(rng.randint(1, 2))] for c in names}
+    lines = [f'graph "rout" class={cls} {{']
+    lines += [f"  cluster {c} {{ vars {', '.join(members[c])} }}" for c in names]
+    indicators = []
+    for c in rng.sample(names, rng.randint(1, 2)):
+        owners = [c] if cls == "cm-c-dmg" else rng.sample(members[c], rng.randint(1, len(members[c])))
+        indicators += [f"R_{o}" for o in owners]
+    lines += [f"  rvar {r} for {r[2:]}" for r in indicators]
+    for a in names:
+        lines += [f"  edge {a} -> {b}" for b in names if rng.random() < 0.3]
+        lines += [f"  edge {a} <-> {b}" for b in names if a < b and rng.random() < 0.2]
+        for r in indicators:
+            edges = [None, f"{a} -> {r}", f"{a} <-> {r}", f"{r} -> {a}"]
+            edge = rng.choices(edges, weights=[2, 1, 1, 2])[0]
+            if edge:
+                lines.append(f"  edge {edge}")
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def test_edges_out_of_indicators_are_realized_and_sound():
+    """Graphs with edges out of indicators enumerate to compatible m-ADMGs,
+    and their joint formulas and derived effects agree with the oracle."""
+    import random
+
+    from mcdmg import Derivation, Grounding, check_joint, random_scm, recover_effect
+    from mcdmg.oracle import check
+
+    rng = random.Random(20261019)
+    indicator_out = joint_checks = effect_checks = 0
+    for _ in range(150):
+        g = parse_graph(indicator_out_text(rng))
+        indicator_out += any(a in g.indicators for a, _ in g.declared_directed)
+        try:
+            stream = enumerate_compatible(g, budget=Budget(2, 10))
+        except BudgetTooSmall:
+            continue
+        madmgs = list(itertools.islice(stream, 3))
+        for m in madmgs:
+            assert validate(m) == [] and m.graph_class is GraphClass.MADMG
+            assert is_compatible(m, g).compatible
+        verdict = check_joint(g)
+        effects = []
+        for t, o in itertools.permutations(sorted(g.clusters), 2):
+            d = recover_effect(g, {t}, {o}, depth=5)
+            if isinstance(d, Derivation):
+                effects.append((d.result, (t, o)))
+        if verdict.recoverable:
+            effects.append((verdict.formula, None))
+        for m in madmgs:
+            for seed in range(3):
+                scm = random_scm(m, seed=seed)
+                grounding = Grounding.from_scm(scm, abstract=g)
+                for expr, effect in effects:
+                    _, errors = check(expr, scm, grounding, effect=effect)
+                    assert errors and max(errors.values()) <= 1e-9, (emit_graph(g), effect)
+                    joint_checks += effect is None
+                    effect_checks += effect is not None
+    assert indicator_out >= 50 and joint_checks >= 50 and effect_checks >= 200

@@ -366,6 +366,31 @@ def test_simulate_cluster_graph():
     assert "NA" in out and "R_X1" in lines[0].split(",")
 
 
+# an edge out of an indicator: the collider path CX <-> CZ <- R_X1
+INDICATOR_OUT = """\
+graph "rout" class=m-c-dmg {
+  cluster CX { vars X1 }
+  cluster CZ { vars Z1 }
+  rvar R_X1 for X1
+  edge R_X1 -> CZ
+  edge CX <-> CZ
+}
+"""
+
+
+def test_edge_out_of_an_indicator_enumerates_checks_and_simulates(tmp_path):
+    src = tmp_path / "rout.mcg"
+    src.write_text(INDICATOR_OUT)
+    code, out, err = run("enumerate", str(src))
+    assert code == 0 and json.loads(out)["count"] >= 1, err
+    code, out, err = run("oracle", str(src), "--query", "effect:CX:CZ", "--graphs", "5", "--seeds", "20")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["failures"] == [] and doc["max_abs_error"] <= 1e-9
+    code, out, err = run("simulate", str(src), "--rows", "2")
+    assert code == 0 and len(out.splitlines()) == 3, err
+
+
 @pytest.mark.parametrize(
     "args",
     [

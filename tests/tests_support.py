@@ -181,14 +181,14 @@ def reference_active_path(g, X, Y, Z):
     over the positions of ``MixedGraph.index``, is checked against."""
     from collections import deque
 
-    from mcdmg.separation import HEAD, _check_sets, _moves, ancestors
+    from mcdmg.separation import HEAD, _check_sets, _mark_at_next, _mark_at_prev, _moves, ancestors
 
     Xs, Ys, Zs = _check_sets(g, X, Y, Z)
     open_collider = ancestors(g, Zs) if Zs else frozenset()
     prev, queue = {}, deque()
     for x in sorted(Xs):
-        for sym, _, mark_in, target in sorted(_moves(g, x)):
-            state = (target, mark_in)
+        for sym, target in sorted(_moves(g, x)):
+            state = (target, _mark_at_next(sym))
             if state not in prev:
                 prev[state] = (None, x, sym)
                 queue.append(state)
@@ -202,13 +202,13 @@ def reference_active_path(g, X, Y, Z):
                 vs.append(u)
                 es.append(sym)
             return Walk(tuple(reversed(vs)), tuple(reversed(es)))
-        for sym, mark_out, mark_in, target in sorted(_moves(g, v)):
-            if mark == HEAD and mark_out == HEAD:
+        for sym, target in sorted(_moves(g, v)):
+            if mark == HEAD and _mark_at_prev(sym) == HEAD:
                 if v not in open_collider:
                     continue
             elif v in Zs:
                 continue
-            nxt = (target, mark_in)
+            nxt = (target, _mark_at_next(sym))
             if nxt not in prev:
                 prev[nxt] = (state, v, sym)
                 queue.append(nxt)
