@@ -125,7 +125,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_dsep(args) -> int:
-    from .separation import MutilationSpec, active_path, mutilate
+    from .separation import MutilationSpec, active_path
 
     g = _read_graph(args.file)
     xs, ys = _split(args.x), _split(args.y)
@@ -133,8 +133,7 @@ def cmd_dsep(args) -> int:
         if not ids:
             raise PreconditionError(f"{flag} names no vertex")
     spec = MutilationSpec.of(_split(args.overline), _split(args.underline))
-    cut = mutilate(g, spec)
-    witness = active_path(cut, xs, ys, _split(args.given))
+    witness = active_path(g, xs, ys, _split(args.given), spec)
     _dump(
         {
             "separated": witness is None,

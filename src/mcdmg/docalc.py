@@ -10,6 +10,8 @@ The three rules reduce to d-separation statements in mutilated graphs:
 
 Each statement is decided on the graph's bitmask adjacency with the
 mutilation as edge masks (`separation.reaches`); no mutilated graph is built.
+`_certify` decides a statement whose sets are masks; `rule_applicable`
+validates its arguments and calls it.
 
 `recover_effect` searches breadth-first over canonical expression states,
 combining the rules with proxy substitution and probability manipulations,
@@ -18,22 +20,29 @@ appears as a proxy alongside its R=0 literals. Derivations are replayable
 proof objects: every step stores the rule, its parameters and the expression
 before and after, and `replay` re-verifies all of it against a graph.
 
-For the duration of one call, the search memoizes the legal moves of each
-distinct term, certificates included, and the Marginalize collapse of each
-distinct sum, so a term or sum met in many states is checked once. Listing
-a state's rewritable nodes records the path to each, and a successor is
-rebuilt along that path only, upward, each ancestor normalised by its own
-type: the other subtrees are canonical already and are shared with the state
-it came from. A `Step` is made only for a successor that was not seen before.
-The goal test is one per-term predicate, memoized per call like the moves.
-A state at depth − 1 is expanded last: its successors are goal-tested and
-never kept, so the search builds one only when every term of the replacement
-and every term off the rewritten path is observable, or a quotient on the
-path may cancel. `NotDerived.states_explored` counts the states expanded.
+The search is goal-directed. For the duration of one call it lists the
+candidate moves of each distinct term or sum once, each with its separation
+statement as masks and its replacement in canonical form, and it decides
+each distinct statement once, when a move first needs it. Listing a state's
+rewritable nodes records the path to each, and the span: the longest path
+prefix shared by every unobservable term, with the first quotient along it.
+A rewrite can make the state observable only on the span, or below a
+quotient of the span whose sides may meet; with no such quotient, the
+successor is observable exactly when every term of the replacement is
+(`_on_span`). A successor is rebuilt along its path only, upward, each
+ancestor normalised by its own type: the other subtrees are canonical
+already and are shared with the state it came from. A `Step` is made only
+for a successor that was not seen before. A state at depth − 1 is expanded
+last: its successors are goal-tested and never kept, so the search skips its
+nodes off the span before listing their moves and decides a certificate
+only for a move that can reach the goal: one whose replacement is
+observable, or one below a quotient of the span.
+`NotDerived.states_explored` counts the states expanded.
 `replay` lists moves and rebuilds successors along the same recorded paths
-as the search, but keeps no memo: it re-checks every certificate, requires
-the recorded one to equal it in every field, requires every symbol of the
-query to name a vertex of the graph, and requires an observable result.
+as the search, but keeps no memo: it re-checks every certificate through
+`rule_applicable`, requires the recorded one to equal it in every field,
+requires every symbol of the query to name a vertex of the graph, and
+requires an observable result.
 """
 
 from __future__ import annotations
@@ -122,37 +131,45 @@ def rule_applicable(
     retained interventions, W the other conditioned vertices. Indicators may
     appear in W (they are conditioned at R=0 throughout) but are never
     intervened on. Raises UnknownRule for a rule other than R1, R2 or R3
-    before any other check.
+    before any other check. The arguments are validated here and the
+    statement is decided by `_certify`.
     """
     if rule not in ("R1", "R2", "R3"):
         raise UnknownRule(f"unknown rule {rule!r}")
-    Ys, Xs, Zs, Ws = (tuple(sorted(vertex_set(n, s))) for n, s in zip("YXZW", (Y, X, Z, W)))
-    if len({*Ys, *Xs, *Zs, *Ws}) < len(Ys) + len(Xs) + len(Zs) + len(Ws):
+    sets = [vertex_set(n, s) for n, s in zip("YXZW", (Y, X, Z, W))]
+    if len(frozenset().union(*sets)) < sum(map(len, sets)):
         raise OverlappingSets("rule sets must be pairwise disjoint")
-    for vid in (*Ys, *Xs, *Zs, *Ws):
+    for vid in (v for s in sets for v in sorted(s)):
         g.vertex(vid)
-    for vid in Zs:
-        if g.kind(vid) is Kind.INDICATOR:
-            raise UnknownVertex(f"indicator {vid!r} cannot be intervened on")
-    if rule in ("R2", "R3"):
-        for vid in Xs:
-            if g.kind(vid) is Kind.INDICATOR:
-                raise UnknownVertex(f"indicator {vid!r} cannot be intervened on")
+    return _certify(g, (rule, *map(g.index.mask, sets)))
 
+
+def _certify(g: MixedGraph, statement: Tuple[str, int, int, int, int]) -> RuleCertificate:
+    """`rule_applicable` for a statement ``(rule, Y, X, Z, W)`` whose sets are
+    masks of ``g.index``, without looking up or sorting ids.
+
+    It refuses what `rule_applicable` refuses, with the same messages:
+    overlapping sets, an intervened indicator (in Z, or in X under R2 or R3)
+    and a mutilated proxy.
+    """
+    rule, ys, xs, zs, ws = statement
+    if ys & xs or ys & zs or ys & ws or xs & zs or xs & ws or zs & ws:
+        raise OverlappingSets("rule sets must be pairwise disjoint")
     ix = g.index
-    zs = ix.mask(Zs)
-    overline, underline = Zs, ()
+    for intervened in (zs, 0 if rule == "R1" else xs):
+        indicators = intervened & ix.indicators
+        if indicators:
+            raise UnknownVertex(f"indicator {ix.ids_of(indicators)[0]!r} cannot be intervened on")
+    overline, underline = zs, 0
     if rule == "R2":
-        underline = Xs
+        underline = xs
     elif rule == "R3":
         # the X that are not ancestors of W in the graph without edges into Z
         refuse_proxies(ix, zs)
-        above_w = ancestor_mask(ix, ix.mask(Ws), zs)
-        overline = tuple(sorted(set(Zs).union(x for x in Xs if not ix.bit[x] & above_w)))
-    over, under = ix.mask(overline), ix.mask(underline)
-    refuse_proxies(ix, over | under)
-    holds = not reaches(ix, ix.mask(Ys), ix.mask(Xs), zs | ix.mask(Ws), over, under)
-    return RuleCertificate(rule, Ys, Xs, Zs, Ws, overline, underline, holds)
+        overline = zs | xs & ~ancestor_mask(ix, ws, zs)
+    refuse_proxies(ix, overline | underline)
+    holds = not reaches(ix, ys, xs, zs | ws, overline, underline)
+    return RuleCertificate(rule, *map(ix.ids_of, (ys, xs, zs, ws, overline, underline)), holds)
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +424,16 @@ def recover_effect(
     that returns the derivation a test at pop time would.
 
     A state at depth − 1 is the last one expanded. Its successors are only
-    goal-tested, never kept, and the search builds just those that
-    `_may_be_goal` allows. So ``NotDerived.states_explored`` counts the
-    states within depth − 1 moves of the query. ``depth`` must be an integer
-    (anything `operator.index` accepts) of at least 1.
+    goal-tested, never kept: its nodes off the span (`_rewritable`) are
+    skipped before their moves are listed, and a certificate is decided only
+    for a move that can reach the goal (`_on_span`). So
+    ``NotDerived.states_explored`` counts the states within depth − 1 moves
+    of the query. ``depth`` must be an integer (anything `operator.index`
+    accepts) of at least 1.
 
-    Each distinct term's legal moves, each distinct sum's collapse and each
-    distinct term's goal test are computed once per call and kept in dicts
-    that live as long as the search.
+    Each distinct node's candidate moves, each distinct statement's
+    certificate (`_certify`) and each distinct term's goal test are computed
+    once per call and kept in dicts that live as long as the search.
     """
     try:
         depth = operator.index(depth)
@@ -435,7 +454,8 @@ def recover_effect(
         raise OverlappingSets(f"treatment and outcome overlap in {', '.join(both)}")
     query = canonical(term(outcomes={val(o) for o in os}, do={val(t) for t in ts}))
 
-    moves, observable = _memo(_legal_moves, g, {}), _memo(_term_observable, g, {})
+    observable = _memo(_term_observable, g, {})
+    candidates, certify = _memo(_candidates, g, {}), _memo(_certify, g, {})
     if all(map(observable, terms_of(query))):
         return Derivation(g.name, query, ())
     seen = {query}
@@ -445,39 +465,112 @@ def recover_effect(
         expr, steps = frontier.popleft()
         explored += 1
         last = len(steps) == depth - 1  # successors are goal-tested, never kept
-        for rule, params, cert, new, path in _rewrites(expr, moves):
-            if last and not _may_be_goal(expr, path, new, observable):
-                continue
-            nxt = _successor(expr, path, new)
-            if nxt in seen:
-                continue
-            # goal test at generation: in breadth-first order the first
-            # observable state generated is the first one popped
-            if all(map(observable, terms_of(nxt))):
-                return Derivation(g.name, query, steps + (Step(rule, params, expr, nxt, cert),))
-            if not last:
-                seen.add(nxt)
-                frontier.append((nxt, steps + (Step(rule, params, expr, nxt, cert),)))
+        nodes, span, quotient = _rewritable(expr, observable)
+        used = None  # the clusters the state mentions, once a TotalProb move needs them
+        for x, path in nodes.items():
+            on_span = _on_span(path, span, quotient)
+            if last and on_span is False:
+                continue  # no rewrite of this node can make the state observable
+            for rule, params, statement, new, new_observable in candidates(x):
+                if rule == "TotalProb":
+                    if used is None:
+                        used = {a.ref for a in symbols_of(expr)}
+                    if params[0][1] in used:
+                        continue
+                if last and on_span and not new_observable:
+                    continue  # lazy: no certificate for a move that cannot reach the goal
+                cert = None if statement is None else certify(statement)
+                if cert is not None and not cert.holds:
+                    continue
+                nxt = _successor(expr, path, new)
+                if nxt in seen:
+                    continue
+                # goal test at generation: in breadth-first order the first
+                # observable state generated is the first one popped
+                if on_span is None:
+                    goal = all(map(observable, terms_of(nxt)))
+                else:
+                    goal = on_span and new_observable
+                if goal:
+                    return Derivation(g.name, query, steps + (Step(rule, params, expr, nxt, cert),))
+                if not last:
+                    seen.add(nxt)
+                    frontier.append((nxt, steps + (Step(rule, params, expr, nxt, cert),)))
     return NotDerived(query, depth, explored)
 
 
-def _rewritable(e: Expr) -> Dict[Expr, Tuple[int, ...]]:
-    """Each distinct term, then each distinct sum, mapped to the child
-    positions that lead from the root to its first pre-order occurrence:
-    the nodes whose rewrites make successors, with where to make them."""
+def _rewritable(
+    e: Expr, observable=None
+) -> Tuple[Dict[Expr, Tuple[int, ...]], Optional[Tuple[int, ...]], Optional[int]]:
+    """The nodes whose rewrites make successors, with where to make them,
+    and the span of the unobservable terms.
+
+    Returns ``(nodes, span, quotient)``. ``nodes`` maps each distinct term,
+    then each distinct sum, to the child positions that lead from the root
+    to its first pre-order occurrence. ``span`` is the longest path prefix
+    shared by every occurrence of a term that is not ``observable``, and
+    ``quotient`` the depth of the first `Quotient` along it (None for none;
+    a quotient at the span's end counts). Both are None when every term is
+    observable or no ``observable`` is given. `_on_span` reads them.
+    """
     terms, sums = {}, {}
+    span = quotient = None
 
-    def visit(x: Expr, path: Tuple[int, ...]):
-        if isinstance(x, Term):
+    def visit(x: Expr, path: Tuple[int, ...], first_quotient):
+        nonlocal span, quotient
+        kind = type(x)
+        if kind is Term:
             terms.setdefault(x, path)
+            if observable is not None and not observable(x):
+                if span is None:
+                    span, quotient = path, first_quotient
+                else:
+                    n = 0
+                    while n < len(span) and n < len(path) and span[n] == path[n]:
+                        n += 1
+                    span = span[:n]
             return
-        if isinstance(x, Sum):
+        if kind is Sum:
             sums.setdefault(x, path)
+        elif kind is Quotient and first_quotient is None:
+            first_quotient = len(path)
         for i, sub in enumerate(_children(x)):
-            visit(sub, (*path, i))
+            visit(sub, (*path, i), first_quotient)
 
-    visit(e, ())
-    return {**terms, **sums}
+    visit(e, (), None)
+    if quotient is not None and quotient > len(span):
+        quotient = None
+    return {**terms, **sums}, span, quotient
+
+
+def _on_span(path: Tuple[int, ...], span: Tuple[int, ...], quotient: Optional[int]) -> Optional[bool]:
+    """Whether a rewrite at ``path`` can make the state observable, from the
+    span of its unobservable terms (`_rewritable`).
+
+    The successor is rebuilt along ``path`` and keeps every term off it,
+    unless a quotient on the path has sides that meet and becomes ``One``.
+    So with no quotient of the span above ``path``: False when ``path`` is
+    not a prefix of the span (an unobservable term survives the rewrite),
+    True when it is, and then the successor is observable exactly when every
+    term of the replacement is. None when such a quotient lies above
+    ``path``: only the rebuilt successor can tell.
+    """
+    if quotient is not None and quotient < len(path) and path[:quotient] == span[:quotient]:
+        return None
+    return span[: len(path)] == path
+
+
+def _candidates(g: MixedGraph, x: Expr) -> tuple:
+    """The candidate moves of a term or sum, each as ``(rule, params,
+    statement, new, new_observable)``: the separation statement as a
+    `_certify` key (None for an algebraic move), the replacement in
+    canonical form and whether every term of it is observable."""
+    out = []
+    for rule, params, sep, replacement in _node_moves(g, x):
+        statement = None if sep is None else (rule, *map(g.index.mask, sep))
+        new = canonical(replacement)
+        out.append((rule, params, statement, new, _observable(g, new)))
+    return tuple(out)
 
 
 def _rewrites(expr: Expr, moves):
@@ -491,7 +584,7 @@ def _rewrites(expr: Expr, moves):
     node would only repeat the first one's successors.
     """
     used = {a.ref for a in symbols_of(expr)}
-    for x, path in _rewritable(expr).items():
+    for x, path in _rewritable(expr)[0].items():
         for rule, params, check, new in moves(x):
             if rule != "TotalProb" or params[0][1] not in used:
                 yield rule, params, check, new, path
@@ -525,39 +618,6 @@ def _successor(expr: Expr, path: Tuple[int, ...], new: Expr) -> Expr:
         else:
             new = _normal(Quotient(new, parent.den) if i == 0 else Quotient(parent.num, new))
     return new
-
-
-def _legal_moves(g: MixedGraph, x: Expr):
-    """The moves of a term or sum whose certificate holds, with the
-    certificate in place of the separation statement (None for an algebraic
-    move) and the replacement in canonical form."""
-    out = []
-    for rule, params, sep, replacement in _node_moves(g, x):
-        cert = None if sep is None else rule_applicable(g, rule, *sep)
-        if cert is None or cert.holds:
-            out.append((rule, params, cert, canonical(replacement)))
-    return out
-
-
-def _may_be_goal(expr: Expr, path: Tuple[int, ...], new: Expr, observable) -> bool:
-    """Whether putting ``new`` at ``path`` in ``expr`` can give an observable
-    expression, judged from terms that exist already.
-
-    The rebuild along the path keeps every subtree off it, so each of their
-    terms must be ``observable``, and so must each term of ``new``. A quotient
-    on the path is the exception: it becomes ``One`` when its sides meet,
-    dropping terms, so below it nothing can be ruled out.
-    """
-    node = expr
-    for i in path:
-        if type(node) is Quotient:
-            return True
-        kids = _children(node)
-        for j, sub in enumerate(kids):
-            if j != i and not all(map(observable, terms_of(sub))):
-                return False
-        node = kids[i]
-    return all(map(observable, terms_of(new)))
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,7 @@ class AdjacencyIndex(NamedTuple):
     children: Tuple[int, ...]
     spouses: Tuple[int, ...]
     proxies: int
+    indicators: int
 
     def mask(self, vids: Iterable[str]) -> int:
         bit = self.bit
@@ -150,6 +151,15 @@ class AdjacencyIndex(NamedTuple):
         for vid in vids:
             m |= bit[vid]
         return m
+
+    def ids_of(self, m: int) -> Tuple[str, ...]:
+        """The ids a mask stands for, in sorted order."""
+        ids, out = self.ids, []
+        while m:
+            low = m & -m
+            out.append(ids[low.bit_length() - 1])
+            m ^= low
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -287,7 +297,8 @@ class MixedGraph:
         masks = [tuple(sum(bit[u] for u in s) for s in self._adjacency[v]) for v in ids]
         parents, children, spouses = zip(*masks) if masks else ((), (), ())
         proxies = sum(bit[p] for p in self.proxies)
-        return AdjacencyIndex(ids, bit, parents, children, spouses, proxies)
+        indicators = sum(bit[r] for r in self.indicators)
+        return AdjacencyIndex(ids, bit, parents, children, spouses, proxies, indicators)
 
     def _adjacent(self, vid: str) -> tuple:
         try:

@@ -5,9 +5,11 @@ non-collider in Z, or a collider with no descendant in Z. The production
 engine is a reachability automaton over (vertex, arrival-mark) states, which
 also admits walks: `reaches` decides it on the bitmask adjacency of
 `MixedGraph.index`, with a mutilation passed as masks, and `active_path`
-runs it breadth-first over the same positions to return a shortest
-witness. An exhaustive path enumerator doubles as an independent oracle
-and the engines are held in agreement with it by the test suite.
+runs it breadth-first over the same positions and the same mutilation to
+return a shortest witness. Neither builds a mutilated graph; `mutilate`
+builds one for callers that need the graph itself. An exhaustive path
+enumerator doubles as an independent oracle and the engines are held in
+agreement with it by the test suite.
 
 Self-loop edges can be traversed in both orientations by walks (arrowhead end
 first or tail end first) and never occur on simple paths.
@@ -133,9 +135,7 @@ def mutilate(g: MixedGraph, spec: MutilationSpec) -> MixedGraph:
     are definitional (the proxy mechanism is not manipulable) and survive any
     mutilation. Self-loops count as both incoming and outgoing.
     """
-    for vid in sorted(spec.remove_incoming | spec.remove_outgoing):
-        if g.kind(vid) is Kind.PROXY:
-            raise UnknownVertex(f"proxy {vid!r} cannot be mutilated")
+    _check_mutilation(g, spec)
     if spec.empty:
         return g
     over, under = spec.remove_incoming, spec.remove_outgoing
@@ -144,6 +144,13 @@ def mutilate(g: MixedGraph, spec: MutilationSpec) -> MixedGraph:
     )
     bidirected = frozenset((a, b) for a, b in g.bidirected if a not in over and b not in over)
     return replace(g, directed=directed, bidirected=bidirected)
+
+
+def _check_mutilation(g: MixedGraph, spec: MutilationSpec) -> None:
+    """Refuse an unknown vertex or a proxy in ``spec``, the first in id order."""
+    for vid in sorted(spec.remove_incoming | spec.remove_outgoing):
+        if g.kind(vid) is Kind.PROXY:
+            raise UnknownVertex(f"proxy {vid!r} cannot be mutilated")
 
 
 # ---------------------------------------------------------------------------
@@ -305,21 +312,33 @@ def reaches(ix: AdjacencyIndex, xs: int, ys: int, zs: int, over: int = 0, under:
 
 
 def active_path(
-    g: MixedGraph, X: Iterable[str], Y: Iterable[str], Z: Iterable[str]
+    g: MixedGraph,
+    X: Iterable[str],
+    Y: Iterable[str],
+    Z: Iterable[str],
+    mutilation: MutilationSpec = MutilationSpec(),
 ) -> Optional[Walk]:
     """A shortest active path between X and Y given Z, or None if separated.
 
     Breadth-first search over (position, arrived by a head) states of
     `MixedGraph.index`, each position's moves in (symbol, target id) order.
     A shortest active walk is necessarily simple, so the witness is a path.
+    A ``mutilation`` is read edge by edge from the masks, as `reaches` reads
+    it, so the witness is the one on the graph `mutilate` would build, and
+    the mutilation is refused as `mutilate` refuses it, before the sets are
+    checked.
     """
+    _check_mutilation(g, mutilation)
     Xs, Ys, Zs = _check_sets(g, X, Y, Z)
     ix = g.index
+    over, under = ix.mask(mutilation.remove_incoming), ix.mask(mutilation.remove_outgoing)
+    adjacent = _cut(ix, over, under)
     ys, zs = ix.mask(Ys), ix.mask(Zs)
-    open_collider = ancestor_mask(ix, zs) if zs else 0
+    open_collider = ancestor_mask(ix, zs, over, under) if zs else 0
 
     def moves(i: int):
-        for sym, targets in ((FORWARD, ix.children[i]), (BACKWARD, ix.parents[i]), (BOTH, ix.spouses[i])):
+        p, c, s = adjacent(i)
+        for sym, targets in ((FORWARD, c), (BACKWARD, p), (BOTH, s)):
             for j in _positions(targets):
                 yield sym, j
 

@@ -22,7 +22,7 @@ from mcdmg import abstraction
 from mcdmg.abstraction import _canon_indicator_names
 from mcdmg.errors import BudgetTooSmall, InvalidClustering, WrongGraphClass
 from mcdmg.graphs import validate
-from tests_support import THIRTEEN_EDGES
+from tests_support import THIRTEEN_EDGES, indicator_out_text
 
 
 def test_project_fig1a_gives_fig1c(fig1a, fig1c):
@@ -323,34 +323,6 @@ def test_prop1_inclusion_fig2a(fig2a, fig2b):
         enumerate_compatible(fig2a, budget=Budget(2, 10), canonicalize=False), 25
     ):
         assert is_compatible(g, merged).compatible
-
-
-def indicator_out_text(rng):
-    """A random m-c-dmg or cm-c-dmg whose indicators may have children.
-
-    2-3 clusters of 1-2 variables, indicators on one or two clusters, and
-    between each cluster and indicator no edge, ``C -> R``, ``C <-> R`` or
-    ``R -> C``; no edge joins two indicators, as `check_joint` requires.
-    """
-    cls = rng.choice(["m-c-dmg", "cm-c-dmg"])
-    names = [f"C{i}" for i in range(rng.randint(2, 3))]
-    members = {c: [f"V{c[1:]}_{m + 1}" for m in range(rng.randint(1, 2))] for c in names}
-    lines = [f'graph "rout" class={cls} {{']
-    lines += [f"  cluster {c} {{ vars {', '.join(members[c])} }}" for c in names]
-    indicators = []
-    for c in rng.sample(names, rng.randint(1, 2)):
-        owners = [c] if cls == "cm-c-dmg" else rng.sample(members[c], rng.randint(1, len(members[c])))
-        indicators += [f"R_{o}" for o in owners]
-    lines += [f"  rvar {r} for {r[2:]}" for r in indicators]
-    for a in names:
-        lines += [f"  edge {a} -> {b}" for b in names if rng.random() < 0.3]
-        lines += [f"  edge {a} <-> {b}" for b in names if a < b and rng.random() < 0.2]
-        for r in indicators:
-            edges = [None, f"{a} -> {r}", f"{a} <-> {r}", f"{r} -> {a}"]
-            edge = rng.choices(edges, weights=[2, 1, 1, 2])[0]
-            if edge:
-                lines.append(f"  edge {edge}")
-    return "\n".join(lines + ["}"]) + "\n"
 
 
 def test_edges_out_of_indicators_are_realized_and_sound():

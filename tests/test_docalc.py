@@ -49,7 +49,13 @@ from mcdmg.expressions import (
     val,
 )
 from test_expressions import atoms, exprs, terms
-from tests_support import random_cluster_text, replace_term, search_hashes, unknown_symbol_queries
+from tests_support import (
+    indicator_out_text,
+    random_cluster_text,
+    replace_term,
+    search_hashes,
+    unknown_symbol_queries,
+)
 
 
 def test_rule1_insert_ry_fig2b(fig2b):
@@ -586,48 +592,108 @@ def test_memoized_search_matches_reference(rng):
 
 
 def test_search_checks_each_term_once(fig2a, monkeypatch):
-    terms, checks = [], []
-    term_moves = docalc._term_moves
-
-    def counted_moves(g, t):
-        terms.append(t)
-        return term_moves(g, t)
-
-    def counted_rule(g, rule, *sets):
-        checks.append((terms[-1], rule, *(frozenset(s) for s in sets)))
-        return rule_applicable(g, rule, *sets)
-
-    sums, offered = [], []
+    """Within one search, each node's candidates are listed once, each sum
+    collapses once, and each distinct statement is decided once, by the
+    certificate core `_certify`; the validated `rule_applicable` is left to
+    callers outside the search."""
+    listed, decided, sums, offered = [], [], [], []
+    node_moves, certify = docalc._node_moves, docalc._certify
     collapse, rewritable = docalc.collapse, docalc._rewritable
+
+    def counted_moves(g, x):
+        listed.append(x)
+        return node_moves(g, x)
+
+    def counted_certify(g, statement):
+        decided.append(statement)
+        return certify(g, statement)
 
     def counted_collapse(s):
         sums.append(s)
         return collapse(s)
 
-    def counted_rewritable(e):
-        nodes = rewritable(e)
-        offered.extend(x for x in nodes if isinstance(x, Sum))
-        return nodes
+    def counted_rewritable(e, *args):
+        found = rewritable(e, *args)
+        offered.extend(x for x in found[0] if isinstance(x, Sum))
+        return found
 
-    monkeypatch.setattr(docalc, "_term_moves", counted_moves)
-    monkeypatch.setattr(docalc, "rule_applicable", counted_rule)
+    def refuse(*args):
+        raise AssertionError("the search called the validated rule_applicable")
+
+    monkeypatch.setattr(docalc, "_node_moves", counted_moves)
+    monkeypatch.setattr(docalc, "_certify", counted_certify)
     monkeypatch.setattr(docalc, "collapse", counted_collapse)
     monkeypatch.setattr(docalc, "_rewritable", counted_rewritable)
+    monkeypatch.setattr(docalc, "rule_applicable", refuse)
     assert isinstance(recover_effect(fig2a, {"CX"}, {"CY"}, depth=8), Derivation)
-    assert checks and len(set(terms)) == len(terms)
-    assert len(set(checks)) == len(checks)
+    assert decided and len(set(decided)) == len(decided)
+    assert listed and len(set(listed)) == len(listed)
     assert sums and len(set(sums)) == len(sums)
 
     # fig2a's search meets each sum in one state only; on the sixth random
     # graph of the golden corpus sums recur, and still collapse once each
-    rng = random.Random(20261018)
-    for _ in range(6):
-        g = parse_graph(random_cluster_text(rng))
-        treatment, outcome = rng.sample(sorted(g.clusters), 2)
-    sums.clear()
-    offered.clear()
+    # (a sum off the span at the last level is not collapsed at all)
+    g, treatment, outcome = _golden_random_query(6)
+    for found in (listed, decided, sums, offered):
+        found.clear()
     recover_effect(g, {treatment}, {outcome}, depth=5)
-    assert len(offered) > len(set(offered)) == len(sums) == len(set(sums))
+    assert len(offered) > len(set(offered)) >= len(sums) == len(set(sums)) > 0
+    assert decided and len(set(decided)) == len(decided)
+    assert len(set(listed)) == len(listed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_search_certificates_equal_rule_applicable(rng, indicator_out):
+    """Every certificate a search `Step` carries, decided by the mask core,
+    equals what the validated `rule_applicable` gives for its statement, in
+    every field."""
+    g = parse_graph((indicator_out_text if indicator_out else random_cluster_text)(rng))
+    treatment, outcome = rng.sample(sorted(g.clusters), 2)
+    d = recover_effect(g, {treatment}, {outcome}, depth=4)
+    for step in getattr(d, "steps", ()):
+        c = step.certificate
+        if c is not None:
+            assert c == rule_applicable(g, c.rule, c.y, c.x, c.z, c.w)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_certificate_core_matches_rule_applicable_on_every_candidate(rng, indicator_out):
+    """For every candidate of every state within two moves of the query, the
+    statement the search decides gives the certificate `rule_applicable`
+    gives for the candidate's vertex sets, whether it holds or not."""
+    g = parse_graph((indicator_out_text if indicator_out else random_cluster_text)(rng))
+    treatment, outcome = rng.sample(sorted(g.clusters), 2)
+    for e in _states_within(g, treatment, outcome, 2):
+        for x in docalc._rewritable(e)[0]:
+            listed = zip(docalc._node_moves(g, x), docalc._candidates(g, x))
+            for (rule, params, sep, _), (*same, statement, _, _) in listed:
+                assert same == [rule, params]
+                if sep is not None:
+                    assert docalc._certify(g, statement) == rule_applicable(g, rule, *sep)
+
+
+@pytest.mark.parametrize(
+    "rule,Y,X,Z,W,error,message",
+    [
+        ("R1", {"CY"}, {"CY"}, set(), set(), OverlappingSets, "rule sets must be pairwise disjoint"),
+        ("R2", {"CY"}, {"R_CY"}, set(), set(), UnknownVertex, "indicator 'R_CY' cannot be intervened on"),
+        ("R3", {"CY"}, {"R_CY"}, set(), set(), UnknownVertex, "indicator 'R_CY' cannot be intervened on"),
+        ("R1", {"CY"}, {"CX"}, {"R_CY"}, set(), UnknownVertex, "indicator 'R_CY' cannot be intervened on"),
+        ("R1", {"CY"}, {"CX"}, {"CY*"}, set(), UnknownVertex, "proxy 'CY*' cannot be mutilated"),
+        ("R2", {"CY"}, {"CX*"}, set(), set(), UnknownVertex, "proxy 'CX*' cannot be mutilated"),
+        ("R3", {"CY"}, {"CX"}, {"CX*"}, set(), UnknownVertex, "proxy 'CX*' cannot be mutilated"),
+    ],
+)
+def test_certificate_core_keeps_every_refusal(fig2b, rule, Y, X, Z, W, error, message):
+    """The mask core refuses what `rule_applicable` refuses, with the same
+    message."""
+    statement = (rule, *(fig2b.index.mask(s) for s in (Y, X, Z, W)))
+    for check in (lambda: rule_applicable(fig2b, rule, Y, X, Z, W), lambda: docalc._certify(fig2b, statement)):
+        with pytest.raises(error) as info:
+            check()
+        assert str(info.value) == message
 
 
 def _golden_random_query(k):
@@ -712,7 +778,7 @@ def test_rewritable_paths_lead_to_first_occurrences(e, a, b, other, data):
     firsts = {}
     for path, x in _paths(c):
         firsts.setdefault(x, path)
-    paths = docalc._rewritable(c)
+    paths = docalc._rewritable(c)[0]
     offered = [x for x in firsts if isinstance(x, Term)] + [x for x in firsts if isinstance(x, Sum)]
     assert list(paths) == offered
     assert paths == {x: firsts[x] for x in paths}
@@ -740,43 +806,68 @@ def test_successor_reduces_a_quotient_whose_sides_meet(x, y, a):
     q = Quotient(Product((x, _d)), Product((x, _d_given_a)))
     for e, expected in ((q, One()), (Sum(a, q), Sum(a, One())), (Product((y, q)), canonical(y))):
         c = canonical(e)
-        got = docalc._successor(c, docalc._rewritable(c)[_d], _d_given_a)
+        got = docalc._successor(c, docalc._rewritable(c)[0][_d], _d_given_a)
         assert got == expected == canonical(replace_term(c, _d, _d_given_a))
 
 
 
 def _states_within(g, treatment, outcome, depth):
-    """Every state within ``depth`` moves of the query, in breadth-first order."""
+    """Every state within ``depth`` legal moves of the query, in breadth-first
+    order."""
     query = canonical(term(outcomes={val(outcome)}, do={val(treatment)}))
-    states, frontier, moves = {query: None}, [query], docalc._memo(docalc._legal_moves, g, {})
+    states, frontier = {query: None}, [query]
     for _ in range(depth):
-        frontier = [docalc._successor(e, path, new) for e in frontier for *_, new, path in docalc._rewrites(e, moves)]
+        frontier = [
+            docalc._successor(e, path, canonical(new))
+            for e in frontier
+            for rule, _, sep, new, path in docalc._rewrites(e, lambda x: docalc._node_moves(g, x))
+            if sep is None or rule_applicable(g, rule, *sep).holds
+        ]
         frontier = list(dict.fromkeys(nxt for nxt in frontier if nxt not in states))
         states.update(dict.fromkeys(frontier))
     return list(states)
 
 
-def _assert_skips_only_unobservable(e, observable, rewrites):
-    """Each ``(path, new)`` rewrite of ``e`` that `_may_be_goal` rules out
-    builds a successor with a term that is not ``observable``."""
+def _assert_span_predicate(e, observable, rewrites):
+    """For each ``(path, new)`` rewrite of ``e``: when `_on_span` rules it out,
+    the successor has a term that is not ``observable``; when it judges by
+    the replacement (no quotient above the path), the successor is
+    observable exactly when every term of ``new`` is. Returns how often it
+    judged by the replacement."""
+    nodes, span, quotient = docalc._rewritable(e, observable)
+    assert span is not None, "a state the search expands has an unobservable term"
+    judged = 0
     for path, new in rewrites:
-        if not docalc._may_be_goal(e, path, new, observable):
-            assert not all(map(observable, terms_of(docalc._successor(e, path, new))))
+        on_span = docalc._on_span(path, span, quotient)
+        successor_observable = all(map(observable, terms_of(docalc._successor(e, path, new))))
+        if on_span is False:
+            assert not successor_observable
+        elif on_span:
+            judged += 1
+            assert successor_observable == all(map(observable, terms_of(new)))
+    return judged
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_last_level_filter_skips_only_unobservable_successors(rng):
-    g = parse_graph(random_cluster_text(rng))
+def _unobservable_paths(e, observable):
+    return [path for path, x in _paths(e) if isinstance(x, Term) and not observable(x)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_last_level_filter_skips_only_unobservable_successors(rng, indicator_out):
+    """The span predicate, on every rewrite of every state within three
+    moves of the query, legal or not, on graphs from both generators."""
+    g = parse_graph((indicator_out_text if indicator_out else random_cluster_text)(rng))
     treatment, outcome = rng.sample(sorted(g.clusters), 2)
-    moves = docalc._memo(docalc._legal_moves, g, {})
     observable = lambda t: docalc._term_observable(g, t)
     for e in _states_within(g, treatment, outcome, 3):
-        rewrites = [(path, new) for *_, new, path in docalc._rewrites(e, moves)]
-        _assert_skips_only_unobservable(e, observable, rewrites)
+        if not _unobservable_paths(e, observable):
+            continue  # a goal: the search returns it and expands nothing
+        rewrites = [(path, canonical(new)) for *_, new, path in docalc._rewrites(e, lambda x: docalc._node_moves(g, x))]
+        _assert_span_predicate(e, observable, rewrites)
 
 
-# the filter holds for any per-term predicate; this one calls a term
+# the predicate holds for any per-term predicate; this one calls a term
 # observable when it has no do-set, so `_u` is not
 _u = term([val("U")], do=[val("V")])
 
@@ -785,20 +876,41 @@ def _no_do(t):
     return not t.do
 
 
+@settings(max_examples=300, deadline=None)
+@given(_repeating)
+def test_span_is_the_common_prefix_of_unobservable_terms(e):
+    """`_rewritable`'s span is the longest prefix of every path to a term
+    that is not observable, and its quotient the depth of the first quotient
+    along that prefix, end included."""
+    c = canonical(e)
+    paths = _unobservable_paths(c, _no_do)
+    _, span, quotient = docalc._rewritable(c, _no_do)
+    if not paths:
+        assert span is quotient is None
+        return
+    n = 0
+    while all(len(p) > n and p[n] == paths[0][n] for p in paths):
+        n += 1
+    assert span == paths[0][:n]
+    depths = [k for k in range(len(span) + 1) if isinstance(_node_at(c, span[:k]), Quotient)]
+    assert quotient == (depths[0] if depths else None)
+
+
 @settings(max_examples=100, deadline=None)
 @given(exprs, exprs, atoms, exprs)
 def test_last_level_filter_builds_a_quotient_whose_sides_meet(x, y, a, other):
     """Rewriting the numerator's one differing term turns the quotient into
-    ``One`` and drops its unobservable terms, so the filter must let it
-    through; any other rewrite it rules out is unobservable too."""
+    ``One`` and drops its unobservable terms, so the span predicate must
+    leave it to the rebuilt successor; any other rewrite it rules out is
+    unobservable too, and any it judges by the replacement is judged
+    right."""
     q = Quotient(Product((x, _u, _d)), Product((x, _u, _d_given_a)))
     c = canonical(q)
-    path = docalc._rewritable(c)[_d]
-    assert docalc._successor(c, path, _d_given_a) == One()
-    assert docalc._may_be_goal(c, path, _d_given_a, _no_do)
+    nodes, span, quotient = docalc._rewritable(c, _no_do)
+    assert docalc._successor(c, nodes[_d], _d_given_a) == One()
+    assert docalc._on_span(nodes[_d], span, quotient) is None
     for e in (q, Sum(a, q), Product((y, q))):
         c = canonical(e)
-        paths = docalc._rewritable(c)
+        paths = docalc._rewritable(c)[0]
         news = (_d_given_a, One(), canonical(other))
-        rewrites = [(path, new) for path in paths.values() for new in news]
-        _assert_skips_only_unobservable(c, _no_do, rewrites)
+        _assert_span_predicate(c, _no_do, [(path, new) for path in paths.values() for new in news])

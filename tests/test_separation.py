@@ -240,17 +240,48 @@ def test_active_path_witness_properties(rng):
 @given(st.randoms(use_true_random=False))
 def test_active_path_matches_reference_on_mutilations(rng):
     """The witness over index positions has the tokens of the frozenset
-    search's witness, on random cluster graphs and their mutilations."""
+    search's witness, on random cluster graphs and their mutilations; with
+    the mutilation passed to `active_path` and read as masks, it is the
+    witness on the graph `mutilate` builds."""
     g = parse_graph(random_cluster_text(rng))
     mutilable = sorted(v for v in g.ids if g.kind(v) is not Kind.PROXY)
     for _ in range(4):
-        over = {v for v in mutilable if rng.random() < 0.3}
-        under = {v for v in mutilable if rng.random() < 0.3}
-        cut = mutilate(g, MutilationSpec.of(over, under))
+        spec = MutilationSpec.of(
+            {v for v in mutilable if rng.random() < 0.3},
+            {v for v in mutilable if rng.random() < 0.3},
+        )
+        cut = mutilate(g, spec)
         for _ in range(5):
             X, Y, Z = random_query(rng, cut)
-            got, want = (f(cut, X, Y, Z) for f in (active_path, reference_active_path))
-            assert (want is None and got is None) or got.tokens() == want.tokens(), (X, Y, Z)
+            want = reference_active_path(cut, X, Y, Z)
+            for got in (active_path(cut, X, Y, Z), active_path(g, X, Y, Z, spec)):
+                assert (want is None and got is None) or got.tokens() == want.tokens(), (X, Y, Z)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_active_path_refuses_a_mutilation_as_mutilate_does(rng):
+    """A mutilation naming a proxy or an unknown vertex is refused with the
+    error of mutilate-then-search, and before a bad vertex set is."""
+    g = parse_graph(random_cluster_text(rng))
+    names = sorted(g.ids | {"nope"}) if rng.random() < 0.3 else sorted(g.ids)
+    spec = MutilationSpec.of(
+        {v for v in names if rng.random() < 0.15},
+        {v for v in names if rng.random() < 0.15},
+    )
+    X, Y, Z = random_query(rng, g)
+    if rng.random() < 0.3:
+        X = X | {"zz"}  # an unknown vertex in X, refused after the mutilation
+
+    def outcome(search):
+        try:
+            w = search()
+        except (UnknownVertex, OverlappingSets) as exc:
+            return type(exc), str(exc)
+        return None if w is None else w.tokens()
+
+    masks = outcome(lambda: active_path(g, X, Y, Z, spec))
+    assert masks == outcome(lambda: active_path(mutilate(g, spec), X, Y, Z))
 
 
 @settings(max_examples=200, deadline=None)

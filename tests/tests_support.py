@@ -99,6 +99,34 @@ def random_cluster_text(rng):
     return "\n".join(lines + ["}"]) + "\n"
 
 
+def indicator_out_text(rng):
+    """A random m-c-dmg or cm-c-dmg whose indicators may have children.
+
+    2-3 clusters of 1-2 variables, indicators on one or two clusters, and
+    between each cluster and indicator no edge, ``C -> R``, ``C <-> R`` or
+    ``R -> C``; no edge joins two indicators, as `check_joint` requires.
+    """
+    cls = rng.choice(["m-c-dmg", "cm-c-dmg"])
+    names = [f"C{i}" for i in range(rng.randint(2, 3))]
+    members = {c: [f"V{c[1:]}_{m + 1}" for m in range(rng.randint(1, 2))] for c in names}
+    lines = [f'graph "rout" class={cls} {{']
+    lines += [f"  cluster {c} {{ vars {', '.join(members[c])} }}" for c in names]
+    indicators = []
+    for c in rng.sample(names, rng.randint(1, 2)):
+        owners = [c] if cls == "cm-c-dmg" else rng.sample(members[c], rng.randint(1, len(members[c])))
+        indicators += [f"R_{o}" for o in owners]
+    lines += [f"  rvar {r} for {r[2:]}" for r in indicators]
+    for a in names:
+        lines += [f"  edge {a} -> {b}" for b in names if rng.random() < 0.3]
+        lines += [f"  edge {a} <-> {b}" for b in names if a < b and rng.random() < 0.2]
+        for r in indicators:
+            edges = [None, f"{a} -> {r}", f"{a} <-> {r}", f"{r} -> {a}"]
+            edge = rng.choices(edges, weights=[2, 1, 1, 2])[0]
+            if edge:
+                lines.append(f"  edge {edge}")
+    return "\n".join(lines + ["}"]) + "\n"
+
+
 # A cm-c-dmg with 13 abstract edges: no realization fits under 12 edges.
 THIRTEEN_EDGES = """\
 graph "rnd34" class=cm-c-dmg {
