@@ -25,7 +25,7 @@ import sys
 from typing import Optional
 
 from . import fixtures
-from .errors import BudgetTooSmall, InvalidSeed, McdmgError, PreconditionError
+from .errors import BudgetTooSmall, InvalidSeed, McdmgError, ParseError, PreconditionError
 from .gfiles import emit_dot, emit_graph, emit_json, parse_graph
 from .graphs import validate
 
@@ -46,8 +46,14 @@ def _read_graph(path: str, validate: bool = True):
     if path in fixtures.NAMES:
         text = fixtures.fixture_text(path)
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ParseError("not UTF-8 text", line, exc.start - data.rfind(b"\n", 0, exc.start)) from None
+        text = text.replace("\r\n", "\n").replace("\r", "\n")  # universal newlines, as text mode reads
     return parse_graph(text, validate=validate)
 
 
@@ -257,7 +263,7 @@ def cmd_replay(args) -> int:
     with open(args.derivation, "r", encoding="utf-8") as fh:
         try:
             d = Derivation.from_json(json.load(fh))
-        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        except (ValueError, LookupError, TypeError, AttributeError, RecursionError) as exc:
             print(f"error: {args.derivation} is not a derivation: {exc!r}", file=sys.stderr)
             return 2
     result = replay(g, d)

@@ -21,11 +21,13 @@ proof objects: every step stores the rule, its parameters and the expression
 before and after, and `replay` re-verifies all of it against a graph.
 
 The search is goal-directed. For the duration of one call it lists the
-candidate moves of each distinct term or sum once, each with its separation
-statement as masks and its replacement in canonical form, and it decides
-each distinct statement once, when a move first needs it. Listing a state's
-rewritable nodes records the path to each, and the span: the longest path
-prefix shared by every unobservable term, with the first quotient along it.
+candidate moves of each distinct term or sum once (`_candidates`), each with
+its statement as a `_certify` key of masks and its replacement in canonical
+form, and it decides each distinct statement once, when a move first needs
+it. One lister, `_rewrites`, makes a state's moves for the search and for
+`replay`: it records the path to each rewritable node, and the span: the
+longest path prefix shared by every unobservable term, with the first
+quotient along it.
 A rewrite can make the state observable only on the span, or below a
 quotient of the span whose sides may meet; with no such quotient, the
 successor is observable exactly when every term of the replacement is
@@ -38,11 +40,10 @@ nodes off the span before listing their moves and decides a certificate
 only for a move that can reach the goal: one whose replacement is
 observable, or one below a quotient of the span.
 `NotDerived.states_explored` counts the states expanded.
-`replay` lists moves and rebuilds successors along the same recorded paths
-as the search, but keeps no memo: it re-checks every certificate through
-`rule_applicable`, requires the recorded one to equal it in every field,
-requires every symbol of the query to name a vertex of the graph, and
-requires an observable result.
+`replay` lists moves and rebuilds successors as the search does, but keeps
+no certificate: it re-checks every one through `rule_applicable`, requires
+the recorded one to equal it in every field, requires every symbol of the
+query to name a vertex of the graph, and requires an observable result.
 """
 
 from __future__ import annotations
@@ -338,22 +339,21 @@ def atom_vertices(g: MixedGraph, a: Atom) -> FrozenSet[str]:
 def _term_moves(g: MixedGraph, t: Term):
     """Candidate rewrites of one term, in the fixed rule order.
 
-    Yields ``(rule, params, sep, replacement)`` with ``params`` as sorted
-    (key, value) pairs. They depend on the term alone: TotalProb is offered
-    for every adjacent cluster the term does not mention, and `_rewrites`
-    drops those that occur elsewhere in the expression.
+    Yields ``(rule, params, statement, replacement)`` with ``params`` as
+    sorted (key, value) pairs and ``statement`` a `_certify` key of masks
+    (None for an algebraic move). They depend on the term alone: TotalProb is
+    offered for every adjacent cluster the term does not mention, and
+    `_rewrites` drops those that occur elsewhere in the expression.
     """
     masked = set(g.partially_observed)
+    mask = g.index.mask
 
-    def sep(moved_atoms):
-        y = set().union(*(atom_vertices(g, a) for a in t.outcomes))
-        x = set().union(*(atom_vertices(g, a) for a in moved_atoms))
-        z = {a.ref for a in t.do} - x
-        w = set()
-        for a in t.cond:
-            if a not in moved_atoms:
-                w |= atom_vertices(g, a)
-        return y, x, z, w - y - x - z
+    def statement(rule, moved):
+        ys = mask(set().union(*(atom_vertices(g, a) for a in t.outcomes)))
+        xs = mask(atom_vertices(g, moved))
+        zs = mask({a.ref for a in t.do}) & ~xs
+        ws = mask(set().union(*(atom_vertices(g, a) for a in t.cond if a != moved)))
+        return rule, ys, xs, zs, ws & ~(ys | xs | zs)
 
     # R1: insert an R=0 literal for an indicator whose owner symbol is present
     present_clusters = {a.ref for a in t.outcomes | t.cond if a.kind in (VAL, PROXY)}
@@ -363,16 +363,16 @@ def _term_moves(g: MixedGraph, t: Term):
             continue
         if g.owner_cluster(r) not in present_clusters:
             continue
-        yield "R1", (("insert", r),), sep([lit]), t.replace(cond=t.cond | {lit})
+        yield "R1", (("insert", r),), statement("R1", lit), t.replace(cond=t.cond | {lit})
     # R1: drop a conditioned atom
     for a in sorted(t.cond):
-        yield "R1", (("drop", a.render()),), sep([a]), t.replace(cond=t.cond - {a})
+        yield "R1", (("drop", a.render()),), statement("R1", a), t.replace(cond=t.cond - {a})
     # R2: exchange one do(atom) for conditioning
     for a in sorted(t.do):
-        yield "R2", (("observe", a.render()),), sep([a]), Term(t.outcomes, t.do - {a}, t.cond | {a})
+        yield "R2", (("observe", a.render()),), statement("R2", a), Term(t.outcomes, t.do - {a}, t.cond | {a})
     # R3: delete one do(atom)
     for a in sorted(t.do):
-        yield "R3", (("delete", a.render()),), sep([a]), t.replace(do=t.do - {a})
+        yield "R3", (("delete", a.render()),), statement("R3", a), t.replace(do=t.do - {a})
     # ProxyEq1: switch a masked symbol to its proxy when licensed
     for a in sorted(t.outcomes | t.cond):
         if a.kind == VAL and a.ref in masked:
@@ -396,17 +396,6 @@ def _term_moves(g: MixedGraph, t: Term):
                 yield "ChainRule", (("split", a.render()),), None, chain_split(t, a)
 
 
-def _sum_moves(s: Sum):
-    """The Marginalize move of one canonical sum, if it collapses."""
-    out = collapse(s)
-    return [] if out is None else [("Marginalize", (), None, out)]
-
-
-def _node_moves(g: MixedGraph, x: Expr):
-    """Candidate rewrites of one term (`_term_moves`) or one sum (`_sum_moves`)."""
-    return _term_moves(g, x) if isinstance(x, Term) else _sum_moves(x)
-
-
 def recover_effect(
     g: MixedGraph,
     treatment: Iterable[str],
@@ -424,16 +413,16 @@ def recover_effect(
     that returns the derivation a test at pop time would.
 
     A state at depth − 1 is the last one expanded. Its successors are only
-    goal-tested, never kept: its nodes off the span (`_rewritable`) are
-    skipped before their moves are listed, and a certificate is decided only
-    for a move that can reach the goal (`_on_span`). So
+    goal-tested, never kept: `_rewrites` skips its nodes off the span before
+    listing their moves and yields only the moves that can reach the goal
+    (`_on_span`), so only their certificates are decided. So
     ``NotDerived.states_explored`` counts the states within depth − 1 moves
     of the query. ``depth`` must be an integer (anything `operator.index`
     accepts) of at least 1.
 
-    Each distinct node's candidate moves, each distinct statement's
-    certificate (`_certify`) and each distinct term's goal test are computed
-    once per call and kept in dicts that live as long as the search.
+    Each distinct node's candidates (`_candidates`), each distinct
+    statement's certificate (`_certify`) and each distinct term's goal test
+    are computed once per call, in dicts that live as long as the search.
     """
     try:
         depth = operator.index(depth)
@@ -465,42 +454,31 @@ def recover_effect(
         expr, steps = frontier.popleft()
         explored += 1
         last = len(steps) == depth - 1  # successors are goal-tested, never kept
-        nodes, span, quotient = _rewritable(expr, observable)
-        used = None  # the clusters the state mentions, once a TotalProb move needs them
-        for x, path in nodes.items():
-            on_span = _on_span(path, span, quotient)
-            if last and on_span is False:
-                continue  # no rewrite of this node can make the state observable
-            for rule, params, statement, new, new_observable in candidates(x):
-                if rule == "TotalProb":
-                    if used is None:
-                        used = {a.ref for a in symbols_of(expr)}
-                    if params[0][1] in used:
-                        continue
-                if last and on_span and not new_observable:
-                    continue  # lazy: no certificate for a move that cannot reach the goal
-                cert = None if statement is None else certify(statement)
-                if cert is not None and not cert.holds:
-                    continue
-                nxt = _successor(expr, path, new)
-                if nxt in seen:
-                    continue
-                # goal test at generation: in breadth-first order the first
-                # observable state generated is the first one popped
-                if on_span is None:
-                    goal = all(map(observable, terms_of(nxt)))
-                else:
-                    goal = on_span and new_observable
-                if goal:
-                    return Derivation(g.name, query, steps + (Step(rule, params, expr, nxt, cert),))
-                if not last:
-                    seen.add(nxt)
-                    frontier.append((nxt, steps + (Step(rule, params, expr, nxt, cert),)))
+        for rule, params, statement, new, new_observable, path, on_span in _rewrites(
+            expr, candidates, observable, last
+        ):
+            cert = None if statement is None else certify(statement)
+            if cert is not None and not cert.holds:
+                continue
+            nxt = _successor(expr, path, new)
+            if nxt in seen:
+                continue
+            # goal test at generation: in breadth-first order the first
+            # observable state generated is the first one popped
+            if on_span is None:
+                goal = all(map(observable, terms_of(nxt)))
+            else:
+                goal = on_span and new_observable
+            if goal:
+                return Derivation(g.name, query, steps + (Step(rule, params, expr, nxt, cert),))
+            if not last:
+                seen.add(nxt)
+                frontier.append((nxt, steps + (Step(rule, params, expr, nxt, cert),)))
     return NotDerived(query, depth, explored)
 
 
 def _rewritable(
-    e: Expr, observable=None
+    e: Expr, observable
 ) -> Tuple[Dict[Expr, Tuple[int, ...]], Optional[Tuple[int, ...]], Optional[int]]:
     """The nodes whose rewrites make successors, with where to make them,
     and the span of the unobservable terms.
@@ -511,7 +489,7 @@ def _rewritable(
     shared by every occurrence of a term that is not ``observable``, and
     ``quotient`` the depth of the first `Quotient` along it (None for none;
     a quotient at the span's end counts). Both are None when every term is
-    observable or no ``observable`` is given. `_on_span` reads them.
+    observable. `_on_span` reads them.
     """
     terms, sums = {}, {}
     span = quotient = None
@@ -521,7 +499,7 @@ def _rewritable(
         kind = type(x)
         if kind is Term:
             terms.setdefault(x, path)
-            if observable is not None and not observable(x):
+            if not observable(x):
                 if span is None:
                     span, quotient = path, first_quotient
                 else:
@@ -543,7 +521,7 @@ def _rewritable(
     return {**terms, **sums}, span, quotient
 
 
-def _on_span(path: Tuple[int, ...], span: Tuple[int, ...], quotient: Optional[int]) -> Optional[bool]:
+def _on_span(path: Tuple[int, ...], span: Optional[Tuple[int, ...]], quotient: Optional[int]) -> Optional[bool]:
     """Whether a rewrite at ``path`` can make the state observable, from the
     span of its unobservable terms (`_rewritable`).
 
@@ -553,41 +531,58 @@ def _on_span(path: Tuple[int, ...], span: Tuple[int, ...], quotient: Optional[in
     not a prefix of the span (an unobservable term survives the rewrite),
     True when it is, and then the successor is observable exactly when every
     term of the replacement is. None when such a quotient lies above
-    ``path``: only the rebuilt successor can tell.
+    ``path``, or there is no span: only the rebuilt successor can tell.
     """
+    if span is None:
+        return None
     if quotient is not None and quotient < len(path) and path[:quotient] == span[:quotient]:
         return None
     return span[: len(path)] == path
 
 
 def _candidates(g: MixedGraph, x: Expr) -> tuple:
-    """The candidate moves of a term or sum, each as ``(rule, params,
-    statement, new, new_observable)``: the separation statement as a
-    `_certify` key (None for an algebraic move), the replacement in
-    canonical form and whether every term of it is observable."""
-    out = []
-    for rule, params, sep, replacement in _node_moves(g, x):
-        statement = None if sep is None else (rule, *map(g.index.mask, sep))
+    """The candidate moves of a term (`_term_moves`) or of a sum (Marginalize,
+    if it collapses), each as ``(rule, params, statement, new,
+    new_observable)``: the replacement in canonical form and whether every
+    term of it is observable."""
+    if type(x) is Term:
+        moves = _term_moves(g, x)
+    else:
+        out = collapse(x)
+        moves = () if out is None else (("Marginalize", (), None, out),)
+    candidates = []
+    for rule, params, statement, replacement in moves:
         new = canonical(replacement)
-        out.append((rule, params, statement, new, _observable(g, new)))
-    return tuple(out)
+        candidates.append((rule, params, statement, new, _observable(g, new)))
+    return tuple(candidates)
 
 
-def _rewrites(expr: Expr, moves):
-    """Every candidate move of an expression, in the fixed rule order.
+def _rewrites(expr: Expr, candidates, observable, last: bool):
+    """Every candidate move of a state, in the fixed rule order: the move
+    listing of both `recover_effect` and `replay`.
 
-    ``moves(x)`` gives the ``(rule, params, check, new)`` moves of each
-    `_rewritable` node; TotalProb moves over a cluster that occurs elsewhere
-    in the expression are dropped. Yields ``(rule, params, check, new,
-    path)`` with ``path`` the one `_rewritable` recorded for the rewritten
-    node; a Marginalize move has no check. A later occurrence of an equal
-    node would only repeat the first one's successors.
+    Yields each ``candidates(x)`` of each `_rewritable` node ``x``, with the
+    path recorded for it and what `_on_span` says of that path; a later
+    occurrence of an equal node would only repeat its successors. TotalProb
+    moves over a cluster that occurs elsewhere in the expression are
+    dropped. When the state is the ``last`` expanded, only moves that can
+    reach the goal are yielded: nodes off the span are skipped unlisted.
     """
-    used = {a.ref for a in symbols_of(expr)}
-    for x, path in _rewritable(expr)[0].items():
-        for rule, params, check, new in moves(x):
-            if rule != "TotalProb" or params[0][1] not in used:
-                yield rule, params, check, new, path
+    nodes, span, quotient = _rewritable(expr, observable)
+    used = None  # the clusters the state mentions, once a TotalProb move needs them
+    for x, path in nodes.items():
+        on_span = _on_span(path, span, quotient)
+        if last and on_span is False:
+            continue  # no rewrite of this node can make the state observable
+        for rule, params, statement, new, new_observable in candidates(x):
+            if rule == "TotalProb":
+                if used is None:
+                    used = {a.ref for a in symbols_of(expr)}
+                if params[0][1] in used:
+                    continue
+            if last and on_span and not new_observable:
+                continue
+            yield rule, params, statement, new, new_observable, path, on_span
 
 
 def _successor(expr: Expr, path: Tuple[int, ...], new: Expr) -> Expr:
@@ -645,7 +640,7 @@ def replay(g: MixedGraph, d: Derivation) -> ReplayResult:
     expression's candidate moves on ``g``: the same rule and parameters, the
     same result in canonical form and, for a do-calculus step, a recorded
     certificate equal in every field to the one `rule_applicable` computes
-    for its statement, which is checked once. The result must then be
+    for it, whose statement is the move's. The result must then be
     observable on ``g``. Returns the first failing step when the derivation
     does not carry over; an unobservable result fails at the last step, or
     at 0 when there are no steps and the query itself is not observable.
@@ -667,26 +662,27 @@ def replay(g: MixedGraph, d: Derivation) -> ReplayResult:
         known, what = refs[a.kind]
         if a.ref not in known:
             return ReplayResult(False, 0, f"{a.render()} names no {what} of {g.name}")
+    observable, candidates = _memo(_term_observable, g, {}), _memo(_candidates, g, {})
     for i, step in enumerate(d.steps, start=1):
         if canonical(step.before) != current:
             return ReplayResult(False, i, "step does not continue the previous expression")
         after = canonical(step.after)
         c = step.certificate
-        statement = None if c is None else (c.rule, c.y, c.x, c.z, c.w)
+        statement = None
         try:
             if c is not None:
-                computed = rule_applicable(g, *statement)
+                computed = rule_applicable(g, c.rule, c.y, c.x, c.z, c.w)
                 if not computed.holds:
                     return ReplayResult(False, i, f"{c.rule} certificate fails on {g.name}")
                 if c != computed or c.holds is not True:
                     return ReplayResult(
                         False, i, f"recorded {c.rule} certificate differs from the one computed on {g.name}"
                     )
+                statement = (c.rule, *map(g.index.mask, (c.y, c.x, c.z, c.w)))
+            move = (step.rule, step.params, statement)
             if not any(
-                (rule, params) == (step.rule, step.params)
-                and _statement(rule, sep) == statement
-                and _successor(current, path, canonical(new)) == after
-                for rule, params, sep, new, path in _rewrites(current, lambda x: _node_moves(g, x))
+                (rule, params, candidate) == move and _successor(current, path, new) == after
+                for rule, params, candidate, new, _, path, _ in _rewrites(current, candidates, observable, False)
             ):
                 return ReplayResult(False, i, "rewrite is not canonical-form-checkable")
         except (UnknownVertex, OverlappingSets, UnknownRule) as exc:
@@ -696,7 +692,3 @@ def replay(g: MixedGraph, d: Derivation) -> ReplayResult:
         return ReplayResult(False, len(d.steps), f"result is not observable on {g.name}")
     return ReplayResult(True)
 
-
-def _statement(rule: str, sep):
-    """A candidate's separation statement in certificate form."""
-    return None if sep is None else (rule, *(tuple(sorted(s)) for s in sep))

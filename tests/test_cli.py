@@ -58,6 +58,15 @@ def test_parse_error_exit_2(tmp_path):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("command", ["parse", "validate", "check-joint"])
+def test_graph_file_not_utf8_exit_2(tmp_path, command):
+    bad = tmp_path / "bad.mcg"
+    bad.write_bytes(b'graph "x" class=c-dmg {\n  \xff\xfe cluster\n}\n')
+    code, out, err = run(command, str(bad))
+    assert code == 2 and out == ""
+    assert err == "error: line 2, col 3: not UTF-8 text\n"
+
+
 def test_validate_good_and_bad(tmp_path):
     code, out, _ = run("validate", fig("fig2b"))
     assert code == 0 and json.loads(out)["valid"]
@@ -280,6 +289,20 @@ def test_replay_malformed_derivation_exit_2(tmp_path, text):
     elif not isinstance(text, str) or not text.endswith("\n"):
         text = _bad_certificate_derivation(text)
     deriv.write_text(text)
+    code, out, err = run("replay", fig("fig3"), str(deriv))
+    assert code == 2 and out == ""
+    assert "is not a derivation" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sums", [990, 5000])
+def test_replay_deeply_nested_derivation_exit_2(tmp_path, sums):
+    """A query of nested sums too deep for the JSON decoder is not a
+    derivation, however deep."""
+    query = '{"node": "term", "outcomes": [["val", "CY"]], "do": [], "cond": []}'
+    for _ in range(sums):
+        query = f'{{"node": "sum", "bound": ["val", "CZ"], "body": {query}}}'
+    deriv = tmp_path / "deep.json"
+    deriv.write_text(f'{{"graph": "fig3", "query": {query}, "steps": []}}\n')
     code, out, err = run("replay", fig("fig3"), str(deriv))
     assert code == 2 and out == ""
     assert "is not a derivation" in err and "Traceback" not in err

@@ -52,6 +52,8 @@ from test_expressions import atoms, exprs, terms
 from tests_support import (
     indicator_out_text,
     random_cluster_text,
+    reference_holds,
+    reference_statement,
     replace_term,
     search_hashes,
     unknown_symbol_queries,
@@ -407,10 +409,27 @@ def test_replay_checks_each_certificate_once(name, request, monkeypatch):
     assert len(calls) == sum(s.certificate is not None for s in d.steps) > 0
 
 
+def test_replay_takes_moves_from_an_observable_state(fig3):
+    """A derivation may go on from an observable expression, which has no
+    unobservable term to span: each legal move from fig3's observable
+    P(CX, CZ), all of whose results are observable, replays."""
+    query = canonical(term([val("CX"), val("CZ")]))
+    replayed = 0
+    for rule, params, statement, new, path in _moves(fig3, query):
+        cert = None if statement is None else _validated_certificate(fig3, statement)
+        if cert is not None and not cert.holds:
+            continue
+        after = docalc._successor(query, path, new)
+        d = Derivation("fig3", query, (docalc.Step(rule, params, query, after, cert),))
+        assert docalc._observable(fig3, after) and replay(fig3, d).ok
+        replayed += 1
+    assert replayed
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_found_derivations_replay_on_their_graph(rng):
-    g = parse_graph(random_cluster_text(rng))
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_found_derivations_replay_on_their_graph(rng, indicator_out):
+    g = parse_graph((indicator_out_text if indicator_out else random_cluster_text)(rng))
     treatment, outcome = rng.sample(sorted(g.clusters), 2)
     d = recover_effect(g, {treatment}, {outcome}, depth=4)
     if isinstance(d, Derivation):
@@ -548,10 +567,27 @@ def _node_at(e, path):
     return e
 
 
+def _moves(g, e):
+    """Every candidate move of ``e`` on ``g`` as ``(rule, params, statement,
+    new, path)``, listed by `_rewrites` without a memo and without the
+    last-level skips."""
+    observable = lambda t: docalc._term_observable(g, t)
+    candidates = lambda x: docalc._candidates(g, x)
+    for rule, params, statement, new, _, path, _ in docalc._rewrites(e, candidates, observable, False):
+        yield rule, params, statement, new, path
+
+
+def _validated_certificate(g, statement):
+    """`rule_applicable` on the vertex ids of a `_certify` statement."""
+    rule, *sets = statement
+    return rule_applicable(g, rule, *map(g.index.ids_of, sets))
+
+
 def reference_search(g, treatment, outcome, depth):
     """Memo-free breadth-first search: every candidate of every state is
-    checked afresh, in `_rewrites` order, and each successor is rebuilt
-    whole by `replace_term` and `canonical` instead of by `_successor`."""
+    checked afresh by `rule_applicable`, in `_rewrites` order, and each
+    successor is rebuilt whole by `replace_term` and `canonical` instead of
+    by `_successor`."""
     query = canonical(term(outcomes={val(outcome)}, do={val(treatment)}))
     seen, frontier, explored = {query}, deque([(query, ())]), 0
     while frontier:
@@ -561,10 +597,10 @@ def reference_search(g, treatment, outcome, depth):
             return Derivation(g.name, query, steps)
         if len(steps) >= depth:
             continue
-        for rule, params, sep, new, path in docalc._rewrites(expr, lambda x: docalc._node_moves(g, x)):
+        for rule, params, statement, new, path in _moves(g, expr):
             cert = None
-            if sep is not None:
-                cert = rule_applicable(g, rule, *sep)
+            if statement is not None:
+                cert = _validated_certificate(g, statement)
                 if not cert.holds:
                     continue
             nxt = canonical(replace_term(expr, _node_at(expr, path), new))
@@ -597,12 +633,12 @@ def test_search_checks_each_term_once(fig2a, monkeypatch):
     certificate core `_certify`; the validated `rule_applicable` is left to
     callers outside the search."""
     listed, decided, sums, offered = [], [], [], []
-    node_moves, certify = docalc._node_moves, docalc._certify
+    candidates, certify = docalc._candidates, docalc._certify
     collapse, rewritable = docalc.collapse, docalc._rewritable
 
-    def counted_moves(g, x):
+    def counted_candidates(g, x):
         listed.append(x)
-        return node_moves(g, x)
+        return candidates(g, x)
 
     def counted_certify(g, statement):
         decided.append(statement)
@@ -620,7 +656,7 @@ def test_search_checks_each_term_once(fig2a, monkeypatch):
     def refuse(*args):
         raise AssertionError("the search called the validated rule_applicable")
 
-    monkeypatch.setattr(docalc, "_node_moves", counted_moves)
+    monkeypatch.setattr(docalc, "_candidates", counted_candidates)
     monkeypatch.setattr(docalc, "_certify", counted_certify)
     monkeypatch.setattr(docalc, "collapse", counted_collapse)
     monkeypatch.setattr(docalc, "_rewritable", counted_rewritable)
@@ -660,18 +696,24 @@ def test_search_certificates_equal_rule_applicable(rng, indicator_out):
 @settings(max_examples=25, deadline=None)
 @given(st.randoms(use_true_random=False), st.booleans())
 def test_certificate_core_matches_rule_applicable_on_every_candidate(rng, indicator_out):
-    """For every candidate of every state within two moves of the query, the
-    statement the search decides gives the certificate `rule_applicable`
-    gives for the candidate's vertex sets, whether it holds or not."""
+    """For every do-calculus candidate of every state within two moves of the
+    query, the certificate `_certify` decides for the statement the search
+    lists is the one `rule_applicable` gives for the id-level reference
+    statement (`reference_statement`), whether it holds or not, and it holds
+    exactly when every simple path of the mutilated graph is blocked."""
     g = parse_graph((indicator_out_text if indicator_out else random_cluster_text)(rng))
     treatment, outcome = rng.sample(sorted(g.clusters), 2)
+    checked = 0
     for e in _states_within(g, treatment, outcome, 2):
-        for x in docalc._rewritable(e)[0]:
-            listed = zip(docalc._node_moves(g, x), docalc._candidates(g, x))
-            for (rule, params, sep, _), (*same, statement, _, _) in listed:
-                assert same == [rule, params]
-                if sep is not None:
-                    assert docalc._certify(g, statement) == rule_applicable(g, rule, *sep)
+        for rule, params, statement, _, path in _moves(g, e):
+            if statement is None:
+                continue
+            sets = reference_statement(g, _node_at(e, path), rule, params)
+            cert = docalc._certify(g, statement)
+            assert cert == rule_applicable(g, rule, *sets)
+            assert cert.holds == reference_holds(g, rule, *sets)
+            checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize(
@@ -778,7 +820,7 @@ def test_rewritable_paths_lead_to_first_occurrences(e, a, b, other, data):
     firsts = {}
     for path, x in _paths(c):
         firsts.setdefault(x, path)
-    paths = docalc._rewritable(c)[0]
+    paths = docalc._rewritable(c, _no_do)[0]
     offered = [x for x in firsts if isinstance(x, Term)] + [x for x in firsts if isinstance(x, Sum)]
     assert list(paths) == offered
     assert paths == {x: firsts[x] for x in paths}
@@ -806,7 +848,7 @@ def test_successor_reduces_a_quotient_whose_sides_meet(x, y, a):
     q = Quotient(Product((x, _d)), Product((x, _d_given_a)))
     for e, expected in ((q, One()), (Sum(a, q), Sum(a, One())), (Product((y, q)), canonical(y))):
         c = canonical(e)
-        got = docalc._successor(c, docalc._rewritable(c)[0][_d], _d_given_a)
+        got = docalc._successor(c, docalc._rewritable(c, _no_do)[0][_d], _d_given_a)
         assert got == expected == canonical(replace_term(c, _d, _d_given_a))
 
 
@@ -818,10 +860,10 @@ def _states_within(g, treatment, outcome, depth):
     states, frontier = {query: None}, [query]
     for _ in range(depth):
         frontier = [
-            docalc._successor(e, path, canonical(new))
+            docalc._successor(e, path, new)
             for e in frontier
-            for rule, _, sep, new, path in docalc._rewrites(e, lambda x: docalc._node_moves(g, x))
-            if sep is None or rule_applicable(g, rule, *sep).holds
+            for _, _, statement, new, path in _moves(g, e)
+            if statement is None or _validated_certificate(g, statement).holds
         ]
         frontier = list(dict.fromkeys(nxt for nxt in frontier if nxt not in states))
         states.update(dict.fromkeys(frontier))
@@ -863,7 +905,7 @@ def test_last_level_filter_skips_only_unobservable_successors(rng, indicator_out
     for e in _states_within(g, treatment, outcome, 3):
         if not _unobservable_paths(e, observable):
             continue  # a goal: the search returns it and expands nothing
-        rewrites = [(path, canonical(new)) for *_, new, path in docalc._rewrites(e, lambda x: docalc._node_moves(g, x))]
+        rewrites = [(path, new) for *_, new, path in _moves(g, e)]
         _assert_span_predicate(e, observable, rewrites)
 
 
@@ -911,6 +953,6 @@ def test_last_level_filter_builds_a_quotient_whose_sides_meet(x, y, a, other):
     assert docalc._on_span(nodes[_d], span, quotient) is None
     for e in (q, Sum(a, q), Product((y, q))):
         c = canonical(e)
-        paths = docalc._rewritable(c)[0]
+        paths = docalc._rewritable(c, _no_do)[0]
         news = (_d_given_a, One(), canonical(other))
         _assert_span_predicate(c, _no_do, [(path, new) for path in paths.values() for new in news])

@@ -202,6 +202,46 @@ def replace_term(e, old, new):
     return out
 
 
+def reference_statement(g, t, rule, params):
+    """The separation statement ``(Y, X, Z, W)``, as sets of vertex ids, of
+    the do-calculus move ``(rule, params)`` of the term ``t``. Y holds the
+    outcomes, X the moved atom, Z the rest of the do-set and W the rest of
+    the conditioning set, each atom standing for its `atom_vertices`. The
+    reference that the masks ``docalc._term_moves`` yields are checked
+    against."""
+    from mcdmg.docalc import atom_vertices
+    from mcdmg.expressions import rzero
+
+    (key, value), = params
+    if key == "insert":
+        moved = rzero(value)
+    else:
+        moved = next(a for a in (t.cond if key == "drop" else t.do) if a.render() == value)
+    y = set().union(*(atom_vertices(g, a) for a in t.outcomes))
+    x = set(atom_vertices(g, moved))
+    z = {a.ref for a in t.do} - x
+    w = set()
+    for a in t.cond:
+        if a != moved:
+            w |= atom_vertices(g, a)
+    return y, x, z, w - y - x - z
+
+
+def reference_holds(g, rule, Y, X, Z, W):
+    """Whether a do-calculus rule's statement holds, by enumerating every
+    simple path of the mutilated graph (`d_separated_by_paths`). Rule 1
+    mutilates over Z; rule 2 also under X; rule 3 over Z and over the X that
+    are not ancestors of W in the graph over Z."""
+    from mcdmg.separation import MutilationSpec, ancestors, d_separated_by_paths, mutilate
+
+    over, under = set(Z), set()
+    if rule == "R2":
+        under = set(X)
+    elif rule == "R3":
+        over |= set(X) - ancestors(mutilate(g, MutilationSpec.of(Z)), W)
+    return d_separated_by_paths(mutilate(g, MutilationSpec.of(over, under)), Y, X, set(Z) | set(W))
+
+
 def reference_active_path(g, X, Y, Z):
     """A shortest active path between X and Y given Z, or None: breadth-first
     search over (vertex id, arrival mark) states, each vertex's moves sorted.
