@@ -9,8 +9,8 @@ symbolic expressions are evaluated against them exactly.
 
 The work splits into a structure and the numbers. What depends only on the
 graph and its mechanisms (the CPT layout, the elimination plans and
-broadcasts of the do-tables, the manifest's pins, the marginals' axes, and
-each compiled term's reads) is worked out once: per variable-level graph in
+broadcasts of the do-tables, the manifest's pins, the layouts of marginals
+and term reads, and each compiled term's reads) is worked out once: per variable-level graph in
 `_Structure`, owned weakly by the graph, and per expression, scope and
 grounding content in a bounded cache of `_Plan`s. Per SCM only the numeric
 kernels run.
@@ -74,7 +74,13 @@ def _bounded_put(cache: OrderedDict, key, value, bound: int):
 
 @dataclass(frozen=True)
 class DistTable:
-    """Dense probability table over an ordered tuple of columns."""
+    """Dense probability table over an ordered tuple of columns.
+
+    A marginal sums the dropped axes of the whole table and copies the
+    result to C order. A term's read (`read`) pins and slices its columns
+    first and sums only the axes left of that smaller view. Both take their
+    index, summed axes and transpose from `_layout`.
+    """
 
     variables: Tuple[str, ...]
     cards: Tuple[int, ...]
@@ -90,29 +96,36 @@ class DistTable:
             return self.total()
         cols = tuple(sorted(assignment))
         marg = self.marginal(cols)
-        index = tuple(assignment[c] for c in cols)
-        for c, x, k in zip(cols, index, marg.cards):
-            _check_level(c, x, k)
+        index = tuple(_check_level(c, assignment[c], k) for c, k in zip(cols, marg.cards))
         return float(marg.probs[index])
 
     def marginal(self, keep: Iterable[str]) -> "DistTable":
         keep = tuple(keep)
         out = self._cache.get(keep)
         if out is None:
-            cards = _marginal_layout(self.variables, self.cards, keep)[2]
-            out = self._cache[keep] = DistTable(keep, cards, np.asarray(self._mass(keep), order="C"))
+            probs, cards = self._reduce(keep, (None,) * len(keep))
+            out = self._cache[keep] = DistTable(keep, cards, np.asarray(probs, order="C"))
         return out
 
-    def _mass(self, keep: Tuple[str, ...]) -> np.ndarray:
-        """The marginal's probabilities over ``keep``, axes in that order:
-        the sum `marginal` copies to C order, left as a transposed view."""
-        key = ("mass", keep)
+    def read(self, cols: Tuple[str, ...], index: tuple) -> np.ndarray:
+        """The mass over ``cols`` with each column indexed first: per column
+        ``index`` holds a level (the column is pinned there and drops out),
+        a ``range`` of levels (the column is sliced to it) or None (all its
+        levels). Axes in the order of the columns left, kept per (columns,
+        index) as a read-only view."""
+        key = (cols, index)  # a marginal's key is a tuple of names
         out = self._cache.get(key)
         if out is None:
-            drop, order, _ = _marginal_layout(self.variables, self.cards, keep)
-            out = self.probs.sum(axis=drop) if drop else self.probs
-            out = self._cache[key] = np.transpose(out, order)
+            out = self._cache[key] = self._reduce(cols, index)[0]
+            out.flags.writeable = False
         return out
+
+    def _reduce(self, cols, index):
+        at, drop, order, cards = _layout(self.variables, self.cards, cols, index)
+        probs = self.probs[at]
+        if drop:
+            probs = probs.sum(axis=drop)
+        return np.transpose(np.asarray(probs), order), cards
 
     def total(self) -> float:
         if "total" not in self._cache:
@@ -121,21 +134,51 @@ class DistTable:
 
 
 @functools.lru_cache(maxsize=1024)
-def _marginal_layout(variables, cards, keep):
-    """`DistTable.marginal`'s layout, once per (columns, kept columns): the
-    axes summed out, the transpose onto ``keep`` and the kept cards."""
-    for k in keep:
-        if k not in variables:
-            raise UnknownVertex(f"the table has no column {k!r}")
-    drop = tuple(i for i, v in enumerate(variables) if v not in keep)
-    names = tuple(v for v in variables if v in keep)
-    order = tuple(names.index(k) for k in keep)
-    return drop, order, tuple(cards[variables.index(k)] for k in keep)
+def _layout(variables, cards, cols, index):
+    """`DistTable`'s one layout, once per (table columns, read columns,
+    index): the index onto the table, the axes of the indexed view that are
+    not read (summed out), the transpose of the rest onto the order of
+    ``cols`` and their cards. A column read twice raises EvaluationError,
+    one the table lacks UnknownVertex."""
+    where = {}
+    for c, i in zip(cols, index):
+        if c not in variables:
+            raise UnknownVertex(f"the table has no column {c!r}")
+        if c in where:
+            raise EvaluationError(f"column {c!r} is read twice")
+        where[c] = i
+    at, drop, names, sizes = [], [], [], {}
+    for v, k in zip(variables, cards):
+        i = where.get(v)
+        if i is None:
+            i = slice(None)
+        elif isinstance(i, range):
+            i = slice(i.start, i.stop, i.step)
+        at.append(i)
+        if not isinstance(i, slice):  # pinned: the axis drops out of the view
+            continue
+        if v in where:
+            names.append(v)
+            sizes[v] = len(range(k)[i])
+        else:
+            drop.append(len(names) + len(drop))
+    order = tuple(names.index(c) for c in cols if c in sizes)
+    return tuple(at), tuple(drop), order, tuple(sizes[c] for c in cols if c in sizes)
 
 
-def _check_level(name: str, x: int, card: int) -> None:
-    if not 0 <= x < card:
+def _check_level(name: str, x, card: int) -> int:
+    """The level ``x`` names in a column of ``card`` levels. A value equal
+    to an integer names it (1.0 and True name 1); any other value, and a
+    level outside 0..card-1, raise EvaluationError."""
+    try:
+        level = int(x)
+    except (TypeError, ValueError, OverflowError):
+        level = None
+    if level is None or level != x:
+        raise EvaluationError(f"{name} = {x!r} is not an integer level")
+    if not 0 <= level < card:
         raise EvaluationError(f"{name} = {x} is outside its domain 0..{card - 1}")
+    return level
 
 
 class Node(NamedTuple):
@@ -606,13 +649,14 @@ def interventional_table(
                 raise PartialClusterAssignment(
                     f"cluster {c!r} is only partly assigned (missing {sorted(missing)})"
                 )
+    level = {}
     for v, x in do.items():
         if v not in scm.madmg.variables and v not in scm.madmg.indicators:
             raise UnknownVertex(f"cannot intervene on {v!r}: not a variable or indicator")
-        _check_level(v, x, scm.card(v))
+        level[v] = _check_level(v, x, scm.card(v))
     do_vars = tuple(sorted(do))
     stacked = _do_table(scm, do_vars).marginal(tuple(f"do({v})" for v in do_vars) + scm.variables)
-    levels = tuple(do[v] for v in do_vars)
+    levels = tuple(level[v] for v in do_vars)
     return DistTable(scm.variables, stacked.cards[len(do_vars):], stacked.probs[levels])
 
 
@@ -833,31 +877,42 @@ class _SumOver:
 
 
 class _Read:
-    """One marginal read: the table's mass along the columns' sub-axes, as an
-    array over every sub-axis (size 1 where it does not depend on one)."""
+    """One term read: the table's mass along the columns' sub-axes, as an
+    array over every sub-axis (size 1 where it does not depend on one).
+
+    The table pins each column read at no sub-axis (an indicator at 0),
+    slices each proxy's NA level off and sums only the axes left
+    (`DistTable.read`). The columns are listed in the order of their
+    sub-axes, so the read comes out in sub-axis order; only where two
+    columns share a sub-axis, or one column is read along two (a diagonal),
+    an einsum merges them."""
 
     def __init__(self, sub, sources: Mapping[str, list]):
-        self.cols = tuple(sorted(sources))
-        index, self.letters, self.operands = [], [], []
+        # pinned columns first; the rest by their first sub-axis
+        self.cols = tuple(sorted(sources, key=lambda c: (sources[c][:1], c)))
+        index, letters, operands = [], [], []
         for col in self.cols:
             subs = sources[col]
             if not subs:
                 index.append(0)
                 continue
             # a proxy column's NA level lies beyond the sub-axis
-            index.append(slice(0, sub[subs[0]]))
-            self.letters.append(subs[0])
+            index.append(range(sub[subs[0]]))
+            letters.append(subs[0])
             for s in subs[1:]:  # the same variable read twice: a diagonal
-                self.operands += [np.eye(sub[s]), [subs[0], s]]
+                operands += [np.eye(sub[s]), [subs[0], s]]
         self.index = tuple(index)
-        self.used = sorted({s for subs in sources.values() for s in subs})
-        self.shape = tuple(sub[k] if k in self.used else 1 for k in range(len(sub)))
+        used = sorted({s for subs in sources.values() for s in subs})
+        self.einsum = None if letters == used and not operands else (letters, *operands, used)
+        self.shape = tuple(sub[k] if k in used else 1 for k in range(len(sub)))
 
     def run(self, table: DistTable) -> np.ndarray:
         if not self.cols:
             return np.full(self.shape, table.total())
-        probs = table._mass(self.cols)[self.index]
-        return np.einsum(probs, self.letters, *self.operands, self.used).reshape(self.shape)
+        probs = table.read(self.cols, self.index)
+        if self.einsum is not None:
+            probs = np.einsum(probs, *self.einsum)
+        return probs.reshape(self.shape)
 
 
 class _Term:

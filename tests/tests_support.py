@@ -283,6 +283,17 @@ def reference_active_path(g, X, Y, Z):
     return None
 
 
+def reference_read(table, cols, index):
+    """A term's read the long way: the marginal over ``cols`` (the whole
+    table summed, then copied), indexed afterwards. ``index`` is as for
+    `DistTable.read`: per column a level, a ``range`` of levels or None."""
+    at = tuple(
+        slice(None) if i is None else slice(i.start, i.stop, i.step) if isinstance(i, range) else i
+        for i in index
+    )
+    return table.marginal(cols).probs[at]
+
+
 def search_hashes(random_graphs=60, seed=20261018):
     """sha256 of the sorted-key ``recover_effect(...).to_json()`` per query.
 
