@@ -27,10 +27,10 @@ edges out of an indicator are realized like any other. Enumeration and
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+import operator
+from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import BudgetTooSmall, InvalidClustering, WrongGraphClass
+from .errors import BudgetTooSmall, InvalidBudget, InvalidClustering, WrongGraphClass
 from .graphs import (
     Clustering,
     GraphClass,
@@ -44,8 +44,7 @@ from .graphs import (
 Edge = Tuple[str, str, str]  # (kind "->"|"<->", a, b)
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
+class CompatibilityReport(NamedTuple):
     """Outcome of checking a variable-level graph against an abstract one.
 
     ``missing_realizations`` lists abstract edges with no variable-level
@@ -260,12 +259,36 @@ def _canon_indicator_names(g: MixedGraph) -> frozenset:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Budget:
-    """Bounds that make compatibility-class enumeration finite."""
-
+class _Bounds(NamedTuple):
     max_vars_per_cluster: int = 2
     max_edges: int = 24
+
+
+class Budget(_Bounds):
+    """Bounds that make compatibility-class enumeration finite.
+
+    Each bound must be an integer (anything `operator.index` accepts), or
+    the constructor raises InvalidBudget naming it. A bound below 1 leaves
+    no graph: `enumerate_compatible` raises BudgetTooSmall for it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, max_vars_per_cluster: int = 2, max_edges: int = 24):
+        bounds = (max_vars_per_cluster, max_edges)
+        return super().__new__(cls, *map(_integer, cls._fields, bounds))
+
+    @classmethod
+    def _make(cls, iterable) -> "Budget":
+        # `_replace` builds through here: check its bounds too
+        return cls(*iterable)
+
+
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidBudget(f"{name} must be an integer, not {value!r}") from None
 
 
 def enumerate_compatible(

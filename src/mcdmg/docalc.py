@@ -50,8 +50,7 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, NamedTuple, Optional, Tuple, Union
 
 from .errors import (
     DepthNonPositive,
@@ -92,8 +91,7 @@ from .graphs import Kind, MixedGraph
 from .separation import ancestor_mask, reaches, refuse_proxies, vertex_set
 
 
-@dataclass(frozen=True)
-class RuleCertificate:
+class RuleCertificate(NamedTuple):
     """A d-separation statement in a mutilated graph, with its verdict."""
 
     rule: str
@@ -178,8 +176,7 @@ def _certify(g: MixedGraph, statement: Tuple[str, int, int, int, int]) -> RuleCe
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     rule: str
     params: Tuple[Tuple[str, str], ...]  # sorted (key, value) pairs
     before: Expr
@@ -208,8 +205,7 @@ def _vertex_ids(certificate: dict, key: str) -> Tuple[str, ...]:
     return tuple(ids)
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     """A replayable sequence of justified rewrites from query to result."""
 
     graph_name: str
@@ -251,8 +247,7 @@ class Derivation:
         return Derivation(d["graph"], expr_from_json(d["query"]), tuple(steps))
 
 
-@dataclass(frozen=True)
-class NotDerived:
+class NotDerived(NamedTuple):
     """Search exhausted the depth bound; says nothing about recoverability.
 
     ``states_explored`` is the number of states the search expanded: the
@@ -620,8 +615,7 @@ def _successor(expr: Expr, path: Tuple[int, ...], new: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReplayResult:
+class ReplayResult(NamedTuple):
     ok: bool
     failed_at: Optional[int] = None  # 1-based step index; 0 for the query itself
     reason: str = ""

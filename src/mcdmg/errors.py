@@ -56,6 +56,10 @@ class BudgetTooSmall(McdmgError):
     """No compatible variable-level graph exists within the given budget."""
 
 
+class InvalidBudget(McdmgError, ValueError):
+    """A budget bound is not an integer."""
+
+
 class EmptyWalk(McdmgError):
     """A walk must contain at least one vertex."""
 

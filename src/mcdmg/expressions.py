@@ -9,7 +9,6 @@ structural equality stands in for algebraic equality of rewrites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import is_
 from typing import FrozenSet, Iterable, NamedTuple, Optional, Tuple, Union
 
@@ -19,7 +18,7 @@ from .errors import (
     UnknownVertex,
     WrongGraphClass,
 )
-from .graphs import GraphClass, MixedGraph
+from .graphs import GraphClass, MixedGraph, _read_only
 
 VAL = "val"
 PROXY = "proxy"
@@ -70,46 +69,70 @@ def rzero(indicator: str) -> Atom:
     return Atom(RZERO, indicator)
 
 
-# Each node caches its hash, and a term also its sort key, in slots that take
-# no part in ``==`` or ``repr``: a subtree shared between search states is
-# hashed once, and a term's atom sets are sorted once. The other nodes' sort
-# keys are rebuilt from their terms' keys: caching those too measured no faster
-# and held more memory. The slots keep nodes free of a ``__dict__``.
-def _cache():
-    return field(default=None, init=False, repr=False, compare=False)
+# The expression nodes are hand-written slotted classes on one immutable base,
+# `_Node`: each compares by its fields (``__match_args__``) with a node of its
+# own type only, and a copy or pickle rebuilds it from them. Each node caches
+# its hash, and a term also its sort key, in a slot that takes no part in
+# ``==`` or ``repr``: a subtree shared between search states is hashed once,
+# and a term's atom sets are sorted once. The other nodes' sort keys are
+# rebuilt from their terms' keys: caching those too measured no faster and
+# held more memory. The slots keep nodes free of a ``__dict__``, and the
+# constructors, which the search calls most, set them through the slot
+# descriptors (``_set_*``) rather than ``object.__setattr__``.
+class _Node:
+    __slots__ = ("_hash",)
+    __match_args__: Tuple[str, ...] = ()
+    __setattr__ = __delattr__ = _read_only
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # rebuilt from its fields, so no hash cached under one process's string
+        # hashing reaches another process
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
+_set_hash = _Node._hash.__set__
 
 
 def _store_hash(node, parts: tuple) -> int:
     """Cache ``hash(parts)`` on the node (a hash of 0 is just recomputed)."""
     h = hash(parts)
-    object.__setattr__(node, "_hash", h)
+    _set_hash(node, h)
     return h
 
 
-def _reduce(self):
-    # rebuilt from its fields, so no hash cached under one process's string
-    # hashing reaches another process
-    return type(self), tuple(getattr(self, f) for f in self.__match_args__)
-
-
-@dataclass(frozen=True, slots=True)
-class Term:
+class Term(_Node):
     """``P(outcomes | do(do_set), cond)``; all three are atom sets."""
 
-    outcomes: FrozenSet[Atom]
-    do: FrozenSet[Atom] = frozenset()
-    cond: FrozenSet[Atom] = frozenset()
-    _hash: Optional[int] = _cache()
-    _key: Optional[tuple] = _cache()
+    __slots__ = ("outcomes", "do", "cond", "_key")
+    __match_args__ = ("outcomes", "do", "cond")
+
+    def __init__(
+        self,
+        outcomes: FrozenSet[Atom],
+        do: FrozenSet[Atom] = frozenset(),
+        cond: FrozenSet[Atom] = frozenset(),
+    ):
+        if do & cond:
+            raise SymbolAlreadyBound("a symbol cannot be both intervened and conditioned on")
+        _set_outcomes(self, outcomes)
+        _set_do(self, do)
+        _set_cond(self, cond)
+        _set_hash(self, None)
+        _set_key(self, None)
+
+    def __eq__(self, other):
+        if type(other) is not Term:
+            return NotImplemented
+        return self is other or (
+            self.outcomes == other.outcomes and self.do == other.do and self.cond == other.cond
+        )
 
     def __hash__(self) -> int:
         return self._hash or _store_hash(self, (Term, self.outcomes, self.do, self.cond))
-
-    __reduce__ = _reduce
-
-    def __post_init__(self):
-        if self.do & self.cond:
-            raise SymbolAlreadyBound("a symbol cannot be both intervened and conditioned on")
 
     def replace(self, **kw) -> "Term":
         d = {"outcomes": self.outcomes, "do": self.do, "cond": self.cond}
@@ -117,46 +140,81 @@ class Term:
         return Term(frozenset(d["outcomes"]), frozenset(d["do"]), frozenset(d["cond"]))
 
 
-@dataclass(frozen=True, slots=True)
-class Sum:
+_set_outcomes, _set_do, _set_cond, _set_key = (getattr(Term, f).__set__ for f in Term.__slots__)
+
+
+class Sum(_Node):
     """Sum of the body over all valuations of the bound cluster symbol."""
 
-    bound: Atom
-    body: "Expr"
-    _hash: Optional[int] = _cache()
+    __slots__ = ("bound", "body")
+    __match_args__ = __slots__
+
+    def __init__(self, bound: Atom, body: "Expr"):
+        _set_bound(self, bound)
+        _set_body(self, body)
+        _set_hash(self, None)
+
+    def __eq__(self, other):
+        if type(other) is not Sum:
+            return NotImplemented
+        return self is other or (self.bound == other.bound and self.body == other.body)
 
     def __hash__(self) -> int:
         return self._hash or _store_hash(self, (Sum, self.bound, self.body))
 
-    __reduce__ = _reduce
+
+_set_bound, _set_body = Sum.bound.__set__, Sum.body.__set__
 
 
-@dataclass(frozen=True, slots=True)
-class Product:
-    factors: Tuple["Expr", ...]
-    _hash: Optional[int] = _cache()
+class Product(_Node):
+    __slots__ = ("factors",)
+    __match_args__ = __slots__
+
+    def __init__(self, factors: Tuple["Expr", ...]):
+        _set_factors(self, factors)
+        _set_hash(self, None)
+
+    def __eq__(self, other):
+        if type(other) is not Product:
+            return NotImplemented
+        return self is other or self.factors == other.factors
 
     def __hash__(self) -> int:
         return self._hash or _store_hash(self, (Product, self.factors))
 
-    __reduce__ = _reduce
+
+_set_factors = Product.factors.__set__
 
 
-@dataclass(frozen=True, slots=True)
-class Quotient:
-    num: "Expr"
-    den: "Expr"
-    _hash: Optional[int] = _cache()
+class Quotient(_Node):
+    __slots__ = ("num", "den")
+    __match_args__ = __slots__
+
+    def __init__(self, num: "Expr", den: "Expr"):
+        _set_num(self, num)
+        _set_den(self, den)
+        _set_hash(self, None)
+
+    def __eq__(self, other):
+        if type(other) is not Quotient:
+            return NotImplemented
+        return self is other or (self.num == other.num and self.den == other.den)
 
     def __hash__(self) -> int:
         return self._hash or _store_hash(self, (Quotient, self.num, self.den))
 
-    __reduce__ = _reduce
+
+_set_num, _set_den = Quotient.num.__set__, Quotient.den.__set__
 
 
-@dataclass(frozen=True, slots=True)
-class One:
-    pass
+class One(_Node):
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return True if type(other) is One else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
 
 
 Expr = Union[Term, Sum, Product, Quotient, One]
@@ -177,7 +235,7 @@ def _sort_key(e: Expr) -> tuple:
         key = e._key
         if key is None:
             key = (1, tuple(sorted(e.outcomes)), tuple(sorted(e.do)), tuple(sorted(e.cond)))
-            object.__setattr__(e, "_key", key)
+            _set_key(e, key)
         return key
     if isinstance(e, One):
         return (0,)
@@ -478,17 +536,33 @@ def _atom_from_json(pair) -> Atom:
     return Atom(*pair)
 
 
+# the fields of each JSON node, by its "node" name
+_JSON_FIELDS = {
+    "one": (),
+    "term": ("outcomes", "do", "cond"),
+    "sum": ("bound", "body"),
+    "product": ("factors",),
+    "quotient": ("num", "den"),
+}
+
+
 def expr_from_json(d) -> Expr:
-    node = d["node"]
+    """The inverse of `expr_to_json`. Raises ValueError for anything that is
+    not an expression's JSON: a node of unknown name, a missing field, a
+    list of atoms or factors that is no list, or a malformed atom."""
+    node = d.get("node") if isinstance(d, dict) else None
+    fields = _JSON_FIELDS.get(node) if isinstance(node, str) else None
+    if fields is None or not all(f in d for f in fields):
+        raise ValueError(f"not an expression: {d!r}")
     if node == "one":
         return One()
+    if node == "sum":
+        return Sum(_atom_from_json(d["bound"]), expr_from_json(d["body"]))
+    if node == "quotient":
+        return Quotient(expr_from_json(d["num"]), expr_from_json(d["den"]))
+    if not all(isinstance(d[f], (list, tuple)) for f in fields):
+        raise ValueError(f"not an expression: {d!r}")
     if node == "term":
         dec = lambda pairs: frozenset(map(_atom_from_json, pairs))
         return Term(dec(d["outcomes"]), dec(d["do"]), dec(d["cond"]))
-    if node == "sum":
-        return Sum(_atom_from_json(d["bound"]), expr_from_json(d["body"]))
-    if node == "product":
-        return Product(tuple(expr_from_json(f) for f in d["factors"]))
-    if node == "quotient":
-        return Quotient(expr_from_json(d["num"]), expr_from_json(d["den"]))
-    raise ValueError(f"unknown expression node {node!r}")
+    return Product(tuple(map(expr_from_json, d["factors"])))

@@ -19,7 +19,6 @@ Conventions
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -58,8 +57,12 @@ class GraphClass(str, Enum):
 MISSINGNESS_CLASSES = (GraphClass.MADMG, GraphClass.MCDMG, GraphClass.CMCDMG)
 
 
-@dataclass(frozen=True)
-class Vertex:
+def _read_only(self, name, value=None):
+    """``__setattr__`` and ``__delattr__`` of the immutable classes."""
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+class Vertex(NamedTuple):
     """A vertex with its kind and, for indicators/proxies, its owner.
 
     ``owner`` is the masked variable or cluster for an indicator, and the
@@ -71,7 +74,6 @@ class Vertex:
     owner: Optional[str] = None
 
 
-@dataclass(frozen=True)
 class Clustering:
     """Partition of substantive variables into named clusters.
 
@@ -80,7 +82,23 @@ class Clustering:
     clusters : mapping of cluster id to an ordered tuple of variable names.
     """
 
-    clusters: Tuple[Tuple[str, Tuple[str, ...]], ...]
+    __match_args__ = ("clusters",)
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, clusters: Tuple[Tuple[str, Tuple[str, ...]], ...]):
+        self.__dict__["clusters"] = clusters
+
+    def __repr__(self) -> str:
+        return f"Clustering(clusters={self.clusters!r})"
+
+    def __eq__(self, other):
+        return self.clusters == other.clusters if type(other) is Clustering else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.clusters,))
+
+    def __reduce__(self):
+        return Clustering, (self.clusters,)
 
     @staticmethod
     def from_dict(d: Mapping[str, Sequence[str]]) -> "Clustering":
@@ -119,8 +137,7 @@ class Clustering:
                 seen.add(v)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One violated invariant, named, with the offending vertices/edges."""
 
     code: str
@@ -162,7 +179,6 @@ class AdjacencyIndex(NamedTuple):
         return tuple(out)
 
 
-@dataclass(frozen=True)
 class MixedGraph:
     """Immutable mixed graph over kinded vertices.
 
@@ -174,15 +190,56 @@ class MixedGraph:
     neighbour sets of every vertex are built once per graph and returned as
     they are by `parents`, `children` and `spouses`, `index` holds the same
     sets as bitmasks, and `declared_directed` holds the directed edges
-    without the edges into proxies.
+    without the edges into proxies. These derived values are cached in the
+    instance ``__dict__``; the fields are set once, by the constructor.
     """
 
-    name: str
-    graph_class: GraphClass
-    vertices: Tuple[Vertex, ...]
-    directed: frozenset
-    bidirected: frozenset
-    clustering: Optional[Clustering] = None
+    __match_args__ = ("name", "graph_class", "vertices", "directed", "bidirected", "clustering")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(
+        self,
+        name: str,
+        graph_class: GraphClass,
+        vertices: Tuple[Vertex, ...],
+        directed: frozenset,
+        bidirected: frozenset,
+        clustering: Optional[Clustering] = None,
+    ):
+        self.__dict__.update(
+            name=name,
+            graph_class=graph_class,
+            vertices=vertices,
+            directed=directed,
+            bidirected=bidirected,
+            clustering=clustering,
+        )
+
+    def _astuple(self) -> tuple:
+        return (self.name, self.graph_class, self.vertices, self.directed, self.bidirected, self.clustering)
+
+    def __repr__(self) -> str:
+        return (
+            f"MixedGraph(name={self.name!r}, graph_class={self.graph_class!r}, "
+            f"vertices={self.vertices!r}, directed={self.directed!r}, "
+            f"bidirected={self.bidirected!r}, clustering={self.clustering!r})"
+        )
+
+    def __eq__(self, other):
+        if type(other) is not MixedGraph:
+            return NotImplemented
+        return self is other or self._astuple() == other._astuple()
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._astuple())
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt from the fields: the cached adjacency is left behind
+        return MixedGraph, self._astuple()
 
     # -- construction -----------------------------------------------------
 

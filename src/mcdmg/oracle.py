@@ -24,7 +24,6 @@ import itertools
 import math
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
 
@@ -57,7 +56,7 @@ from .expressions import (
     symbols_of,
     term,
 )
-from .graphs import Clustering, GraphClass, Kind, MixedGraph, topological_order
+from .graphs import Clustering, GraphClass, Kind, MixedGraph, _read_only, topological_order
 
 MAX_STATES = 1 << 20
 PLANS_KEPT = 512  # compiled-expression plans, least recently used dropped first
@@ -72,23 +71,39 @@ def _bounded_put(cache: OrderedDict, key, value, bound: int):
     return value
 
 
-@dataclass(frozen=True)
 class DistTable:
     """Dense probability table over an ordered tuple of columns.
 
     A marginal sums the dropped axes of the whole table and copies the
     result to C order. A term's read (`read`) pins and slices its columns
     first and sums only the axes left of that smaller view. Both take their
-    index, summed axes and transpose from `_layout`.
+    index, summed axes and transpose from `_layout`. Immutable and, as it
+    holds an array, unhashable; its marginals and reads are kept in
+    ``_cache``, which takes no part in ``==``, ``repr`` or a copy.
     """
 
-    variables: Tuple[str, ...]
-    cards: Tuple[int, ...]
-    probs: np.ndarray
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("variables", "cards", "probs", "_cache")
+    __match_args__ = ("variables", "cards", "probs")
+    __setattr__ = __delattr__ = _read_only
+    __hash__ = None
 
-    def __post_init__(self):
-        assert self.probs.shape == tuple(self.cards)
+    def __init__(self, variables: Tuple[str, ...], cards: Tuple[int, ...], probs: np.ndarray):
+        assert probs.shape == tuple(cards)
+        _set_variables(self, variables)
+        _set_cards(self, cards)
+        _set_probs(self, probs)
+        _set_table_cache(self, {})
+
+    def __repr__(self) -> str:
+        return f"DistTable(variables={self.variables!r}, cards={self.cards!r}, probs={self.probs!r})"
+
+    def __eq__(self, other):
+        if type(other) is not DistTable:
+            return NotImplemented
+        return (self.variables, self.cards, self.probs) == (other.variables, other.cards, other.probs)
+
+    def __reduce__(self):
+        return DistTable, (self.variables, self.cards, self.probs)
 
     def prob(self, assignment: Mapping[str, int]) -> float:
         """Total mass of the cells matching a partial assignment."""
@@ -132,6 +147,12 @@ class DistTable:
             self._cache["total"] = float(self.probs.sum())
         return self._cache["total"]
 
+
+
+# the constructor sets the slots through these, faster than object.__setattr__
+_set_variables, _set_cards, _set_probs, _set_table_cache = (
+    getattr(DistTable, f).__set__ for f in DistTable.__slots__
+)
 
 @functools.lru_cache(maxsize=1024)
 def _layout(variables, cards, cols, index):
@@ -190,15 +211,37 @@ class Node(NamedTuple):
     cpt: np.ndarray  # shape (*parent cards, card); rows sum to one
 
 
-@dataclass(frozen=True)
 class DiscreteSCM:
-    """Exact finite-domain model for a variable-level missingness graph."""
+    """Exact finite-domain model for a variable-level missingness graph.
 
-    madmg: MixedGraph
-    nodes: Tuple[Node, ...]  # topological order
-    latents: Tuple[str, ...]
-    seed: int
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    ``nodes`` are in topological order. Immutable; its structure, node map
+    and exact tables are kept in ``_cache``, which takes no part in ``==``,
+    ``repr`` or a copy.
+    """
+
+    __match_args__ = ("madmg", "nodes", "latents", "seed")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, madmg: MixedGraph, nodes: Tuple[Node, ...], latents: Tuple[str, ...], seed: int):
+        self.__dict__.update(madmg=madmg, nodes=nodes, latents=latents, seed=seed, _cache={})
+
+    def _astuple(self) -> tuple:
+        return (self.madmg, self.nodes, self.latents, self.seed)
+
+    def __repr__(self) -> str:
+        return (
+            f"DiscreteSCM(madmg={self.madmg!r}, nodes={self.nodes!r}, "
+            f"latents={self.latents!r}, seed={self.seed!r})"
+        )
+
+    def __eq__(self, other):
+        return self._astuple() == other._astuple() if type(other) is DiscreteSCM else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())  # raises TypeError: a CPT is an array
+
+    def __reduce__(self):
+        return DiscreteSCM, self._astuple()
 
     @property
     def structure(self) -> "_Structure":
@@ -234,6 +277,7 @@ class DiscreteSCM:
 
     def indicator_name(self, var: str) -> str:
         return self.madmg.indicator_by_owner[var]
+
 
 
 # ---------------------------------------------------------------------------
@@ -665,15 +709,50 @@ def interventional_table(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Grounding:
-    """Maps cluster-level atoms to variable-level columns and domains."""
+    """Maps cluster-level atoms to variable-level columns and domains.
 
-    clustering: Clustering
-    cards: Mapping[str, int]
-    indicator_of: Mapping[str, str]  # variable -> indicator id
-    proxy_of: Mapping[str, str]  # variable -> proxy id
-    indicator_groups: Mapping[str, Tuple[str, ...]] = field(default_factory=dict)
+    ``indicator_of`` maps a variable to its indicator id, ``proxy_of`` to
+    its proxy id; ``indicator_groups`` (empty by default) maps an abstract
+    indicator to the member indicators it stands for. Immutable and, as its
+    fields are dicts, unhashable.
+    """
+
+    __match_args__ = ("clustering", "cards", "indicator_of", "proxy_of", "indicator_groups")
+    __setattr__ = __delattr__ = _read_only
+    __hash__ = None
+
+    def __init__(
+        self,
+        clustering: Clustering,
+        cards: Mapping[str, int],
+        indicator_of: Mapping[str, str],
+        proxy_of: Mapping[str, str],
+        indicator_groups: Optional[Mapping[str, Tuple[str, ...]]] = None,
+    ):
+        self.__dict__.update(
+            clustering=clustering,
+            cards=cards,
+            indicator_of=indicator_of,
+            proxy_of=proxy_of,
+            indicator_groups={} if indicator_groups is None else indicator_groups,
+        )
+
+    def _astuple(self) -> tuple:
+        return (self.clustering, self.cards, self.indicator_of, self.proxy_of, self.indicator_groups)
+
+    def __repr__(self) -> str:
+        return (
+            f"Grounding(clustering={self.clustering!r}, cards={self.cards!r}, "
+            f"indicator_of={self.indicator_of!r}, proxy_of={self.proxy_of!r}, "
+            f"indicator_groups={self.indicator_groups!r})"
+        )
+
+    def __eq__(self, other):
+        return self._astuple() == other._astuple() if type(other) is Grounding else NotImplemented
+
+    def __reduce__(self):
+        return Grounding, self._astuple()
 
     @staticmethod
     def from_scm(
@@ -802,11 +881,11 @@ def _flag(errors: list, mask, error) -> Optional[np.ndarray]:
     return np.where(mask, len(errors), 0)
 
 
-@dataclass(frozen=True)
 class _Compiled:
-    values: np.ndarray  # one axis per scope atom, over its whole domain
-    codes: Optional[np.ndarray]
-    errors: Tuple[Exception, ...]  # code k raises errors[k - 1]
+    def __init__(self, values: np.ndarray, codes: Optional[np.ndarray], errors: Tuple[Exception, ...]):
+        self.values = values  # one axis per scope atom, over its whole domain
+        self.codes = codes
+        self.errors = errors  # code k raises errors[k - 1]
 
     @cached_property
     def flat(self):

@@ -9,8 +9,7 @@ emitted; on failure a variable-level witness graph realizes the violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .abstraction import _members_of, _realize, _realized, is_compatible
 from .errors import PreconditionError, UnknownVertex, WrongGraphClass
@@ -19,8 +18,7 @@ from .graphs import GraphClass, Kind, MixedGraph, closure
 from .separation import Walk
 
 
-@dataclass(frozen=True)
-class MarkovBlanket:
+class MarkovBlanket(NamedTuple):
     """Blanket of an indicator split into observed and missing clusters.
 
     ``sibling_indicators`` are other indicators inside the same bidirected
@@ -33,8 +31,7 @@ class MarkovBlanket:
     sibling_indicators: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """Why a cluster breaks recoverability: adjacency or a collider path."""
 
     cluster: str
@@ -51,8 +48,7 @@ class Violation:
         }
 
 
-@dataclass(frozen=True)
-class JointVerdict:
+class JointVerdict(NamedTuple):
     recoverable: bool
     violations: Tuple[Violation, ...]
     formula: Optional[Expr]

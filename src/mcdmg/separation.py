@@ -18,11 +18,10 @@ first or tail end first) and never occur on simple paths.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import FrozenSet, Iterable, NamedTuple, Optional, Tuple
 
 from .errors import EmptyWalk, OverlappingSets, PreconditionError, UnknownVertex
-from .graphs import AdjacencyIndex, Kind, MixedGraph, closure
+from .graphs import AdjacencyIndex, Kind, MixedGraph, _read_only, closure
 
 # Edge symbols are oriented along the traversal: "->" leaves via a tail and
 # arrives via a head, "<-" the reverse, "<->" is a head at both ends.
@@ -42,18 +41,36 @@ def _mark_at_next(sym: str) -> str:
     return HEAD if sym in (FORWARD, BOTH) else TAIL
 
 
-@dataclass(frozen=True)
 class Walk:
-    """A vertex sequence with one oriented edge symbol between neighbours."""
+    """A vertex sequence with one oriented edge symbol between neighbours.
 
-    vertices: Tuple[str, ...]
-    edges: Tuple[str, ...]
+    Immutable; its length is its number of edges."""
 
-    def __post_init__(self):
-        if not self.vertices:
+    __slots__ = ("vertices", "edges")
+    __match_args__ = __slots__
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, vertices: Tuple[str, ...], edges: Tuple[str, ...]):
+        if not vertices:
             raise EmptyWalk("walk has no vertices")
-        if len(self.edges) != len(self.vertices) - 1:
+        if len(edges) != len(vertices) - 1:
             raise EmptyWalk("edge count must be vertex count minus one")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+
+    def __repr__(self) -> str:
+        return f"Walk(vertices={self.vertices!r}, edges={self.edges!r})"
+
+    def __eq__(self, other):
+        if type(other) is not Walk:
+            return NotImplemented
+        return self.vertices == other.vertices and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.edges))
+
+    def __reduce__(self):
+        return Walk, (self.vertices, self.edges)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -98,8 +115,7 @@ class Walk:
                 raise UnknownVertex(f"walk step {a} {sym} {b} is not an edge of the graph")
 
 
-@dataclass(frozen=True)
-class MutilationSpec:
+class MutilationSpec(NamedTuple):
     """Overline (remove incoming) and underline (remove outgoing) sets."""
 
     remove_incoming: FrozenSet[str] = frozenset()
@@ -143,7 +159,7 @@ def mutilate(g: MixedGraph, spec: MutilationSpec) -> MixedGraph:
         (a, b) for a, b in g.declared_directed if b in over or a in under
     )
     bidirected = frozenset((a, b) for a, b in g.bidirected if a not in over and b not in over)
-    return replace(g, directed=directed, bidirected=bidirected)
+    return MixedGraph(g.name, g.graph_class, g.vertices, directed, bidirected, g.clustering)
 
 
 def _check_mutilation(g: MixedGraph, spec: MutilationSpec) -> None:

@@ -20,7 +20,7 @@ from mcdmg import (
 )
 from mcdmg import abstraction
 from mcdmg.abstraction import _canon_indicator_names
-from mcdmg.errors import BudgetTooSmall, InvalidClustering, WrongGraphClass
+from mcdmg.errors import BudgetTooSmall, InvalidBudget, InvalidClustering, McdmgError, WrongGraphClass
 from mcdmg.graphs import validate
 from tests_support import THIRTEEN_EDGES, indicator_out_text
 
@@ -218,6 +218,28 @@ def test_budget_too_small_for_self_loop():
     )
     with pytest.raises(BudgetTooSmall):
         enumerate_compatible(abstract, budget=Budget(1, 4))
+
+
+@pytest.mark.parametrize(
+    "bounds,field",
+    [(("a", 5), "max_vars_per_cluster"), ((2.5, 10), "max_vars_per_cluster"),
+     ((None, 10), "max_vars_per_cluster"), ((2, 10.5), "max_edges"), ((2, "10"), "max_edges")],
+)
+def test_budget_refuses_a_bound_that_is_not_an_integer(bounds, field):
+    with pytest.raises(InvalidBudget, match=field) as raised:
+        Budget(*bounds)
+    assert isinstance(raised.value, (McdmgError, ValueError))
+    with pytest.raises(InvalidBudget, match=field):
+        Budget()._replace(**dict(zip(Budget._fields, bounds)))
+
+
+def test_budget_takes_what_operator_index_takes(fig2b):
+    assert Budget(True, 3) == Budget(1, 3) and type(Budget(True, 3).max_vars_per_cluster) is int
+    assert Budget(max_edges=5) == (2, 5)
+    # zero and negative bounds are integers: they leave no graph
+    for bounds in ((0, 10), (2, 0), (-1, 10)):
+        with pytest.raises(BudgetTooSmall):
+            enumerate_compatible(fig2b, budget=Budget(*bounds))
 
 
 def test_more_abstract_edges_than_the_budget_allows():

@@ -279,8 +279,11 @@ def _bad_certificate_derivation(y) -> str:
 
 @pytest.mark.parametrize(
     "text",
-    ["nonsense\n", '{"graph": "x"}\n', None, [5, "CY"], "CY"],
-    ids=["not-json", "no-steps", "bogus-atom-kind", "certificate-int-vertex", "certificate-string-set"],
+    ["nonsense\n", '{"graph": "x"}\n', None, [5, "CY"], "CY",
+     '{"graph": "fig3", "query": {}, "steps": []}\n', '{"graph": "fig3", "query": [], "steps": []}\n',
+     '{"graph": "fig3", "query": null, "steps": []}\n'],
+    ids=["not-json", "no-steps", "bogus-atom-kind", "certificate-int-vertex", "certificate-string-set",
+         "query-no-node", "query-list", "query-null"],
 )
 def test_replay_malformed_derivation_exit_2(tmp_path, text):
     deriv = tmp_path / "bad.json"

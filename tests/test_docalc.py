@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 from collections import deque
@@ -274,8 +273,8 @@ def test_replay_json_round_trip(fig3):
 
 def _tampered(d, i, **changes):
     steps = list(d.steps)
-    steps[i - 1] = dataclasses.replace(steps[i - 1], **changes)
-    return dataclasses.replace(d, steps=tuple(steps))
+    steps[i - 1] = steps[i - 1]._replace(**changes)
+    return d._replace(steps=tuple(steps))
 
 
 def test_replay_rejects_a_step_that_does_not_continue(fig3):
@@ -315,7 +314,7 @@ def test_replay_rejects_a_certificate_of_another_move(fig3):
 def test_replay_rejects_an_unknown_rule(fig3):
     d = recover_effect(fig3, {"CX"}, {"CY"})
     assert d.steps[0].certificate is not None
-    bad = _tampered(d, 1, certificate=dataclasses.replace(d.steps[0].certificate, rule="R9"))
+    bad = _tampered(d, 1, certificate=d.steps[0].certificate._replace(rule="R9"))
     assert replay(fig3, bad).to_json() == {
         "ok": False,
         "failed_at": 1,
@@ -341,7 +340,7 @@ def test_replay_rejects_a_certificate_that_differs_from_the_computed_one(fig3, f
 
 def test_replay_rejects_an_unobservable_result(fig3):
     d = recover_effect(fig3, {"CX"}, {"CY"})
-    cut = dataclasses.replace(d, steps=d.steps[:2])
+    cut = d._replace(steps=d.steps[:2])
     assert render(cut.result) == "P(c_CY* | do(c_CX), R_CY=0)"
     assert replay(fig3, cut).to_json() == {
         "ok": False,

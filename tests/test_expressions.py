@@ -318,3 +318,17 @@ def test_json_rejects_malformed_atoms(atom):
         expr_from_json({**doc, "bound": atom})
     with pytest.raises(ValueError):
         expr_from_json({**doc["body"], "cond": [atom]})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{}, [], None, "term", 5, {"node": "bogus"}, {"node": ["term"]}, {"node": "term"},
+     {"node": "term", "outcomes": [["val", "CY"]], "do": [], "cond": 3},
+     {"node": "product", "factors": {"node": "one"}}, {"node": "sum", "bound": ["val", "CY"]},
+     {"node": "quotient", "num": {"node": "one"}, "den": {}}],
+    ids=["empty", "list", "null", "string", "int", "unknown-node", "unhashable-node", "term-no-sets",
+         "term-int-cond", "product-dict-factors", "sum-no-body", "quotient-empty-den"],
+)
+def test_json_rejects_what_is_not_an_expression(doc):
+    with pytest.raises(ValueError, match="not an expression"):
+        expr_from_json(doc)

@@ -119,7 +119,8 @@ print(json.dumps(results))
 """
 
 
-def test_graph_level_subcommands_run_without_numpy(tmp_path):
+def _graph_level_argvs(tmp_path):
+    """Every subcommand but ``oracle`` and ``simulate``, on fig2b and fig3."""
     from mcdmg import cli
 
     deriv = tmp_path / "d.json"
@@ -136,12 +137,17 @@ def test_graph_level_subcommands_run_without_numpy(tmp_path):
             ["recover-effect", name, "--treatment", "CX", "--outcome", "CY", "--depth", "5"],
             ["replay", name, str(deriv)],
         ]
+    return runs
+
+
+def test_graph_level_subcommands_run_without_numpy(tmp_path):
+    runs = _graph_level_argvs(tmp_path)
     blocked = python(_RUN_ALL, "blocked", json.dumps(runs))
     assert blocked == python(_RUN_ALL, "open", json.dumps(runs))
 
 
 # Runs CLI argv lists in-process; returns the mcdmg submodules then loaded
-# and whether numpy is.
+# and whether numpy, dataclasses and inspect are.
 _LOADED_BY = """
 import contextlib, io, json, sys
 import mcdmg
@@ -154,7 +160,8 @@ for argv in json.loads(sys.argv[1]):
         except SystemExit:
             pass
 loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("mcdmg."))
-print(json.dumps({"after_import": after_import, "loaded": loaded, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"after_import": after_import, "loaded": loaded,
+                  **{m: m in sys.modules for m in ("numpy", "dataclasses", "inspect")}}))
 """
 
 
@@ -175,3 +182,20 @@ def test_help_and_usage_errors_load_no_command_module():
              ["enumerate", "fig2b", "--max-vars", "0"], ["no-such-command"]]
     doc = python(_LOADED_BY, json.dumps(argvs))
     assert not set(COMMAND_MODULES) & set(doc["loaded"]) and not doc["numpy"]
+    assert not doc["dataclasses"] and not doc["inspect"]
+
+
+def test_no_subcommand_loads_dataclasses_and_only_numpy_loads_inspect(tmp_path):
+    # dataclasses costs a cold process about 10 ms, with inspect, ast and
+    # tokenize; numpy imports inspect itself, but not dataclasses
+    doc = python(_LOADED_BY, json.dumps(_graph_level_argvs(tmp_path)))
+    assert not doc["numpy"] and not doc["dataclasses"] and not doc["inspect"]
+    argvs = [
+        ["oracle", "fig2b", "--graphs", "1", "--seeds", "1"],
+        ["oracle", "fig3", "--graphs", "1", "--seeds", "1", "--query", "effect:CX:CY"],
+        ["simulate", "fig1a", "--rows", "5", "--seed", "1", "--out", str(tmp_path / "rows.csv")],
+        ["simulate", "fig2b", "--rows", "5", "--out", str(tmp_path / "rows.csv")],
+    ]
+    doc = python(_LOADED_BY, json.dumps(argvs))
+    assert doc["numpy"] and not doc["dataclasses"]
+    assert {"oracle", "abstraction", "docalc", "recovery"} <= set(doc["loaded"])

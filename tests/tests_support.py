@@ -405,7 +405,8 @@ def graph_hashes(random_graphs=200, seed=20261018):
                 "graph": emit_json(m),
                 "mcdmg": digest(lambda: emit_json(project(m, m.clustering, GraphClass.MCDMG))),
                 "cmcdmg": digest(lambda: emit_json(project(m, m.clustering, GraphClass.CMCDMG))),
-                "compatible": digest(lambda: is_compatible(m, g)),
+                # the report's repr, as `plain` gave it before reports became tuples
+                "compatible": digest(lambda: repr(is_compatible(m, g))),
                 "promoted": digest(lambda: emit_json(as_cluster_graph(m))),
                 "scm": digest(lambda: scm_cpts(m)),
             })
@@ -465,4 +466,130 @@ def malformed_graph_texts():
         "garbage": "\n".join(garbage) + "\n",
         "truncated": "\n".join(truncated) + "\n",
         "cyclic": "\n".join(cyclic) + "\n",
+    }
+
+
+def value_corpus():
+    """Objects of each public value type, built the same way in every
+    process: per fixture the graph, its vertices and clustering, the cluster
+    graph, a mutilation, `check_joint` with its violations, walks, blankets
+    and witness graphs, and `recover_effect` at depth 5 with its steps,
+    certificates, expression nodes and two replays (the whole derivation and
+    its first step alone); the violations of 10 random cluster graphs; then
+    budgets, compatibility reports, the violations of an invalid graph,
+    fig2b's first compatible graph with its SCM, tables and grounding, and
+    its next two."""
+    import itertools
+    import random
+
+    from mcdmg import (
+        Budget,
+        Derivation,
+        Grounding,
+        MutilationSpec,
+        active_path,
+        as_cluster_graph,
+        check_joint,
+        construct_witness,
+        enumerate_compatible,
+        exact_tables,
+        fixture_text,
+        is_compatible,
+        markov_blanket,
+        mutilate,
+        parse_graph,
+        primary_path,
+        random_scm,
+        recover_effect,
+        replay,
+        validate,
+    )
+    from mcdmg.errors import McdmgError
+    from mcdmg.expressions import One
+
+    out = []
+
+    def nodes(e):
+        out.append(e)
+        for name in ("body", "num", "den"):
+            if hasattr(e, name):
+                nodes(getattr(e, name))
+        for f in getattr(e, "factors", ()):
+            nodes(f)
+
+    cluster_graphs = {}
+    for name, (treatment, outcome) in FIXTURE_QUERIES.items():
+        g = parse_graph(fixture_text(name))
+        out += [g, *g.vertices, *([g.clustering] if g.clustering else [])]
+        if g.graph_class in (GraphClass.ADMG, GraphClass.MADMG):
+            g = as_cluster_graph(g)
+            out += [g, g.clustering]
+        cluster_graphs[name] = g
+        spec = MutilationSpec.of({treatment}, {outcome})
+        out += [spec, MutilationSpec(), mutilate(g, spec)]
+        walk = active_path(g, {treatment}, {outcome}, set())
+        if walk is not None:
+            out += [walk, primary_path(walk)]
+        if g.graph_class in (GraphClass.MCDMG, GraphClass.CMCDMG):
+            verdict = check_joint(g)
+            out.append(verdict)
+            if verdict.formula is not None:
+                nodes(verdict.formula)
+            for v in verdict.violations:
+                out += [v, v.witness, construct_witness(g, v)]
+            for r in g.indicators:
+                try:
+                    out.append(markov_blanket(g, r))
+                except McdmgError:
+                    pass
+        d = recover_effect(g, {treatment}, {outcome}, depth=5)
+        out.append(d)
+        nodes(d.query)
+        if isinstance(d, Derivation):
+            nodes(d.result)
+            for s in d.steps:
+                out.append(s)
+                nodes(s.before)
+                nodes(s.after)
+                if s.certificate is not None:
+                    out.append(s.certificate)
+            out += [replay(g, d), replay(g, Derivation(d.graph_name, d.query, d.steps[:1]))]
+    rng = random.Random(5)
+    for _ in range(10):
+        g = parse_graph(random_cluster_text(rng))
+        if g.graph_class in (GraphClass.MCDMG, GraphClass.CMCDMG):
+            for v in check_joint(g).violations:
+                out += [v, v.witness]
+    out += [One(), Budget(), Budget(2, 10)]
+    fig2b, fig3 = cluster_graphs["fig2b"], cluster_graphs["fig3"]
+    m = next(iter(enumerate_compatible(fig2b, budget=Budget(2, 10))))
+    m3 = next(iter(enumerate_compatible(fig3, budget=Budget(2, 10))))
+    out += [m, m3, is_compatible(m, fig2b), is_compatible(m, fig3), is_compatible(m3, fig2b)]
+    out += validate(parse_graph(malformed_graph_texts()["cyclic"], validate=False))
+    scm = random_scm(m, 0)
+    out += [scm, *exact_tables(scm), Grounding.from_scm(scm, abstract=fig2b)]
+    out += itertools.islice(enumerate_compatible(fig2b, budget=Budget(2, 10)), 1, 3)
+    return out
+
+
+def value_type_name(x):
+    return f"{type(x).__module__}.{type(x).__qualname__}"
+
+
+def value_repr_digests():
+    """Per value type of `value_corpus`: the number of its objects and the
+    sha256 of their reprs. The order of a set inside a repr follows the
+    string hash seed, so the golden file holds one digest per
+    ``PYTHONHASHSEED``, each computed in a process started with that seed.
+    Regenerate ``golden_values.json`` only for a stated change of a type's
+    repr with ``PYTHONPATH=src:tests python -c "import test_values as t;
+    t.write_golden()"``."""
+    import hashlib
+
+    reprs = {}
+    for x in value_corpus():
+        reprs.setdefault(value_type_name(x), []).append(repr(x))
+    return {
+        name: {"count": len(rs), "repr": hashlib.sha256("\n".join(rs).encode()).hexdigest()}
+        for name, rs in sorted(reprs.items())
     }
