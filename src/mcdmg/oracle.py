@@ -5,7 +5,9 @@ variable and indicator gets a CPT, bidirected edges become explicit latent
 parents, proxies follow deterministically (value under R=0, NA under R=1).
 Everything downstream is full enumeration, no sampling: joint, manifest and
 interventional distributions come out as dense probability tables, and
-symbolic expressions are evaluated against them exactly.
+symbolic expressions are evaluated against them exactly. Each table is built
+in the layout it is read in: a do-table has the joint's columns (an
+intervened variable's own column is its do axis), the manifest its own.
 
 The work splits into a structure and the numbers. What depends only on the
 graph and its mechanisms (the CPT layout, the elimination plans and
@@ -88,7 +90,8 @@ class DistTable:
     __hash__ = None
 
     def __init__(self, variables: Tuple[str, ...], cards: Tuple[int, ...], probs: np.ndarray):
-        assert probs.shape == tuple(cards)
+        if len(variables) != len(cards) or probs.shape != tuple(cards):
+            raise ValidationError([f"columns {variables}, cards {cards} and shape {probs.shape} disagree"])
         _set_variables(self, variables)
         _set_cards(self, cards)
         _set_probs(self, probs)
@@ -317,9 +320,7 @@ class _Structure:
         observables = self.variables + self.indicators
         if max(self.joint[1], math.prod(self.cards[n] for n in observables)) > MAX_STATES:
             raise DomainTooLarge(f"latent join or joint table exceeds {MAX_STATES} cells")
-        levels = (self.cards[n] + (n in self.indicator_of) for n in observables)
-        if math.prod(levels) > MAX_STATES:
-            raise DomainTooLarge(f"manifest table exceeds {MAX_STATES} cells")
+        self.manifest_pins  # raises DomainTooLarge for the manifest
 
     @cached_property
     def draw_layout(self):
@@ -352,14 +353,21 @@ class _Structure:
 
     @cached_property
     def manifest_pins(self):
-        """`_manifest`'s pins on the joint, one masked variable at a time:
-        the output shape, the observed cells' destination and source, the
-        missing stratum and its axis, and the NA level's destination."""
-        names, cards, pins = list(self.kept), [self.cards[n] for n in self.kept], []
+        """The joint's transpose into the manifest's column order (observed
+        variables, masked ones in their proxies' places, indicators), then
+        `_manifest`'s pins, one masked variable at a time (output shape,
+        observed cells' destination and source, missing stratum and its
+        axis, NA level's destination), then the manifest's columns and cards.
+        Raises DomainTooLarge when the manifest, the largest step, would
+        exceed ``MAX_STATES`` cells."""
+        masked = [v for v in self.variables if v in self.indicator_of]
+        names = [v for v in self.variables if v not in self.indicator_of] + masked + list(self.indicators)
+        transpose = tuple(map(self.kept.index, names))
+        cards, pins = [self.cards[n] for n in names], []
+        if math.prod(self.cards[n] + (n in self.indicator_of) for n in names) > MAX_STATES:
+            raise DomainTooLarge(f"manifest table exceeds {MAX_STATES} cells")
         observed, missing = slice(0, 1), slice(1, None)
-        for v in self.variables:
-            if v not in self.indicator_of:
-                continue
+        for v in masked:
             x, r, k = names.index(v), names.index(self.indicator_of[v]), self.cards[v]
             names[x], cards[x] = self.proxy_of[v], k + 1
             n = len(names)
@@ -371,10 +379,7 @@ class _Structure:
                 x,
                 _pin(n, {x: slice(k, k + 1), r: missing}),
             ))
-        masked = [v for v in self.variables if v in self.indicator_of]
-        observed_vars = [v for v in self.variables if v not in self.indicator_of]
-        keep = tuple(observed_vars + [self.proxy_of[v] for v in masked] + list(self.indicators))
-        return tuple(pins), tuple(names), tuple(cards), keep
+        return transpose, tuple(pins), tuple(names), tuple(cards)
 
 
 _STRUCTURES: "weakref.WeakKeyDictionary[MixedGraph, OrderedDict]" = weakref.WeakKeyDictionary()
@@ -538,19 +543,17 @@ def scm_from_cpts(
 class _DoPlan:
     """`_do_table`'s work for one do-set, but the numbers: the elimination
     steps over factor slots (the CPTs of the nodes not intervened on, in
-    node order, then each join), each left factor's transpose and reshape
-    onto the kept table, and the diagonals of the do columns. Raises
-    DomainTooLarge when the largest join or the stacked table would exceed
-    ``MAX_STATES`` cells."""
+    node order, then each join) and each left factor's transpose and
+    reshape onto the kept table. Raises DomainTooLarge when the largest
+    join or the kept table would exceed ``MAX_STATES`` cells."""
 
     def __init__(self, s: _Structure, do_vars: Tuple[str, ...]):
         card = s.cards.__getitem__
-        kept_cards = tuple(map(card, s.kept))
-        do_cards = tuple(map(card, do_vars))
+        self.names, self.cards = s.kept, tuple(map(card, s.kept))
         self.live = tuple(i for i, (name, _, _) in enumerate(s.specs) if name not in do_vars)
         factors = [(i, s.scopes[n]) for i, n in enumerate(self.live)]  # (slot, scope)
         plan, largest = s.joint if not do_vars else _elimination([f[1] for f in factors], s.latents, card)
-        if max(largest, math.prod(do_cards + kept_cards)) > MAX_STATES:
+        if max(largest, math.prod(self.cards)) > MAX_STATES:
             raise DomainTooLarge(f"do-table on {list(do_vars)} exceeds {MAX_STATES} cells")
         self.steps = []
         for lat, joined, union in plan:
@@ -561,7 +564,7 @@ class _DoPlan:
             factors = [f for i, f in enumerate(factors) if i not in joined]
             factors.append((len(self.live) + len(self.steps) - 1, out))
         axis = {n: i for i, n in enumerate(s.kept)}
-        self.kept_cards, self.broadcasts = kept_cards, []
+        self.broadcasts = []
         for slot, scope in factors:
             # broadcast the factor onto its axes of the kept table
             src_axes = [axis[n] for n in scope]
@@ -570,27 +573,15 @@ class _DoPlan:
                 view_shape[a] = card(n)
             order = sorted(range(len(scope)), key=src_axes.__getitem__)
             self.broadcasts.append((slot, order, view_shape))
-        n = len(do_vars)
-        self.lead = (1,) * n + kept_cards
-        self.diagonals = []
-        for i, (v, k) in enumerate(zip(do_vars, do_cards)):
-            diagonal = [1] * len(self.lead)
-            diagonal[i] = diagonal[n + s.kept.index(v)] = k
-            self.diagonals.append(np.eye(k).reshape(diagonal))
-        self.names = tuple(f"do({v})" for v in do_vars) + s.kept
-        self.cards = do_cards + kept_cards
 
     def run(self, nodes: Tuple[Node, ...]) -> DistTable:
         values = [nodes[i].cpt for i in self.live]
         for subscripts, out in self.steps:
             operands = [x for slot, labels in subscripts for x in (values[slot], labels)]
             values.append(np.einsum(*operands, out))
-        probs = np.ones(self.kept_cards)
+        probs = np.ones(self.cards)
         for slot, order, view_shape in self.broadcasts:
             probs *= np.transpose(values[slot], order).reshape(view_shape)
-        probs = probs.reshape(self.lead)
-        for diagonal in self.diagonals:
-            probs = probs * diagonal
         return DistTable(self.names, self.cards, probs)
 
 
@@ -602,11 +593,12 @@ def _do_table(scm: DiscreteSCM, do_vars: Tuple[str, ...] = ()) -> DistTable:
     elimination (Koller & Friedman 2009, ch. 9): each latent, in
     ``scm.latents`` order, is summed out of the one-einsum join of the
     factors that mention it, and the factors left are multiplied into the
-    kept table, which holds every do-level on its diagonal ``v = do(v)``. A
-    leading column ``do(v)`` per intervened variable copies that diagonal,
-    and the table is zero off it. Without ``do_vars``, the joint. Raises
-    DomainTooLarge, before allocating, when the largest join or the stacked
-    table would exceed ``MAX_STATES`` cells.
+    kept table, over the joint's columns. An intervened variable's own
+    column is its do axis: its slice at ``x`` is the distribution of the
+    other columns under ``do(v = x)``, so the table sums to 1 per do-level,
+    not in all. Without ``do_vars``, the joint. Raises DomainTooLarge,
+    before allocating, when the largest join or the table would exceed
+    ``MAX_STATES`` cells.
 
     The plan (`_DoPlan`) is worked out once per structure and do-set; per
     SCM only the einsums and products run.
@@ -645,19 +637,20 @@ def _pin(ndim: int, pins: Mapping[int, slice]) -> Tuple[slice, ...]:
 
 
 def _manifest(scm: DiscreteSCM, base: DistTable) -> DistTable:
-    """Replace each masked variable by its proxy, one indicator at a time.
+    """Replace each masked variable by its proxy, one indicator at a time,
+    on the joint read in the manifest's column order.
 
     ``proxy = x`` takes the cells ``(v = x, R_v = 0)``; the extra level
     ``proxy = NA`` takes ``sum_v (R_v != 0)``. The pins are the structure's.
     """
-    pins, names, cards, keep = scm.structure.manifest_pins
-    probs = base.probs
+    transpose, pins, names, cards = scm.structure.manifest_pins
+    probs = base.probs.transpose(transpose)
     for shape, observed_dst, observed_src, missing, x, na_dst in pins:
         out = np.zeros(shape)
         out[observed_dst] = probs[observed_src]
         out[na_dst] = probs[missing].sum(axis=x, keepdims=True)
         probs = out
-    return DistTable(names, cards, probs).marginal(keep)
+    return DistTable(names, cards, np.asarray(probs, order="C"))  # a copy only if no pin ran
 
 
 def exact_tables(scm: DiscreteSCM) -> Tuple[DistTable, DistTable]:
@@ -683,7 +676,8 @@ def interventional_table(
 
     ``do`` assigns variables or indicators of the graph. Macro semantics:
     when a clustering is known, every treated cluster must be assigned in
-    full.
+    full. The mass under do fills the slice where the intervened variables
+    hold their levels; every other cell is 0.
     """
     clustering = clustering or scm.madmg.clustering
     if clustering is not None:
@@ -698,10 +692,13 @@ def interventional_table(
         if v not in scm.madmg.variables and v not in scm.madmg.indicators:
             raise UnknownVertex(f"cannot intervene on {v!r}: not a variable or indicator")
         level[v] = _check_level(v, x, scm.card(v))
-    do_vars = tuple(sorted(do))
-    stacked = _do_table(scm, do_vars).marginal(tuple(f"do({v})" for v in do_vars) + scm.variables)
-    levels = tuple(level[v] for v in do_vars)
-    return DistTable(scm.variables, stacked.cards[len(do_vars):], stacked.probs[levels])
+    do_vars, n = tuple(sorted(do)), len(scm.variables)
+    cols = scm.variables + tuple(v for v in do_vars if v not in scm.variables)
+    joint = _do_table(scm, do_vars).marginal(cols)  # one per do-set
+    at = tuple(level.get(v, slice(None)) for v in cols)
+    probs = np.zeros(joint.cards[:n])
+    probs[at[:n]] = joint.probs[at]
+    return DistTable(scm.variables, probs.shape, probs)
 
 
 # ---------------------------------------------------------------------------
@@ -1186,10 +1183,12 @@ class _Compiler:
         num, den = self._sources(both), self._sources(cond)
         do_vars = None
         if self.interventional:
-            # one table per do-set; its do(v) columns are read along the do sub-axes
+            # one table per do-set, read along the do sub-axes in the
+            # intervened columns: with an outcome or proxy there, a diagonal
             do_vars = tuple(sorted(do))
             for v, sub in do.items():
-                num[f"do({v})"] = den[f"do({v})"] = [sub]
+                num.setdefault(v, []).append(sub)
+                den.setdefault(v, []).append(sub)
         den = _Read(self.sub, den) if cond else None
         return _Term(self, t, do_vars, _Read(self.sub, num), den)
 

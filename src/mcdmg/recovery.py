@@ -249,7 +249,9 @@ def construct_witness(g: MixedGraph, violation: Violation) -> MixedGraph:
     indicator or an all-collider substantive path to it. Self-looped clusters
     receive a second variable solely to realize the loop, and that second
     variable also absorbs directed edges whose representative realization
-    would close a variable-level cycle (it never has outgoing edges).
+    would close a variable-level cycle (it never has outgoing edges). Such an
+    edge into an indicator is realized instead from a source variable of its
+    tail cluster, which never has incoming edges.
     """
     _require_missingness_cluster_graph(g)
     if g.kind(violation.indicator) is not Kind.INDICATOR:
@@ -278,10 +280,21 @@ def construct_witness(g: MixedGraph, violation: Violation) -> MixedGraph:
     def image(vid: str) -> str:
         return _realized(g, members, vid)[0]  # the representative realization
 
+    sources: dict = {}  # cluster -> its source variable
+
+    def fresh(c: str) -> str:
+        return _members_of(members[c], c, len(members[c]) + 1)[-1]
+
     def second(c: str) -> str:
-        if len(members[c]) == 1:
-            members[c] = list(_members_of(members[c], c, 2))
+        if len(members[c]) == 1 or members[c][1] == sources.get(c):
+            members[c].insert(1, fresh(c))
         return members[c][1]
+
+    def source(c: str) -> str:
+        if c not in sources:
+            sources[c] = fresh(c)
+            members[c].append(sources[c])
+        return sources[c]
 
     directed: set = set()
     bidirected: set = set()
@@ -309,9 +322,12 @@ def construct_witness(g: MixedGraph, violation: Violation) -> MixedGraph:
             bidirected.add(tuple(sorted((ia, ib))))
             continue
         if ia in closure((ib,), lambda v: [y for x, y in directed if x == v]):
-            if g.kind(b) is not Kind.CLUSTER:
+            if g.kind(b) is Kind.CLUSTER:
+                ib = second(b)  # second variables never get outgoing edges
+            elif g.kind(a) is Kind.CLUSTER:
+                ia = source(a)  # source variables never get incoming edges
+            else:
                 raise WrongGraphClass("cannot acyclically realize a cycle through an indicator")
-            ib = second(b)  # second variables never get outgoing edges
         directed.add((ia, ib))
     for c in sorted(self_looped):
         directed.add((members[c][0], second(c)))

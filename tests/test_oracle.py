@@ -68,6 +68,7 @@ from mcdmg.oracle import (
     Node,
     _along,
     _do_table,
+    _elimination,
     _fillers,
     check,
     evaluate_all,
@@ -333,13 +334,42 @@ def test_domain_guard_counts_the_manifest():
 
 
 def test_do_tables_count_against_the_budget():
-    """20 binary variables fill the budget exactly; do on two of them would
-    stack 2^22 cells, so the do-table is refused before anything is built."""
+    """20 binary variables fill the budget exactly, and a do-table has the
+    joint's cells, so do on two of them fits. 21 variables (an SCM that
+    `random_scm` would refuse) exceed it: the do-table is refused before
+    anything is built."""
     names = "\n".join(f"  var V{i}" for i in range(20))
     scm = random_scm(mk(f'graph "full" class=admg {{\n{names}\n}}\n'), seed=0)
+    table = interventional_table(scm, {"V0": 0, "V1": 1})
+    assert table.probs.size == MAX_STATES
+    assert table.probs[0, 1].sum() == pytest.approx(1.0) and not table.probs[1].any()
+    names = [f"V{i}" for i in range(21)]
+    graph = mk('graph "over" class=admg {\n' + "".join(f"  var {v}\n" for v in names) + "}\n")
+    over = scm_from_cpts(graph, {v: ((), np.array([0.5, 0.5])) for v in names})
     with pytest.raises(DomainTooLarge, match="do-table"):
-        interventional_table(scm, {"V0": 0, "V1": 1})
-    assert not any(isinstance(k, tuple) and k[0] == "do" for k in scm._cache)
+        interventional_table(over, {"V0": 0, "V1": 1})
+    assert not any(isinstance(k, tuple) and k[0] == "do" for k in over._cache)
+
+
+def test_the_manifest_counts_against_the_budget(monkeypatch):
+    """Nine masked binary variables that `scm_from_cpts` accepts: the joint
+    has 2^18 cells, the manifest 6^9 (about 1.0e7). `exact_tables` refuses
+    it, with `random_scm`'s message, before any manifest array is
+    allocated."""
+    lines = [f"  var V{i}\n  rvar R_V{i} for V{i}" for i in range(9)]
+    g = mk('graph "masked" class=m-admg {\n' + "\n".join(lines) + "\n}\n")
+    with pytest.raises(DomainTooLarge, match=f"manifest table exceeds {MAX_STATES} cells"):
+        random_scm(g, seed=0)
+    scm = scm_from_cpts(g, {n: ((), np.array([0.5, 0.5])) for n in g.variables + g.indicators})
+    joint = _do_table(scm)  # 2^18 cells, within the budget
+
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("an array allocated for a refused manifest")
+
+    monkeypatch.setattr(np, "zeros", no_arrays)
+    with pytest.raises(DomainTooLarge, match=f"manifest table exceeds {MAX_STATES} cells"):
+        exact_tables(scm)
+    assert joint.probs.size == 1 << 18 and "manifest" not in scm._cache
 
 
 # A cm-c-dmg whose first compatible m-ADMG (Budget(2, 16)) has 6 latents and
@@ -589,6 +619,41 @@ def test_a_column_read_twice_raises():
         joint.marginal(("X1", "X1"))
     with pytest.raises(EvaluationError, match="column 'X1' is read twice"):
         joint.read(("X1", "Y1", "X1"), (None, 0, range(1)))
+
+
+_MISSHAPEN_TABLES = """
+import numpy as np
+from mcdmg import DistTable
+from mcdmg.errors import ValidationError
+for case in [
+    (("a", "b"), (3, 2), np.full((2, 2), 0.25)),
+    (("a",), (2, 2), np.full((2, 2), 0.25)),
+    (("a", "b"), (2,), np.full(2, 0.5)),
+]:
+    try:
+        DistTable(*case)
+    except ValidationError as exc:
+        print(exc)
+    else:
+        print("accepted", case[:2])
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_a_misshapen_table_is_refused(flags):
+    """Columns, cards and the probs shape must agree; the check is no
+    ``assert``, so ``python -O`` keeps it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(oracle.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _MISSHAPEN_TABLES], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines == [
+        "columns ('a', 'b'), cards (3, 2) and shape (2, 2) disagree",
+        "columns ('a',), cards (2, 2) and shape (2, 2) disagree",
+        "columns ('a', 'b'), cards (2,) and shape (2,) disagree",
+    ]
 
 
 @st.composite
@@ -1477,7 +1542,8 @@ def test_failing_cells_raise_as_before():
 )
 def test_do_tables_match_an_independent_product(name, graph, seed, treated):
     """Each do-level of the one-pass builder against the mechanisms multiplied
-    out per assignment; the stacked table is exactly zero off v = do(v)."""
+    out per assignment, in `interventional_table` and in the do-table's slice
+    where each intervened variable holds its level."""
     _, madmgs = _first_graphs(name)
     scm = random_scm(madmgs[graph], seed=seed)
     members = madmgs[graph].clustering.members(treated)
@@ -1486,18 +1552,21 @@ def test_do_tables_match_an_independent_product(name, graph, seed, treated):
         want = _extended(scm, do).marginal(scm.variables).probs
         got = interventional_table(scm, do).probs
         assert np.max(np.abs(got - want)) <= 1e-12
-    do_vars = tuple(sorted(members))
-    _assert_zero_off_diagonal(scm, _do_table(scm, do_vars), do_vars)
+    _assert_do_slices(scm, tuple(sorted(members)))
 
 
-def _assert_zero_off_diagonal(scm, stacked, do_vars):
-    assert stacked.variables[:len(do_vars)] == tuple(f"do({v})" for v in do_vars)
-    diagonal = np.ones(stacked.probs.shape, bool)
-    for i, v in enumerate(do_vars):
-        shape = [1] * stacked.probs.ndim
-        shape[i] = shape[stacked.variables.index(v)] = scm.card(v)
-        diagonal &= np.eye(scm.card(v), dtype=bool).reshape(shape)
-    assert np.all(stacked.probs[~diagonal] == 0.0)
+def _assert_do_slices(scm, do_vars):
+    """The do-table has the joint's columns, and at each do-level its slice
+    where the intervened variables hold their levels is, within 1e-12, the
+    same slice of the mechanisms multiplied out under that do."""
+    kept = tuple(n.name for n in scm.nodes if n.name not in scm.latents)
+    table = _do_table(scm, do_vars)
+    assert table.variables == kept
+    for level in itertools.product(*(range(scm.card(v)) for v in do_vars)):
+        do = dict(zip(do_vars, level))
+        at = tuple(do.get(n, slice(None)) for n in kept)
+        want = _extended(scm, do).marginal(kept).probs[at]
+        assert np.max(np.abs(table.probs[at] - want)) <= 1e-12
 
 
 @functools.lru_cache(maxsize=None)
@@ -1521,7 +1590,7 @@ def _first_compatible(graph_seed):
 def test_elimination_matches_the_dense_product(graph_seed, seed, picks):
     """Each do-level of ``_do_table`` against the mechanisms multiplied out in
     one einsum, for no do, a random do-set, and a latent's child together
-    with an indicator; the stacked table is exactly zero off v = do(v)."""
+    with an indicator."""
     madmg = _first_compatible(graph_seed)
     assume(madmg is not None)
     scm = random_scm(madmg, seed=seed)
@@ -1530,9 +1599,21 @@ def test_elimination_matches_the_dense_product(graph_seed, seed, picks):
     do_sets = {(), tuple(sorted({kept[i % len(kept)] for i in picks}))}
     do_sets.add(tuple(sorted(set(confounded[:1]) | set(scm.indicators[:1]))))
     for do_vars in do_sets:
-        stacked = _do_table(scm, do_vars)
-        assert stacked.variables[len(do_vars):] == kept
-        for level in itertools.product(*(range(scm.card(v)) for v in do_vars)):
-            want = _extended(scm, dict(zip(do_vars, level))).marginal(kept).probs
-            assert np.max(np.abs(stacked.probs[level] - want)) <= 1e-12
-        _assert_zero_off_diagonal(scm, stacked, do_vars)
+        _assert_do_slices(scm, do_vars)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 299), st.sets(st.integers(0, 63), max_size=4))
+def test_do_tables_take_the_joints_layout(graph_seed, picks):
+    """Whatever the do-set, the do-table has the joint's columns, cards and
+    cells, and its elimination joins no more cells than the joint's: a do
+    only drops factors."""
+    madmg = _first_compatible(graph_seed)
+    assume(madmg is not None)
+    scm = random_scm(madmg, seed=0)
+    s, joint = scm.structure, _do_table(scm)
+    do_vars = tuple(sorted({s.kept[i % len(s.kept)] for i in picks}))
+    table = _do_table(scm, do_vars)
+    assert (table.variables, table.cards, table.probs.size) == (joint.variables, joint.cards, joint.probs.size)
+    live = s.do_plan(do_vars).live
+    assert _elimination([s.scopes[i] for i in live], s.latents, s.cards.__getitem__)[1] <= s.joint[1]

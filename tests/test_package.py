@@ -1,9 +1,11 @@
 """The package's public names, and the lazy loading of its submodules and numpy."""
 
+import ast
 import contextlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import mcdmg
 
@@ -82,6 +84,16 @@ def test_first_access_binds_the_whole_row():
 
 def test_unknown_attribute_raises():
     assert not hasattr(mcdmg, "no_such_name")
+
+
+def test_no_check_is_an_assert():
+    """``python -O`` strips ``assert`` statements, so none of the package's
+    checks is one."""
+    found = []
+    for path in sorted(Path(mcdmg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_imports_leave_numpy_unloaded():

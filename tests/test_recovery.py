@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcdmg import (
     GraphClass,
@@ -11,6 +13,7 @@ from mcdmg import (
 from mcdmg.errors import PreconditionError, WrongGraphClass
 from mcdmg.expressions import Product, Quotient, Term, proxy, render, rzero, terms_of, val
 from mcdmg.graphs import as_cluster_graph
+from tests_support import indicator_out_text
 
 
 def test_fig2b_recoverable(fig2b):
@@ -207,6 +210,42 @@ def test_witness_declares_every_indicator_owner():
     assert w.variables == ("A1", "A2", "B1")
     assert ("A1", "R_A1") in w.directed and ("B1", "R_A2") in w.directed
     assert is_compatible(w, g).compatible
+
+
+def test_witness_realizes_a_cycle_into_an_indicator_from_a_source():
+    # Z1 -> R_X1 would close R_X1 -> Z1 -> R_X1: a fresh CZ variable with no
+    # incoming edge realizes CZ -> R_CX instead
+    src = (
+        'graph "rout" class=cm-c-dmg {\n'
+        "  cluster CX { vars X1 }\n"
+        "  cluster CZ { vars Z1 }\n"
+        "  rvar R_CX for CX\n"
+        "  edge R_CX -> CZ\n"
+        "  edge CZ -> R_CX\n"
+        "  edge CX <-> CZ\n"
+        "}\n"
+    )
+    g = parse_graph(src)
+    v = check_joint(g)
+    assert v.violations[0].witness.text() == "CX <-> CZ <- R_CX"
+    w = construct_witness(g, v.violations[0])
+    assert w.clustering.members("CZ") == ("Z1", "CZ_2")
+    assert ("R_X1", "Z1") in w.directed and ("CZ_2", "R_X1") in w.directed
+    assert ("Z1", "R_X1") not in w.directed
+    assert is_compatible(w, g).compatible
+    assert not check_joint(as_cluster_graph(w)).recoverable
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_witnesses_of_graphs_with_indicator_children(rng):
+    """Every violation of a graph whose indicators may have children has a
+    compatible witness that is not recoverable either."""
+    g = parse_graph(indicator_out_text(rng))
+    for violation in check_joint(g).violations:
+        w = construct_witness(g, violation)
+        assert is_compatible(w, g).compatible
+        assert not check_joint(as_cluster_graph(w)).recoverable
 
 
 def test_determinism(fig2b, fig3):
