@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -22,7 +23,7 @@ from mcdmg import abstraction
 from mcdmg.abstraction import _canon_indicator_names
 from mcdmg.errors import BudgetTooSmall, InvalidBudget, InvalidClustering, McdmgError, WrongGraphClass
 from mcdmg.graphs import validate
-from tests_support import THIRTEEN_EDGES, indicator_out_text
+from tests_support import THIRTEEN_EDGES, indicator_out_text, random_cluster_text, reference_over_members
 
 
 def test_project_fig1a_gives_fig1c(fig1a, fig1c):
@@ -283,6 +284,56 @@ def test_enumeration_stream_prefixes_are_pinned(spec):
     for g in itertools.islice(stream, n):
         digest.update(emit_graph(g).encode())
     assert digest.hexdigest() == STREAM_PREFIXES[spec]
+
+
+# count and sha256 of the emit_graph texts of a whole class, made with the
+# materialized product: (fixture, max vars, max edges, canonicalize) -> pin
+WHOLE_STREAMS = {
+    ("fig1c", 2, 8, False): (1712, "2296ba62841b44bf8cba85906eaaca972b7abbbbfdd698d74ade9783c7dec0ff"),
+    ("fig2b", 2, 9, True): (3104, "b18494f9abe50a41cd24fbb9111da3ab3ae208ba9e183fe8a18a0523e9b7190b"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(WHOLE_STREAMS), ids=lambda s: "-".join(map(str, s)))
+def test_whole_streams_are_pinned(spec):
+    name, max_vars, max_edges, canonicalize = spec
+    abstract = parse_graph(fixture_text(name))
+    digest = hashlib.sha256()
+    count = 0
+    for g in enumerate_compatible(abstract, budget=Budget(max_vars, max_edges), canonicalize=canonicalize):
+        digest.update(emit_graph(g).encode())
+        count += 1
+    assert (count, digest.hexdigest()) == WHOLE_STREAMS[spec]
+
+
+def _stream_texts(abstract, budget, canonicalize, n):
+    """The first ``n`` graphs of a stream as emit_graph texts, or None."""
+    try:
+        stream = enumerate_compatible(abstract, budget=budget, canonicalize=canonicalize)
+    except BudgetTooSmall:
+        return None
+    return [emit_graph(g) for g in itertools.islice(stream, n)]
+
+
+def test_enumeration_matches_the_materialized_product(monkeypatch):
+    edgeless = parse_graph('graph "e" class=c-dmg {\n  cluster CA { vars A1 }\n}\n')
+    cases = [(edgeless, Budget(2, 0)), (edgeless, Budget(2, -1))]
+    rng = random.Random(20261020)
+    for i in range(40):
+        g = parse_graph((random_cluster_text, indicator_out_text)[i % 2](rng))
+        cases += [(g, Budget(1, 3)), (g, Budget(2, 6)), (g, Budget(2, 0))]
+    streams = []
+    for g, budget in cases:
+        for canonicalize in (True, False):
+            got = _stream_texts(g, budget, canonicalize, 60)
+            with monkeypatch.context() as patch:
+                patch.setattr(abstraction, "_enumerate_over_members", reference_over_members)
+                want = _stream_texts(g, budget, canonicalize, 60)
+            assert got == want, (emit_graph(g), budget, canonicalize)
+            streams.append(want)
+    # an edge-less graph has one graph per size tuple at zero edges, none below
+    assert len(streams[0]) == 2 and streams[2] is None
+    assert sum(map(bool, streams)) >= 50
 
 
 @pytest.mark.parametrize("name", ["fig1c", "fig2b", "fig3"])

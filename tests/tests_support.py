@@ -593,3 +593,44 @@ def value_repr_digests():
         name: {"count": len(rs), "repr": hashlib.sha256("\n".join(rs).encode()).hexdigest()}
         for name, rs in sorted(reprs.items())
     }
+
+
+def reference_over_members(abstract, members, budget, canonicalize):
+    """`abstraction._enumerate_over_members` by the materialized product.
+
+    Every non-empty subset of every realization pool, their whole product
+    with the first pool varying slowest, and only then the edge budget,
+    acyclicity and canonicity as filters: the stream the enumerator must
+    reproduce, kept as the reference to compare it against.
+    """
+    import itertools
+
+    from mcdmg.abstraction import _cluster_permutations, _indicators, _is_canonical, _realizations, _realize
+    from mcdmg.graphs import topological_order
+
+    pools = _realizations(abstract, members)
+    if any(not pool for pool in pools) or len(pools) > budget.max_edges:
+        return
+    rvars = _indicators(abstract, members)
+    nodes = [v for c in sorted(members) for v in members[c]] + [r for r, _ in rvars]
+    if abstract.graph_class is GraphClass.CMCDMG:
+        perms = _cluster_permutations(members, {o: r for r, o in rvars})
+    else:
+        perms = [{}]
+    choice_iters = [
+        [tuple(pool[i] for i in range(len(pool)) if mask >> i & 1) for mask in range(1, 1 << len(pool))]
+        for pool in pools
+    ]
+    counter = 0
+    for picks in itertools.product(*choice_iters):
+        edges = [e for pick in picks for e in pick]
+        if len(set(edges)) > budget.max_edges:
+            continue
+        directed = sorted({(a, b) for k, a, b in edges if k == "->"})
+        bidirected = sorted({(a, b) for k, a, b in edges if k == "<->"})
+        if topological_order(nodes, directed)[1]:
+            continue
+        if canonicalize and not _is_canonical(directed, bidirected, perms):
+            continue
+        counter += 1
+        yield _realize(abstract, members, directed, bidirected, f"{abstract.name}.compat{counter}")
