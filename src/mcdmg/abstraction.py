@@ -392,9 +392,7 @@ def _realize(abstract, members, directed, bidirected, name: str) -> MixedGraph:
 
 def _enumerate_over_members(abstract, members, budget, canonicalize):
     pools = _realizations(abstract, members)
-    # the pools are disjoint and each pick is non-empty, so every candidate
-    # has at least one edge per abstract edge
-    if any(not pool for pool in pools) or len(pools) > budget.max_edges:
+    if not all(pools) or len(pools) > budget.max_edges:
         return
 
     rvars = _indicators(abstract, members)
@@ -405,26 +403,33 @@ def _enumerate_over_members(abstract, members, budget, canonicalize):
     else:
         perms = [{}]
 
-    choice_iters = [
-        [
-            tuple(pool[i] for i in range(len(pool)) if mask >> i & 1)
-            for mask in range(1, 1 << len(pool))
-        ]
-        for pool in pools
-    ]
+    # the pools follow the sorted abstract edges, and "->" < "<->": a cycle
+    # closes among the directed picks alone, so cut it before any bidirected one
+    split = len(abstract.declared_directed)
     counter = 0
-    for picks in itertools.product(*choice_iters):
-        edges = [e for pick in picks for e in pick]
-        if len(set(edges)) > budget.max_edges:
-            continue
-        directed = sorted({(a, b) for k, a, b in edges if k == "->"})
-        bidirected = sorted({(a, b) for k, a, b in edges if k == "<->"})
+    for head in _picks(pools[:split], budget.max_edges - len(pools) + split):
+        directed = sorted((a, b) for _, a, b in head)
         if topological_order(nodes, directed)[1]:
             continue
-        if canonicalize and not _is_canonical(directed, bidirected, perms):
-            continue
-        counter += 1
-        yield _realize(abstract, members, directed, bidirected, f"{abstract.name}.compat{counter}")
+        for tail in _picks(pools[split:], budget.max_edges - len(head)):
+            bidirected = sorted((a, b) for _, a, b in tail)
+            if canonicalize and not _is_canonical(directed, bidirected, perms):
+                continue
+            counter += 1
+            yield _realize(abstract, members, directed, bidirected, f"{abstract.name}.compat{counter}")
+
+
+def _picks(pools, room):
+    """One non-empty subset per pool, the first pool slowest and each in bitmask
+    order, skipping a pick that leaves no edge of ``room`` for a later pool."""
+    if not pools:
+        yield ()
+        return
+    pool, rest = pools[0], pools[1:]
+    for mask in range(1, 1 << len(pool)):
+        if mask.bit_count() + len(rest) <= room:
+            pick = tuple(e for i, e in enumerate(pool) if mask >> i & 1)
+            yield from (pick + tail for tail in _picks(rest, room - len(pick)))
 
 
 def _cluster_permutations(members, owner_r):

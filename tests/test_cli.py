@@ -8,7 +8,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from mcdmg import Derivation, fixture_path
-from tests_support import FIXTURE_QUERIES, THIRTEEN_EDGES, malformed_graph_texts, unknown_symbol_queries
+from tests_support import FIXTURE_QUERIES, THIRTEEN_EDGES, WIDE_POOL, malformed_graph_texts, unknown_symbol_queries
 
 
 def run(*args):
@@ -453,6 +453,25 @@ def test_budget_below_one_exit_2(command, flag, value):
     code, out, err = run(command, fig("fig2b"), flag, value)
     assert code == 2 and out == ""
     assert "error:" in err and "Traceback" not in err
+
+
+def test_enumerate_a_wide_pool_within_a_gigabyte(tmp_path):
+    """The first graph of a 25-edge pool needs none of its 2^25 - 1 subsets."""
+    import resource
+
+    path = tmp_path / "wide.mcg"
+    path.write_text(WIDE_POOL)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "mcdmg.cli", "enumerate", str(path), "--max-vars", "5", "--max-edges", "40",
+         "--limit", "1"],
+        capture_output=True, text=True, preexec_fn=cap, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["count"] == 1
 
 
 def test_zero_counts():

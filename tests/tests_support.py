@@ -153,6 +153,16 @@ graph "rnd34" class=cm-c-dmg {
 """
 
 
+# An m-c-dmg whose one abstract edge has 25 realizations: 2^25 - 1 subsets.
+WIDE_POOL = """\
+graph "wide" class=m-c-dmg {
+  cluster CX { vars X1, X2, X3, X4, X5 }
+  cluster CY { vars Y1, Y2, Y3, Y4, Y5 }
+  edge CX -> CY
+}
+"""
+
+
 # (treatment, outcome) per fixture, as the derive workload queries them; the
 # variable-level fixtures are promoted to one cluster per variable
 FIXTURE_QUERIES = {
