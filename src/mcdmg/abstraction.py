@@ -397,11 +397,11 @@ def _enumerate_over_members(abstract, members, budget, canonicalize):
 
     rvars = _indicators(abstract, members)
     nodes = [v for c in sorted(members) for v in members[c]] + [r for r, _ in rvars]
-    # within-cluster renaming is a symmetry only once indicators are merged
-    if abstract.graph_class is GraphClass.CMCDMG:
-        perms = _cluster_permutations(members, {o: r for r, o in rvars})
-    else:
+    # renaming members within a cluster is a symmetry unless indicators name them
+    if abstract.graph_class is GraphClass.MCDMG:
         perms = [{}]
+    else:
+        perms = _cluster_permutations(members, {o: r for r, o in rvars})
 
     # the pools follow the sorted abstract edges, and "->" < "<->": a cycle
     # closes among the directed picks alone, so cut it before any bidirected one

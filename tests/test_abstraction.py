@@ -261,10 +261,11 @@ def test_enumeration_contains_fig1a_and_fig1b(fig1a, fig1b, fig1c):
 
 
 # sha256 of the emit_graph texts of a stream prefix, made before size tuples
-# that leave a looped cluster one member were skipped:
+# that leave a looped cluster one member were skipped, and fig1c's canonical
+# one again when c-dmgs began to be canonicalized:
 # (fixture, max vars, max edges, prefix length, canonicalize) -> digest
 STREAM_PREFIXES = {
-    ("fig1c", 3, 6, 240, True): "114e9794af88718ebffc1a1565cc61560d9f7e2c3dac96c8df9b714f8ee3f290",
+    ("fig1c", 3, 6, 240, True): "25b3ff5e7feb30a2a10aa9482f1c23f0ea4cb49fc24602ae228568b993d28e5b",
     ("fig1c", 3, 6, 240, False): "114e9794af88718ebffc1a1565cc61560d9f7e2c3dac96c8df9b714f8ee3f290",
     ("fig2a", 3, 12, 25, True): "05c8b9bc2aab44237c8a9a9a87c1b293e381cfa1eab8491055d9e78c423c463a",
     ("fig2a", 3, 12, 25, False): "05c8b9bc2aab44237c8a9a9a87c1b293e381cfa1eab8491055d9e78c423c463a",
@@ -304,6 +305,30 @@ def test_whole_streams_are_pinned(spec):
         digest.update(emit_graph(g).encode())
         count += 1
     assert (count, digest.hexdigest()) == WHOLE_STREAMS[spec]
+
+
+def _orbit(g):
+    """The least edge set over every within-cluster renaming of ``g``'s members."""
+    clusters = [vs for _, vs in g.clustering.clusters]
+    keys = []
+    for images in itertools.product(*map(itertools.permutations, clusters)):
+        name = {v: w for vs, ws in zip(clusters, images) for v, w in zip(vs, ws)}
+        name.update({r: g.indicator_by_owner[name[g.vertex(r).owner]] for r in g.indicators})
+        directed = tuple(sorted((name[a], name[b]) for a, b in g.declared_directed))
+        bidirected = tuple(sorted(tuple(sorted((name[a], name[b]))) for a, b in g.bidirected))
+        keys.append((directed, bidirected))
+    return g.clustering.clusters, min(keys)
+
+
+@pytest.mark.parametrize("name, count", [("fig1c", 214), ("fig2b", 448)])
+def test_canonical_streams_keep_one_graph_per_orbit(name, count):
+    # a c-dmg and a cm-c-dmg: no indicator names a member of either
+    abstract = parse_graph(fixture_text(name))
+    budget = Budget(2, 8)
+    canonical = [_orbit(g) for g in enumerate_compatible(abstract, budget=budget)]
+    labeled = {_orbit(g) for g in enumerate_compatible(abstract, budget=budget, canonicalize=False)}
+    assert len(canonical) == len(set(canonical)) == count
+    assert set(canonical) == labeled
 
 
 def _stream_texts(abstract, budget, canonicalize, n):

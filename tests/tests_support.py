@@ -623,10 +623,10 @@ def reference_over_members(abstract, members, budget, canonicalize):
         return
     rvars = _indicators(abstract, members)
     nodes = [v for c in sorted(members) for v in members[c]] + [r for r, _ in rvars]
-    if abstract.graph_class is GraphClass.CMCDMG:
-        perms = _cluster_permutations(members, {o: r for r, o in rvars})
-    else:
+    if abstract.graph_class is GraphClass.MCDMG:
         perms = [{}]
+    else:
+        perms = _cluster_permutations(members, {o: r for r, o in rvars})
     choice_iters = [
         [tuple(pool[i] for i in range(len(pool)) if mask >> i & 1) for mask in range(1, 1 << len(pool))]
         for pool in pools
