@@ -311,6 +311,10 @@ def enumerate_compatible(
     BudgetTooSmall
         If no compatible graph exists within the budget (checked eagerly).
     """
+    if clustering is not None and not isinstance(clustering, Clustering):
+        raise InvalidClustering(f"clustering must be a Clustering, not {clustering!r}")
+    if not isinstance(budget, Budget):
+        raise InvalidBudget(f"budget must be a Budget, not {budget!r}")
     it = _enumerate(abstract, clustering, budget, canonicalize)
     try:
         first = next(it)

@@ -57,7 +57,7 @@ class BudgetTooSmall(McdmgError):
 
 
 class InvalidBudget(McdmgError, ValueError):
-    """A budget bound is not an integer."""
+    """A budget is not a `Budget`, or one of its bounds is not an integer."""
 
 
 class EmptyWalk(McdmgError):

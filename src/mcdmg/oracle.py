@@ -90,7 +90,9 @@ class DistTable:
     __hash__ = None
 
     def __init__(self, variables: Tuple[str, ...], cards: Tuple[int, ...], probs: np.ndarray):
-        if len(variables) != len(cards) or probs.shape != tuple(cards):
+        if len(variables) != len(cards) or getattr(probs, "shape", None) != tuple(cards):
+            if not hasattr(probs, "shape"):
+                raise ValidationError([f"probs must be an array, not a {type(probs).__name__}"])
             raise ValidationError([f"columns {variables}, cards {cards} and shape {probs.shape} disagree"])
         _set_variables(self, variables)
         _set_cards(self, cards)

@@ -243,6 +243,15 @@ def test_budget_takes_what_operator_index_takes(fig2b):
             enumerate_compatible(fig2b, budget=Budget(*bounds))
 
 
+def test_enumeration_refuses_ill_typed_arguments(fig2b):
+    # a budget passed where the clustering goes, and a bare tuple of bounds
+    with pytest.raises(InvalidClustering, match="clustering must be a Clustering, not Budget"):
+        enumerate_compatible(fig2b, Budget(2, 12))
+    with pytest.raises(InvalidBudget, match=r"budget must be a Budget, not \(2, 12\)"):
+        enumerate_compatible(fig2b, budget=(2, 12))
+    assert next(enumerate_compatible(fig2b, fig2b.clustering, Budget(2, 12)))
+
+
 def test_more_abstract_edges_than_the_budget_allows():
     # each abstract edge needs at least one realization, so 13 > 12 edges
     # fails before any realization is tried

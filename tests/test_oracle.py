@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -654,6 +655,15 @@ def test_a_misshapen_table_is_refused(flags):
         "columns ('a',), cards (2, 2) and shape (2, 2) disagree",
         "columns ('a', 'b'), cards (2,) and shape (2,) disagree",
     ]
+
+
+@pytest.mark.parametrize("probs", [[0.5, 0.5], (0.5, 0.5)])
+def test_probabilities_that_are_not_an_array_are_refused(probs):
+    with pytest.raises(ValidationError, match=f"probs must be an array, not a {type(probs).__name__}"):
+        DistTable(("a",), (2,), probs)
+    # an array of any dtype is kept as it is
+    exact = np.array([Fraction(1, 2)] * 2, dtype=object)
+    assert DistTable(("a",), (2,), exact).probs is exact
 
 
 @st.composite
