@@ -7,7 +7,10 @@ Three directions of travel:
 - ``merge_indicators``: the map from an m-C-DMG to its cm-C-DMG, merging each
   cluster's indicators into one vertex with the union of their adjacencies;
 - ``enumerate_compatible``: stream every variable-level m-ADMG whose
-  projection reproduces an abstract graph exactly, within a budget.
+  projection reproduces an abstract graph exactly, within a budget. The
+  stream is lazy: it extends one realization pick per abstract edge at a
+  time and drops a prefix as soon as it cannot complete, so memory is bounded
+  by the realization pools, not by their subsets.
 
 Compatibility is edge-set equality after projection: a cluster edge asserts
 at least one realizing variable edge, and an absent cluster edge forbids all
@@ -268,8 +271,11 @@ class Budget(_Bounds):
     """Bounds that make compatibility-class enumeration finite.
 
     Each bound must be an integer (anything `operator.index` accepts), or
-    the constructor raises InvalidBudget naming it. A bound below 1 leaves
-    no graph: `enumerate_compatible` raises BudgetTooSmall for it.
+    the constructor raises InvalidBudget naming it. ``max_edges = 0`` fits
+    only an abstract graph without edges: its members with no edge, one graph
+    per tuple of cluster sizes. A negative ``max_edges``, a
+    ``max_vars_per_cluster`` below 1, or a bound too small for the graph's
+    edges leaves no graph: `enumerate_compatible` raises BudgetTooSmall.
     """
 
     __slots__ = ()
@@ -301,13 +307,23 @@ def enumerate_compatible(
     """Stream every m-ADMG compatible with an abstract graph, within budget.
 
     Deterministic order: cluster sizes ascend lexicographically, then one
-    nonempty realization subset per abstract edge in bitmask order. Acyclic
-    at variable level. With ``canonicalize`` the stream keeps one labeled
-    representative per within-cluster renaming orbit. Every abstract edge,
-    an edge out of an indicator included, is realized by the module's rule.
+    nonempty realization subset per abstract edge in bitmask order, the
+    first abstract edge (in sorted order) varying slowest. Each graph is
+    built by extension: a pick that leaves too few edges for the rest is
+    skipped with its completions, and a directed cycle is cut before any
+    bidirected edge is chosen, so nothing is materialized beyond one
+    candidate. Acyclic at variable level. With ``canonicalize`` the stream
+    keeps one labeled representative per within-cluster renaming orbit; only
+    an m-c-dmg, whose indicators name its members, keeps every labeled graph.
+    Every abstract edge, an edge out of an indicator included, is realized by
+    the module's rule.
 
     Raises
     ------
+    InvalidClustering
+        If ``clustering`` is given and is not a `Clustering`.
+    InvalidBudget
+        If ``budget`` is not a `Budget`.
     BudgetTooSmall
         If no compatible graph exists within the budget (checked eagerly).
     """
