@@ -320,6 +320,8 @@ def enumerate_compatible(
 
     Raises
     ------
+    WrongGraphClass
+        If ``abstract`` is not a `MixedGraph`.
     InvalidClustering
         If ``clustering`` is given and is not a `Clustering`.
     InvalidBudget
@@ -327,6 +329,8 @@ def enumerate_compatible(
     BudgetTooSmall
         If no compatible graph exists within the budget (checked eagerly).
     """
+    if not isinstance(abstract, MixedGraph):
+        raise WrongGraphClass(f"abstract must be a MixedGraph, not {type(abstract).__name__}")
     if clustering is not None and not isinstance(clustering, Clustering):
         raise InvalidClustering(f"clustering must be a Clustering, not {clustering!r}")
     if not isinstance(budget, Budget):

@@ -41,6 +41,10 @@ class WrongGraphClass(McdmgError):
     """Operation is undefined for the graph's declared class."""
 
 
+class InvalidSCM(McdmgError):
+    """An argument that must be a `DiscreteSCM` is not one."""
+
+
 class PreconditionError(McdmgError):
     """Query-time side condition violated (R self-loop or R-R edge, an
     effect query with an empty treatment or outcome, a d-separation query

@@ -11,7 +11,7 @@ intervened variable's own column is its do axis), the manifest its own.
 
 The work splits into a structure and the numbers. What depends only on the
 graph and its mechanisms (the CPT layout, the elimination plans and
-broadcasts of the do-tables, the manifest's pins, the layouts of marginals
+broadcasts of the do-tables, the manifest's cell map, the layouts of marginals
 and term reads, and each compiled term's reads) is worked out once: per variable-level graph in
 `_Structure`, owned weakly by the graph, and per expression, scope and
 grounding content in a bounded cache of `_Plan`s. Per SCM only the numeric
@@ -35,6 +35,7 @@ from .abstraction import indicator_id
 from .errors import (
     DomainTooLarge,
     EvaluationError,
+    InvalidSCM,
     McdmgError,
     PartialClusterAssignment,
     PositivityError,
@@ -298,7 +299,7 @@ class _Structure:
     by every SCM with them. It holds no array of any SCM and no reference to
     the graph, which owns it weakly (`_structure`). Everything in it is
     worked out on first use: the CPT layout of `random_scm`, the plan of each
-    do-set's table and the manifest's pins.
+    do-set's table, the manifest's columns and its cell map.
     """
 
     def __init__(self, madmg: MixedGraph, latents: Tuple[str, ...], specs):
@@ -322,7 +323,7 @@ class _Structure:
         observables = self.variables + self.indicators
         if max(self.joint[1], math.prod(self.cards[n] for n in observables)) > MAX_STATES:
             raise DomainTooLarge(f"latent join or joint table exceeds {MAX_STATES} cells")
-        self.manifest_pins  # raises DomainTooLarge for the manifest
+        self.manifest_columns  # raises DomainTooLarge for the manifest
 
     @cached_property
     def draw_layout(self):
@@ -354,34 +355,32 @@ class _Structure:
         return plan
 
     @cached_property
-    def manifest_pins(self):
-        """The joint's transpose into the manifest's column order (observed
-        variables, masked ones in their proxies' places, indicators), then
-        `_manifest`'s pins, one masked variable at a time (output shape,
-        observed cells' destination and source, missing stratum and its
-        axis, NA level's destination), then the manifest's columns and cards.
-        Raises DomainTooLarge when the manifest, the largest step, would
-        exceed ``MAX_STATES`` cells."""
+    def manifest_columns(self):
+        """The manifest's columns (observed variables, masked ones' proxies
+        with an extra NA level, indicators) and cards. Raises DomainTooLarge,
+        allocating nothing, when they would exceed ``MAX_STATES`` cells."""
         masked = [v for v in self.variables if v in self.indicator_of]
-        names = [v for v in self.variables if v not in self.indicator_of] + masked + list(self.indicators)
-        transpose = tuple(map(self.kept.index, names))
-        cards, pins = [self.cards[n] for n in names], []
-        if math.prod(self.cards[n] + (n in self.indicator_of) for n in names) > MAX_STATES:
+        cols = [v for v in self.variables if v not in self.indicator_of] + masked + list(self.indicators)
+        cards = tuple(self.cards[n] + (n in self.indicator_of) for n in cols)
+        if math.prod(cards) > MAX_STATES:
             raise DomainTooLarge(f"manifest table exceeds {MAX_STATES} cells")
-        observed, missing = slice(0, 1), slice(1, None)
-        for v in masked:
-            x, r, k = names.index(v), names.index(self.indicator_of[v]), self.cards[v]
-            names[x], cards[x] = self.proxy_of[v], k + 1
-            n = len(names)
-            pins.append((
-                tuple(cards),
-                _pin(n, {x: slice(0, k), r: observed}),
-                _pin(n, {r: observed}),
-                _pin(n, {r: missing}),
-                x,
-                _pin(n, {x: slice(k, k + 1), r: missing}),
-            ))
-        return transpose, tuple(pins), tuple(names), tuple(cards)
+        return tuple(self.proxy_of.get(n, n) for n in cols), cards
+
+    @cached_property
+    def manifest_map(self) -> np.ndarray:
+        """Per joint cell in C order, the flat index of its manifest cell (a
+        proxy at its variable's level where the indicator is 0, else at NA),
+        summed from one broadcast stride term per column: no other big array."""
+        names, cards = self.manifest_columns
+        shape = [self.cards[n] for n in self.kept]
+        level = dict(zip(self.kept, np.ix_(*(np.arange(k, dtype=np.int32) for k in shape))))
+        for v, r in self.indicator_of.items():
+            level[self.proxy_of[v]] = np.where(level[r] == 0, level[v], self.cards[v])
+        cells, stride = np.zeros(shape, np.int32), math.prod(cards)
+        for n, k in zip(names, cards):
+            stride //= k
+            cells += level[n] * np.int32(stride)
+        return cells.reshape(-1)
 
 
 _STRUCTURES: "weakref.WeakKeyDictionary[MixedGraph, OrderedDict]" = weakref.WeakKeyDictionary()
@@ -411,6 +410,7 @@ def _random_structure(madmg: MixedGraph) -> _Structure:
     latent per bidirected edge (latents have 4 levels, variables and
     indicators 2), checked against the graph class, then the budget, then
     the cycle error, once per graph."""
+    _require("madmg", madmg, MixedGraph, WrongGraphClass)
     per_graph = _structures_of(madmg)
     s = per_graph.get(None)
     if s is None:
@@ -422,6 +422,11 @@ def _random_structure(madmg: MixedGraph) -> _Structure:
         _acyclic(cyclic)
         per_graph[None] = s
     return s
+
+
+def _require(name: str, value, cls, error) -> None:
+    if not isinstance(value, cls):
+        raise error(f"{name} must be a {cls.__name__}, not {type(value).__name__}")
 
 
 def _require_variable_level(madmg: MixedGraph) -> None:
@@ -456,9 +461,9 @@ def random_scm(madmg: MixedGraph, seed: int = 0) -> DiscreteSCM:
     ``standard_exponential`` stream, node by node in topological order, and
     normalized: the bytes ``rng.dirichlet`` would give row by row. Every CPT
     cell is floored at 1e-3 so that manifest distributions are strictly
-    positive over complete cases. Raises DomainTooLarge, before drawing,
-    when the largest latent join, the joint or the manifest would exceed
-    ``MAX_STATES`` cells.
+    positive over complete cases. Raises WrongGraphClass unless given an
+    (m-)ADMG, and DomainTooLarge, before drawing, when the largest latent
+    join, the joint or the manifest would exceed ``MAX_STATES`` cells.
 
     The graph's structure (mechanisms, order, budget and the stream's row
     layout) is worked out once; per seed, the rows of each length are
@@ -634,25 +639,14 @@ def _elimination(scopes, latents, card):
     return plan, largest
 
 
-def _pin(ndim: int, pins: Mapping[int, slice]) -> Tuple[slice, ...]:
-    return tuple(pins.get(i, slice(None)) for i in range(ndim))
-
-
 def _manifest(scm: DiscreteSCM, base: DistTable) -> DistTable:
-    """Replace each masked variable by its proxy, one indicator at a time,
-    on the joint read in the manifest's column order.
-
-    ``proxy = x`` takes the cells ``(v = x, R_v = 0)``; the extra level
-    ``proxy = NA`` takes ``sum_v (R_v != 0)``. The pins are the structure's.
-    """
-    transpose, pins, names, cards = scm.structure.manifest_pins
-    probs = base.probs.transpose(transpose)
-    for shape, observed_dst, observed_src, missing, x, na_dst in pins:
-        out = np.zeros(shape)
-        out[observed_dst] = probs[observed_src]
-        out[na_dst] = probs[missing].sum(axis=x, keepdims=True)
-        probs = out
-    return DistTable(names, cards, np.asarray(probs, order="C"))  # a copy only if no pin ran
+    """Add each joint cell, in C order, into the manifest cell the
+    structure's map sends it to, in the joint's dtype: ``proxy = x`` takes
+    the cell ``(v = x, R_v = 0)``, ``proxy = NA`` sums ``v`` at ``R_v != 0``."""
+    names, cards = scm.structure.manifest_columns
+    out = np.zeros(math.prod(cards), base.probs.dtype)
+    np.add.at(out, scm.structure.manifest_map, base.probs.reshape(-1))
+    return DistTable(names, cards, out.reshape(cards))
 
 
 def exact_tables(scm: DiscreteSCM) -> Tuple[DistTable, DistTable]:
@@ -660,8 +654,10 @@ def exact_tables(scm: DiscreteSCM) -> Tuple[DistTable, DistTable]:
 
     The manifest covers fully observed variables, proxies (with an extra NA
     level) and indicators; the true values of masked variables are summed
-    out.
+    out, by one scatter-add of the joint (`_manifest`). Raises InvalidSCM for
+    a non-SCM, and DomainTooLarge, unallocated, for a manifest too large.
     """
+    _require("scm", scm, DiscreteSCM, InvalidSCM)
     base = _do_table(scm)
     manifest = scm._cache.get("manifest")
     if manifest is None:
@@ -679,8 +675,9 @@ def interventional_table(
     ``do`` assigns variables or indicators of the graph. Macro semantics:
     when a clustering is known, every treated cluster must be assigned in
     full. The mass under do fills the slice where the intervened variables
-    hold their levels; every other cell is 0.
+    hold their levels; every other cell is 0; a non-SCM raises InvalidSCM.
     """
+    _require("scm", scm, DiscreteSCM, InvalidSCM)
     clustering = clustering or scm.madmg.clustering
     if clustering is not None:
         for c in sorted({clustering.cluster_of[v] for v in do if v in clustering.cluster_of}):
@@ -759,8 +756,9 @@ class Grounding:
         clustering: Optional[Clustering] = None,
         abstract: Optional[MixedGraph] = None,
     ) -> "Grounding":
-        """Ground against an SCM; pass the abstract graph so that its
-        indicator names (whatever they are) expand to member indicators."""
+        """Ground against an SCM (else InvalidSCM); pass the abstract graph so
+        that its indicator names (whatever they are) expand to member indicators."""
+        _require("scm", scm, DiscreteSCM, InvalidSCM)
         clustering = clustering or scm.madmg.clustering
         if clustering is None:
             raise EvaluationError("no clustering to ground cluster symbols against")

@@ -10,6 +10,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -42,6 +43,7 @@ from mcdmg.errors import (
     BudgetTooSmall,
     DomainTooLarge,
     EvaluationError,
+    InvalidSCM,
     McdmgError,
     PartialClusterAssignment,
     PositivityError,
@@ -76,7 +78,7 @@ from mcdmg.oracle import (
     free_atoms,
     scm_from_cpts,
 )
-from tests_support import random_cluster_text, reference_read
+from tests_support import random_cluster_text, reference_manifest, reference_read
 
 
 def mk(src):
@@ -714,6 +716,101 @@ def test_term_reads_match_the_reference_read(case):
     ).tobytes()
 
 
+TERNARY_MASK_SRC = (
+    'graph "ternary" class=m-admg {\n'
+    "  var Z\n  var X\n  var Y\n  rvar R_X for X\n  rvar R_Y for Y\n"
+    "  edge Z -> X\n  edge X -> Y\n  edge Y -> R_X\n  edge Z -> R_Y\n  edge X <-> Z\n}\n"
+)
+UNMASKED_ADMG_SRC = (
+    'graph "plain" class=admg {\n'
+    "  var A\n  var B\n  var C\n  var D\n  edge A -> B\n  edge B -> C\n  edge A <-> D\n  edge D -> C\n}\n"
+)
+
+
+def _dyadic(rng, shape):
+    """A CPT of the given shape whose entries are multiples of 1/8."""
+    eighths = rng.multinomial(8, [1 / shape[-1]] * shape[-1], size=shape[:-1])
+    return eighths / 8.0
+
+
+@st.composite
+def _manifest_models(draw):
+    """A random SCM and a dyadic one (every CPT entry a multiple of 1/8) on
+    the same mechanisms: on a member of a `random_cluster_text` graph, on an
+    m-ADMG whose masked X is ternary (its indicator ternary too, or not)
+    and whose latent U is explicit, or on an ADMG with no mask."""
+    kind = draw(st.sampled_from(["member", "ternary", "unmasked"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "ternary":
+        g = mk(TERNARY_MASK_SRC)
+        cards = {"U": 2, "Z": 2, "X": 3, "Y": 2, "R_X": draw(st.sampled_from([2, 3])), "R_Y": 2}
+        parents = {"U": (), "Z": ("U",), "X": ("U", "Z"), "Y": ("X",), "R_X": ("Y",), "R_Y": ("Z",)}
+        shapes = {n: (ps, tuple(cards[p] for p in ps) + (cards[n],)) for n, ps in parents.items()}
+        real = scm_from_cpts(g, {n: (ps, rng.dirichlet(np.ones(k[-1]), size=k[:-1])) for n, (ps, k) in shapes.items()})
+    else:
+        if kind == "member":
+            g = parse_graph(random_cluster_text(random.Random(draw(st.integers(0, 2**32 - 1)))))
+            try:
+                members = list(itertools.islice(enumerate_compatible(g, budget=Budget(2, 8)), 4))
+            except McdmgError:
+                assume(False)
+            g = members[draw(st.integers(0, len(members) - 1))]
+        else:
+            g = mk(UNMASKED_ADMG_SRC)
+        real = random_scm(g, seed=draw(st.integers(0, 1000)))
+        shapes = {n.name: (n.parents, n.cpt.shape) for n in real.nodes}
+    return real, scm_from_cpts(g, {n: (ps, _dyadic(rng, k)) for n, (ps, k) in shapes.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_manifest_models())
+def test_manifest_matches_reference_build(models):
+    """The one scatter-add builds the pin-by-pin manifest. On dyadic CPTs,
+    whose sums are exact in any order, bit for bit, and on the same joint
+    held as `Fraction`s in an object-dtype manifest equal to it. On the
+    random SCM bit for bit where at most one proxy is NA (those cells sum
+    their joint cells in the same order), and within a relative 1e-15
+    where more are."""
+    real, dyadic = models
+    for scm in models:
+        base = _do_table(scm)
+        got, want = oracle._manifest(scm, base), reference_manifest(scm, base)
+        assert (got.variables, got.cards, got.probs.dtype) == (want.variables, want.cards, want.probs.dtype)
+        assert exact_tables(scm)[1].probs.tobytes() == got.probs.tobytes()
+        if scm is dyadic:
+            assert got.probs.tobytes() == want.probs.tobytes()
+        else:
+            proxies = [i for i, c in enumerate(got.variables) if c in scm.madmg.proxy_by_owner.values()]
+            cell = np.indices(got.cards)
+            missing = sum((cell[i] == got.cards[i] - 1 for i in proxies), np.zeros(got.cards, int))
+            assert got.probs[missing <= 1].tobytes() == want.probs[missing <= 1].tobytes()
+            np.testing.assert_allclose(got.probs, want.probs, rtol=1e-15, atol=0)
+    exact = np.vectorize(Fraction, otypes=[object])(_do_table(dyadic).probs)
+    base = DistTable(_do_table(dyadic).variables, exact.shape, exact)
+    got = oracle._manifest(dyadic, base)
+    assert got.probs.dtype == object and (got.probs == reference_manifest(dyadic, base).probs).all()
+
+
+def test_the_manifest_map_allocates_no_index_per_column():
+    """The first exact tables of a 20-variable binary chain (a joint of 2^20
+    cells, 8 MB) peak below 4 times the joint's bytes: the joint, its
+    sorted marginal, the int32 cell map and the manifest. An index array
+    per column (``np.indices``) would take 160 MB."""
+    names = [f"V{i}" for i in range(20)]
+    edges = "".join(f"  edge {a} -> {b}\n" for a, b in zip(names, names[1:]))
+    g = mk('graph "chain" class=admg {\n' + "".join(f"  var {v}\n" for v in names) + edges + "}\n")
+    scm = random_scm(g, seed=0)
+    tracemalloc.start()
+    try:
+        joint, manifest = exact_tables(scm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert joint.probs.nbytes == 8 << 20 and manifest.probs.size == 1 << 20
+    assert peak < 4 * joint.probs.nbytes
+    assert scm.structure.manifest_map.dtype == np.int32
+
+
 def test_fig2b_compatible_graphs_build(fig2b):
     for madmg in itertools.islice(enumerate_compatible(fig2b, budget=Budget(2, 10)), 20):
         _, manifest = exact_tables(random_scm(madmg, seed=0))
@@ -971,6 +1068,25 @@ def test_oracle_refuses_cluster_graphs(name):
         random_scm(g, seed=0)
     with pytest.raises(WrongGraphClass, match="variable-level"):
         equal_manifest_pair(g, seed=0)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: enumerate_compatible("fig2b"), WrongGraphClass, "abstract must be a MixedGraph, not str"),
+        (lambda: random_scm("fig2b"), WrongGraphClass, "madmg must be a MixedGraph, not str"),
+        (lambda: random_scm(None, seed=0), WrongGraphClass, "madmg must be a MixedGraph, not NoneType"),
+        (lambda: exact_tables("x"), InvalidSCM, "scm must be a DiscreteSCM, not str"),
+        (lambda: Grounding.from_scm("x"), InvalidSCM, "scm must be a DiscreteSCM, not str"),
+        (lambda: interventional_table(mk(MCAR_SRC), {"X": 0}), InvalidSCM, "scm must be a DiscreteSCM, not MixedGraph"),
+    ],
+    ids=["enumerate", "random_scm", "random_scm-none", "exact_tables", "from_scm", "interventional"],
+)
+def test_ill_typed_graph_and_scm_arguments_are_refused(call, error, message):
+    """A graph or SCM argument of the wrong type raises a package error
+    naming the argument and the type it got."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 MCAR_CPTS = {

@@ -644,3 +644,49 @@ def reference_over_members(abstract, members, budget, canonicalize):
             continue
         counter += 1
         yield _realize(abstract, members, directed, bidirected, f"{abstract.name}.compat{counter}")
+
+
+def reference_manifest(scm, base):
+    """`oracle._manifest` pin by pin: the joint ``base`` read in the
+    manifest's column order, then each masked variable replaced by its
+    proxy in turn, ``proxy = x`` copied from the cells ``(v = x, R_v = 0)``
+    and ``proxy = NA`` summed over ``v`` where ``R_v != 0``. The build the
+    one scatter-add must reproduce, kept as the reference to compare it
+    against; its result is float64 whatever the joint's dtype."""
+    import math
+
+    import numpy as np
+
+    from mcdmg.errors import DomainTooLarge
+    from mcdmg.oracle import MAX_STATES, DistTable
+
+    def _pin(ndim, pins):
+        return tuple(pins.get(i, slice(None)) for i in range(ndim))
+
+    s = scm.structure
+    masked = [v for v in s.variables if v in s.indicator_of]
+    names = [v for v in s.variables if v not in s.indicator_of] + masked + list(s.indicators)
+    transpose = tuple(map(s.kept.index, names))
+    cards, pins = [s.cards[n] for n in names], []
+    if math.prod(s.cards[n] + (n in s.indicator_of) for n in names) > MAX_STATES:
+        raise DomainTooLarge(f"manifest table exceeds {MAX_STATES} cells")
+    observed, missing = slice(0, 1), slice(1, None)
+    for v in masked:
+        x, r, k = names.index(v), names.index(s.indicator_of[v]), s.cards[v]
+        names[x], cards[x] = s.proxy_of[v], k + 1
+        n = len(names)
+        pins.append((
+            tuple(cards),
+            _pin(n, {x: slice(0, k), r: observed}),
+            _pin(n, {r: observed}),
+            _pin(n, {r: missing}),
+            x,
+            _pin(n, {x: slice(k, k + 1), r: missing}),
+        ))
+    probs = base.probs.transpose(transpose)
+    for shape, observed_dst, observed_src, missing, x, na_dst in pins:
+        out = np.zeros(shape)
+        out[observed_dst] = probs[observed_src]
+        out[na_dst] = probs[missing].sum(axis=x, keepdims=True)
+        probs = out
+    return DistTable(tuple(names), tuple(cards), np.asarray(probs, order="C"))  # a copy only if no pin ran
