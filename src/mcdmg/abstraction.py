@@ -40,6 +40,7 @@ from .graphs import (
     Kind,
     MixedGraph,
     Vertex,
+    _require,
     require_valid,
     topological_order,
 )
@@ -329,8 +330,7 @@ def enumerate_compatible(
     BudgetTooSmall
         If no compatible graph exists within the budget (checked eagerly).
     """
-    if not isinstance(abstract, MixedGraph):
-        raise WrongGraphClass(f"abstract must be a MixedGraph, not {type(abstract).__name__}")
+    _require("abstract", abstract, MixedGraph, WrongGraphClass)
     if clustering is not None and not isinstance(clustering, Clustering):
         raise InvalidClustering(f"clustering must be a Clustering, not {clustering!r}")
     if not isinstance(budget, Budget):

@@ -58,6 +58,7 @@ from .errors import (
     PreconditionError,
     UnknownRule,
     UnknownVertex,
+    WrongGraphClass,
 )
 from .expressions import (
     PROXY,
@@ -87,7 +88,7 @@ from .expressions import (
     terms_of,
     val,
 )
-from .graphs import Kind, MixedGraph
+from .graphs import Kind, MixedGraph, _require
 from .separation import ancestor_mask, reaches, refuse_proxies, vertex_set
 
 
@@ -130,11 +131,13 @@ def rule_applicable(
     retained interventions, W the other conditioned vertices. Indicators may
     appear in W (they are conditioned at R=0 throughout) but are never
     intervened on. Raises UnknownRule for a rule other than R1, R2 or R3
-    before any other check. The arguments are validated here and the
-    statement is decided by `_certify`.
+    before any other check, then WrongGraphClass if ``g`` is not a
+    `MixedGraph`. The arguments are validated here and the statement is
+    decided by `_certify`.
     """
     if rule not in ("R1", "R2", "R3"):
         raise UnknownRule(f"unknown rule {rule!r}")
+    _require("g", g, MixedGraph, WrongGraphClass)
     sets = [vertex_set(n, s) for n, s in zip("YXZW", (Y, X, Z, W))]
     if len(frozenset().union(*sets)) < sum(map(len, sets)):
         raise OverlappingSets("rule sets must be pairwise disjoint")
@@ -419,6 +422,7 @@ def recover_effect(
     statement's certificate (`_certify`) and each distinct term's goal test
     are computed once per call, in dicts that live as long as the search.
     """
+    _require("g", g, MixedGraph, WrongGraphClass)
     try:
         depth = operator.index(depth)
     except TypeError:
@@ -646,6 +650,7 @@ def replay(g: MixedGraph, d: Derivation) -> ReplayResult:
     listed by `_rewrites` and rebuilt by `_successor` along the paths it
     records, as in the search.
     """
+    _require("g", g, MixedGraph, WrongGraphClass)
     current = canonical(d.query)
     refs = {
         VAL: (g.substantive, "substantive vertex"),

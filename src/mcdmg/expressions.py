@@ -18,7 +18,7 @@ from .errors import (
     UnknownVertex,
     WrongGraphClass,
 )
-from .graphs import GraphClass, MixedGraph, _read_only
+from .graphs import GraphClass, MixedGraph, _Value
 
 VAL = "val"
 PROXY = "proxy"
@@ -69,29 +69,20 @@ def rzero(indicator: str) -> Atom:
     return Atom(RZERO, indicator)
 
 
-# The expression nodes are hand-written slotted classes on one immutable base,
-# `_Node`: each compares by its fields (``__match_args__``) with a node of its
-# own type only, and a copy or pickle rebuilds it from them. Each node caches
-# its hash, and a term also its sort key, in a slot that takes no part in
-# ``==`` or ``repr``: a subtree shared between search states is hashed once,
-# and a term's atom sets are sorted once. The other nodes' sort keys are
-# rebuilt from their terms' keys: caching those too measured no faster and
-# held more memory. The slots keep nodes free of a ``__dict__``, and the
-# constructors, which the search calls most, set them through the slot
-# descriptors (``_set_*``) rather than ``object.__setattr__``.
-class _Node:
+# The expression nodes are slotted values (`_Value`): each compares by its
+# fields (``__match_args__``) with a node of its own type only, its repr
+# names them, and a copy or pickle rebuilds it from them, so no hash cached
+# under one process's string hashing reaches another process. Each node but
+# `One` overrides ``==`` and ``hash`` to cache its hash, and a term also its
+# sort key, in a slot that takes no part in ``==`` or ``repr``: a subtree
+# shared between search states is hashed once, and a term's atom sets are
+# sorted once. The other nodes' sort keys are rebuilt from their terms'
+# keys: caching those too measured no faster and held more memory. The
+# slots keep nodes free of a ``__dict__``, and the constructors, which the
+# search calls most, set them through the slot descriptors (``_set_*``)
+# rather than ``object.__setattr__``.
+class _Node(_Value):
     __slots__ = ("_hash",)
-    __match_args__: Tuple[str, ...] = ()
-    __setattr__ = __delattr__ = _read_only
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        # rebuilt from its fields, so no hash cached under one process's string
-        # hashing reaches another process
-        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
 
 _set_hash = _Node._hash.__set__
@@ -209,12 +200,6 @@ _set_num, _set_den = Quotient.num.__set__, Quotient.den.__set__
 
 class One(_Node):
     __slots__ = ()
-
-    def __eq__(self, other):
-        return True if type(other) is One else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(())
 
 
 Expr = Union[Term, Sum, Product, Quotient, One]

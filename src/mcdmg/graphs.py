@@ -57,9 +57,46 @@ class GraphClass(str, Enum):
 MISSINGNESS_CLASSES = (GraphClass.MADMG, GraphClass.MCDMG, GraphClass.CMCDMG)
 
 
-def _read_only(self, name, value=None):
-    """``__setattr__`` and ``__delattr__`` of the immutable classes."""
-    raise AttributeError(f"cannot assign to field {name!r}")
+def _require(name: str, value, cls, error) -> None:
+    """Raise ``error`` naming the argument unless ``value`` is a ``cls``."""
+    if not isinstance(value, cls):
+        raise error(f"{name} must be a {cls.__name__}, not {type(value).__name__}")
+
+
+class _Value:
+    """Immutable value base: the fields are named by ``__match_args__``.
+
+    A value compares equal to a value of its own type only, with the same
+    fields; it hashes as its field tuple, and a copy or pickle rebuilds it
+    from its fields, so nothing cached on it travels along. Subclasses set
+    their fields once, in the constructor.
+    """
+
+    __slots__ = ()
+    __match_args__: Tuple[str, ...] = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__match_args__])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __reduce__(self):
+        return type(self), self._astuple()
 
 
 class Vertex(NamedTuple):
@@ -74,7 +111,7 @@ class Vertex(NamedTuple):
     owner: Optional[str] = None
 
 
-class Clustering:
+class Clustering(_Value):
     """Partition of substantive variables into named clusters.
 
     Parameters
@@ -83,22 +120,9 @@ class Clustering:
     """
 
     __match_args__ = ("clusters",)
-    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, clusters: Tuple[Tuple[str, Tuple[str, ...]], ...]):
         self.__dict__["clusters"] = clusters
-
-    def __repr__(self) -> str:
-        return f"Clustering(clusters={self.clusters!r})"
-
-    def __eq__(self, other):
-        return self.clusters == other.clusters if type(other) is Clustering else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.clusters,))
-
-    def __reduce__(self):
-        return Clustering, (self.clusters,)
 
     @staticmethod
     def from_dict(d: Mapping[str, Sequence[str]]) -> "Clustering":
@@ -179,7 +203,7 @@ class AdjacencyIndex(NamedTuple):
         return tuple(out)
 
 
-class MixedGraph:
+class MixedGraph(_Value):
     """Immutable mixed graph over kinded vertices.
 
     Directed edges are ordered pairs; bidirected edges are stored as sorted
@@ -190,12 +214,12 @@ class MixedGraph:
     neighbour sets of every vertex are built once per graph and returned as
     they are by `parents`, `children` and `spouses`, `index` holds the same
     sets as bitmasks, and `declared_directed` holds the directed edges
-    without the edges into proxies. These derived values are cached in the
-    instance ``__dict__``; the fields are set once, by the constructor.
+    without the edges into proxies. These derived values and the hash are
+    cached in the instance ``__dict__``; the fields are set once, by the
+    constructor.
     """
 
     __match_args__ = ("name", "graph_class", "vertices", "directed", "bidirected", "clustering")
-    __setattr__ = __delattr__ = _read_only
 
     def __init__(
         self,
@@ -215,31 +239,12 @@ class MixedGraph:
             clustering=clustering,
         )
 
-    def _astuple(self) -> tuple:
-        return (self.name, self.graph_class, self.vertices, self.directed, self.bidirected, self.clustering)
-
-    def __repr__(self) -> str:
-        return (
-            f"MixedGraph(name={self.name!r}, graph_class={self.graph_class!r}, "
-            f"vertices={self.vertices!r}, directed={self.directed!r}, "
-            f"bidirected={self.bidirected!r}, clustering={self.clustering!r})"
-        )
-
-    def __eq__(self, other):
-        if type(other) is not MixedGraph:
-            return NotImplemented
-        return self is other or self._astuple() == other._astuple()
-
     @cached_property
     def _hash(self) -> int:
         return hash(self._astuple())
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        # rebuilt from the fields: the cached adjacency is left behind
-        return MixedGraph, self._astuple()
 
     # -- construction -----------------------------------------------------
 

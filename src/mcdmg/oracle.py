@@ -59,7 +59,7 @@ from .expressions import (
     symbols_of,
     term,
 )
-from .graphs import Clustering, GraphClass, Kind, MixedGraph, _read_only, topological_order
+from .graphs import Clustering, GraphClass, Kind, MixedGraph, _require, _Value, topological_order
 
 MAX_STATES = 1 << 20
 PLANS_KEPT = 512  # compiled-expression plans, least recently used dropped first
@@ -74,21 +74,20 @@ def _bounded_put(cache: OrderedDict, key, value, bound: int):
     return value
 
 
-class DistTable:
+class DistTable(_Value):
     """Dense probability table over an ordered tuple of columns.
 
     A marginal sums the dropped axes of the whole table and copies the
     result to C order. A term's read (`read`) pins and slices its columns
     first and sums only the axes left of that smaller view. Both take their
-    index, summed axes and transpose from `_layout`. Immutable and, as it
-    holds an array, unhashable; its marginals and reads are kept in
-    ``_cache``, which takes no part in ``==``, ``repr`` or a copy.
+    index, summed axes and transpose from `_layout`. Immutable; it compares
+    its array by value and, as it holds an array, is unhashable. Its
+    marginals and reads are kept in ``_cache``, which takes no part in
+    ``==``, ``repr`` or a copy.
     """
 
     __slots__ = ("variables", "cards", "probs", "_cache")
     __match_args__ = ("variables", "cards", "probs")
-    __setattr__ = __delattr__ = _read_only
-    __hash__ = None
 
     def __init__(self, variables: Tuple[str, ...], cards: Tuple[int, ...], probs: np.ndarray):
         if len(variables) != len(cards) or getattr(probs, "shape", None) != tuple(cards):
@@ -100,16 +99,14 @@ class DistTable:
         _set_probs(self, probs)
         _set_table_cache(self, {})
 
-    def __repr__(self) -> str:
-        return f"DistTable(variables={self.variables!r}, cards={self.cards!r}, probs={self.probs!r})"
-
     def __eq__(self, other):
         if type(other) is not DistTable:
             return NotImplemented
-        return (self.variables, self.cards, self.probs) == (other.variables, other.cards, other.probs)
-
-    def __reduce__(self):
-        return DistTable, (self.variables, self.cards, self.probs)
+        return self is other or (
+            self.variables == other.variables
+            and self.cards == other.cards
+            and np.array_equal(self.probs, other.probs)
+        )
 
     def prob(self, assignment: Mapping[str, int]) -> float:
         """Total mass of the cells matching a partial assignment."""
@@ -217,37 +214,28 @@ class Node(NamedTuple):
     cpt: np.ndarray  # shape (*parent cards, card); rows sum to one
 
 
-class DiscreteSCM:
+class DiscreteSCM(_Value):
     """Exact finite-domain model for a variable-level missingness graph.
 
-    ``nodes`` are in topological order. Immutable; its structure, node map
-    and exact tables are kept in ``_cache``, which takes no part in ``==``,
-    ``repr`` or a copy.
+    ``nodes`` are in topological order. Immutable; it compares its CPTs by
+    value and, as they are arrays, is unhashable. Its structure and exact
+    tables are kept in ``_cache``, which takes no part in ``==``, ``repr``
+    or a copy.
     """
 
     __match_args__ = ("madmg", "nodes", "latents", "seed")
-    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, madmg: MixedGraph, nodes: Tuple[Node, ...], latents: Tuple[str, ...], seed: int):
         self.__dict__.update(madmg=madmg, nodes=nodes, latents=latents, seed=seed, _cache={})
 
-    def _astuple(self) -> tuple:
-        return (self.madmg, self.nodes, self.latents, self.seed)
-
-    def __repr__(self) -> str:
-        return (
-            f"DiscreteSCM(madmg={self.madmg!r}, nodes={self.nodes!r}, "
-            f"latents={self.latents!r}, seed={self.seed!r})"
-        )
-
     def __eq__(self, other):
-        return self._astuple() == other._astuple() if type(other) is DiscreteSCM else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())  # raises TypeError: a CPT is an array
-
-    def __reduce__(self):
-        return DiscreteSCM, self._astuple()
+        if type(other) is not DiscreteSCM:
+            return NotImplemented
+        return self is other or (
+            (self.madmg, self.latents, self.seed) == (other.madmg, other.latents, other.seed)
+            and len(self.nodes) == len(other.nodes)
+            and all(a[:3] == b[:3] and np.array_equal(a.cpt, b.cpt) for a, b in zip(self.nodes, other.nodes))
+        )
 
     @property
     def structure(self) -> "_Structure":
@@ -257,12 +245,6 @@ class DiscreteSCM:
             specs = tuple((n.name, n.parents, n.card) for n in self.nodes)
             s = self._cache["structure"] = _structure(self.madmg, self.latents, specs)
         return s
-
-    @property
-    def node_map(self) -> Dict[str, Node]:
-        if "nodes" not in self._cache:
-            self._cache["nodes"] = {n.name: n for n in self.nodes}
-        return self._cache["nodes"]
 
     @property
     def variables(self) -> Tuple[str, ...]:
@@ -280,9 +262,6 @@ class DiscreteSCM:
 
     def proxy_name(self, var: str) -> str:
         return self.madmg.proxy_by_owner[var]
-
-    def indicator_name(self, var: str) -> str:
-        return self.madmg.indicator_by_owner[var]
 
 
 
@@ -422,11 +401,6 @@ def _random_structure(madmg: MixedGraph) -> _Structure:
         _acyclic(cyclic)
         per_graph[None] = s
     return s
-
-
-def _require(name: str, value, cls, error) -> None:
-    if not isinstance(value, cls):
-        raise error(f"{name} must be a {cls.__name__}, not {type(value).__name__}")
 
 
 def _require_variable_level(madmg: MixedGraph) -> None:
@@ -705,7 +679,7 @@ def interventional_table(
 # ---------------------------------------------------------------------------
 
 
-class Grounding:
+class Grounding(_Value):
     """Maps cluster-level atoms to variable-level columns and domains.
 
     ``indicator_of`` maps a variable to its indicator id, ``proxy_of`` to
@@ -715,7 +689,6 @@ class Grounding:
     """
 
     __match_args__ = ("clustering", "cards", "indicator_of", "proxy_of", "indicator_groups")
-    __setattr__ = __delattr__ = _read_only
     __hash__ = None
 
     def __init__(
@@ -733,22 +706,6 @@ class Grounding:
             proxy_of=proxy_of,
             indicator_groups={} if indicator_groups is None else indicator_groups,
         )
-
-    def _astuple(self) -> tuple:
-        return (self.clustering, self.cards, self.indicator_of, self.proxy_of, self.indicator_groups)
-
-    def __repr__(self) -> str:
-        return (
-            f"Grounding(clustering={self.clustering!r}, cards={self.cards!r}, "
-            f"indicator_of={self.indicator_of!r}, proxy_of={self.proxy_of!r}, "
-            f"indicator_groups={self.indicator_groups!r})"
-        )
-
-    def __eq__(self, other):
-        return self._astuple() == other._astuple() if type(other) is Grounding else NotImplemented
-
-    def __reduce__(self):
-        return Grounding, self._astuple()
 
     @staticmethod
     def from_scm(

@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional, Tuple
 from .abstraction import _members_of, _realize, _realized, is_compatible
 from .errors import PreconditionError, UnknownVertex, WrongGraphClass
 from .expressions import Expr, Product, Quotient, apply_proxy, canonical, rzero, term, val
-from .graphs import GraphClass, Kind, MixedGraph, closure
+from .graphs import GraphClass, Kind, MixedGraph, _require, closure
 from .separation import Walk
 
 
@@ -67,6 +67,7 @@ class JointVerdict(NamedTuple):
 
 
 def _require_missingness_cluster_graph(g: MixedGraph) -> None:
+    _require("g", g, MixedGraph, WrongGraphClass)
     if g.graph_class not in (GraphClass.MCDMG, GraphClass.CMCDMG):
         raise WrongGraphClass(
             f"joint recoverability is defined on m-c-dmg/cm-c-dmg, got {g.graph_class.value}"

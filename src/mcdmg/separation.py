@@ -21,7 +21,7 @@ from collections import deque
 from typing import FrozenSet, Iterable, NamedTuple, Optional, Tuple
 
 from .errors import EmptyWalk, OverlappingSets, PreconditionError, UnknownVertex
-from .graphs import AdjacencyIndex, Kind, MixedGraph, _read_only, closure
+from .graphs import AdjacencyIndex, Kind, MixedGraph, _Value, closure
 
 # Edge symbols are oriented along the traversal: "->" leaves via a tail and
 # arrives via a head, "<-" the reverse, "<->" is a head at both ends.
@@ -41,14 +41,13 @@ def _mark_at_next(sym: str) -> str:
     return HEAD if sym in (FORWARD, BOTH) else TAIL
 
 
-class Walk:
+class Walk(_Value):
     """A vertex sequence with one oriented edge symbol between neighbours.
 
     Immutable; its length is its number of edges."""
 
     __slots__ = ("vertices", "edges")
     __match_args__ = __slots__
-    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, vertices: Tuple[str, ...], edges: Tuple[str, ...]):
         if not vertices:
@@ -57,20 +56,6 @@ class Walk:
             raise EmptyWalk("edge count must be vertex count minus one")
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
-
-    def __repr__(self) -> str:
-        return f"Walk(vertices={self.vertices!r}, edges={self.edges!r})"
-
-    def __eq__(self, other):
-        if type(other) is not Walk:
-            return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash((self.vertices, self.edges))
-
-    def __reduce__(self):
-        return Walk, (self.vertices, self.edges)
 
     def __len__(self) -> int:
         return len(self.edges)

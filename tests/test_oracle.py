@@ -38,6 +38,7 @@ from mcdmg import (
     random_scm,
 )
 from mcdmg import GraphClass, Kind, MixedGraph, Vertex, oracle
+from mcdmg import Derivation, markov_blanket, replay, rule_applicable
 from mcdmg import check_joint, construct_witness, recover_effect
 from mcdmg.errors import (
     BudgetTooSmall,
@@ -663,6 +664,23 @@ def test_a_misshapen_table_is_refused(flags):
     ]
 
 
+def test_tables_and_scms_compare_their_arrays_by_value():
+    """Tables and SCMs built apart from equal arrays are equal, and other
+    numbers make them unequal; as they hold arrays, neither is hashable."""
+    table = DistTable(("a",), (2,), np.array([0.5, 0.5]))
+    assert table == DistTable(("a",), (2,), np.array([0.5, 0.5]))
+    assert table != DistTable(("a",), (2,), np.array([0.25, 0.75]))
+    assert table != DistTable(("b",), (2,), np.array([0.5, 0.5]))
+    g = mk(MAR_SRC)
+    one, again, two = random_scm(g, 1), random_scm(g, 1), random_scm(g, 2)
+    assert one is not again and one == again and not one != again
+    assert one != two
+    assert one != DiscreteSCM(one.madmg, two.nodes, one.latents, one.seed)
+    for value in (table, one):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
 def test_a_table_keeps_an_array_of_any_dtype():
     exact = np.array([Fraction(1, 2)] * 2, dtype=object)
     assert DistTable(("a",), (2,), exact).probs is exact
@@ -843,7 +861,8 @@ def test_eq1_determinism():
     g = mk(MAR_SRC)
     scm = random_scm(g, seed=5)
     _, manifest = exact_tables(scm)
-    p_z, p_x, p_r = (scm.node_map[n].cpt for n in ("Z", "X", "R_X"))
+    node_map = {n.name: n for n in scm.nodes}
+    p_z, p_x, p_r = (node_map[n].cpt for n in ("Z", "X", "R_X"))
     m = manifest.marginal(("Z", "X*", "R_X")).probs
     na = 2
     for z in range(2):
@@ -1079,8 +1098,39 @@ def test_oracle_refuses_cluster_graphs(name):
         (lambda: exact_tables("x"), InvalidSCM, "scm must be a DiscreteSCM, not str"),
         (lambda: Grounding.from_scm("x"), InvalidSCM, "scm must be a DiscreteSCM, not str"),
         (lambda: interventional_table(mk(MCAR_SRC), {"X": 0}), InvalidSCM, "scm must be a DiscreteSCM, not MixedGraph"),
+        (lambda: check_joint("fig2b"), WrongGraphClass, "g must be a MixedGraph, not str"),
+        (lambda: recover_effect("fig2b", {"CX"}, {"CY"}), WrongGraphClass, "g must be a MixedGraph, not str"),
+        (
+            lambda: construct_witness("fig3", check_joint(mk(fixture_text("fig3"))).violations[0]),
+            WrongGraphClass,
+            "g must be a MixedGraph, not str",
+        ),
+        (lambda: markov_blanket("fig2b", "R_CY"), WrongGraphClass, "g must be a MixedGraph, not str"),
+        (
+            lambda: replay("fig3", Derivation("fig3", term([val("CY")]), ())),
+            WrongGraphClass,
+            "g must be a MixedGraph, not str",
+        ),
+        (
+            lambda: rule_applicable("fig2b", "R2", {"CY"}, {"CX"}, (), ()),
+            WrongGraphClass,
+            "g must be a MixedGraph, not str",
+        ),
     ],
-    ids=["enumerate", "random_scm", "random_scm-none", "exact_tables", "from_scm", "interventional"],
+    ids=[
+        "enumerate",
+        "random_scm",
+        "random_scm-none",
+        "exact_tables",
+        "from_scm",
+        "interventional",
+        "check_joint",
+        "recover_effect",
+        "construct_witness",
+        "markov_blanket",
+        "replay",
+        "rule_applicable",
+    ],
 )
 def test_ill_typed_graph_and_scm_arguments_are_refused(call, error, message):
     """A graph or SCM argument of the wrong type raises a package error
@@ -1309,11 +1359,12 @@ def _extended(scm, do):
     for v in scm.variables:
         if scm.masked(v):
             k, n = scm.card(v), len(names)
-            eq1 = np.zeros((k, scm.card(scm.indicator_name(v)), k + 1))
+            r = scm.madmg.indicator_by_owner[v]
+            eq1 = np.zeros((k, scm.card(r), k + 1))
             for x in range(k):
                 eq1[x, 0, x] = 1.0  # X* = X where R_X = 0
                 eq1[x, 1:, k] = 1.0  # X* = NA otherwise
-            axes = [names.index(v), names.index(scm.indicator_name(v)), n]
+            axes = [names.index(v), names.index(r), n]
             probs = np.einsum(probs, list(range(n)), eq1, axes, list(range(n + 1)))
             names.append(scm.proxy_name(v))
     return DistTable(tuple(names), probs.shape, probs)

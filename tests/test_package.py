@@ -96,6 +96,32 @@ def test_no_check_is_an_assert():
     assert found == []
 
 
+# The classes that may bind ``__eq__`` or ``__hash__`` beside `_Value`: the
+# expression nodes cache their hash, a graph caches it, tables and SCMs
+# compare their arrays by value, and `_Content` is a hashed-once key.
+# ``__hash__ = None`` only takes hashing away and is not counted.
+EQ_HASH_ALLOWED = {"Term", "Sum", "Product", "Quotient", "MixedGraph", "DistTable", "DiscreteSCM", "_Content"}
+
+
+def test_value_methods_are_written_once():
+    """Only `_Value` defines the value methods; ``==`` and ``hash`` are
+    overridden on a named allowlist alone."""
+    bound = []
+    for path in sorted(Path(mcdmg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for stmt in cls.body:
+                if isinstance(stmt, ast.FunctionDef):
+                    bound.append((cls.name, stmt.name))
+                elif isinstance(stmt, ast.Assign) and not (
+                    isinstance(stmt.value, ast.Constant) and stmt.value.value is None
+                ):
+                    bound += [(cls.name, t.id) for t in stmt.targets if isinstance(t, ast.Name)]
+    value_methods = {"__repr__", "__reduce__", "_astuple", "__setattr__", "__delattr__"}
+    assert sorted(c for c, name in bound if name in value_methods) == ["_Value"] * len(value_methods)
+    assert {c for c, name in bound if name in ("__eq__", "__hash__")} == EQ_HASH_ALLOWED | {"_Value"}
+
+
 def test_imports_leave_numpy_unloaded():
     doc = python(
         "import json, sys\n"

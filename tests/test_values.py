@@ -17,8 +17,8 @@ from tests_support import value_corpus, value_type_name
 GOLDEN = Path(__file__).with_name("golden_values.json")
 SEEDS = ("0", "1")
 
-# types whose fields hold arrays: == on them compares arrays, so copies are
-# compared by repr and array by array
+# types whose fields hold arrays: they compare them by value and are
+# unhashable, and their copies are also compared array by array
 ARRAY_TYPES = ("mcdmg.oracle.DistTable", "mcdmg.oracle.DiscreteSCM")
 UNHASHABLE = ARRAY_TYPES + ("mcdmg.oracle.Grounding",)
 
@@ -71,9 +71,10 @@ def _fields(x):
 
 def _same(a, b):
     """``b`` is a twin of ``a``: same type and fields, equal, with the same
-    hash. Tables and SCMs compare their arrays one by one."""
+    hash. Tables and SCMs also compare their arrays one by one."""
     name = value_type_name(a)
     assert type(b) is type(a), name
+    assert a == b and not a != b, name
     if name in ARRAY_TYPES:
         for f, x in _fields(a).items():
             y = getattr(b, f)
@@ -81,8 +82,6 @@ def _same(a, b):
                 x, y = [n[:3] for n in x], [n[:3] for n in y]
                 assert all(np.array_equal(n.cpt, m.cpt) for n, m in zip(a.nodes, b.nodes))
             assert np.array_equal(x, y) if f == "probs" else x == y, (name, f)
-    else:
-        assert a == b and not a != b, name
     if name not in UNHASHABLE:
         assert hash(a) == hash(b), name
 
