@@ -106,6 +106,7 @@ def project(
     bidirected edges have no image and are dropped (`is_compatible` reports
     them as forbidden).
     """
+    _require("madmg", madmg, MixedGraph, WrongGraphClass)
     if madmg.graph_class not in (GraphClass.ADMG, GraphClass.MADMG):
         raise WrongGraphClass("projection starts from an (m-)ADMG")
     if level is GraphClass.CDMG and madmg.indicators:
@@ -157,6 +158,7 @@ def merge_indicators(mcdmg: MixedGraph) -> MixedGraph:
     indicator inheriting the union of their adjacencies, edge types
     preserved; proxies are re-owned accordingly.
     """
+    _require("mcdmg", mcdmg, MixedGraph, WrongGraphClass)
     if mcdmg.graph_class is not GraphClass.MCDMG:
         raise WrongGraphClass("merge starts from an m-c-dmg")
     clustering = mcdmg.clustering
@@ -210,6 +212,8 @@ def is_compatible(
     the two edge sets must coincide; indicator presence must match
     owner-for-owner. Intra-cluster bidirected edges are reported as forbidden.
     """
+    _require("madmg", madmg, MixedGraph, WrongGraphClass)
+    _require("abstract", abstract, MixedGraph, WrongGraphClass)
     level = _level_of(abstract)
     clustering = clustering or madmg.clustering or abstract.clustering
     if clustering is None:

@@ -18,7 +18,7 @@ from .errors import (
     UnknownVertex,
     WrongGraphClass,
 )
-from .graphs import GraphClass, MixedGraph, _Value
+from .graphs import GraphClass, MixedGraph, _require, _Value
 
 VAL = "val"
 PROXY = "proxy"
@@ -361,6 +361,7 @@ def apply_proxy(e: Expr, target: str, g: MixedGraph) -> Expr:
     carry all of the target's ``R=0`` literals; occurrences inside do-sets
     stay untouched (interventions set the true variable).
     """
+    _require("g", g, MixedGraph, WrongGraphClass)
     need = {rzero(r) for r in indicators_for(g, target)}
     tv = val(target)
 

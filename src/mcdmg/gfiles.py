@@ -21,8 +21,8 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .errors import ParseError, ValidationError
-from .graphs import Clustering, GraphClass, Kind, MixedGraph, Vertex, require_valid
+from .errors import ParseError, ValidationError, WrongGraphClass
+from .graphs import Clustering, GraphClass, Kind, MixedGraph, Vertex, _require, require_valid
 
 _HEADER = re.compile(r'^graph\s+"(?P<name>[^"]*)"\s+class=(?P<cls>[a-z-]+)\s*\{$')
 _CLUSTER = re.compile(r"^cluster\s+(?P<id>\S+)\s*\{\s*(?:vars\s+(?P<vars>[^}]*?))?\s*\}$")
@@ -136,6 +136,7 @@ def emit_graph(g: MixedGraph) -> str:
     A clustering attached to an (m-)ADMG is contextual and has no file
     syntax; it is dropped here but preserved by the JSON emitter.
     """
+    _require("g", g, MixedGraph, WrongGraphClass)
     lines = [f'graph "{g.name}" class={g.graph_class.value} {{']
     if g.clustering is not None and g.graph_class.clustered:
         for c, vs in g.clustering.clusters:
@@ -154,6 +155,7 @@ def emit_graph(g: MixedGraph) -> str:
 
 def emit_json(g: MixedGraph) -> dict:
     """JSON-ready dict: vertices with kind/owner, edge lists, class."""
+    _require("g", g, MixedGraph, WrongGraphClass)
     out = {
         "class": g.graph_class.value,
         "name": g.name,
@@ -171,6 +173,7 @@ def emit_json(g: MixedGraph) -> dict:
 
 def emit_dot(g: MixedGraph) -> str:
     """GraphViz rendering: clusters boxed, bidirected edges dashed."""
+    _require("g", g, MixedGraph, WrongGraphClass)
     shape = {
         Kind.CLUSTER: "box",
         Kind.VARIABLE: "ellipse",

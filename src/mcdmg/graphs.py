@@ -471,6 +471,7 @@ def validate(g: MixedGraph) -> list:
     list of Violation
         Empty iff the graph is well formed. Violations are data, not errors.
     """
+    _require("g", g, MixedGraph, WrongGraphClass)
     v: list = []
     ids = g.ids
     cls = g.graph_class
@@ -658,6 +659,7 @@ def classify_mechanism(g: MixedGraph, target: str) -> str:
     """
     from .separation import d_separated  # local import, no cycle at module load
 
+    _require("g", g, MixedGraph, WrongGraphClass)
     if g.graph_class not in MISSINGNESS_CLASSES:
         raise WrongGraphClass(f"classify_mechanism undefined on {g.graph_class.value}")
     if g.kind(target) is not Kind.INDICATOR:
@@ -678,6 +680,7 @@ def as_cluster_graph(g: MixedGraph) -> MixedGraph:
     Every variable becomes its own cluster vertex of the same name; indicators
     keep their owners. The result validates as an m-C-DMG (or C-DMG).
     """
+    _require("g", g, MixedGraph, WrongGraphClass)
     if g.graph_class not in (GraphClass.ADMG, GraphClass.MADMG):
         raise WrongGraphClass("promotion starts from an (m-)ADMG")
     target = GraphClass.MCDMG if g.graph_class is GraphClass.MADMG else GraphClass.CDMG

@@ -24,6 +24,7 @@ import copy
 import functools
 import itertools
 import math
+import operator
 import weakref
 from collections import OrderedDict
 from functools import cached_property
@@ -36,6 +37,7 @@ from .errors import (
     DomainTooLarge,
     EvaluationError,
     InvalidSCM,
+    InvalidSeed,
     McdmgError,
     PartialClusterAssignment,
     PositivityError,
@@ -410,6 +412,16 @@ def _require_variable_level(madmg: MixedGraph) -> None:
         )
 
 
+def _require_seed(seed) -> None:
+    """Raise InvalidSeed unless ``seed`` is an integer (``operator.index``) >= 0."""
+    try:
+        valid = operator.index(seed) >= 0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise InvalidSeed(f"seed must be an integer >= 0, not {seed!r}")
+
+
 def _latent_name(a: str, b: str) -> str:
     x, y = sorted((a, b))
     return f"U_{x}_{y}"
@@ -436,14 +448,16 @@ def random_scm(madmg: MixedGraph, seed: int = 0) -> DiscreteSCM:
     normalized: the bytes ``rng.dirichlet`` would give row by row. Every CPT
     cell is floored at 1e-3 so that manifest distributions are strictly
     positive over complete cases. Raises WrongGraphClass unless given an
-    (m-)ADMG, and DomainTooLarge, before drawing, when the largest latent
-    join, the joint or the manifest would exceed ``MAX_STATES`` cells.
+    (m-)ADMG, InvalidSeed unless the seed is an integer >= 0, and
+    DomainTooLarge, before drawing, when the largest latent join, the joint
+    or the manifest would exceed ``MAX_STATES`` cells.
 
     The graph's structure (mechanisms, order, budget and the stream's row
     layout) is worked out once; per seed, the rows of each length are
     normalized in one pass, each summed as ``g.sum(-1)`` sums it.
     """
     s = _random_structure(madmg)
+    _require_seed(seed)
     size, regroup, groups, segments = s.draw_layout
     flat = np.random.default_rng(seed).standard_exponential(size)
     if regroup is not None:
@@ -1325,12 +1339,12 @@ def check(
 # ---------------------------------------------------------------------------
 #
 # A pair is built in three steps. A motif draws two *core joints*, over (x, r)
-# for self-masking and over (y, z, r) for the collider, that agree on every
-# observable cell and differ in the masked stratum. Each core becomes the
-# *mechanisms that realize it*: per motif node a small table over the
-# parents it reads (its sources). Every other node gets a *filler*, the same
-# in both models. One helper, `_along`, turns every table into a CPT, so both
-# models differ only in the motif's numbers.
+# for a variable and its indicator and over (y, z, r) for the collider, that
+# agree on every observable cell and differ in the masked stratum. Each core
+# becomes the *mechanisms that realize it*, edge by edge under one rule (see
+# `equal_manifest_pair`). Every other node gets a *filler*, the same in both
+# models. One helper, `_along`, turns every table into a CPT, so both models
+# differ only in the motif's numbers.
 
 _NO_PAIR = "no counterexample pair found within the attempt budget"
 _ONE_HOT = np.eye(2)
@@ -1341,25 +1355,29 @@ def equal_manifest_pair(madmg: MixedGraph, seed: int = 0) -> Tuple[DiscreteSCM, 
     """Two SCMs on a non-recoverable graph with identical manifests.
 
     Handles the two violating motifs the witness construction produces: a
-    variable adjacent to its own indicator (self-masking, directly or through
-    a latent), and the collider chain Y <-> Z <-> R_Y. The pair agrees on
-    every manifest cell and differs in the true joint by at least 1.2e-2
+    variable X adjacent to its own indicator (X -> R_X, R_X -> X or
+    X <-> R_X), and a collider Y *-> Z <-* R_Y whose edges into the variable
+    Z are each -> or <->. One rule realizes every motif edge: a directed
+    edge's tail holds its marginal and the head reads it; a bidirected edge's
+    latent holds the mass that both ends read. The pair agrees on every
+    manifest cell and differs in the true joint by at least 1.2e-2
     somewhere; found by a seeded randomized search over base
     parameterizations (at most 300) combined with an exact perturbation of
     the masked stratum. Raises WrongGraphClass unless the graph is an
-    (m-)ADMG.
+    (m-)ADMG, InvalidSeed unless the seed is an integer >= 0, UnknownVertex
+    without a motif and PositivityError when no attempt pairs.
     """
+    _require("madmg", madmg, MixedGraph, WrongGraphClass)
     _require_variable_level(madmg)
+    _require_seed(seed)
     kind, owner, z, r = _find_violating_motif(madmg)
-    if kind == "collider" and (madmg.spouses(owner) | madmg.spouses(r)) - {z}:
-        raise PositivityError(_NO_PAIR)  # Y and R must be confounded only through Z
     fillers = _fillers(madmg, owner)
     for k in range(300):
         rng = np.random.default_rng(seed + k)
         if kind == "collider":
-            models = _collider_motif(rng, owner, z, r)
+            models = _collider_motif(rng, madmg, owner, z, r)
         else:
-            models = _selfmask_motif(rng, owner, r, latent=kind == "selfmask-latent")
+            models = _selfmask_motif(rng, madmg, owner, r)
         if models is None:
             continue
         scm1, scm2 = (_embed(fillers, tables, seed + k) for tables in models)
@@ -1371,26 +1389,27 @@ def equal_manifest_pair(madmg: MixedGraph, seed: int = 0) -> Tuple[DiscreteSCM, 
 
 
 def _find_violating_motif(madmg: MixedGraph):
+    """(kind, owner, z, r) of the first motif: a variable adjacent to its own
+    indicator ("neighbor", z None), else a variable Z with an edge into it,
+    ``->`` or ``<->``, from both an indicator's owner and the indicator
+    ("collider")."""
     for r in sorted(madmg.indicators):
         owner = madmg.vertex(r).owner
-        if (owner, r) in madmg.directed:
-            return ("selfmask", owner, None, r)
-        if owner in madmg.spouses(r):
-            return ("selfmask-latent", owner, None, r)
+        if owner in madmg.neighbors(r):
+            return ("neighbor", owner, None, r)
     for r in sorted(madmg.indicators):
         owner = madmg.vertex(r).owner
-        for z in sorted(madmg.spouses(r)):
-            if madmg.kind(z) is not Kind.VARIABLE:
-                continue
-            if owner in madmg.spouses(z):
+        for z in sorted(madmg.children(r) | madmg.spouses(r)):
+            if madmg.kind(z) is Kind.VARIABLE and owner in madmg.parents(z) | madmg.spouses(z):
                 return ("collider", owner, z, r)
-    raise UnknownVertex("graph has neither a self-masking adjacency nor a Y <-> Z <-> R_Y chain")
+    raise UnknownVertex("graph has no variable adjacent to its own indicator and no collider Y *-> Z <-* R_Y")
 
 
-def _collider_motif(rng, y, z, r):
+def _collider_motif(rng, madmg, y, z, r):
     """Two (y, z, r) joints equal on the observable cells, Y independent of
-    R, and the tables that realize them: Y and R copy the latent they share
-    with Z, and Z reads its conditional given both latents.
+    R, and the tables that realize them: an end with an edge -> Z holds its
+    marginal; an end joined to Z by <-> copies their latent, which holds it.
+    Z's CPT reads those two sources.
 
     The perturbation moves the masked stratum along a pattern with zero
     column sums (keeps P(z, R=1)) and zero row sum at y=1 (keeps the
@@ -1409,68 +1428,44 @@ def _collider_motif(rng, y, z, r):
         return None
     core2 = core1.copy()
     core2[:, :, 1] = f + t * d
-    lat_yz, lat_zr = _latent_name(y, z), _latent_name(z, r)
-    copy = _ONE_HOT[[0, 1, 1, 1]]  # latent states 2 and 3 carry no mass
-    given = np.full((2, 4, 4, 2), 0.5)  # per core: (U_yz, U_zr, z)
+    tables, sources = {}, []
+    for end, p in ((y, p_y), (r, p_r)):
+        if (end, z) in madmg.directed:
+            tables[end] = ((), p)
+            sources.append(end)
+        else:
+            lat = _latent_name(end, z)
+            tables[lat] = ((), np.concatenate([p, [0.0, 0.0]]))  # latent states 2 and 3 carry no mass
+            tables[end] = ((lat,), _ONE_HOT[[0, 1, 1, 1]])
+            sources.append(lat)
+    cards = tuple(len(tables[s][1]) for s in sources)
+    given = np.full((2,) + cards + (2,), 0.5)  # per core: (Y's source, R's source, z)
     mass = np.stack([core1, core2]).transpose(0, 1, 3, 2)
     given[:, :2, :2] = mass / mass.sum(-1, keepdims=True)
-    return tuple(
-        {
-            lat_yz: ((), np.concatenate([p_y, [0.0, 0.0]])),
-            lat_zr: ((), np.concatenate([p_r, [0.0, 0.0]])),
-            y: ((lat_yz,), copy),
-            r: ((lat_zr,), copy),
-            z: ((lat_yz, lat_zr), z_cpt),
-        }
-        for z_cpt in given
-    )
+    return tuple({**tables, z: (tuple(sources), z_cpt)} for z_cpt in given)
 
 
-def _selfmask_motif(rng, x, r, latent: bool):
+def _selfmask_motif(rng, madmg, x, r):
     """Two (x, r) joints with equal P(x, R=0) cells and equal P(R=1), and
-    the tables that realize them.
+    the tables that realize them along the edge between X and R.
 
-    With a direct X -> R_X edge the pair trades the masking rates against
-    the marginal; through a latent any perturbation of the masked stratum
-    with zero total works, and X and R_X read their halves of the latent's
-    state.
+    Model 2 moves t = min_x P1(x, R=1) - 1e-3 of the masked stratum from
+    x=0 to x=1. Across X -> R, X holds P(x) and R reads X; across R -> X, R
+    holds P(r) and X reads R; across X <-> R the latent holds the (x, r)
+    pair and X and R read their halves of its state.
     """
     p1 = rng.uniform(0.35, 0.65)
     r0, r1 = rng.uniform(0.25, 0.45, size=2)
     core1 = np.array([[(1 - p1) * (1 - r0), (1 - p1) * r0], [p1 * (1 - r1), p1 * r1]])  # (x, r)
-    if latent:
-        f = core1[:, 1]
-        t = min(float(f.min() - 1e-3), 0.05)
-        if t < 0.02:
-            return None
-        core2 = core1.copy()
-        core2[:, 1] = f + t * np.array([-1.0, 1.0])
-        lat = _latent_name(x, r)  # latent state = (x, r) pair
-        x_of, r_of = _ONE_HOT[[0, 0, 1, 1]], _ONE_HOT[[0, 1, 0, 1]]
-        return tuple(
-            {lat: ((), core.reshape(-1)), x: ((lat,), x_of), r: ((lat,), r_of)}
-            for core in (core1, core2)
-        )
-    # direct edge: R depends on X only, so model 2 must stay a product
-    # P2(x) P2(R|x) with the same observable cells
-    t = 0.12
-    r1b = r1 + t
-    p1b = p1 * (1 - r1) / (1 - r1b)
-    p0b = 1 - p1b
-    if not (0.05 < p1b < 0.95):
-        return None
-    r0b = 1 - ((1 - p1) * (1 - r0)) / p0b
-    if not (0.02 < r0b < 0.98):
-        return None
-    core2 = np.array([[p0b * (1 - r0b), p0b * r0b], [p1b * (1 - r1b), p1b * r1b]])
-    if abs(p1b - p1) < 0.02:
-        return None
-    cores = np.stack([core1, core2])
-    marg = cores.sum(axis=2)
-    rate = cores[:, :, 1] / marg
-    return tuple(
-        {x: ((), m), r: ((x,), np.stack([1 - q, q], axis=-1))} for m, q in zip(marg, rate)
-    )
+    t = core1[:, 1].min() - 1e-3  # >= 0.35 * 0.25 - 1e-3, so no draw is skipped
+    core2 = core1.copy()
+    core2[:, 1] += t * np.array([-1.0, 1.0])
+    for tail, head, pairs in ((x, r, (core1, core2)), (r, x, (core1.T, core2.T))):
+        if (tail, head) in madmg.directed:  # pairs' axes: (tail, head)
+            return tuple({tail: ((), p.sum(1)), head: ((tail,), p / p.sum(1, keepdims=True))} for p in pairs)
+    lat = _latent_name(x, r)  # latent state = (x, r) pair
+    x_of, r_of = _ONE_HOT[[0, 0, 1, 1]], _ONE_HOT[[0, 1, 0, 1]]
+    return tuple({lat: ((), core.reshape(-1)), x: ((lat,), x_of), r: ((lat,), r_of)} for core in (core1, core2))
 
 
 def _along(table, sources, parents, cards) -> np.ndarray:

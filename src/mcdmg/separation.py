@@ -20,8 +20,8 @@ from __future__ import annotations
 from collections import deque
 from typing import FrozenSet, Iterable, NamedTuple, Optional, Tuple
 
-from .errors import EmptyWalk, OverlappingSets, PreconditionError, UnknownVertex
-from .graphs import AdjacencyIndex, Kind, MixedGraph, _Value, closure
+from .errors import EmptyWalk, OverlappingSets, PreconditionError, UnknownVertex, WrongGraphClass
+from .graphs import AdjacencyIndex, Kind, MixedGraph, _require, _Value, closure
 
 # Edge symbols are oriented along the traversal: "->" leaves via a tail and
 # arrives via a head, "<-" the reverse, "<->" is a head at both ends.
@@ -120,11 +120,13 @@ def descendants(g: MixedGraph, sources: Iterable[str]) -> FrozenSet[str]:
 
     Well defined under cycles: this is the fixed point of one-step expansion.
     """
+    _require("g", g, MixedGraph, WrongGraphClass)
     return closure(sources, g.children)
 
 
 def ancestors(g: MixedGraph, targets: Iterable[str]) -> FrozenSet[str]:
     """All vertices with a directed path into ``targets``, inclusive."""
+    _require("g", g, MixedGraph, WrongGraphClass)
     return closure(targets, g.parents)
 
 
@@ -148,7 +150,9 @@ def mutilate(g: MixedGraph, spec: MutilationSpec) -> MixedGraph:
 
 
 def _check_mutilation(g: MixedGraph, spec: MutilationSpec) -> None:
-    """Refuse an unknown vertex or a proxy in ``spec``, the first in id order."""
+    """Refuse a non-graph, then an unknown vertex or a proxy in ``spec``, the
+    first in id order."""
+    _require("g", g, MixedGraph, WrongGraphClass)
     for vid in sorted(spec.remove_incoming | spec.remove_outgoing):
         if g.kind(vid) is Kind.PROXY:
             raise UnknownVertex(f"proxy {vid!r} cannot be mutilated")
@@ -195,6 +199,7 @@ def vertex_set(name: str, ids: Iterable[str]) -> FrozenSet[str]:
 
 
 def _check_sets(g: MixedGraph, xs, ys, zs) -> Tuple[frozenset, frozenset, frozenset]:
+    _require("g", g, MixedGraph, WrongGraphClass)
     X, Y, Z = vertex_set("X", xs), vertex_set("Y", ys), vertex_set("Z", zs)
     for vid in X | Y | Z:
         g.vertex(vid)
@@ -398,6 +403,7 @@ def enumerate_paths(
     vertices are kept off path interiors unless asked for; self-loops never
     occur on simple paths.
     """
+    _require("g", g, MixedGraph, WrongGraphClass)
     g.require(a, b)
     if a == b:
         raise OverlappingSets("endpoints must differ")

@@ -40,11 +40,31 @@ from mcdmg import (
 from mcdmg import GraphClass, Kind, MixedGraph, Vertex, oracle
 from mcdmg import Derivation, markov_blanket, replay, rule_applicable
 from mcdmg import check_joint, construct_witness, recover_effect
+from mcdmg import (
+    MutilationSpec,
+    active_path,
+    ancestors,
+    apply_proxy,
+    classify_mechanism,
+    d_separated,
+    d_separated_by_paths,
+    descendants,
+    emit_dot,
+    emit_graph,
+    emit_json,
+    enumerate_paths,
+    is_compatible,
+    merge_indicators,
+    mutilate,
+    project,
+    validate,
+)
 from mcdmg.errors import (
     BudgetTooSmall,
     DomainTooLarge,
     EvaluationError,
     InvalidSCM,
+    InvalidSeed,
     McdmgError,
     PartialClusterAssignment,
     PositivityError,
@@ -79,7 +99,7 @@ from mcdmg.oracle import (
     free_atoms,
     scm_from_cpts,
 )
-from tests_support import random_cluster_text, reference_manifest, reference_read
+from tests_support import indicator_out_text, random_cluster_text, reference_manifest, reference_read
 
 
 def mk(src):
@@ -273,24 +293,61 @@ def _pair_digest(witness):
     return h.hexdigest()
 
 
-def golden_pair_hashes(random_graphs=100, seed=20261018):
-    """sha256 of the counterexample pair of fig3's witness, of the two
-    self-masking motifs, and of the first-violation witness of every
-    non-recoverable graph among ``random_graphs`` of ``random_cluster_text``
-    from ``random.Random(seed)``: pairs, `PositivityError`s and
+# The motifs `equal_manifest_pair` realizes, each the first violation's
+# path on a cm-c-dmg whose indicator R_CX is joined to CX through it.
+MOTIF = (
+    'graph "motif" class=cm-c-dmg {{\n'
+    "  cluster CX {{ vars X1 }}\n"
+    "  cluster CZ {{ vars Z1 }}\n"
+    "  cluster CW {{ vars W1 }}\n"
+    "  rvar R_CX for CX\n"
+    "  edge CX -> CW\n"
+    "{edges}"
+    "}}\n"
+)
+MOTIF_PATHS = {
+    "neighbor-out": "CX -> R_CX",
+    "neighbor-latent": "CX <-> R_CX",
+    "neighbor-in": "CX <- R_CX",
+    "collider-latent-latent": "CX <-> CZ <-> R_CX",
+    "collider-direct-direct": "CX -> CZ <- R_CX",
+    "collider-latent-direct": "CX <-> CZ <- R_CX",
+    "collider-direct-latent": "CX -> CZ <-> R_CX",
+}
+
+
+def motif_graph(path):
+    """The motif graph with one edge per step of ``path``."""
+    tokens = path.split()
+    edges = [
+        f"  edge {b} -> {a}\n" if sym == "<-" else f"  edge {a} {sym} {b}\n"
+        for a, sym, b in zip(tokens[::2], tokens[1::2], tokens[2::2])
+    ]
+    return parse_graph(MOTIF.format(edges="".join(edges)))
+
+
+def golden_pair_hashes(random_graphs=100, seed=20261018, out_graphs=100, out_seed=11):
+    """sha256 of the counterexample pair of fig3's witness, of the seven
+    motifs, and of the first-violation witness of every non-recoverable graph
+    among ``random_graphs`` of ``random_cluster_text`` from
+    ``random.Random(seed)`` and ``out_graphs`` of ``indicator_out_text`` from
+    ``random.Random(out_seed)``: pairs, `PositivityError`s and
     `UnknownVertex`es. Regenerate ``golden_pairs.json`` only for a stated
     change of the pairs' bytes:
     ``PYTHONPATH=src:tests python -c "import test_oracle as t; t.write_golden_pairs()"``.
     """
     fig3 = parse_graph(fixture_text("fig3"))
     graphs = {"fig3": fig3}
-    for name, edge in (("selfmask-direct", "CX -> R_CX"), ("selfmask-latent", "CX <-> R_CX")):
-        graphs[name] = parse_graph(SELFMASK_MOTIF.format(edge=edge))
-    rng = random.Random(seed)
-    for i in range(random_graphs):
-        g = parse_graph(random_cluster_text(rng))
-        if g.graph_class is not GraphClass.CDMG:
-            graphs[f"random/{i}"] = g
+    for name, path in MOTIF_PATHS.items():
+        graphs[f"motif/{name}"] = motif_graph(path)
+    for prefix, text, n, rng in (
+        ("random", random_cluster_text, random_graphs, random.Random(seed)),
+        ("rout", indicator_out_text, out_graphs, random.Random(out_seed)),
+    ):
+        for i in range(n):
+            g = parse_graph(text(rng))
+            if g.graph_class is not GraphClass.CDMG:
+                graphs[f"{prefix}/{i}"] = g
     out = {}
     for name, g in graphs.items():
         verdict = check_joint(g)
@@ -1046,14 +1103,13 @@ def test_evaluate_all_on_an_scm_is_interventional(fig3):
         assert abs(got - want) < 1e-12
 
 
-def test_equal_manifest_pair(fig3):
-    witness = construct_witness(fig3, check_joint(fig3).violations[0])
-    s1, s2 = equal_manifest_pair(witness, seed=0)
+def _assert_pair(s1, s2):
+    """Equal manifests, joints at least 1e-2 apart, and manifests strictly
+    positive over complete cases (R=0, proxies at non-NA levels)."""
     j1, m1 = exact_tables(s1)
     j2, m2 = exact_tables(s2)
     assert float(np.max(np.abs(m1.probs - m2.probs))) <= 1e-9
     assert float(np.max(np.abs(j1.probs - j2.probs))) >= 1e-2
-    # strict positivity over complete cases (R=0, proxies at non-NA levels)
     for m, scm in ((m1, s1), (m2, s2)):
         proxies = {scm.proxy_name(v): scm.card(v) for v in scm.variables if scm.masked(v)}
         idx = []
@@ -1065,6 +1121,11 @@ def test_equal_manifest_pair(fig3):
             else:
                 idx.append(slice(None))
         assert float(m.probs[tuple(idx)].min()) > 0.0
+
+
+def test_equal_manifest_pair(fig3):
+    witness = construct_witness(fig3, check_joint(fig3).violations[0])
+    _assert_pair(*equal_manifest_pair(witness, seed=0))
 
 
 def test_example2_formula_matches_interventional(fig2b):
@@ -1116,6 +1177,39 @@ def test_oracle_refuses_cluster_graphs(name):
             WrongGraphClass,
             "g must be a MixedGraph, not str",
         ),
+        (lambda: equal_manifest_pair("x"), WrongGraphClass, "madmg must be a MixedGraph, not str"),
+        (lambda: equal_manifest_pair(mk(SELFMASK_SRC), seed=-1), InvalidSeed, "seed must be an integer >= 0, not -1"),
+        (lambda: equal_manifest_pair(mk(SELFMASK_SRC), seed="a"), InvalidSeed, "seed must be an integer >= 0, not 'a'"),
+        (
+            lambda: equal_manifest_pair(mk(SELFMASK_SRC), seed=None),
+            InvalidSeed,
+            "seed must be an integer >= 0, not None",
+        ),
+        (lambda: random_scm(mk(MCAR_SRC), seed=-1), InvalidSeed, "seed must be an integer >= 0, not -1"),
+        (lambda: random_scm(mk(MCAR_SRC), seed=1.5), InvalidSeed, "seed must be an integer >= 0, not 1.5"),
+        (lambda: random_scm(mk(MCAR_SRC), seed=None), InvalidSeed, "seed must be an integer >= 0, not None"),
+        (lambda: d_separated("x", {"X"}, {"Y"}, ()), WrongGraphClass, "g must be a MixedGraph, not str"),
+        (lambda: active_path("x", {"X"}, {"Y"}, ()), WrongGraphClass, "g must be a MixedGraph, not str"),
+        (lambda: d_separated_by_paths("x", {"X"}, {"Y"}, ()), WrongGraphClass, "g must be a MixedGraph, not str"),
+        (lambda: enumerate_paths("x", "X", "Y", 3), WrongGraphClass, "g must be a MixedGraph, not str"),
+        (lambda: descendants("x", {"X"}), WrongGraphClass, "g must be a MixedGraph, not str"),
+        (lambda: ancestors("x", {"X"}), WrongGraphClass, "g must be a MixedGraph, not str"),
+        (lambda: mutilate("x", MutilationSpec()), WrongGraphClass, "g must be a MixedGraph, not str"),
+        (lambda: validate("x"), WrongGraphClass, "g must be a MixedGraph, not str"),
+        (lambda: classify_mechanism("x", "R_X"), WrongGraphClass, "g must be a MixedGraph, not str"),
+        (lambda: is_compatible("x", mk(fixture_text("fig3"))), WrongGraphClass, "madmg must be a MixedGraph, not str"),
+        (lambda: is_compatible(mk(MCAR_SRC), "x"), WrongGraphClass, "abstract must be a MixedGraph, not str"),
+        (
+            lambda: project("x", Clustering.from_dict({"CX": ["X"]}), GraphClass.MCDMG),
+            WrongGraphClass,
+            "madmg must be a MixedGraph, not str",
+        ),
+        (lambda: merge_indicators("x"), WrongGraphClass, "mcdmg must be a MixedGraph, not str"),
+        (lambda: as_cluster_graph("x"), WrongGraphClass, "g must be a MixedGraph, not str"),
+        (lambda: emit_json("x"), WrongGraphClass, "g must be a MixedGraph, not str"),
+        (lambda: emit_graph("x"), WrongGraphClass, "g must be a MixedGraph, not str"),
+        (lambda: emit_dot("x"), WrongGraphClass, "g must be a MixedGraph, not str"),
+        (lambda: apply_proxy(term([val("CX")]), "CX", "x"), WrongGraphClass, "g must be a MixedGraph, not str"),
     ],
     ids=[
         "enumerate",
@@ -1130,11 +1224,37 @@ def test_oracle_refuses_cluster_graphs(name):
         "markov_blanket",
         "replay",
         "rule_applicable",
+        "pair",
+        "pair-seed-negative",
+        "pair-seed-str",
+        "pair-seed-none",
+        "random_scm-seed-negative",
+        "random_scm-seed-float",
+        "random_scm-seed-none",
+        "d_separated",
+        "active_path",
+        "d_separated_by_paths",
+        "enumerate_paths",
+        "descendants",
+        "ancestors",
+        "mutilate",
+        "validate",
+        "classify_mechanism",
+        "is_compatible-madmg",
+        "is_compatible-abstract",
+        "project",
+        "merge_indicators",
+        "as_cluster_graph",
+        "emit_json",
+        "emit_graph",
+        "emit_dot",
+        "apply_proxy",
     ],
 )
 def test_ill_typed_graph_and_scm_arguments_are_refused(call, error, message):
-    """A graph or SCM argument of the wrong type raises a package error
-    naming the argument and the type it got."""
+    """A graph, SCM or seed argument of the wrong type (or a negative seed)
+    raises a package error naming the argument and the value or type it
+    got."""
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
 
@@ -1236,32 +1356,15 @@ def test_along_reads_the_table_at_its_sources(data):
         assert np.array_equal(cpt[states], table[tuple(at[p] for p in sources)])
 
 
-SELFMASK_MOTIF = (
-    'graph "adj" class=cm-c-dmg {{\n'
-    "  cluster CX {{ vars X1 }}\n"
-    "  cluster CW {{ vars W1 }}\n"
-    "  rvar R_CX for CX\n"
-    "  edge CX -> CW\n"
-    "  edge {edge}\n"
-    "}}\n"
-)
-
-
-@pytest.mark.parametrize(
-    "edge",
-    ["CX -> R_CX", "CX <-> R_CX"],
-    ids=["direct-selfmask", "latent-selfmask"],
-)
-def test_equal_manifest_pair_selfmask_motifs(edge):
-    g = parse_graph(SELFMASK_MOTIF.format(edge=edge))
+@pytest.mark.parametrize("path", MOTIF_PATHS.values(), ids=MOTIF_PATHS.keys())
+def test_equal_manifest_pair_motifs(path):
+    """Every edge between a variable and its indicator, and every two-edge
+    collider with each edge directed or bidirected, gets a pair."""
+    g = motif_graph(path)
     verdict = check_joint(g)
     assert not verdict.recoverable
-    witness = construct_witness(g, verdict.violations[0])
-    s1, s2 = equal_manifest_pair(witness, seed=0)
-    j1, m1 = exact_tables(s1)
-    j2, m2 = exact_tables(s2)
-    assert float(np.max(np.abs(m1.probs - m2.probs))) <= 1e-9
-    assert float(np.max(np.abs(j1.probs - j2.probs))) >= 1e-2
+    assert verdict.violations[0].witness.text() == path
+    _assert_pair(*equal_manifest_pair(construct_witness(g, verdict.violations[0]), seed=0))
 
 
 # Wrong formulas: the complete-case joint on fig2b (R_CX, R_CY depend on CZ),
