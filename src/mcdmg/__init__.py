@@ -11,7 +11,8 @@ import importlib as _importlib
 
 # Each submodule and the public names it defines. `import mcdmg` loads none
 # of them: a name loads its submodule on first access (PEP 562), so a caller
-# compiles only the modules it uses, and only the oracle imports numpy.
+# compiles only the modules it uses, and only the oracle and the pairs
+# built on it import numpy.
 _EXPORTS = {
     "abstraction": (
         "Budget",
@@ -65,13 +66,13 @@ _EXPORTS = {
         "DiscreteSCM",
         "DistTable",
         "Grounding",
-        "equal_manifest_pair",
         "evaluate",
         "evaluate_interventional",
         "exact_tables",
         "interventional_table",
         "random_scm",
     ),
+    "pairs": ("equal_manifest_pair",),
     "recovery": (
         "JointVerdict",
         "MarkovBlanket",

@@ -214,6 +214,8 @@ def is_compatible(
     """
     _require("madmg", madmg, MixedGraph, WrongGraphClass)
     _require("abstract", abstract, MixedGraph, WrongGraphClass)
+    if clustering is not None:
+        _require("clustering", clustering, Clustering, InvalidClustering)
     level = _level_of(abstract)
     clustering = clustering or madmg.clustering or abstract.clustering
     if clustering is None:

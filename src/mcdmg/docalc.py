@@ -651,6 +651,7 @@ def replay(g: MixedGraph, d: Derivation) -> ReplayResult:
     records, as in the search.
     """
     _require("g", g, MixedGraph, WrongGraphClass)
+    _require("d", d, Derivation, PreconditionError)
     current = canonical(d.query)
     refs = {
         VAL: (g.substantive, "substantive vertex"),

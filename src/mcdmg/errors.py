@@ -48,8 +48,10 @@ class InvalidSCM(McdmgError):
 class PreconditionError(McdmgError):
     """Query-time side condition violated (R self-loop or R-R edge, an
     effect query with an empty treatment or outcome, a d-separation query
-    on the command line with an empty X or Y, or a bare string where a
-    collection of vertex ids is expected)."""
+    on the command line with an empty X or Y, a bare string where a
+    collection of vertex ids is expected, a mutilation, derivation,
+    violation or do-assignment argument of the wrong type, or a violation
+    whose path is not a path of the graph)."""
 
 
 class InvalidClustering(McdmgError):

@@ -3,8 +3,11 @@
 The graphical test: the joint over all clusters is recoverable exactly when
 no partially observed cluster is adjacent to one of its own missingness
 indicators, nor connected to one by a path whose interior vertices are all
-colliders and all cluster vertices. On success a closed-form quotient is
-emitted; on failure a variable-level witness graph realizes the violation.
+colliders and all cluster vertices: one d-separation statement per
+indicator, asked of the separation engine by `_violations`. On success a
+closed-form quotient is emitted; on failure a variable-level witness graph
+realizes the violation, and `mcdmg.pairs` reads its motif from the
+violations of that graph.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from .abstraction import _members_of, _realize, _realized, is_compatible
 from .errors import PreconditionError, UnknownVertex, WrongGraphClass
 from .expressions import Expr, Product, Quotient, apply_proxy, canonical, rzero, term, val
 from .graphs import GraphClass, Kind, MixedGraph, _require, closure
-from .separation import Walk
+from .separation import Walk, _shortest_active_path
 
 
 class MarkovBlanket(NamedTuple):
@@ -129,61 +132,26 @@ def markov_blanket(g: MixedGraph, r: str) -> MarkovBlanket:
 # ---------------------------------------------------------------------------
 
 
-def _neighbor_witness(g: MixedGraph, cluster: str, r: str) -> Optional[Walk]:
-    if (cluster, r) in g.directed:
-        return Walk((cluster, r), ("->",))
-    if (r, cluster) in g.directed:
-        return Walk((cluster, r), ("<-",))
-    if tuple(sorted((cluster, r))) in g.bidirected:
-        return Walk((cluster, r), ("<->",))
-    return None
+def _violations(g: MixedGraph):
+    """Each indicator's violation, indicators in id order: the shortest
+    active path from its owner to it given every other substantive vertex,
+    with every other indicator cut off (overlined and underlined).
 
-
-def _collider_path_witness(g: MixedGraph, cluster: str, r: str) -> Optional[Walk]:
-    """Shortest path cluster ... r whose interior is all colliders, all clusters.
-
-    Interior vertices must take arrowheads from both path edges, so interior
-    steps ride bidirected edges; the first edge leaves the cluster with an
-    arrowhead into the interior and the last takes an arrowhead from r.
+    A non-collider in the conditioning set blocks a path and a collider in
+    it is open; a cut indicator lies on no path, and a proxy has no
+    children, so it is never an open collider. The active paths are thus
+    exactly the adjacencies and the all-collider substantive paths.
+    Works on cluster graphs and on m-ADMGs alike.
     """
-    cluster_kind = {v for v in g.clusters}
-
-    first_syms = {}
-    for v in sorted(g.children(cluster) | g.spouses(cluster)):
-        if v in cluster_kind and v != cluster:
-            first_syms.setdefault(v, "->" if v in g.children(cluster) else "<->")
-    last_syms = {}
-    for u in sorted(g.children(r) | g.spouses(r)):
-        if u in cluster_kind and u != cluster:
-            last_syms.setdefault(u, "<-" if u in g.children(r) else "<->")
-
-    # breadth-first over bidirected cluster-cluster edges from the entry set
-    from collections import deque
-
-    prev = {}
-    queue = deque()
-    for v in sorted(first_syms):
-        prev[v] = None
-        queue.append(v)
-    goal = None
-    while queue:
-        v = queue.popleft()
-        if v in last_syms:
-            goal = v
-            break
-        for u in sorted(g.spouses(v)):
-            if u in cluster_kind and u != cluster and u not in prev:
-                prev[u] = v
-                queue.append(u)
-    if goal is None:
-        return None
-    chain = [goal]
-    while prev[chain[-1]] is not None:
-        chain.append(prev[chain[-1]])
-    chain.reverse()
-    vs = [cluster] + chain + [r]
-    es = [first_syms[chain[0]]] + ["<->"] * (len(chain) - 1) + [last_syms[goal]]
-    return Walk(tuple(vs), tuple(es))
+    ix = g.index
+    substantive, indicators = ix.mask(g.substantive), ix.indicators
+    for r in sorted(g.indicators):
+        owner = g.owner_cluster(r)
+        xs, ys = ix.bit[owner], ix.bit[r]
+        cut = indicators & ~ys
+        path = _shortest_active_path(ix, xs, ys, substantive & ~xs, cut, cut)
+        if path is not None:
+            yield Violation(owner, r, "neighbor" if len(path) == 1 else "collider_path", path)
 
 
 def check_joint(g: MixedGraph) -> JointVerdict:
@@ -194,19 +162,9 @@ def check_joint(g: MixedGraph) -> JointVerdict:
     """
     _require_missingness_cluster_graph(g)
     _check_side_conditions(g)
-
-    violations = []
-    for r in sorted(g.indicators):
-        cluster = g.owner_cluster(r)
-        w = _neighbor_witness(g, cluster, r)
-        if w is not None:
-            violations.append(Violation(cluster, r, "neighbor", w))
-            continue
-        w = _collider_path_witness(g, cluster, r)
-        if w is not None:
-            violations.append(Violation(cluster, r, "collider_path", w))
+    violations = tuple(_violations(g))
     if violations:
-        return JointVerdict(False, tuple(violations), None)
+        return JointVerdict(False, violations, None)
     return JointVerdict(True, (), recovery_formula(g))
 
 
@@ -252,11 +210,21 @@ def construct_witness(g: MixedGraph, violation: Violation) -> MixedGraph:
     variable also absorbs directed edges whose representative realization
     would close a variable-level cycle (it never has outgoing edges). Such an
     edge into an indicator is realized instead from a source variable of its
-    tail cluster, which never has incoming edges.
+    tail cluster, which never has incoming edges. A violation whose path is
+    not a path of ``g`` from the indicator's cluster to the indicator is
+    refused with PreconditionError.
     """
     _require_missingness_cluster_graph(g)
-    if g.kind(violation.indicator) is not Kind.INDICATOR:
-        raise UnknownVertex(f"{violation.indicator!r} is not an indicator")
+    _require("violation", violation, Violation, PreconditionError)
+    path, indicator = violation.witness, violation.indicator
+    _require("violation.witness", path, Walk, PreconditionError)
+    cluster = g.owner_cluster(indicator)  # UnknownVertex unless an indicator of g
+    if (path.vertices[0], path.vertices[-1]) != (cluster, indicator) or not path.is_path():
+        raise PreconditionError(f"violation path {path.text()} is not a path from {cluster!r} to {indicator!r}")
+    try:
+        path.check_in(g)
+    except UnknownVertex as exc:
+        raise PreconditionError(f"violation path {path.text()}: {exc}") from None
 
     declared = g.clustering.as_dict
     self_looped = {a for a, b in g.directed if a == b and g.kind(a) is Kind.CLUSTER}
@@ -267,8 +235,8 @@ def construct_witness(g: MixedGraph, violation: Violation) -> MixedGraph:
 
     # the violated cluster's representative must be the masked variable itself
     if g.graph_class is GraphClass.MCDMG:
-        owner = g.vertex(violation.indicator).owner
-        pool = members[violation.cluster]
+        owner = g.vertex(indicator).owner
+        pool = members[cluster]
         if owner not in pool:
             pool[1 if len(pool) > 1 else 0] = owner
         pool.sort(key=lambda v: v != owner)
@@ -301,15 +269,8 @@ def construct_witness(g: MixedGraph, violation: Violation) -> MixedGraph:
     bidirected: set = set()
 
     # violating structure first, so it is never re-routed
-    path_edges = list(zip(violation.witness.vertices, violation.witness.edges, violation.witness.vertices[1:]))
-    ordered = []
-    for a, sym, b in path_edges:
-        if sym == "->":
-            ordered.append(("->", a, b))
-        elif sym == "<-":
-            ordered.append(("->", b, a))
-        else:
-            ordered.append(("<->", a, b))
+    steps = zip(path.vertices, path.edges, path.vertices[1:])
+    ordered = [("->", b, a) if sym == "<-" else (sym, a, b) for a, sym, b in steps]
     for a, b in sorted(g.declared_directed):
         if a != b and ("->", a, b) not in ordered:
             ordered.append(("->", a, b))

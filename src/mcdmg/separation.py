@@ -4,9 +4,10 @@ Blocking follows the path definition: a path is blocked by Z when it has a
 non-collider in Z, or a collider with no descendant in Z. The production
 engine is a reachability automaton over (vertex, arrival-mark) states, which
 also admits walks: `reaches` decides it on the bitmask adjacency of
-`MixedGraph.index`, with a mutilation passed as masks, and `active_path`
-runs it breadth-first over the same positions and the same mutilation to
-return a shortest witness. Neither builds a mutilated graph; `mutilate`
+`MixedGraph.index`, with a mutilation passed as masks, and
+`_shortest_active_path` runs it breadth-first over the same positions and
+the same mutilation to return a shortest witness; `active_path` checks its
+arguments and calls it. Neither builds a mutilated graph; `mutilate`
 builds one for callers that need the graph itself. An exhaustive path
 enumerator doubles as an independent oracle and the engines are held in
 agreement with it by the test suite.
@@ -138,7 +139,7 @@ def mutilate(g: MixedGraph, spec: MutilationSpec) -> MixedGraph:
     are definitional (the proxy mechanism is not manipulable) and survive any
     mutilation. Self-loops count as both incoming and outgoing.
     """
-    _check_mutilation(g, spec)
+    _check_mutilation(g, "spec", spec)
     if spec.empty:
         return g
     over, under = spec.remove_incoming, spec.remove_outgoing
@@ -149,10 +150,11 @@ def mutilate(g: MixedGraph, spec: MutilationSpec) -> MixedGraph:
     return MixedGraph(g.name, g.graph_class, g.vertices, directed, bidirected, g.clustering)
 
 
-def _check_mutilation(g: MixedGraph, spec: MutilationSpec) -> None:
-    """Refuse a non-graph, then an unknown vertex or a proxy in ``spec``, the
-    first in id order."""
+def _check_mutilation(g: MixedGraph, name: str, spec: MutilationSpec) -> None:
+    """Refuse a non-graph, a ``spec`` (argument ``name``) of another type,
+    then an unknown vertex or a proxy in it, the first in id order."""
     _require("g", g, MixedGraph, WrongGraphClass)
+    _require(name, spec, MutilationSpec, PreconditionError)
     for vid in sorted(spec.remove_incoming | spec.remove_outgoing):
         if g.kind(vid) is Kind.PROXY:
             raise UnknownVertex(f"proxy {vid!r} cannot be mutilated")
@@ -326,20 +328,30 @@ def active_path(
 ) -> Optional[Walk]:
     """A shortest active path between X and Y given Z, or None if separated.
 
-    Breadth-first search over (position, arrived by a head) states of
-    `MixedGraph.index`, each position's moves in (symbol, target id) order.
-    A shortest active walk is necessarily simple, so the witness is a path.
-    A ``mutilation`` is read edge by edge from the masks, as `reaches` reads
-    it, so the witness is the one on the graph `mutilate` would build, and
-    the mutilation is refused as `mutilate` refuses it, before the sets are
-    checked.
+    The mutilation is refused as `mutilate` refuses it, before the sets are
+    checked; `_shortest_active_path` then searches on the masks of
+    `MixedGraph.index`, so the witness is the one on the graph `mutilate`
+    would build.
     """
-    _check_mutilation(g, mutilation)
+    _check_mutilation(g, "mutilation", mutilation)
     Xs, Ys, Zs = _check_sets(g, X, Y, Z)
     ix = g.index
     over, under = ix.mask(mutilation.remove_incoming), ix.mask(mutilation.remove_outgoing)
+    return _shortest_active_path(ix, ix.mask(Xs), ix.mask(Ys), ix.mask(Zs), over, under)
+
+
+def _shortest_active_path(
+    ix: AdjacencyIndex, xs: int, ys: int, zs: int, over: int = 0, under: int = 0
+) -> Optional[Walk]:
+    """`active_path` on masks, unchecked: a shortest active path from ``xs``
+    to ``ys`` given ``zs`` after the mutilation ``over``/``under``, or None.
+
+    Breadth-first search over (position, arrived by a head) states, each
+    position's moves in (symbol, target id) order; the mutilation is read
+    edge by edge, as `reaches` reads it. A shortest active walk is
+    necessarily simple, so the witness is a path.
+    """
     adjacent = _cut(ix, over, under)
-    ys, zs = ix.mask(Ys), ix.mask(Zs)
     open_collider = ancestor_mask(ix, zs, over, under) if zs else 0
 
     def moves(i: int):
@@ -350,7 +362,7 @@ def active_path(
 
     prev = {}
     queue = deque()
-    for x in _positions(ix.mask(Xs)):
+    for x in _positions(xs):
         for sym, j in moves(x):
             state = (j, sym != BACKWARD)
             if state not in prev:

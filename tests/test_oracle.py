@@ -42,6 +42,7 @@ from mcdmg import Derivation, markov_blanket, replay, rule_applicable
 from mcdmg import check_joint, construct_witness, recover_effect
 from mcdmg import (
     MutilationSpec,
+    Walk,
     active_path,
     ancestors,
     apply_proxy,
@@ -63,11 +64,13 @@ from mcdmg.errors import (
     BudgetTooSmall,
     DomainTooLarge,
     EvaluationError,
+    InvalidClustering,
     InvalidSCM,
     InvalidSeed,
     McdmgError,
     PartialClusterAssignment,
     PositivityError,
+    PreconditionError,
     UnknownVertex,
     ValidationError,
     WrongGraphClass,
@@ -90,15 +93,15 @@ from mcdmg.expressions import (
 from mcdmg.oracle import (
     MAX_STATES,
     Node,
-    _along,
     _do_table,
     _elimination,
-    _fillers,
     check,
     evaluate_all,
     free_atoms,
     scm_from_cpts,
 )
+from mcdmg.pairs import _along, _fillers
+from mcdmg.recovery import Violation
 from tests_support import indicator_out_text, random_cluster_text, reference_manifest, reference_read
 
 
@@ -367,6 +370,26 @@ def test_counterexample_pairs_match_golden_hashes():
     assert got == json.loads(GOLDEN_PAIRS.read_text())
     outcomes = {v.split(":")[0] if ":" in v else "pair" for v in got.values()}
     assert outcomes == {"pair", "PositivityError", "UnknownVertex"}
+
+
+def test_pair_coverage_on_the_400_graph_sweeps():
+    """At least 137 of the 157 first-violation witnesses of 400
+    `random_cluster_text` graphs get a pair, and at least 344 of the 348 of
+    400 `indicator_out_text` graphs: a lost pair fails here, while the
+    golden file pins only the first 100 graphs of each generator."""
+    for text, seed, least in ((random_cluster_text, 20261018, 137), (indicator_out_text, 11, 344)):
+        rng, pairs = random.Random(seed), 0
+        for _ in range(400):
+            g = parse_graph(text(rng))
+            violations = () if g.graph_class is GraphClass.CDMG else check_joint(g).violations
+            if not violations:
+                continue
+            try:
+                equal_manifest_pair(construct_witness(g, violations[0]), seed=0)
+            except (PositivityError, UnknownVertex):
+                continue
+            pairs += 1
+        assert pairs >= least, text.__name__
 
 
 def test_cpt_rows_normalized():
@@ -1150,6 +1173,11 @@ def test_oracle_refuses_cluster_graphs(name):
         equal_manifest_pair(g, seed=0)
 
 
+def _fig3_witness():
+    fig3 = mk(fixture_text("fig3"))
+    return construct_witness(fig3, check_joint(fig3).violations[0])
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -1159,6 +1187,16 @@ def test_oracle_refuses_cluster_graphs(name):
         (lambda: exact_tables("x"), InvalidSCM, "scm must be a DiscreteSCM, not str"),
         (lambda: Grounding.from_scm("x"), InvalidSCM, "scm must be a DiscreteSCM, not str"),
         (lambda: interventional_table(mk(MCAR_SRC), {"X": 0}), InvalidSCM, "scm must be a DiscreteSCM, not MixedGraph"),
+        (
+            lambda: interventional_table(random_scm(mk(MCAR_SRC)), [("X", 0)]),
+            PreconditionError,
+            "do must be a Mapping, not list",
+        ),
+        (
+            lambda: Grounding.from_scm(random_scm(_fig3_witness()), abstract="x"),
+            WrongGraphClass,
+            "abstract must be a MixedGraph, not str",
+        ),
         (lambda: check_joint("fig2b"), WrongGraphClass, "g must be a MixedGraph, not str"),
         (lambda: recover_effect("fig2b", {"CX"}, {"CY"}), WrongGraphClass, "g must be a MixedGraph, not str"),
         (
@@ -1166,12 +1204,38 @@ def test_oracle_refuses_cluster_graphs(name):
             WrongGraphClass,
             "g must be a MixedGraph, not str",
         ),
+        (
+            lambda: construct_witness(mk(fixture_text("fig3")), "x"),
+            PreconditionError,
+            "violation must be a Violation, not str",
+        ),
+        (
+            lambda: construct_witness(mk(fixture_text("fig2b")), check_joint(mk(fixture_text("fig3"))).violations[0]),
+            PreconditionError,
+            "violation path CY <-> CZ <-> R_CY: walk step CY <-> CZ is not an edge of the graph",
+        ),
+        (
+            lambda: construct_witness(
+                mk(fixture_text("fig3")),
+                Violation("CY", "R_CY", "collider_path", Walk(("CY", "CX", "R_CY"), ("->", "->"))),
+            ),
+            PreconditionError,
+            "violation path CY -> CX -> R_CY: walk step CY -> CX is not an edge of the graph",
+        ),
+        (
+            lambda: construct_witness(
+                mk(fixture_text("fig3")), Violation("CZ", "R_CY", "neighbor", Walk(("CZ", "R_CY"), ("<->",)))
+            ),
+            PreconditionError,
+            "violation path CZ <-> R_CY is not a path from 'CY' to 'R_CY'",
+        ),
         (lambda: markov_blanket("fig2b", "R_CY"), WrongGraphClass, "g must be a MixedGraph, not str"),
         (
             lambda: replay("fig3", Derivation("fig3", term([val("CY")]), ())),
             WrongGraphClass,
             "g must be a MixedGraph, not str",
         ),
+        (lambda: replay(mk(fixture_text("fig3")), "x"), PreconditionError, "d must be a Derivation, not str"),
         (
             lambda: rule_applicable("fig2b", "R2", {"CY"}, {"CX"}, (), ()),
             WrongGraphClass,
@@ -1190,15 +1254,26 @@ def test_oracle_refuses_cluster_graphs(name):
         (lambda: random_scm(mk(MCAR_SRC), seed=None), InvalidSeed, "seed must be an integer >= 0, not None"),
         (lambda: d_separated("x", {"X"}, {"Y"}, ()), WrongGraphClass, "g must be a MixedGraph, not str"),
         (lambda: active_path("x", {"X"}, {"Y"}, ()), WrongGraphClass, "g must be a MixedGraph, not str"),
+        (
+            lambda: active_path(mk(fixture_text("fig3")), {"CX"}, {"CY"}, set(), "x"),
+            PreconditionError,
+            "mutilation must be a MutilationSpec, not str",
+        ),
         (lambda: d_separated_by_paths("x", {"X"}, {"Y"}, ()), WrongGraphClass, "g must be a MixedGraph, not str"),
         (lambda: enumerate_paths("x", "X", "Y", 3), WrongGraphClass, "g must be a MixedGraph, not str"),
         (lambda: descendants("x", {"X"}), WrongGraphClass, "g must be a MixedGraph, not str"),
         (lambda: ancestors("x", {"X"}), WrongGraphClass, "g must be a MixedGraph, not str"),
         (lambda: mutilate("x", MutilationSpec()), WrongGraphClass, "g must be a MixedGraph, not str"),
+        (lambda: mutilate(mk(fixture_text("fig3")), "x"), PreconditionError, "spec must be a MutilationSpec, not str"),
         (lambda: validate("x"), WrongGraphClass, "g must be a MixedGraph, not str"),
         (lambda: classify_mechanism("x", "R_X"), WrongGraphClass, "g must be a MixedGraph, not str"),
         (lambda: is_compatible("x", mk(fixture_text("fig3"))), WrongGraphClass, "madmg must be a MixedGraph, not str"),
         (lambda: is_compatible(mk(MCAR_SRC), "x"), WrongGraphClass, "abstract must be a MixedGraph, not str"),
+        (
+            lambda: is_compatible(mk(MCAR_SRC), mk(fixture_text("fig3")), "x"),
+            InvalidClustering,
+            "clustering must be a Clustering, not str",
+        ),
         (
             lambda: project("x", Clustering.from_dict({"CX": ["X"]}), GraphClass.MCDMG),
             WrongGraphClass,
@@ -1218,11 +1293,18 @@ def test_oracle_refuses_cluster_graphs(name):
         "exact_tables",
         "from_scm",
         "interventional",
+        "interventional-do",
+        "from_scm-abstract",
         "check_joint",
         "recover_effect",
         "construct_witness",
+        "construct_witness-violation",
+        "construct_witness-foreign-violation",
+        "construct_witness-violation-not-of-g",
+        "construct_witness-violation-ends",
         "markov_blanket",
         "replay",
+        "replay-derivation",
         "rule_applicable",
         "pair",
         "pair-seed-negative",
@@ -1233,15 +1315,18 @@ def test_oracle_refuses_cluster_graphs(name):
         "random_scm-seed-none",
         "d_separated",
         "active_path",
+        "active_path-mutilation",
         "d_separated_by_paths",
         "enumerate_paths",
         "descendants",
         "ancestors",
         "mutilate",
+        "mutilate-spec",
         "validate",
         "classify_mechanism",
         "is_compatible-madmg",
         "is_compatible-abstract",
+        "is_compatible-clustering",
         "project",
         "merge_indicators",
         "as_cluster_graph",

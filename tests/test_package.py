@@ -21,18 +21,18 @@ ALL = [
     "exact_tables", "expand_total_probability", "expr_from_json", "expr_to_json",
     "expressions", "fixture_path", "fixture_text", "fixtures", "gfiles", "graphs",
     "interventional_table", "is_compatible", "latex", "marginalize", "markov_blanket",
-    "merge_indicators", "mutilate", "oracle", "parse_graph", "primary_path", "project",
+    "merge_indicators", "mutilate", "oracle", "pairs", "parse_graph", "primary_path", "project",
     "proxy", "random_scm", "recover_effect", "recovery", "replay", "require_valid",
     "rule_applicable", "rzero", "separation", "val", "validate",
 ]
 
 ORACLE_NAMES = [
-    "DiscreteSCM", "DistTable", "Grounding", "equal_manifest_pair", "evaluate",
-    "evaluate_interventional", "exact_tables", "interventional_table", "random_scm",
+    "DiscreteSCM", "DistTable", "Grounding", "evaluate", "evaluate_interventional",
+    "exact_tables", "interventional_table", "random_scm",
 ]
 
 # the submodules that only some subcommands run
-COMMAND_MODULES = ["abstraction", "docalc", "expressions", "oracle", "recovery", "separation"]
+COMMAND_MODULES = ["abstraction", "docalc", "expressions", "oracle", "pairs", "recovery", "separation"]
 
 
 def python(code, *args):

@@ -1,11 +1,14 @@
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcdmg import (
     GraphClass,
     check_joint,
     construct_witness,
+    enumerate_paths,
     is_compatible,
     markov_blanket,
     parse_graph,
@@ -13,7 +16,8 @@ from mcdmg import (
 from mcdmg.errors import PreconditionError, WrongGraphClass
 from mcdmg.expressions import Product, Quotient, Term, proxy, render, rzero, terms_of, val
 from mcdmg.graphs import as_cluster_graph
-from tests_support import indicator_out_text
+from mcdmg.recovery import _violations
+from tests_support import indicator_out_text, random_cluster_text
 
 
 def test_fig2b_recoverable(fig2b):
@@ -246,6 +250,42 @@ def test_witnesses_of_graphs_with_indicator_children(rng):
         w = construct_witness(g, violation)
         assert is_compatible(w, g).compatible
         assert not check_joint(as_cluster_graph(w)).recoverable
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([random_cluster_text, indicator_out_text]), st.randoms(use_true_random=False), st.booleans())
+@example(indicator_out_text, random.Random(14), False)
+@example(indicator_out_text, random.Random(14), True)
+def test_violations_match_the_all_collider_paths(text, rng, on_witness):
+    """`_violations` names an indicator exactly when a simple path joins its
+    owner to it whose interior vertices are all substantive colliders, and
+    its path is one of the shortest of them; on cluster graphs and on the
+    witnesses (m-ADMGs) of their violations alike. The two examples have an
+    active path through another indicator, which must be cut off."""
+    g = parse_graph(text(rng))
+    if g.graph_class is GraphClass.CDMG:
+        return
+    if on_witness:
+        violations = check_joint(g).violations
+        if not violations:
+            return
+        g = construct_witness(g, violations[0])
+    found = {v.indicator: v for v in _violations(g)}
+    assert list(found) == sorted(found)
+    substantive = set(g.substantive)
+    for r in g.indicators:
+        owner = g.owner_cluster(r)
+        reference = [
+            p
+            for p in enumerate_paths(g, owner, r, len(g.vertices))
+            if all(p.is_collider(i) and p.vertices[i] in substantive for i in p.interior())
+        ]
+        assert (r in found) == bool(reference)
+        if reference:
+            v = found[r]
+            v.witness.check_in(g)
+            assert v.witness in reference and len(v.witness) == len(reference[0])
+            assert v.cluster == owner and v.reason == ("neighbor" if len(v.witness) == 1 else "collider_path")
 
 
 def test_determinism(fig2b, fig3):
