@@ -49,9 +49,8 @@ class PreconditionError(McdmgError):
     """Query-time side condition violated (R self-loop or R-R edge, an
     effect query with an empty treatment or outcome, a d-separation query
     on the command line with an empty X or Y, a bare string where a
-    collection of vertex ids is expected, a mutilation, derivation,
-    violation or do-assignment argument of the wrong type, or a violation
-    whose path is not a path of the graph)."""
+    collection of vertex ids is expected, an ill-typed mutilation,
+    derivation, violation or do argument, or a violation not of the graph)."""
 
 
 class InvalidClustering(McdmgError):

@@ -49,7 +49,8 @@ def equal_manifest_pair(madmg: MixedGraph, seed: int = 0) -> Tuple[DiscreteSCM, 
     parameterizations (at most 300) combined with an exact perturbation of
     the masked stratum. Raises WrongGraphClass unless the graph is an
     (m-)ADMG, InvalidSeed unless the seed is an integer >= 0, UnknownVertex
-    without a motif and PositivityError when no attempt pairs.
+    without a motif (naming the shortest violation when it has three or more
+    edges) and PositivityError when no attempt pairs.
     """
     _require("madmg", madmg, MixedGraph, WrongGraphClass)
     _require_variable_level(madmg)
@@ -76,8 +77,10 @@ def _motif(madmg: MixedGraph) -> Violation:
     """The graph's first shortest violation, if it has one or two edges: a
     variable adjacent to its own indicator, else a two-edge collider path."""
     shortest = min(_violations(madmg), key=lambda v: len(v.witness), default=None)
-    if shortest is None or len(shortest.witness) > 2:
+    if shortest is None:
         raise UnknownVertex("graph has no variable adjacent to its own indicator and no collider Y *-> Z <-* R_Y")
+    if len(shortest.witness) > 2:
+        raise UnknownVertex(f"shortest violation {shortest.witness.text()} has over two edges; no motif realizes it")
     return shortest
 
 

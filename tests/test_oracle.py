@@ -1452,6 +1452,27 @@ def test_equal_manifest_pair_motifs(path):
     _assert_pair(*equal_manifest_pair(construct_witness(g, verdict.violations[0]), seed=0))
 
 
+THREE_EDGE_SRC = (
+    'graph "three" class=m-admg {\n'
+    "  var X\n  var Z\n  var W\n  rvar R_X for X\n  edge X -> Z\n  edge Z <-> W\n  edge R_X -> W\n}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        (MCAR_SRC, "graph has no variable adjacent to its own indicator and no collider Y *-> Z <-* R_Y"),
+        (THREE_EDGE_SRC, "shortest violation X -> Z <-> W <- R_X has over two edges; no motif realizes it"),
+    ],
+    ids=["no-violation", "three-edges"],
+)
+def test_pair_says_why_there_is_no_motif(src, message):
+    """Without a violation the graph has no motif; with only longer ones,
+    the message names the shortest."""
+    with pytest.raises(UnknownVertex, match=f"^{re.escape(message)}$"):
+        equal_manifest_pair(mk(src), seed=0)
+
+
 # Wrong formulas: the complete-case joint on fig2b (R_CX, R_CY depend on CZ),
 # fig3's CX -> CY effect read off without adjusting for the confounder CZ, and
 # one that ignores the treatment altogether.
