@@ -43,14 +43,14 @@ def equal_manifest_pair(madmg: MixedGraph, seed: int = 0) -> Tuple[DiscreteSCM, 
     Y *-> Z <-* R_Y whose edges into the variable Z are each -> or <->. One
     rule realizes every motif edge: a directed edge's tail holds its
     marginal and the head reads it; a bidirected edge's latent holds the
-    mass that both ends read. The pair agrees on every
-    manifest cell and differs in the true joint by at least 1.2e-2
-    somewhere; found by a seeded randomized search over base
-    parameterizations (at most 300) combined with an exact perturbation of
-    the masked stratum. Raises WrongGraphClass unless the graph is an
-    (m-)ADMG, InvalidSeed unless the seed is an integer >= 0, UnknownVertex
-    without a motif (naming the shortest violation when it has three or more
-    edges) and PositivityError when no attempt pairs.
+    mass that both ends read. The pair agrees on every manifest cell and
+    differs in the true joint by at least 1.2e-2 somewhere; found by a
+    seeded randomized search over base parameterizations (at most 300)
+    combined with an exact perturbation of the masked stratum. Raises
+    WrongGraphClass unless the graph is an (m-)ADMG, InvalidSeed unless the
+    seed is an integer >= 0, UnknownVertex without a motif (naming the
+    shortest violation when it has three or more edges) and
+    PositivityError when no attempt pairs.
     """
     _require("madmg", madmg, MixedGraph, WrongGraphClass)
     _require_variable_level(madmg)

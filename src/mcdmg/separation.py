@@ -341,7 +341,7 @@ def active_path(
 
 
 def _shortest_active_path(
-    ix: AdjacencyIndex, xs: int, ys: int, zs: int, over: int = 0, under: int = 0
+    ix: AdjacencyIndex, xs: int, ys: int, zs: int, over: int, under: int
 ) -> Optional[Walk]:
     """`active_path` on masks, unchecked: a shortest active path from ``xs``
     to ``ys`` given ``zs`` after the mutilation ``over``/``under``, or None.
