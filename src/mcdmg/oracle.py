@@ -780,11 +780,7 @@ class Grounding(_Value):
         return self.clustering.members(cluster)
 
     def domain(self, cluster: str):
-        sizes = [self.cards[v] for v in self.members(cluster)]
-        out = [()]
-        for s in sizes:
-            out = [t + (i,) for t in out for i in range(s)]
-        return out
+        return list(itertools.product(*(range(self.cards[v]) for v in self.members(cluster))))
 
     def _indicator_group(self, rid: str) -> Tuple[str, ...]:
         if rid in self.indicator_groups:
@@ -824,19 +820,21 @@ class _Content:
 # Evaluation: expressions compiled to arrays over whole cluster domains
 # ---------------------------------------------------------------------------
 #
-# An expression compiles to one array with an axis per *scope* atom (the atoms
-# it is evaluated over), in the order of ``Grounding.domain``. Inside, each
-# enclosing sum appends one axis, and a term is read on the table with one
-# sub-axis per cluster member. An array that does not depend on an axis has
-# size 1 there. Beside the values travel error codes (0: none): per cell, the
-# first error that evaluating that cell alone raises, in evaluation order
-# (factors left to right, a denominator before its numerator, bound values in
-# domain order). So a call raises exactly when one of its cells does.
+# Every array has one sub-axis per cluster member of each atom in scope: the
+# *scope* atoms (those an expression is evaluated over) first, then one run
+# of sub-axes per enclosing sum, whose `_SumOver` takes them off again. An
+# array that does not depend on a sub-axis has size 1 there. Only
+# `_Plan.run` gives the result one axis per scope atom, over its domain in
+# the order of ``Grounding.domain``. Beside the values travel
+# error codes (0: none): per cell, the first error that evaluating that cell
+# alone raises, in evaluation order (factors left to right, a denominator
+# before its numerator, bound values in domain order). So a call raises
+# exactly when one of its cells does.
 #
 # `_Compiler` works out a `_Plan` once per expression, scope and grounding
-# content: every shape, each term's reads and merges, and the errors that do
-# not depend on the numbers. `_Plan.run` does the arithmetic on one source
-# and numbers the errors as they occur, zero-mass strata included.
+# content: every shape, each term's reads, and the errors that do not depend
+# on the numbers. `_Plan.run` does the arithmetic on one source and numbers
+# the errors as they occur, zero-mass strata included.
 
 
 def _first(*codes: Optional[np.ndarray]) -> Optional[np.ndarray]:
@@ -917,18 +915,33 @@ class _Quotient:
 
 
 class _SumOver:
-    def __init__(self, body, size: int):
-        self.body, self.size = body, size
+    """A sum over the bound atom, whose members' sub-axes (of ``cards``)
+    are the body's last."""
+
+    def __init__(self, body, cards: Tuple[int, ...]):
+        self.body, self.cards, self.size = body, cards, math.prod(cards)
 
     def run(self, source, errors):
         body, codes = self.body.run(source, errors)
+        body = self._domain_axis(body)
         total = 0.0
         last = body.shape[-1] - 1
         for i in range(self.size):  # in domain order, like a running sum
             total = total + body[..., min(i, last)]
         if codes is not None:
+            codes = self._domain_axis(codes)
             codes = _first(*(codes[..., i] for i in range(codes.shape[-1])))
         return total, codes
+
+    def _domain_axis(self, arr: np.ndarray) -> np.ndarray:
+        """The bound sub-axes as one axis in domain order, of size 1 where
+        ``arr`` depends on none of them. It can depend on some only: a free
+        c_C beside a bound c*_C reads a fully observed member's column along
+        one of the two atoms' sub-axes. Those arrays are broadcast first."""
+        keep = arr.ndim - len(self.cards)
+        if math.prod(arr.shape[keep:]) not in (1, self.size):
+            arr = np.broadcast_to(arr, arr.shape[:keep] + self.cards)
+        return arr.reshape(arr.shape[:keep] + (-1,))
 
 
 class _Read:
@@ -972,18 +985,12 @@ class _Read:
 
 class _Term:
     """A term: its numerator and conditioning reads on one table (the
-    source, or the SCM's do-table of ``do_vars``), merged onto the scope
-    axes; a zero-mass stratum flags its cells."""
+    source, or the SCM's do-table of ``do_vars``); a zero-mass stratum
+    flags its cells."""
 
-    def __init__(self, compiler: "_Compiler", t: Term, do_vars, num, den):
-        self.do_vars, self.num, self.den = do_vars, num, den
-        self.ones = compiler._ones()
+    def __init__(self, ones, t: Term, do_vars, num, den):
+        self.ones, self.do_vars, self.num, self.den = ones, do_vars, num, den
         self.message = f"zero-mass conditioning stratum in {render(t)}"
-        if den is None:
-            self.merge = compiler._merge(num.shape)
-        else:
-            self.merge = compiler._merge(np.broadcast_shapes(num.shape, den.shape))
-            self.merge_flag = compiler._merge(den.shape)
 
     def run(self, source, errors):
         try:
@@ -993,36 +1000,34 @@ class _Term:
         except McdmgError as exc:
             return _Failed(self.ones, exc).run(source, errors)
         if den is None:
-            return _merged(values, self.merge), None
+            return values, None
         flag = _flag(errors, den <= 0.0, lambda: PositivityError(self.message))
-        if flag is not None:
-            flag = _merged(flag, self.merge_flag)
-        return _merged(values / den, self.merge), flag
-
-
-def _merged(arr: np.ndarray, merge) -> np.ndarray:
-    full, shape = merge
-    if arr.shape != full:
-        arr = np.broadcast_to(arr, full)
-    return arr.reshape(shape)
+        return values / den, flag
 
 
 class _Plan:
     """A compiled expression but the numbers; ``run`` evaluates it on one
-    source (a table, or an SCM under interventional semantics)."""
+    source (a table, or an SCM under interventional semantics). ``cards``
+    holds each scope atom's member cards."""
 
-    def __init__(self, root, shape, cards):
-        self.root, self.shape, self.cards = root, shape, cards
+    def __init__(self, root, cards: Tuple[Tuple[int, ...], ...]):
+        self.root, self.cards = root, cards
+        self.sub = tuple(itertools.chain.from_iterable(cards))
+        self.shape = tuple(map(math.prod, cards))
 
     def run(self, source) -> _Compiled:
         errors = []
         with np.errstate(divide="ignore", invalid="ignore"):
             values, codes = self.root.run(source, errors)
         if codes is not None:
-            codes = np.broadcast_to(codes, self.shape)
-        if values.shape != self.shape:
-            values = np.broadcast_to(values, self.shape)
-        return _Compiled(values, codes, tuple(errors))
+            codes = self._scoped(codes)
+        return _Compiled(self._scoped(values), codes, tuple(errors))
+
+    def _scoped(self, arr: np.ndarray) -> np.ndarray:
+        """Sub-axes -> one axis per scope atom, over its whole domain."""
+        if arr.shape != self.sub:
+            arr = np.broadcast_to(arr, self.sub)
+        return arr.reshape(self.shape)
 
     @cached_property
     def index(self) -> dict:
@@ -1036,46 +1041,42 @@ class _Compiler:
     """Plans one expression against a table (``evaluate``) or against an
     SCM's do-tables (``evaluate_interventional`` and ``check``'s truth), for
     one scope and grounding: the sub-axes of every cluster member, each
-    term's columns, index, einsum subscripts, diagonal operands and merge
-    shapes, and the errors that every source would raise (unbound symbols,
-    a do-term or a masked true value on a plain table, an indicator literal
-    that matches no indicator). The numbers, and the positivity flags that
-    depend on them, are left to `_Plan.run`. A plan whose scope domain or
-    any sum body (the scope's cells times the bound symbols') would exceed
-    ``MAX_STATES`` cells is refused with DomainTooLarge."""
+    term's columns, index, einsum subscripts and diagonal operands, and the
+    errors that every source would raise (unbound symbols, a do-term or a
+    masked true value on a plain table, an indicator literal that matches no
+    indicator). The numbers, and the positivity flags that depend on them,
+    are left to `_Plan.run`. A plan whose scope domain or any sum body (the
+    scope's cells times the bound symbols') would exceed ``MAX_STATES``
+    cells is refused with DomainTooLarge.
+
+    An env maps each atom to its first sub-axis in ``sub``; a `Sum` appends
+    its bound atom's sub-axes and truncates ``sub`` back after its body."""
 
     def __init__(self, grounding: Grounding, interventional: bool):
         self.g, self.interventional = grounding, interventional
         self.proxies = {p: v for v, p in grounding.proxy_of.items()} if interventional else {}
-        self.axes = []  # member cards per scope axis, sum axes last
-        self.sub = []  # sub-axis -> card; the sub-axes of an axis are contiguous
-        self.offset = []  # axis -> its first sub-axis
+        self.sub = []  # sub-axis -> card; an atom's sub-axes are contiguous
 
     def plan(self, expr: Expr, scope: Tuple[Atom, ...]) -> _Plan:
+        env, cards = {}, []
         for atom in scope:
-            self._push(atom.ref)
+            env[atom] = self._push(atom.ref)
+            cards.append(tuple(self.sub[env[atom]:]))
         self._budget()
-        root = self._node(expr, {a: i for i, a in enumerate(scope)})
-        shape = tuple(math.prod(cards) for cards in self.axes)
-        return _Plan(root, shape, tuple(self.axes))
+        return _Plan(self._node(expr, env), tuple(cards))
 
     def _push(self, cluster: str) -> int:
-        cards = tuple(self.g.cards[v] for v in self.g.members(cluster))
-        self.axes.append(cards)
-        self.offset.append(len(self.sub))
-        self.sub.extend(cards)
-        return len(self.axes) - 1
+        """Append the cluster members' sub-axes; the first one's index."""
+        first = len(self.sub)
+        self.sub.extend(self.g.cards[v] for v in self.g.members(cluster))
+        return first
 
     def _budget(self) -> None:
         if math.prod(self.sub) > MAX_STATES:
             raise DomainTooLarge(f"a compiled array would exceed {MAX_STATES} cells")
 
-    def _pop(self) -> None:
-        del self.sub[self.offset.pop():]
-        self.axes.pop()
-
     def _ones(self) -> Tuple[int, ...]:
-        return (1,) * len(self.axes)
+        return (1,) * len(self.sub)
 
     def _node(self, e: Expr, env: Mapping[Atom, int]):
         if isinstance(e, One):
@@ -1092,17 +1093,17 @@ class _Compiler:
             return _Quotient(self._node(e.num, env), den)
         if isinstance(e, Sum):
             try:
-                axis = self._push(e.bound.ref)
+                first = self._push(e.bound.ref)
             except McdmgError as exc:
                 return _Failed(self._ones(), exc)
             self._budget()
             # the proxy alias is captured by the same binder: under the R=0
             # literals both symbols denote the same bound value
-            inner = {**env, e.bound: axis, Atom(PROXY, e.bound.ref): axis}
+            inner = {**env, e.bound: first, Atom(PROXY, e.bound.ref): first}
             body = self._node(e.body, inner)
-            size = math.prod(self.axes[axis])
-            self._pop()
-            return _SumOver(body, size)
+            cards = tuple(self.sub[first:])
+            del self.sub[first:]
+            return _SumOver(body, cards)
         raise TypeError(f"not an expression: {e!r}")
 
     def _axis(self, env: Mapping[Atom, int], atom: Atom) -> int:
@@ -1117,7 +1118,7 @@ class _Compiler:
         if atom.kind == RZERO:
             # the abstract indicator covers all member indicators of its cluster
             return {r: None for r in self.g._indicator_group(atom.ref)}
-        first = self.offset[env[atom]]
+        first = env[atom]
         cols = {}
         for i, v in enumerate(self.g.members(atom.ref)):
             if atom.kind == PROXY and v in self.g.proxy_of:
@@ -1147,7 +1148,7 @@ class _Compiler:
         if t.do and not self.interventional:
             raise EvaluationError("do-terms cannot be evaluated on a plain table")
         for atom in sorted(t.do):
-            first = self.offset[self._axis(env, atom)]
+            first = self._axis(env, atom)
             for i, v in enumerate(self.g.members(atom.ref)):
                 do[v] = first + i
         for atom in t.outcomes | t.cond:
@@ -1169,21 +1170,7 @@ class _Compiler:
                 num.setdefault(v, []).append(sub)
                 den.setdefault(v, []).append(sub)
         den = _Read(self.sub, den) if cond else None
-        return _Term(self, t, do_vars, _Read(self.sub, num), den)
-
-    def _merge(self, arr_shape: Tuple[int, ...]):
-        """Sub-axes -> one axis per scope atom, of size 1 where independent:
-        the broadcast shape and the merged shape."""
-        full, shape = [], []
-        for axis, cards in enumerate(self.axes):
-            dims = arr_shape[self.offset[axis]:self.offset[axis] + len(cards)]
-            if all(d == 1 for d in dims):
-                full.extend(dims)
-                shape.append(1)
-            else:
-                full.extend(cards)
-                shape.append(math.prod(cards))
-        return tuple(full), tuple(shape)
+        return _Term(self._ones(), t, do_vars, _Read(self.sub, num), den)
 
 
 _PLANS: OrderedDict = OrderedDict()

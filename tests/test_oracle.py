@@ -1768,6 +1768,30 @@ def test_compiled_evaluator_matches_per_cell_reference(
     _assert_matches_reference(expr, source, gr, interventional)
 
 
+# clusters that mix partially and fully observed members: a fully observed
+# member is its own proxy, so c_CX and c*_CX read the same column
+MIXED_SRC = (
+    'graph "mixed" class=m-admg {\n'
+    "  var X1\n  var X2\n  var Y1\n  var Z1\n  var Z2\n"
+    "  rvar R_X1 for X1\n  rvar R_Z2 for Z2\n"
+    "  edge Z1 -> X1\n  edge Z2 -> X2\n  edge X1 -> Y1\n  edge X2 -> Y1\n  edge X2 -> R_X1\n}\n"
+)
+MIXED_CLUSTERS = Clustering.from_dict({"CX": ["X1", "X2"], "CY": ["Y1"], "CZ": ["Z1", "Z2"]})
+
+
+@settings(max_examples=100, deadline=None)
+@example(Sum(proxy("CX"), term([val("CX"), proxy("CX")])), 0, True)
+@example(Sum(proxy("CZ"), Quotient(term([val("CZ"), proxy("CZ")]), term([val("CZ")]))), 0, True)
+@given(_ref_exprs, st.integers(0, 3), st.booleans())
+def test_compiled_evaluator_matches_reference_on_mixed_clusters(expr, seed, interventional):
+    """A sum binding c*_C beside a free c_C depends on only some of the
+    bound members; the compiled arrays still sum in domain order."""
+    scm = random_scm(mk(MIXED_SRC), seed=seed)
+    gr = Grounding.from_scm(scm, MIXED_CLUSTERS)
+    source = scm if interventional else exact_tables(scm)[1]
+    _assert_matches_reference(expr, source, gr, interventional)
+
+
 @pytest.mark.parametrize(
     "name, treatment, outcome",
     [
