@@ -40,6 +40,7 @@ from .abstraction import indicator_id
 from .errors import (
     DomainTooLarge,
     EvaluationError,
+    InvalidClustering,
     InvalidSCM,
     InvalidSeed,
     McdmgError,
@@ -672,6 +673,8 @@ def interventional_table(
     """
     _require("scm", scm, DiscreteSCM, InvalidSCM)
     _require("do", do, Mapping, PreconditionError)
+    if clustering is not None:
+        _require("clustering", clustering, Clustering, InvalidClustering)
     clustering = clustering or scm.madmg.clustering
     if clustering is not None:
         for c in sorted({clustering.cluster_of[v] for v in do if v in clustering.cluster_of}):
@@ -736,6 +739,8 @@ class Grounding(_Value):
         """Ground against an SCM (else InvalidSCM); pass the abstract graph so
         that its indicator names (whatever they are) expand to member indicators."""
         _require("scm", scm, DiscreteSCM, InvalidSCM)
+        if clustering is not None:
+            _require("clustering", clustering, Clustering, InvalidClustering)
         if abstract is not None:
             _require("abstract", abstract, MixedGraph, WrongGraphClass)
         clustering = clustering or scm.madmg.clustering
@@ -1198,25 +1203,45 @@ def _compiled(plan: _Plan, source) -> _Compiled:
     return hit
 
 
-def _at_env(expr: Expr, source, grounding: Grounding, env) -> float:
+def _at_env(expr: Expr, source, grounding: Grounding, env, name: str) -> float:
     """One cell of the compiled array: the env's atoms are its scope. A read
     is one lookup on the source, for the scope, the plan's cell index and
-    the compiled array, and one in that index; an env that misses either
-    goes to `_read`, which raises if it is invalid."""
+    the compiled array, and one in that index; an env that misses either,
+    or an argument of the wrong type, goes to `_read`, which raises if it is
+    invalid. ``name`` is the source's argument name in the caller."""
     try:
         scope, index, compiled = source._cache[(expr, grounding.content, *env)]
         position = index[tuple(map(tuple, map(env.__getitem__, scope)))]
-    except (KeyError, TypeError):
-        position, compiled = _read(expr, source, grounding, env)
+    except (KeyError, TypeError, AttributeError):
+        position, compiled = _read(expr, source, grounding, env, name)
     return compiled.at(position)
 
 
-def _read(expr: Expr, source, grounding: Grounding, env):
-    """A read that missed: the checks (``tuple`` of every value, indicator
-    literals included, then each atom's arity and, once compiled, its
-    domain), the compiled array and the cell's position. Kept on the source
-    under the env's atoms unless it names an indicator literal, whose
-    values only these checks read."""
+def _require_operands(expr, source, grounding, name: str) -> None:
+    """Refuse an expression, source or grounding of the wrong type, naming
+    the argument. Each entry point takes a table or an SCM as the source;
+    ``name`` says which one it expects: ``scm`` (else InvalidSCM),
+    ``table`` or ``table_or_scm``."""
+    if not isinstance(expr, (Term, Sum, Product, Quotient, One)):
+        raise PreconditionError(f"expr must be an Expr, not {type(expr).__name__}")
+    if not isinstance(source, (DistTable, DiscreteSCM)):
+        got = type(source).__name__
+        if name == "scm":
+            raise InvalidSCM(f"scm must be a DiscreteSCM, not {got}")
+        expected = "DistTable" if name == "table" else "DistTable or DiscreteSCM"
+        raise PreconditionError(f"{name} must be a {expected}, not {got}")
+    _require("grounding", grounding, Grounding, PreconditionError)
+
+
+def _read(expr: Expr, source, grounding: Grounding, env, name: str):
+    """A read that missed: the checks (the arguments' types, ``tuple`` of
+    every value, indicator literals included, then each atom's arity and,
+    once compiled, its domain), the compiled array and the cell's position.
+    Kept on the source under the env's atoms unless it names an indicator
+    literal, whose values only these checks read."""
+    _require_operands(expr, source, grounding, name)
+    if env is not None:
+        _require("env", env, Mapping, PreconditionError)
     values = {k: tuple(v) for k, v in (env or {}).items()}
     for atom, vs in values.items():
         if atom.kind != RZERO and len(vs) != len(grounding.members(atom.ref)):
@@ -1249,7 +1274,7 @@ def evaluate(
     observed variable raises EvaluationError; zero-mass conditioning strata
     raise PositivityError.
     """
-    return _at_env(expr, table, grounding, env)
+    return _at_env(expr, table, grounding, env, "table")
 
 
 def evaluate_interventional(
@@ -1260,7 +1285,7 @@ def evaluate_interventional(
 ) -> float:
     """Evaluate under interventional semantics: do-sets become truncated
     factorizations of the SCM; a proxy at x reads the cells (v = x, R_v = 0)."""
-    return _at_env(expr, scm, grounding, env)
+    return _at_env(expr, scm, grounding, env, "scm")
 
 
 @functools.lru_cache(maxsize=PLANS_KEPT)
@@ -1294,6 +1319,7 @@ def evaluate_all(expr: Expr, table_or_scm, grounding: Grounding):
 
     Returns (atoms, {value-tuple-assignment: float}).
     """
+    _require_operands(expr, table_or_scm, grounding, "table_or_scm")
     atoms = free_atoms(expr)
     values = _values(expr, table_or_scm, grounding, atoms)
     return atoms, _cells(expr, table_or_scm, grounding, atoms, values)
@@ -1317,6 +1343,7 @@ def check(
 
     Returns (atoms, {value-tuple-assignment: absolute error}).
     """
+    _require_operands(expr, scm, grounding, "scm")
     atoms = free_atoms(expr)
     for ref in effect or ():
         if all(a.ref != ref for a in atoms):

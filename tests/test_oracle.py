@@ -1178,6 +1178,15 @@ def _fig3_witness():
     return construct_witness(fig3, check_joint(fig3).violations[0])
 
 
+def _fig3_grounded():
+    """The SCM of fig3's witness, its manifest and its grounding."""
+    scm = random_scm(_fig3_witness())
+    return scm, exact_tables(scm)[1], Grounding.from_scm(scm)
+
+
+_P_CY = term([val("CY")])
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -1285,6 +1294,56 @@ def _fig3_witness():
         (lambda: emit_graph("x"), WrongGraphClass, "g must be a MixedGraph, not str"),
         (lambda: emit_dot("x"), WrongGraphClass, "g must be a MixedGraph, not str"),
         (lambda: apply_proxy(term([val("CX")]), "CX", "x"), WrongGraphClass, "g must be a MixedGraph, not str"),
+        (
+            lambda: evaluate(_P_CY, "x", _fig3_grounded()[2]),
+            PreconditionError,
+            "table must be a DistTable, not str",
+        ),
+        (
+            lambda: evaluate_interventional(_P_CY, "x", _fig3_grounded()[2]),
+            InvalidSCM,
+            "scm must be a DiscreteSCM, not str",
+        ),
+        (
+            lambda: evaluate_all(_P_CY, "x", _fig3_grounded()[2]),
+            PreconditionError,
+            "table_or_scm must be a DistTable or DiscreteSCM, not str",
+        ),
+        (
+            lambda: evaluate(_P_CY, _fig3_grounded()[1], "x"),
+            PreconditionError,
+            "grounding must be a Grounding, not str",
+        ),
+        (
+            lambda: evaluate_all(_P_CY, _fig3_grounded()[1], None),
+            PreconditionError,
+            "grounding must be a Grounding, not NoneType",
+        ),
+        (
+            lambda: check(_P_CY, _fig3_grounded()[0], "x"),
+            PreconditionError,
+            "grounding must be a Grounding, not str",
+        ),
+        (
+            lambda: evaluate(_P_CY, *_fig3_grounded()[1:], [("a", 1)]),
+            PreconditionError,
+            "env must be a Mapping, not list",
+        ),
+        (
+            lambda: evaluate("x", *_fig3_grounded()[1:]),
+            PreconditionError,
+            "expr must be an Expr, not str",
+        ),
+        (
+            lambda: Grounding.from_scm(_fig3_grounded()[0], "x"),
+            InvalidClustering,
+            "clustering must be a Clustering, not str",
+        ),
+        (
+            lambda: interventional_table(_fig3_grounded()[0], {"X1": 0}, clustering="x"),
+            InvalidClustering,
+            "clustering must be a Clustering, not str",
+        ),
     ],
     ids=[
         "enumerate",
@@ -1334,12 +1393,22 @@ def _fig3_witness():
         "emit_graph",
         "emit_dot",
         "apply_proxy",
+        "evaluate-table",
+        "evaluate_interventional-scm",
+        "evaluate_all-source",
+        "evaluate-grounding",
+        "evaluate_all-grounding",
+        "check-grounding",
+        "evaluate-env",
+        "evaluate-expr",
+        "from_scm-clustering",
+        "interventional-clustering",
     ],
 )
 def test_ill_typed_graph_and_scm_arguments_are_refused(call, error, message):
-    """A graph, SCM or seed argument of the wrong type (or a negative seed)
-    raises a package error naming the argument and the value or type it
-    got."""
+    """A graph, SCM, seed, clustering or evaluator argument of the wrong type
+    (or a negative seed) raises a package error naming the argument and the
+    value or type it got."""
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
 
