@@ -16,7 +16,8 @@ Compatibility is edge-set equality after projection: a cluster edge asserts
 at least one realizing variable edge, and an absent cluster edge forbids all
 of them. Cluster self-loops stand for intra-cluster directed edges;
 intra-cluster bidirected edges have no cluster-level syntax and are therefore
-unlicensed.
+unlicensed. `is_compatible` reads the projected edge set straight off the
+variable-level edges (`_projection`); only `project` builds the graph.
 
 Realization follows one rule. A cluster is realized by its members, and an
 indicator by its variable-level indicators: its own id at m level, and
@@ -24,7 +25,8 @@ indicator by its variable-level indicators: its own id at m level, and
 abstract edge is realized by any directed edge ``x -> y`` with ``x != y``
 between the two ends' realizations, and a bidirected one by any pair, so
 edges out of an indicator are realized like any other. Enumeration and
-`recovery.construct_witness` both build their graphs through `_realize`.
+`recovery.construct_witness` both build their graphs through `_realize`,
+which does not validate them again.
 """
 
 from __future__ import annotations
@@ -104,51 +106,79 @@ def project(
     intra-cluster directed edges become self-loops; indicators are kept
     per-variable (m-C-DMG) or merged per cluster (cm-C-DMG). Intra-cluster
     bidirected edges have no image and are dropped (`is_compatible` reports
-    them as forbidden).
+    them as forbidden). The edges are `_projection`'s, the one that
+    `is_compatible` compares; the graph built from them is validated.
+
+    Raises
+    ------
+    WrongGraphClass
+        If ``madmg`` is not an (m-)ADMG, ``level`` is not a cluster class,
+        or an m-ADMG is projected to a plain C-DMG.
+    InvalidClustering
+        If ``clustering`` is not a `Clustering`, is not a partition, or does
+        not cover exactly the graph's variables.
     """
-    _require("madmg", madmg, MixedGraph, WrongGraphClass)
-    if madmg.graph_class not in (GraphClass.ADMG, GraphClass.MADMG):
-        raise WrongGraphClass("projection starts from an (m-)ADMG")
-    if level is GraphClass.CDMG and madmg.indicators:
-        raise WrongGraphClass("an m-ADMG cannot project to a plain C-DMG")
-    clustering.check_partition()
-    covered = set(clustering.variables)
-    if set(madmg.variables) != covered:
-        raise InvalidClustering("clustering must cover exactly the graph's variables")
-
-    directed = set()
-    bidirected = set()
-    for a, b in madmg.declared_directed:
-        pa = _project_endpoint(a, madmg, clustering, level)
-        pb = _project_endpoint(b, madmg, clustering, level)
-        directed.add((pa, pb))
-    for a, b in madmg.bidirected:
-        pa = _project_endpoint(a, madmg, clustering, level)
-        pb = _project_endpoint(b, madmg, clustering, level)
-        if pa == pb:
-            continue  # intra-cluster confounding is invisible at cluster level
-        bidirected.add(tuple(sorted((pa, pb))))
-
+    edges, keys = _projection(madmg, clustering, level)
     verts = [Vertex(c, Kind.CLUSTER) for c, _ in clustering.clusters]
     if level is GraphClass.MCDMG:
         verts += [
             Vertex(r, Kind.INDICATOR, madmg.vertex(r).owner) for r in madmg.indicators
         ]
     elif level is GraphClass.CMCDMG:
-        masked = sorted(
-            {clustering.cluster_of[madmg.vertex(r).owner] for r in madmg.indicators}
-        )
-        verts += [Vertex(indicator_id(c), Kind.INDICATOR, c) for c in masked]
+        verts += [Vertex(indicator_id(c), Kind.INDICATOR, c) for _, c in sorted(keys)]
     return require_valid(
         MixedGraph.build(
             f"{madmg.name}@cluster",
             level,
             verts,
-            directed,
-            bidirected,
+            [(a, b) for kind, a, b in edges if kind == "->"],
+            [(a, b) for kind, a, b in edges if kind == "<->"],
             clustering=clustering,
         )
     )
+
+
+def _projection(
+    madmg: MixedGraph, clustering: Clustering, level: GraphClass
+) -> Tuple[frozenset, frozenset]:
+    """The edge set and the indicator keys of ``madmg``'s projection, as
+    `_canon_indicator_names` and `_indicator_keys` read them off `project`'s
+    graph, straight from the variable-level edges: no graph is built.
+
+    A directed edge maps to the edge between its ends' images, a self-loop
+    when both lie in one cluster; a bidirected edge within one image has
+    none. At cm level the merged indicator is named `indicator_id` of its
+    cluster, the name `_canon_indicator_names` gives it.
+    """
+    _require("madmg", madmg, MixedGraph, WrongGraphClass)
+    _require("clustering", clustering, Clustering, InvalidClustering)
+    _require("level", level, GraphClass, WrongGraphClass)
+    if not level.clustered:
+        raise WrongGraphClass(f"level must be a cluster class, not {level.value}")
+    if madmg.graph_class not in (GraphClass.ADMG, GraphClass.MADMG):
+        raise WrongGraphClass("projection starts from an (m-)ADMG")
+    if level is GraphClass.CDMG and madmg.indicators:
+        raise WrongGraphClass("an m-ADMG cannot project to a plain C-DMG")
+    clustering.check_partition()
+    if set(madmg.variables) != set(clustering.variables):
+        raise InvalidClustering("clustering must cover exactly the graph's variables")
+
+    edges = set()
+    for a, b in madmg.declared_directed:
+        pa = _project_endpoint(a, madmg, clustering, level)
+        edges.add(("->", pa, _project_endpoint(b, madmg, clustering, level)))
+    for a, b in madmg.bidirected:
+        pa = _project_endpoint(a, madmg, clustering, level)
+        pb = _project_endpoint(b, madmg, clustering, level)
+        if pa != pb:  # intra-cluster confounding is invisible at cluster level
+            edges.add(("<->", *sorted((pa, pb))))
+
+    owners = [madmg.vertex(r).owner for r in madmg.indicators]
+    if level is GraphClass.CMCDMG:
+        keys = frozenset(("cluster", clustering.cluster_of[o]) for o in owners)
+    else:
+        keys = frozenset(("variable", o) for o in owners)
+    return frozenset(edges), keys
 
 
 def merge_indicators(mcdmg: MixedGraph) -> MixedGraph:
@@ -208,9 +238,10 @@ def is_compatible(
 ) -> CompatibilityReport:
     """Edge-equality compatibility of a variable-level graph with an abstract one.
 
-    The variable-level graph is projected at the abstract graph's level and
-    the two edge sets must coincide; indicator presence must match
-    owner-for-owner. Intra-cluster bidirected edges are reported as forbidden.
+    The variable-level edges are projected at the abstract graph's level
+    (`_projection`, without building the cluster graph) and the two edge
+    sets must coincide; indicator presence must match owner-for-owner.
+    Intra-cluster bidirected edges are reported as forbidden.
     """
     _require("madmg", madmg, MixedGraph, WrongGraphClass)
     _require("abstract", abstract, MixedGraph, WrongGraphClass)
@@ -220,15 +251,13 @@ def is_compatible(
     clustering = clustering or madmg.clustering or abstract.clustering
     if clustering is None:
         raise InvalidClustering("no clustering available")
-    projected = project(madmg, clustering, level)
+    projected_edges, have = _projection(madmg, clustering, level)
 
     abstract_edges = _canon_indicator_names(abstract)
-    projected_edges = _canon_indicator_names(projected)
     missing = sorted(abstract_edges - projected_edges)
     forbidden = sorted(projected_edges - abstract_edges)
 
     want = _indicator_keys(abstract)
-    have = _indicator_keys(projected)
     for kind, owner in sorted(want - have):
         missing.append(("rvar", kind, owner))
     for kind, owner in sorted(have - want):
@@ -411,13 +440,19 @@ def _indicators(abstract: MixedGraph, members: Dict[str, Sequence[str]]):
 
 
 def _realize(abstract, members, directed, bidirected, name: str) -> MixedGraph:
-    """The m-ADMG over these cluster members, their indicators and edges."""
+    """The m-ADMG over these cluster members, their indicators and edges.
+
+    Not validated: every caller builds a valid graph by construction. Each
+    indicator masks a member, each edge joins two realizations, and the
+    directed edges are acyclic (the enumerator cuts a cycle,
+    `construct_witness` reroutes around one). A property test pins
+    ``validate(...) == []`` on the witnesses and enumerated members of both
+    random graph generators.
+    """
     clustering = Clustering(tuple((c, tuple(members[c])) for c in sorted(members)))
     verts = [Vertex(v, Kind.VARIABLE) for v in clustering.variables]
     verts += [Vertex(r, Kind.INDICATOR, owner) for r, owner in _indicators(abstract, members)]
-    return require_valid(
-        MixedGraph.build(name, GraphClass.MADMG, verts, directed, bidirected, clustering=clustering)
-    )
+    return MixedGraph.build(name, GraphClass.MADMG, verts, directed, bidirected, clustering=clustering)
 
 
 def _enumerate_over_members(abstract, members, budget, canonicalize):

@@ -20,14 +20,15 @@ appears as a proxy alongside its R=0 literals. Derivations are replayable
 proof objects: every step stores the rule, its parameters and the expression
 before and after, and `replay` re-verifies all of it against a graph.
 
-The search is goal-directed. For the duration of one call it lists the
-candidate moves of each distinct term or sum once (`_candidates`), each with
-its statement as a `_certify` key of masks and its replacement in canonical
-form, and it decides each distinct statement once, when a move first needs
-it. One lister, `_rewrites`, makes a state's moves for the search and for
-`replay`: it records the path to each rewritable node, and the span: the
-longest path prefix shared by every unobservable term, with the first
-quotient along it.
+Each rule has one move builder (`_term_moves` chains them in the fixed rule
+order; a sum's one move is Marginalize). The search is goal-directed. For
+the duration of one call it lists the candidate moves of each distinct term
+or sum once (`_candidates`), each with its statement as a `_certify` key of
+masks and its replacement in canonical form, and it decides each distinct
+statement once, when a move first needs it. One lister, `_rewrites`, makes
+a state's moves for the search and for `replay`: it records the path to
+each rewritable node, and the span: the longest path prefix shared by every
+unobservable term, with the first quotient along it.
 A rewrite can make the state observable only on the span, or below a
 quotient of the span whose sides may meet; with no such quotient, the
 successor is observable exactly when every term of the replacement is
@@ -40,10 +41,13 @@ nodes off the span before listing their moves and decides a certificate
 only for a move that can reach the goal: one whose replacement is
 observable, or one below a quotient of the span.
 `NotDerived.states_explored` counts the states expanded.
-`replay` lists moves and rebuilds successors as the search does, but keeps
-no certificate: it re-checks every one through `rule_applicable`, requires
-the recorded one to equal it in every field, requires every symbol of the
-query to name a vertex of the graph, and requires an observable result.
+`replay` applies the recorded move: through the same lister it runs only
+the recorded rule's builder on each rewritable node, puts only the move
+with the recorded parameters and statement in canonical form, and rebuilds
+it with `_successor` as the search does. It keeps no certificate: it
+re-checks every one through `rule_applicable`, requires the recorded one to
+equal it in every field, requires every symbol of the query to name a
+vertex of the graph, and requires an observable result.
 """
 
 from __future__ import annotations
@@ -334,26 +338,43 @@ def atom_vertices(g: MixedGraph, a: Atom) -> FrozenSet[str]:
     return frozenset(pids)
 
 
-def _term_moves(g: MixedGraph, t: Term):
-    """Candidate rewrites of one term, in the fixed rule order.
+def _term_moves(g: MixedGraph, t: Term, rule: Optional[str] = None):
+    """Candidate rewrites of one term, in the fixed rule order, or those of
+    one ``rule`` alone.
 
     Yields ``(rule, params, statement, replacement)`` with ``params`` as
     sorted (key, value) pairs and ``statement`` a `_certify` key of masks
     (None for an algebraic move). They depend on the term alone: TotalProb is
     offered for every adjacent cluster the term does not mention, and
-    `_rewrites` drops those that occur elsewhere in the expression.
+    `_rewrites` drops those that occur elsewhere in the expression. Each rule
+    has one builder; the search chains them all, and `replay` calls the
+    recorded step's alone.
     """
-    masked = set(g.partially_observed)
+    for name, build in (
+        ("R1", _observations),
+        ("R2", _exchanges),
+        ("R3", _deletions),
+        ("ProxyEq1", _proxy_swaps),
+        ("TotalProb", _total_probabilities),
+        ("ChainRule", _chain_splits),
+    ):
+        if rule is None or rule == name:
+            yield from build(g, t)
+
+
+def _statement(g: MixedGraph, t: Term, rule: str, moved: Atom):
+    """The `_certify` key of a do-calculus move of ``moved`` in ``t``."""
     mask = g.index.mask
+    ys = mask(set().union(*(atom_vertices(g, a) for a in t.outcomes)))
+    xs = mask(atom_vertices(g, moved))
+    zs = mask({a.ref for a in t.do}) & ~xs
+    ws = mask(set().union(*(atom_vertices(g, a) for a in t.cond if a != moved)))
+    return rule, ys, xs, zs, ws & ~(ys | xs | zs)
 
-    def statement(rule, moved):
-        ys = mask(set().union(*(atom_vertices(g, a) for a in t.outcomes)))
-        xs = mask(atom_vertices(g, moved))
-        zs = mask({a.ref for a in t.do}) & ~xs
-        ws = mask(set().union(*(atom_vertices(g, a) for a in t.cond if a != moved)))
-        return rule, ys, xs, zs, ws & ~(ys | xs | zs)
 
-    # R1: insert an R=0 literal for an indicator whose owner symbol is present
+def _observations(g: MixedGraph, t: Term):
+    """R1: insert an R=0 literal for an indicator whose owner symbol is
+    present, then drop a conditioned atom."""
     present_clusters = {a.ref for a in t.outcomes | t.cond if a.kind in (VAL, PROXY)}
     for r in sorted(g.indicators):
         lit = rzero(r)
@@ -361,37 +382,64 @@ def _term_moves(g: MixedGraph, t: Term):
             continue
         if g.owner_cluster(r) not in present_clusters:
             continue
-        yield "R1", (("insert", r),), statement("R1", lit), t.replace(cond=t.cond | {lit})
-    # R1: drop a conditioned atom
+        yield "R1", (("insert", r),), _statement(g, t, "R1", lit), t.replace(cond=t.cond | {lit})
     for a in sorted(t.cond):
-        yield "R1", (("drop", a.render()),), statement("R1", a), t.replace(cond=t.cond - {a})
-    # R2: exchange one do(atom) for conditioning
+        yield "R1", (("drop", a.render()),), _statement(g, t, "R1", a), t.replace(cond=t.cond - {a})
+
+
+def _exchanges(g: MixedGraph, t: Term):
+    """R2: exchange one do(atom) for conditioning."""
     for a in sorted(t.do):
-        yield "R2", (("observe", a.render()),), statement("R2", a), Term(t.outcomes, t.do - {a}, t.cond | {a})
-    # R3: delete one do(atom)
+        yield "R2", (("observe", a.render()),), _statement(g, t, "R2", a), Term(t.outcomes, t.do - {a}, t.cond | {a})
+
+
+def _deletions(g: MixedGraph, t: Term):
+    """R3: delete one do(atom)."""
     for a in sorted(t.do):
-        yield "R3", (("delete", a.render()),), statement("R3", a), t.replace(do=t.do - {a})
-    # ProxyEq1: switch a masked symbol to its proxy when licensed
+        yield "R3", (("delete", a.render()),), _statement(g, t, "R3", a), t.replace(do=t.do - {a})
+
+
+def _proxy_swaps(g: MixedGraph, t: Term):
+    """ProxyEq1: switch a masked symbol to its proxy when licensed."""
+    masked = set(g.partially_observed)
     for a in sorted(t.outcomes | t.cond):
         if a.kind == VAL and a.ref in masked:
             need = {rzero(r) for r in g.indicators_of_cluster(a.ref)}
             if need <= (t.outcomes | t.cond):
                 yield "ProxyEq1", (("target", a.ref),), None, _swap_proxy(t, a.ref)
-    # TotalProb: introduce an adjacent cluster into a do-carrying term
-    if t.do:
-        adjacent = set()
-        for a in t.outcomes | t.do | t.cond:
-            for vid in atom_vertices(g, a):
-                if vid in g.ids:
-                    adjacent |= {n for n in g.neighbors(vid) if g.kind(n) is Kind.CLUSTER}
-        mentioned = {a.ref for a in t.outcomes | t.do | t.cond}
-        for c in sorted(adjacent - mentioned):
-            yield "TotalProb", (("over", c),), None, expand_total_probability(t, c)
-    # ChainRule: split one outcome off a joint term
+
+
+def _total_probabilities(g: MixedGraph, t: Term):
+    """TotalProb: introduce an adjacent cluster into a do-carrying term."""
+    if not t.do:
+        return
+    adjacent = set()
+    for a in t.outcomes | t.do | t.cond:
+        for vid in atom_vertices(g, a):
+            if vid in g.ids:
+                adjacent |= {n for n in g.neighbors(vid) if g.kind(n) is Kind.CLUSTER}
+    mentioned = {a.ref for a in t.outcomes | t.do | t.cond}
+    for c in sorted(adjacent - mentioned):
+        yield "TotalProb", (("over", c),), None, expand_total_probability(t, c)
+
+
+def _chain_splits(g: MixedGraph, t: Term):
+    """ChainRule: split one outcome off a joint term."""
     if len(t.outcomes) > 1:
         for a in sorted(t.outcomes):
             if a.kind != RZERO:
                 yield "ChainRule", (("split", a.render()),), None, chain_split(t, a)
+
+
+def _node_moves(g: MixedGraph, x: Expr, rule: Optional[str] = None):
+    """The uncanonical moves of a term (`_term_moves`) or of a sum
+    (Marginalize, if it collapses), of every rule or of ``rule`` alone."""
+    if type(x) is Term:
+        yield from _term_moves(g, x, rule)
+    elif rule is None or rule == "Marginalize":
+        out = collapse(x)
+        if out is not None:
+            yield "Marginalize", (), None, out
 
 
 def recover_effect(
@@ -540,17 +588,11 @@ def _on_span(path: Tuple[int, ...], span: Optional[Tuple[int, ...]], quotient: O
 
 
 def _candidates(g: MixedGraph, x: Expr) -> tuple:
-    """The candidate moves of a term (`_term_moves`) or of a sum (Marginalize,
-    if it collapses), each as ``(rule, params, statement, new,
-    new_observable)``: the replacement in canonical form and whether every
-    term of it is observable."""
-    if type(x) is Term:
-        moves = _term_moves(g, x)
-    else:
-        out = collapse(x)
-        moves = () if out is None else (("Marginalize", (), None, out),)
+    """The search's moves of a node (`_node_moves`), each as ``(rule, params,
+    statement, new, new_observable)``: the replacement in canonical form and
+    whether every term of it is observable."""
     candidates = []
-    for rule, params, statement, replacement in moves:
+    for rule, params, statement, replacement in _node_moves(g, x):
         new = canonical(replacement)
         candidates.append((rule, params, statement, new, _observable(g, new)))
     return tuple(candidates)
@@ -558,7 +600,8 @@ def _candidates(g: MixedGraph, x: Expr) -> tuple:
 
 def _rewrites(expr: Expr, candidates, observable, last: bool):
     """Every candidate move of a state, in the fixed rule order: the move
-    listing of both `recover_effect` and `replay`.
+    listing of both `recover_effect` (``candidates`` is `_candidates`) and
+    `replay` (`_recorded`, the recorded move alone).
 
     Yields each ``candidates(x)`` of each `_rewritable` node ``x``, with the
     path recorded for it and what `_on_span` says of that path; a later
@@ -631,6 +674,20 @@ class ReplayResult(NamedTuple):
         return {"ok": self.ok, "failed_at": self.failed_at, "reason": self.reason}
 
 
+def _recorded(g: MixedGraph, rule, params, statement):
+    """A `_rewrites` lister of the recorded move: ``rule``'s builder alone
+    (`_node_moves`), and only a move with the recorded parameters and statement
+    is put in canonical form. Its observability is not computed (None):
+    replay lists every node, as the search does below its last level."""
+
+    def moves(x: Expr):
+        for name, p, s, replacement in _node_moves(g, x, rule):
+            if p == params and s == statement:
+                yield name, p, s, canonical(replacement), None
+
+    return moves
+
+
 def replay(g: MixedGraph, d: Derivation) -> ReplayResult:
     """Re-verify a derivation against a graph, step by step.
 
@@ -646,9 +703,10 @@ def replay(g: MixedGraph, d: Derivation) -> ReplayResult:
     The query fails at 0 when one of its symbols names nothing of that kind
     in ``g``: a value must name a substantive vertex, a proxy a partially
     observed one and an R=0 literal an indicator. Every step is a legal
-    move, so checking the query covers the whole derivation. The moves are
-    listed by `_rewrites` and rebuilt by `_successor` along the paths it
-    records, as in the search.
+    move, so checking the query covers the whole derivation. A step's move
+    is made by its rule's builder alone (`_recorded`), on the nodes and
+    paths that `_rewrites` lists for the search, with the same TotalProb
+    filter, and rebuilt by `_successor`; no other rule's moves are listed.
     """
     _require("g", g, MixedGraph, WrongGraphClass)
     _require("d", d, Derivation, PreconditionError)
@@ -662,7 +720,7 @@ def replay(g: MixedGraph, d: Derivation) -> ReplayResult:
         known, what = refs[a.kind]
         if a.ref not in known:
             return ReplayResult(False, 0, f"{a.render()} names no {what} of {g.name}")
-    observable, candidates = _memo(_term_observable, g, {}), _memo(_candidates, g, {})
+    observable = _memo(_term_observable, g, {})
     for i, step in enumerate(d.steps, start=1):
         if canonical(step.before) != current:
             return ReplayResult(False, i, "step does not continue the previous expression")
@@ -679,10 +737,10 @@ def replay(g: MixedGraph, d: Derivation) -> ReplayResult:
                         False, i, f"recorded {c.rule} certificate differs from the one computed on {g.name}"
                     )
                 statement = (c.rule, *map(g.index.mask, (c.y, c.x, c.z, c.w)))
-            move = (step.rule, step.params, statement)
+            recorded = _recorded(g, step.rule, step.params, statement)
             if not any(
-                (rule, params, candidate) == move and _successor(current, path, new) == after
-                for rule, params, candidate, new, _, path, _ in _rewrites(current, candidates, observable, False)
+                _successor(current, path, new) == after
+                for _, _, _, new, _, path, _ in _rewrites(current, recorded, observable, False)
             ):
                 return ReplayResult(False, i, "rewrite is not canonical-form-checkable")
         except (UnknownVertex, OverlappingSets, UnknownRule) as exc:

@@ -32,7 +32,7 @@ import weakref
 from collections import OrderedDict
 from collections.abc import Mapping
 from functools import cached_property
-from typing import Dict, Iterable, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -1117,31 +1117,33 @@ class _Compiler:
         except KeyError:
             raise EvaluationError(f"unbound symbol {atom.render()}") from None
 
-    def _columns(self, atom: Atom, env) -> Dict[str, Optional[int]]:
-        """Column -> the sub-axis realizing one atom; None reads an
+    def _columns(self, atom: Atom, env) -> List[Tuple[str, Optional[int]]]:
+        """(column, the sub-axis realizing it) for one atom; None reads an
         indicator at 0."""
         if atom.kind == RZERO:
             # the abstract indicator covers all member indicators of its cluster
-            return {r: None for r in self.g._indicator_group(atom.ref)}
+            return [(r, None) for r in self.g._indicator_group(atom.ref)]
         first = env[atom]
-        cols = {}
+        cols = []
         for i, v in enumerate(self.g.members(atom.ref)):
             if atom.kind == PROXY and v in self.g.proxy_of:
-                cols[self.g.proxy_of[v]] = first + i
+                cols.append((self.g.proxy_of[v], first + i))
             elif atom.kind == VAL and not self.interventional and v in self.g.indicator_of:
                 raise EvaluationError(f"true value of partially observed {v!r} is not observable")
             else:
-                cols[v] = first + i
+                cols.append((v, first + i))
         return cols
 
-    def _sources(self, cols: Mapping[str, Optional[int]]) -> Dict[str, list]:
+    def _sources(self, cols: Iterable[Tuple[str, Optional[int]]]) -> Dict[str, list]:
         """Column -> the sub-axes it is read along; none reads it at 0.
 
-        Do-tables have no proxy columns, so there a proxy at x reads the
-        cells ``(v = x, R_v = 0)``.
+        A fully observed member is its own proxy, so ``c_C`` and ``c*_C``
+        both read its column: along both sub-axes, a diagonal. Do-tables
+        have no proxy columns, so there a proxy at x reads the cells
+        ``(v = x, R_v = 0)``.
         """
         out: Dict[str, list] = {}
-        for col, sub in cols.items():
+        for col, sub in cols:
             if col in self.proxies:
                 out.setdefault(self.g.indicator_of[self.proxies[col]], [])
                 col = self.proxies[col]
@@ -1159,12 +1161,8 @@ class _Compiler:
         for atom in t.outcomes | t.cond:
             if atom.kind != RZERO:
                 self._axis(env, atom)
-        cond: Dict[str, int] = {}
-        for atom in sorted(t.cond):
-            cond.update(self._columns(atom, env))
-        both = dict(cond)
-        for atom in sorted(t.outcomes):
-            both.update(self._columns(atom, env))
+        cond = [col for atom in sorted(t.cond) for col in self._columns(atom, env)]
+        both = cond + [col for atom in sorted(t.outcomes) for col in self._columns(atom, env)]
         num, den = self._sources(both), self._sources(cond)
         do_vars = None
         if self.interventional:

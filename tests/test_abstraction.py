@@ -3,6 +3,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcdmg import (
     Budget,
@@ -23,7 +25,14 @@ from mcdmg import abstraction
 from mcdmg.abstraction import _canon_indicator_names
 from mcdmg.errors import BudgetTooSmall, InvalidBudget, InvalidClustering, McdmgError, WrongGraphClass
 from mcdmg.graphs import validate
-from tests_support import THIRTEEN_EDGES, indicator_out_text, random_cluster_text, reference_over_members
+from tests_support import (
+    THIRTEEN_EDGES,
+    indicator_out_text,
+    random_cluster_text,
+    reference_is_compatible,
+    reference_over_members,
+    reference_project,
+)
 
 
 def test_project_fig1a_gives_fig1c(fig1a, fig1c):
@@ -471,3 +480,110 @@ def test_edges_out_of_indicators_are_realized_and_sound():
                     joint_checks += effect is None
                     effect_checks += effect is not None
     assert indicator_out >= 50 and joint_checks >= 50 and effect_checks >= 200
+
+
+# ---------------------------------------------------------------------------
+# Compatibility by edge sets, and graphs valid by construction
+# ---------------------------------------------------------------------------
+
+_GENERATORS = st.sampled_from((random_cluster_text, indicator_out_text))
+
+
+def _realized(g):
+    """The graphs `_realize` builds for ``g``: the witness of each violation
+    `construct_witness` realizes, then up to three `Budget(2, 10)` members."""
+    from mcdmg import check_joint, construct_witness
+
+    out = []
+    if g.graph_class is not GraphClass.CDMG:
+        for violation in check_joint(g).violations:
+            try:
+                out.append(construct_witness(g, violation))
+            except McdmgError:
+                pass  # a cycle through an indicator: no witness to compare
+    try:
+        out += itertools.islice(enumerate_compatible(g, budget=Budget(2, 10)), 3)
+    except BudgetTooSmall:
+        pass
+    return out
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except McdmgError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_GENERATORS, st.randoms(use_true_random=False))
+def test_realized_graphs_and_their_projections_validate(generator, rng):
+    """Every witness and enumerated member is a valid m-ADMG although
+    `_realize` no longer validates it, and so is each projection of it."""
+    g = parse_graph(generator(rng))
+    for m in _realized(g):
+        assert validate(m) == [] and m.graph_class is GraphClass.MADMG
+        levels = (GraphClass.MCDMG, GraphClass.CMCDMG) if m.indicators else (GraphClass.CDMG,)
+        for level in levels:
+            assert validate(project(m, m.clustering, level)) == []
+            assert project(m, m.clustering, level) == reference_project(m, m.clustering, level)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_GENERATORS, st.randoms(use_true_random=False), st.randoms(use_true_random=False))
+def test_is_compatible_matches_reference_projection(generator, rng, other_rng):
+    """`is_compatible` by edge sets gives the report of projecting first, on
+    witnesses and members of their own graph, and the same report or error
+    on another graph of the generator (mostly incompatible)."""
+    g = parse_graph(generator(rng))
+    other = parse_graph(generator(other_rng))
+    compared = 0
+    for m in _realized(g):
+        assert is_compatible(m, g) == reference_is_compatible(m, g)
+        assert is_compatible(m, g).compatible
+        got = _outcome(lambda: is_compatible(m, other))
+        assert got == _outcome(lambda: reference_is_compatible(m, other))
+        compared += 1
+    if compared:
+        # the witness's clustering, passed explicitly, as `construct_witness` does
+        assert is_compatible(m, g, m.clustering) == reference_is_compatible(m, g, m.clustering)
+
+
+def test_compatibility_reports_name_the_differing_edges(fig2b, fig3):
+    """An incompatible pair: the report lists the missing and forbidden
+    edges, indicator keys and intra-cluster bidirected edges, sorted, as
+    the projection-first reference does."""
+    stream = enumerate_compatible(fig2b, budget=Budget(2, 10))
+    m = next(m for m in stream if len(m.clustering.members("CX")) == 2)
+    report = is_compatible(m, fig3)
+    assert not report.compatible and report == reference_is_compatible(m, fig3)
+    x1, x2 = m.clustering.members("CX")
+    confounded = MixedGraph.build(
+        m.name, m.graph_class, m.vertices, m.declared_directed, m.bidirected | {(x1, x2)}, m.clustering
+    )
+    report = is_compatible(confounded, fig2b)
+    assert report.forbidden_edges == (("<->", x1, x2),) and not report.missing_realizations
+    assert report == reference_is_compatible(confounded, fig2b)
+
+
+def test_fig3_derive_sequence_validates_only_on_parse(monkeypatch):
+    """parse, check_joint, construct_witness, is_compatible, recover_effect
+    and replay on fig3 run `graphs.validate` once: on the parsed graph. The
+    graphs the package builds itself are not validated again."""
+    from mcdmg import check_joint, construct_witness, graphs, recover_effect, replay
+
+    calls = []
+    validate_graph = graphs.validate
+
+    def counted(g):
+        calls.append(g.name)
+        return validate_graph(g)
+
+    monkeypatch.setattr(graphs, "validate", counted)
+    g = parse_graph(fixture_text("fig3"))
+    verdict = check_joint(g)
+    witness = construct_witness(g, verdict.violations[0])
+    assert is_compatible(witness, g).compatible
+    d = recover_effect(g, {"CX"}, {"CY"}, depth=5)
+    assert replay(g, d).ok
+    assert calls == [g.name]

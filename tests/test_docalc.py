@@ -1,21 +1,25 @@
+import functools
 import json
 import random
 from collections import deque
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from mcdmg import (
     Derivation,
+    GraphClass,
     MixedGraph,
     MutilationSpec,
     NotDerived,
     active_path,
     ancestors,
+    as_cluster_graph,
     d_separated,
     d_separated_by_paths,
+    fixture_text,
     mutilate,
     parse_graph,
     recover_effect,
@@ -49,9 +53,11 @@ from mcdmg.expressions import (
 )
 from test_expressions import atoms, exprs, terms
 from tests_support import (
+    FIXTURE_QUERIES,
     indicator_out_text,
     random_cluster_text,
     reference_holds,
+    reference_replay,
     reference_statement,
     replace_term,
     search_hashes,
@@ -955,3 +961,89 @@ def test_last_level_filter_builds_a_quotient_whose_sides_meet(x, y, a, other):
         paths = docalc._rewritable(c, _no_do)[0]
         news = (_d_given_a, One(), canonical(other))
         _assert_span_predicate(c, _no_do, [(path, new) for path in paths.values() for new in news])
+
+
+@functools.lru_cache(maxsize=None)
+def _golden_derivations():
+    """(graph, derivation) for every derivation of the golden search corpus
+    (`tests_support.search_hashes`): the six fixtures at depth 12 and 60
+    random graphs at depth 5."""
+    queries = []
+    for name, (treatment, outcome) in FIXTURE_QUERIES.items():
+        g = parse_graph(fixture_text(name))
+        if g.graph_class in (GraphClass.ADMG, GraphClass.MADMG):
+            g = as_cluster_graph(g)
+        queries.append((g, treatment, outcome, 12))
+    rng = random.Random(20261018)
+    for _ in range(60):
+        g = parse_graph(random_cluster_text(rng))
+        queries.append((g, *rng.sample(sorted(g.clusters), 2), 5))
+    found = ((g, recover_effect(g, {t}, {o}, depth=depth)) for g, t, o, depth in queries)
+    return tuple((g, d) for g, d in found if isinstance(d, Derivation))
+
+
+def test_replay_makes_only_the_recorded_moves(monkeypatch):
+    """Every derivation of the golden corpus replays as the listing
+    reference replays it, and replay never lists a node's candidates: it
+    runs the recorded rule's builder alone."""
+    corpus = _golden_derivations()
+    assert len(corpus) >= 30 and sum(len(d.steps) for _, d in corpus) >= 60
+    want = [reference_replay(g, d) for g, d in corpus]
+    rules = []
+    term_moves = docalc._term_moves
+
+    def refuse(*args):
+        raise AssertionError("replay listed a node's candidates")
+
+    def recorded_only(g, t, rule=None):
+        assert rule is not None, "replay chained every rule's builder"
+        rules.append(rule)
+        return term_moves(g, t, rule)
+
+    monkeypatch.setattr(docalc, "_candidates", refuse)
+    monkeypatch.setattr(docalc, "_term_moves", recorded_only)
+    assert [replay(g, d) for g, d in corpus] == want
+    assert all(want) and rules
+
+
+_RULES = ("R1", "R2", "R3", "ProxyEq1", "TotalProb", "ChainRule", "Marginalize", "R4")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_replay_matches_reference_on_tampered_derivations(data):
+    """A golden-corpus derivation with one step tampered (another step's
+    params, another candidate's result, a renamed rule, an edited or moved
+    certificate, two steps swapped), replayed on its own graph or another
+    corpus graph, gets the listing reference's `ReplayResult`."""
+    corpus = _golden_derivations()
+    g, d = data.draw(st.sampled_from([(g, d) for g, d in corpus if d.steps]))
+    i = data.draw(st.integers(0, len(d.steps) - 1))
+    steps = list(d.steps)
+    step = steps[i]
+    others = [s for _, e in corpus for s in e.steps]
+    kind = data.draw(st.sampled_from(("params", "after", "rule", "certificate", "order", "graph")))
+    if kind == "params":
+        steps[i] = step._replace(params=data.draw(st.sampled_from(others)).params)
+    elif kind == "after":
+        successors = [docalc._successor(step.before, path, new) for *_, new, path in _moves(g, step.before)]
+        steps[i] = step._replace(after=data.draw(st.sampled_from(successors)))
+    elif kind == "rule":
+        steps[i] = step._replace(rule=data.draw(st.sampled_from(_RULES)))
+    elif kind == "certificate":
+        c = step.certificate
+        certificates = [s.certificate for s in others if s.certificate is not None]
+        edits = [None, data.draw(st.sampled_from(certificates))]
+        if c is not None:
+            other_rule = "R3" if c.rule != "R3" else "R2"
+            edits += [c._replace(holds=not c.holds), c._replace(z=c.w, w=c.z), c._replace(rule=other_rule)]
+        steps[i] = step._replace(certificate=data.draw(st.sampled_from(edits)))
+    elif kind == "order":
+        j = data.draw(st.integers(0, len(steps) - 1))
+        steps[i], steps[j] = steps[j], steps[i]
+    else:
+        g = data.draw(st.sampled_from(corpus))[0]
+    tampered = d._replace(steps=tuple(steps))
+    got = replay(g, tampered)
+    assert got == reference_replay(g, tampered)
+    event(f"{kind}: {got.reason or 'ok'}")

@@ -1288,6 +1288,26 @@ _P_CY = term([val("CY")])
             WrongGraphClass,
             "madmg must be a MixedGraph, not str",
         ),
+        (
+            lambda: project(mk(MCAR_SRC), "x", GraphClass.MCDMG),
+            InvalidClustering,
+            "clustering must be a Clustering, not str",
+        ),
+        (
+            lambda: project(mk(MCAR_SRC), None, GraphClass.MCDMG),
+            InvalidClustering,
+            "clustering must be a Clustering, not NoneType",
+        ),
+        (
+            lambda: project(mk(MCAR_SRC), Clustering.from_dict({"CX": ["X"], "CY": ["Y"]}), "x"),
+            WrongGraphClass,
+            "level must be a GraphClass, not str",
+        ),
+        (
+            lambda: project(mk(MCAR_SRC), Clustering.from_dict({"CX": ["X"], "CY": ["Y"]}), GraphClass.MADMG),
+            WrongGraphClass,
+            "level must be a cluster class, not m-admg",
+        ),
         (lambda: merge_indicators("x"), WrongGraphClass, "mcdmg must be a MixedGraph, not str"),
         (lambda: as_cluster_graph("x"), WrongGraphClass, "g must be a MixedGraph, not str"),
         (lambda: emit_json("x"), WrongGraphClass, "g must be a MixedGraph, not str"),
@@ -1387,6 +1407,10 @@ _P_CY = term([val("CY")])
         "is_compatible-abstract",
         "is_compatible-clustering",
         "project",
+        "project-clustering",
+        "project-clustering-none",
+        "project-level",
+        "project-level-class",
         "merge_indicators",
         "as_cluster_graph",
         "emit_json",
@@ -1696,28 +1720,35 @@ class _Reference:
             if key not in self.tables:
                 self.tables[key] = _extended(self.source, do)
             table = self.tables[key]
-        cond = {}
-        for atom in sorted(t.cond):
-            cond.update(self.columns(atom, env))
-        both = dict(cond)
-        for atom in sorted(t.outcomes):
-            both.update(self.columns(atom, env))
-        den = table.prob(cond) if cond else 1.0
+        cond = [col for atom in sorted(t.cond) for col in self.columns(atom, env)]
+        both = cond + [col for atom in sorted(t.outcomes) for col in self.columns(atom, env)]
+        den = self.prob(table, cond) if cond else 1.0
         if den <= 0.0:
             raise PositivityError("zero-mass stratum")
-        return table.prob(both) / den
+        return self.prob(table, both) / den
+
+    @staticmethod
+    def prob(table, cols):
+        """The mass of the (column, value) pairs; a column named twice
+        with two values (a fully observed member is its own proxy) has
+        none."""
+        assignment = {}
+        for col, x in cols:
+            if assignment.setdefault(col, x) != x:
+                return 0.0
+        return table.prob(assignment)
 
     def columns(self, atom, env):
         if atom.kind == RZERO:
-            return {r: 0 for r in self.g._indicator_group(atom.ref)}
-        cols = {}
+            return [(r, 0) for r in self.g._indicator_group(atom.ref)]
+        cols = []
         for v, x in zip(self.g.members(atom.ref), env[atom]):
             if atom.kind == PROXY and v in self.g.proxy_of:
-                cols[self.g.proxy_of[v]] = x
+                cols.append((self.g.proxy_of[v], x))
             elif atom.kind == VAL and not self.interventional and v in self.g.indicator_of:
                 raise EvaluationError(f"{v} is masked")
             else:
-                cols[v] = x
+                cols.append((v, x))
         return cols
 
 
@@ -1859,6 +1890,22 @@ def test_compiled_evaluator_matches_reference_on_mixed_clusters(expr, seed, inte
     gr = Grounding.from_scm(scm, MIXED_CLUSTERS)
     source = scm if interventional else exact_tables(scm)[1]
     _assert_matches_reference(expr, source, gr, interventional)
+
+
+def test_a_fully_observed_member_named_twice_is_read_along_both_values():
+    """X2 is its own proxy, so P(c_CX, c*_CX) reads its column at both
+    values: no mass where they differ, and where they agree the mass of
+    X1 = 0, X2 = 0 observed."""
+    scm = random_scm(mk(MIXED_SRC), seed=0)
+    gr = Grounding.from_scm(scm, MIXED_CLUSTERS)
+    both = term([val("CX"), proxy("CX")])
+    observed = evaluate_interventional(term([val("CX"), rzero("R_X1")]), scm, gr, {val("CX"): (0, 0)})
+    assert observed == pytest.approx(0.150168747847918, abs=1e-15)
+    for value, want in (((0, 1), 0.0), ((0, 0), observed)):
+        env = {val("CX"): (0, 0), proxy("CX"): value}
+        assert evaluate_interventional(both, scm, gr, env) == pytest.approx(want, abs=1e-15)
+        assert _Reference(scm, gr, True).cell(both, env) == pytest.approx(want, abs=1e-15)
+        assert evaluate_all(both, scm, gr)[1][((0, 0), value)] == pytest.approx(want, abs=1e-15)
 
 
 @pytest.mark.parametrize(

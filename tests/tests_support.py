@@ -690,3 +690,124 @@ def reference_manifest(scm, base):
         out[na_dst] = probs[missing].sum(axis=x, keepdims=True)
         probs = out
     return DistTable(tuple(names), tuple(cards), np.asarray(probs, order="C"))  # a copy only if no pin ran
+
+
+def reference_project(madmg, clustering, level):
+    """`abstraction.project` as the cluster graph built edge by edge: each
+    edge's ends projected one at a time, the graph assembled and validated.
+    The projection that `is_compatible` compared before it read the edge set
+    straight off the variable-level edges, kept as the reference."""
+    from mcdmg.abstraction import _project_endpoint, indicator_id
+    from mcdmg.errors import InvalidClustering, WrongGraphClass
+    from mcdmg.graphs import require_valid
+
+    if madmg.graph_class not in (GraphClass.ADMG, GraphClass.MADMG):
+        raise WrongGraphClass("projection starts from an (m-)ADMG")
+    if level is GraphClass.CDMG and madmg.indicators:
+        raise WrongGraphClass("an m-ADMG cannot project to a plain C-DMG")
+    clustering.check_partition()
+    if set(madmg.variables) != set(clustering.variables):
+        raise InvalidClustering("clustering must cover exactly the graph's variables")
+    directed, bidirected = set(), set()
+    for a, b in madmg.declared_directed:
+        directed.add((_project_endpoint(a, madmg, clustering, level), _project_endpoint(b, madmg, clustering, level)))
+    for a, b in madmg.bidirected:
+        pa = _project_endpoint(a, madmg, clustering, level)
+        pb = _project_endpoint(b, madmg, clustering, level)
+        if pa != pb:
+            bidirected.add(tuple(sorted((pa, pb))))
+    verts = [Vertex(c, Kind.CLUSTER) for c, _ in clustering.clusters]
+    if level is GraphClass.MCDMG:
+        verts += [Vertex(r, Kind.INDICATOR, madmg.vertex(r).owner) for r in madmg.indicators]
+    elif level is GraphClass.CMCDMG:
+        masked = sorted({clustering.cluster_of[madmg.vertex(r).owner] for r in madmg.indicators})
+        verts += [Vertex(indicator_id(c), Kind.INDICATOR, c) for c in masked]
+    return require_valid(
+        MixedGraph.build(f"{madmg.name}@cluster", level, verts, directed, bidirected, clustering=clustering)
+    )
+
+
+def reference_is_compatible(madmg, abstract, clustering=None):
+    """`abstraction.is_compatible` by projecting first: the cluster graph of
+    `reference_project`, its edge set and indicator keys read off the graph
+    and compared with the abstract graph's. The reference that the
+    projection by edge sets is checked against."""
+    from mcdmg.abstraction import CompatibilityReport, _canon_indicator_names, _indicator_keys, _level_of
+    from mcdmg.errors import InvalidClustering
+
+    level = _level_of(abstract)
+    clustering = clustering or madmg.clustering or abstract.clustering
+    if clustering is None:
+        raise InvalidClustering("no clustering available")
+    projected = reference_project(madmg, clustering, level)
+    abstract_edges, projected_edges = _canon_indicator_names(abstract), _canon_indicator_names(projected)
+    missing = sorted(abstract_edges - projected_edges)
+    forbidden = sorted(projected_edges - abstract_edges)
+    want, have = _indicator_keys(abstract), _indicator_keys(projected)
+    missing += [("rvar", kind, owner) for kind, owner in sorted(want - have)]
+    forbidden += [("rvar", kind, owner) for kind, owner in sorted(have - want)]
+    for a, b in sorted(madmg.bidirected):
+        ca = clustering.cluster_of.get(a)
+        if ca is not None and ca == clustering.cluster_of.get(b):
+            forbidden.append(("<->", a, b))
+    return CompatibilityReport(tuple(missing), tuple(forbidden))
+
+
+def reference_replay(g, d):
+    """`docalc.replay` by listing: every candidate move of every rule on
+    every rewritable node (`_rewrites` over `_candidates`, as the search
+    lists them) is made, and the step must match one of them. The replay
+    that `replay`, which makes the recorded rule's moves alone, is checked
+    against."""
+    from mcdmg.docalc import (
+        ReplayResult,
+        _candidates,
+        _memo,
+        _observable,
+        _rewrites,
+        _successor,
+        _term_observable,
+        rule_applicable,
+    )
+    from mcdmg.errors import OverlappingSets, UnknownRule, UnknownVertex
+    from mcdmg.expressions import PROXY, RZERO, VAL, canonical, symbols_of
+
+    current = canonical(d.query)
+    refs = {
+        VAL: (g.substantive, "substantive vertex"),
+        PROXY: (g.partially_observed, "partially observed vertex"),
+        RZERO: (g.indicators, "indicator"),
+    }
+    for a in sorted(symbols_of(current)):
+        known, what = refs[a.kind]
+        if a.ref not in known:
+            return ReplayResult(False, 0, f"{a.render()} names no {what} of {g.name}")
+    observable, candidates = _memo(_term_observable, g, {}), _memo(_candidates, g, {})
+    for i, step in enumerate(d.steps, start=1):
+        if canonical(step.before) != current:
+            return ReplayResult(False, i, "step does not continue the previous expression")
+        after = canonical(step.after)
+        c = step.certificate
+        statement = None
+        try:
+            if c is not None:
+                computed = rule_applicable(g, c.rule, c.y, c.x, c.z, c.w)
+                if not computed.holds:
+                    return ReplayResult(False, i, f"{c.rule} certificate fails on {g.name}")
+                if c != computed or c.holds is not True:
+                    return ReplayResult(
+                        False, i, f"recorded {c.rule} certificate differs from the one computed on {g.name}"
+                    )
+                statement = (c.rule, *map(g.index.mask, (c.y, c.x, c.z, c.w)))
+            move = (step.rule, step.params, statement)
+            if not any(
+                (rule, params, candidate) == move and _successor(current, path, new) == after
+                for rule, params, candidate, new, _, path, _ in _rewrites(current, candidates, observable, False)
+            ):
+                return ReplayResult(False, i, "rewrite is not canonical-form-checkable")
+        except (UnknownVertex, OverlappingSets, UnknownRule) as exc:
+            return ReplayResult(False, i, str(exc))
+        current = after
+    if not _observable(g, current):
+        return ReplayResult(False, len(d.steps), f"result is not observable on {g.name}")
+    return ReplayResult(True)
